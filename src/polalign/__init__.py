@@ -1,9 +1,9 @@
 """Polarization-frame alignment for BB84 QKD at single-photon signal levels.
 
 Channel characterization by six-outcome qubit tomography, compensation by
-a quarter-half-quarter wave-plate stack optimized with Nelder-Mead, Monte
-Carlo performance sweeps over photon budget and signal fidelity, and a
-timing-vs-polarization misalignment discriminator.
+a quarter-half-quarter wave-plate stack set in closed form from the optimal
+Stokes rotation, Monte Carlo performance sweeps over photon budget and
+signal fidelity, and a timing-vs-polarization misalignment discriminator.
 """
 
 from .polarization import (

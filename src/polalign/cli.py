@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .compensation import CompensationOptions, optimize
+from .compensation import optimize
 from .errors import PolalignError, SchemaError
 from .montecarlo import (
     DetectionRateParams,
@@ -87,7 +87,7 @@ def load_count_file(path) -> tuple[CountMatrix, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _require(isinstance(payload, dict), f"{path}: top level must be an object")
     _require(
@@ -107,7 +107,8 @@ def load_count_file(path) -> tuple[CountMatrix, dict]:
     n_rows, n_cols = COUNT_SHAPE[direction]
     for name, labels, expected in (("row", rows, ROW_LABELS[direction]),
                                    ("column", cols, COLUMN_LABELS[direction])):
-        _require(isinstance(labels, list), f"{path}: {name}_labels must be a list")
+        _require(isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+                 f"{path}: {name}_labels must be a list of strings")
         _require(
             len(labels) == len(set(labels)),
             f"{path}: repeated {name} label in {labels}",
@@ -207,48 +208,81 @@ def _emit(text: str, out_path):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
+def _optional_finite(value):
+    return None if value in (None, "") else _finite(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, (bool, float)):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+#: accepted spellings of bg_subtract: CSV text or a JSON boolean
+_FLAGS = {"true": True, "false": False, True: True, False: False}
+
+
+#: sweep-file field -> (SweepCell field, converter)
+_SWEEP_FIELDS = {
+    "direction": ("direction", Direction),
+    "n": ("n_detected", _integer),
+    "fs": ("signal_fidelity", _finite),
+    "bg_mean": ("background_mean", _finite),
+    "bg_subtract": ("subtract_background", _FLAGS.__getitem__),
+    "samples": ("samples", _integer),
+    "failures": ("failures", _integer),
+    "mean_qber": ("mean_qber", _finite),
+    "std_qber": ("std_qber", _optional_finite),
+}
+
+
+def _sweep_cell(path, where: str, record) -> SweepCell:
+    _require(isinstance(record, dict), f"{path}: {where} must be an object")
+    fields = {}
+    for key, (name, convert) in _SWEEP_FIELDS.items():
+        _require(key in record, f"{path}: {where} has no {key!r}")
+        try:
+            fields[name] = convert(record[key])
+        except (KeyError, TypeError, ValueError):
+            raise SchemaError(f"{path}: {where}: bad {key} {record[key]!r}") from None
+    return SweepCell(**fields)
+
+
 def read_sweep_file(path) -> list[SweepCell]:
-    """Parse a sweep written by ``simulate`` (CSV or JSON)."""
-    text = open(path, "r", encoding="utf-8").read()
-    cells = []
+    """Parse a sweep written by ``simulate`` (CSV or JSON).
+
+    Raises :class:`SchemaError` for any malformed file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        records = payload["cells"]
-        for r in records:
-            cells.append(
-                SweepCell(
-                    direction=Direction(r["direction"]),
-                    n_detected=int(r["n"]),
-                    signal_fidelity=float(r["fs"]),
-                    background_mean=float(r["bg_mean"]),
-                    subtract_background=bool(r["bg_subtract"]),
-                    samples=int(r["samples"]),
-                    failures=int(r["failures"]),
-                    mean_qber=float(r["mean_qber"]),
-                    std_qber=None if r["std_qber"] is None else float(r["std_qber"]),
-                )
-            )
-        return cells
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        _require(isinstance(payload, dict) and isinstance(payload.get("cells"), list),
+                 f"{path}: expected an object with a 'cells' list")
+        return [_sweep_cell(path, f"cell {i}", r) for i, r in enumerate(payload["cells"])]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SWEEP_CSV_HEADER:
         raise SchemaError(f"{path}: missing sweep CSV header")
-    for ln in lines[1:]:
+    keys = SWEEP_CSV_HEADER.split(",")
+    cells = []
+    for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
-        if len(parts) != 9:
+        if len(parts) != len(keys):
             raise SchemaError(f"{path}: malformed sweep row {ln!r}")
-        cells.append(
-            SweepCell(
-                direction=Direction(parts[0]),
-                n_detected=int(parts[1]),
-                signal_fidelity=float(parts[2]),
-                background_mean=float(parts[3]),
-                subtract_background=parts[4] == "true",
-                samples=int(parts[5]),
-                failures=int(parts[6]),
-                mean_qber=float(parts[7]),
-                std_qber=float(parts[8]) if parts[8] else None,
-            )
-        )
+        cells.append(_sweep_cell(path, f"line {i}", dict(zip(keys, parts))))
     return cells
 
 
@@ -308,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out")
     fit.set_defaults(handler=cmd_fit)
 
-    align = sub.add_parser("align", help="reconstruct and optimize from a count file")
+    align = sub.add_parser("align", help="reconstruct and compensate from a count file")
     align.add_argument("--counts", required=True, help="detection count file (JSON)")
-    align.add_argument("--restarts", type=int, default=10)
-    align.add_argument("--seed", type=int, default=0)
     align.add_argument("--format", choices=["text", "json"], default="text")
     align.add_argument("--out")
     align.set_defaults(handler=cmd_align)
@@ -338,19 +370,85 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 
 
+#: keys of a simulate configuration, as stored in its manifest
+_SIMULATE_KEYS = ("direction", "n", "fs", "bg", "bg_subtract", "samples", "seed", "format", "out")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
+def _check_simulate_config(parser, config: dict, manifest: str | None = None) -> dict:
+    """Validate a simulate configuration from flags or from ``manifest``.
+
+    Any problem exits through ``parser.error``, naming the flag or the
+    manifest key at fault.
+    """
+    where = f"--from-manifest: {manifest}"
+
+    def fail(key, message):
+        name = f"--{key.replace('_', '-')}" if manifest is None else f"{where}: {key}"
+        parser.error(f"{name}: {message}")
+
+    unknown = sorted(set(config) - set(_SIMULATE_KEYS))
+    if unknown:
+        parser.error(f"{where}: unknown keys {unknown}")
+    for key in _SIMULATE_KEYS:
+        if key not in config:
+            fail(key, "missing")
+    direction = config["direction"]
+    if direction not in ("forward", "reversed"):
+        fail("direction", f"{direction!r} must be 'forward' or 'reversed'")
+    minimum_n = 4 if direction == "forward" else 6
+    for key, is_valid, label in (("n", _is_int, "integer"), ("fs", _is_real, "finite number"),
+                                 ("bg", _is_real, "finite number")):
+        values = config[key]
+        if not isinstance(values, list) or not values:
+            fail(key, f"expected a non-empty list, got {values!r}")
+        for x in values:
+            if not is_valid(x):
+                fail(key, f"{x!r} is not a valid {label}")
+    for n in config["n"]:
+        if n < minimum_n:
+            fail("n", f"{n} is below the {direction} minimum of {minimum_n}")
+    for fs in config["fs"]:
+        if not 0.5 <= fs <= 1.0:
+            fail("fs", f"{fs} outside the signal-fidelity range [0.5, 1]")
+    for bg in config["bg"]:
+        if bg < 0:
+            fail("bg", f"{bg} must be >= 0")
+    if not isinstance(config["bg_subtract"], bool):
+        fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
+    if not _is_int(config["samples"]) or config["samples"] < 1:
+        fail("samples", f"{config['samples']!r} must be an integer >= 1")
+    if not _is_int(config["seed"]) or config["seed"] < 0:
+        fail("seed", f"{config['seed']!r} must be an integer >= 0")
+    if config["format"] not in ("csv", "json"):
+        fail("format", f"{config['format']!r} must be 'csv' or 'json'")
+    if not isinstance(config["out"], str) or not config["out"]:
+        fail("out", f"{config['out']!r} must be a file path")
+    return {key: config[key] for key in _SIMULATE_KEYS}
+
+
 def _simulate_config_from_args(parser, args) -> dict:
+    if args.jobs < 1:
+        parser.error(f"--jobs: {args.jobs} must be >= 1")
     if args.from_manifest:
         try:
             with open(args.from_manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             parser.error(f"--from-manifest: cannot read {args.from_manifest}: {exc}")
-        config = manifest.get("config")
+        config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):
             parser.error(f"--from-manifest: {args.from_manifest} has no config block")
         if args.out:
             config = dict(config, out=args.out)
-        return config
+        return _check_simulate_config(parser, config, args.from_manifest)
 
     missing = [flag for flag, value in (("--direction", args.direction), ("--n", args.n),
                                         ("--fs", args.fs), ("--samples", args.samples),
@@ -358,35 +456,18 @@ def _simulate_config_from_args(parser, args) -> dict:
                if value is None]
     if missing:
         parser.error(f"missing required flags: {', '.join(missing)}")
-
-    n_values = _parse_list(parser, args.n, "--n", int, "integer")
-    fs_values = _parse_list(parser, args.fs, "--fs", float, "number")
-    bg_values = _parse_list(parser, args.bg, "--bg", float, "number")
-    minimum_n = 4 if args.direction == "forward" else 6
-    for n in n_values:
-        if n < minimum_n:
-            parser.error(f"--n: {n} is below the {args.direction} minimum of {minimum_n}")
-    for fs in fs_values:
-        if not 0.5 <= fs <= 1.0:
-            parser.error(f"--fs: {fs} outside the signal-fidelity range [0.5, 1]")
-    for bg in bg_values:
-        if bg < 0:
-            parser.error(f"--bg: {bg} must be >= 0")
-    if args.samples < 1:
-        parser.error(f"--samples: {args.samples} must be >= 1")
-    if args.seed < 0:
-        parser.error(f"--seed: {args.seed} must be >= 0")
-    return {
+    config = {
         "direction": args.direction,
-        "n": n_values,
-        "fs": fs_values,
-        "bg": bg_values,
+        "n": _parse_list(parser, args.n, "--n", int, "integer"),
+        "fs": _parse_list(parser, args.fs, "--fs", float, "number"),
+        "bg": _parse_list(parser, args.bg, "--bg", float, "number"),
         "bg_subtract": bool(args.bg_subtract),
         "samples": args.samples,
         "seed": args.seed,
         "format": args.format,
         "out": args.out,
     }
+    return _check_simulate_config(parser, config)
 
 
 def cmd_simulate(parser, args) -> int:
@@ -400,7 +481,7 @@ def cmd_simulate(parser, args) -> int:
         subtract_background=config["bg_subtract"],
         samples=config["samples"],
         master_seed=config["seed"],
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
     out = config["out"]
     if config["format"] == "json":
@@ -477,14 +558,11 @@ def cmd_fit(parser, args) -> int:
 
 def cmd_align(parser, args) -> int:
     cm, _metadata = load_count_file(args.counts)
-    if args.restarts < 1:
-        parser.error(f"--restarts: {args.restarts} must be >= 1")
     if cm.direction is Direction.FORWARD:
         recon = reconstruct_forward(cm)
     else:
         recon = reconstruct_reversed(cm)
-    opts = CompensationOptions(restarts=args.restarts)
-    result = optimize(recon, opts=opts, rng=np.random.default_rng(args.seed))
+    result = optimize(recon)
     angles_deg = [math.degrees(t) for t in result.angles.as_tuple()]
     stokes = {
         label: [round(x, 9) for x in stokes_vector(state)]
@@ -548,7 +626,7 @@ def cmd_timing_check(parser, args) -> int:
             f"verdict: {verdict.status.value}",
             f"max conditional frequency: {verdict.max_conditional_frequency:.4f} "
             f"at (input {verdict.input_label}, outcome {verdict.outcome_label})",
-            f"{verdict.confidence:.0%} interval: "
+            f"{verdict.confidence:.0%} family-wise interval: "
             f"[{verdict.ci_low:.4f}, {verdict.ci_high:.4f}]"
             f" (timing model: 0.25, polarization bound: 0.375)",
             f"counts used: {verdict.total_counts}",
@@ -558,6 +636,10 @@ def cmd_timing_check(parser, args) -> int:
 
 
 def cmd_rate(parser, args) -> int:
+    for flag, value in (("--pulse-rate", args.pulse_rate), ("--mu", args.mu),
+                        ("--loss-db", args.loss_db), ("--eta", args.eta), ("--y0", args.y0)):
+        if value is not None and not math.isfinite(value):
+            parser.error(f"{flag}: {value} must be a finite number")
     if args.pulse_rate < 0:
         parser.error(f"--pulse-rate: {args.pulse_rate} must be >= 0")
     if args.mu < 0:

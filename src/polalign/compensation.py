@@ -1,4 +1,4 @@
-"""Wave-plate compensation: cost function and simplex optimization.
+"""Wave-plate compensation: cost function and closed-form optimum.
 
 The compensation stack V(theta) = Q(theta3) H(theta2) Q(theta1) is chosen
 to maximize the summed fidelity between the reconstructed states and the
@@ -10,10 +10,13 @@ V|psi> compared against the reconstruction, i.e. the adjoint conjugation.
 Either way the optimum satisfies V ~ U+ up to phase, so a single residual
 error metric applies to both orientations.
 
-The optimizer is plain Nelder-Mead with random restarts: the landscape in
-the three plate angles has symmetric local minima, and multi-start is
-cheap at 2x2 scale.  Angle parameters are unconstrained during the search
-and reduced modulo pi only at readout.
+On Stokes vectors V acts as a rotation R in SO(3), and the summed fidelity
+is 2 + (1/2) sum_n t_n . R s_n for targets t_n and reconstructions s_n
+(R^T in the reversed orientation).  Maximizing it is Wahba's problem,
+solved exactly by one SVD (Wahba, SIAM Rev. 7, 409 (1965); Kabsch, Acta
+Cryst. A32, 922 (1976)).  The plate angles then follow from R in closed
+form: a quarter plate at theta is a +pi/2 rotation and a half plate a pi
+rotation, both about the equatorial axis (cos 2 theta, sin 2 theta, 0).
 """
 
 from __future__ import annotations
@@ -26,17 +29,18 @@ import numpy as np
 from .polarization import (
     WavePlateAngles,
     ChannelUnitary,
-    PureState,
     bb84_states,
     compensation_unitary,
+    stokes_vector,
 )
-from .simplex import nelder_mead
 from .tomography import Direction, ReconstructionSet
 
-#: initial simplex edge (radians) for every restart
-INITIAL_SIMPLEX_STEP = 0.2
-#: cost ties closer than this are broken by plate travel
-_TIE_TOLERANCE = 1e-12
+#: Stokes vectors of the targets H, V, D, A, one per row
+_TARGET_STOKES = np.array(
+    [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+)
+#: below this tilt of R's third row from the S3 axis, theta1 is free
+_POLE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,19 +52,10 @@ class CompensationOptions:
     when compensation runs continuously against a drifting channel.
     """
 
-    restarts: int = 10
-    cost_tolerance: float = 1e-9
-    max_evaluations: int = 5000
     motion_penalty_weight: float = 0.0
     previous_angles: WavePlateAngles | None = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.cost_tolerance <= 0.0:
-            raise ValueError(f"cost_tolerance must be positive, got {self.cost_tolerance}")
-        if self.max_evaluations < 1:
-            raise ValueError(f"max_evaluations must be >= 1, got {self.max_evaluations}")
         if self.motion_penalty_weight < 0.0:
             raise ValueError(
                 f"motion penalty weight must be >= 0, got {self.motion_penalty_weight}"
@@ -80,65 +75,71 @@ class CompensationResult:
     converged: bool
 
 
-def _rho_params(recon: ReconstructionSet):
-    params = []
-    for state in recon.states:
-        m = state.entries
-        params.append((float(m[0, 0].real), complex(m[0, 1]), float(m[1, 1].real)))
-    return params
+def _quarter_rotation(theta: float) -> np.ndarray:
+    """Stokes rotation of a quarter plate: +pi/2 about (cos 2t, sin 2t, 0)."""
+    c = math.cos(2.0 * theta)
+    s = math.sin(2.0 * theta)
+    return np.array([[c * c, c * s, s], [c * s, s * s, -c], [-s, c, 0.0]])
 
 
-def _ket_params(targets):
-    targets = tuple(targets)
-    if len(targets) != 4:
-        raise ValueError(f"expected four target states, got {len(targets)}")
-    return [(complex(t.amplitudes[0]), complex(t.amplitudes[1])) for t in targets]
+def _half_rotation(theta: float) -> np.ndarray:
+    """Stokes rotation of a half plate: pi about (cos 2t, sin 2t, 0)."""
+    c = math.cos(4.0 * theta)
+    s = math.sin(4.0 * theta)
+    return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
 
 
-def _cost_kernel(t1, t2, t3, rho_params, ket_params, reversed_mode):
-    """-sum_n <psi_n| V rho_n V+ |psi_n>, as scalar arithmetic.
+def _stack_rotation(angles) -> np.ndarray:
+    t1, t2, t3 = angles
+    return _quarter_rotation(t3) @ _half_rotation(t2) @ _quarter_rotation(t1)
 
-    This sits inside the optimizer's innermost loop; it avoids ndarray
-    temporaries on purpose.
+
+def _wahba_matrix(recon: ReconstructionSet) -> np.ndarray:
+    """B = sum_n s_n t_n^T over reconstructions s_n and targets t_n."""
+    s = np.array([stokes_vector(state) for state in recon.states])
+    return s.T @ _TARGET_STOKES
+
+
+def _stokes_cost(rotation: np.ndarray, b: np.ndarray, reversed_mode: bool) -> float:
+    """-sum_n <psi_n| V rho_n V+ |psi_n> = -2 - tr(R B) / 2 (R^T when reversed)."""
+    trace = np.sum(rotation * b) if reversed_mode else np.sum(rotation * b.T)
+    return -2.0 - 0.5 * float(trace)
+
+
+def _optimal_rotation(b: np.ndarray, reversed_mode: bool) -> np.ndarray:
+    """The rotation R maximizing tr(R B), or tr(R^T B) when reversed."""
+    u, _, wt = np.linalg.svd(b)
+    w = wt.T
+    sign = 1.0 if np.linalg.det(w @ u.T) > 0.0 else -1.0
+    rotation = w @ np.diag([1.0, 1.0, sign]) @ u.T
+    return rotation.T if reversed_mode else rotation
+
+
+def plate_angle_candidates(rotation, reference=(0.0, 0.0, 0.0)) -> list[WavePlateAngles]:
+    """The four plate settings whose Stokes rotation is ``rotation``.
+
+    The first quarter plate takes an equatorial direction
+    u = (cos phi, sin phi, 0) to the S3 pole and the half plate flips the
+    pole, so the last quarter plate must take the opposite pole to R u.
+    That needs R u on the equator, which fixes phi up to pi and then
+    theta3; the half plate is what is left, fixed up to pi/2.  When R keeps
+    the pole in place every phi works, and the reference theta1 is used.
     """
-    c1 = math.cos(t1)
-    s1 = math.sin(t1)
-    c3 = math.cos(t3)
-    s3 = math.sin(t3)
-    # quarter plates: [[c^2 + i s^2, cs(1-i)], [cs(1-i), s^2 + i c^2]]
-    q1_00 = complex(c1 * c1, s1 * s1)
-    q1_01 = complex(c1 * s1, -c1 * s1)
-    q1_11 = complex(s1 * s1, c1 * c1)
-    q3_00 = complex(c3 * c3, s3 * s3)
-    q3_01 = complex(c3 * s3, -c3 * s3)
-    q3_11 = complex(s3 * s3, c3 * c3)
-    # half plate: [[cos 2t, sin 2t], [sin 2t, -cos 2t]]
-    ch = math.cos(2.0 * t2)
-    sh = math.sin(2.0 * t2)
-    # M = Q(t3) @ H(t2); V = M @ Q(t1)
-    m00 = q3_00 * ch + q3_01 * sh
-    m01 = q3_00 * sh - q3_01 * ch
-    m10 = q3_01 * ch + q3_11 * sh
-    m11 = q3_01 * sh - q3_11 * ch
-    v00 = m00 * q1_00 + m01 * q1_01
-    v01 = m00 * q1_01 + m01 * q1_11
-    v10 = m10 * q1_00 + m11 * q1_01
-    v11 = m10 * q1_01 + m11 * q1_11
-
-    total = 0.0
-    for (a0, a1), (r00, r01, r11) in zip(ket_params, rho_params):
-        if reversed_mode:
-            w0 = v00 * a0 + v01 * a1
-            w1 = v10 * a0 + v11 * a1
-        else:
-            w0 = v00.conjugate() * a0 + v10.conjugate() * a1
-            w1 = v01.conjugate() * a0 + v11.conjugate() * a1
-        total += (
-            r00 * (w0.real * w0.real + w0.imag * w0.imag)
-            + r11 * (w1.real * w1.real + w1.imag * w1.imag)
-            + 2.0 * (w0.conjugate() * r01 * w1).real
-        )
-    return -total
+    r = np.asarray(rotation, dtype=float)
+    if math.hypot(r[2, 0], r[2, 1]) <= _POLE_TOLERANCE:
+        phi0 = 2.0 * reference[0] + math.pi / 2.0
+    else:
+        phi0 = math.atan2(-r[2, 0], r[2, 1])
+    candidates = []
+    for phi in (phi0, phi0 + math.pi):
+        theta1 = (phi - math.pi / 2.0) / 2.0
+        ru = r @ np.array([math.cos(phi), math.sin(phi), 0.0])
+        theta3 = (math.atan2(ru[1], ru[0]) - math.pi / 2.0) / 2.0
+        m = _quarter_rotation(theta3).T @ r @ _quarter_rotation(theta1).T
+        theta2 = math.atan2(m[0, 1], m[0, 0]) / 4.0
+        for t2 in (theta2, theta2 + math.pi / 2.0):
+            candidates.append(WavePlateAngles(theta1, t2, theta3))
+    return candidates
 
 
 def wrapped_angle_distance(a: float, b: float) -> float:
@@ -154,7 +155,6 @@ def _travel(angles, reference) -> float:
 def cost(
     angles: WavePlateAngles,
     recon: ReconstructionSet,
-    targets=None,
     opts: CompensationOptions | None = None,
 ) -> float:
     """Compensation cost at the given plate angles.
@@ -164,14 +164,9 @@ def cost(
     enabled.
     """
     opts = opts if opts is not None else CompensationOptions()
-    rho_p = _rho_params(recon)
-    ket_p = _ket_params(targets if targets is not None else bb84_states())
-    value = _cost_kernel(
-        angles.theta1,
-        angles.theta2,
-        angles.theta3,
-        rho_p,
-        ket_p,
+    value = _stokes_cost(
+        _stack_rotation(angles.as_tuple()),
+        _wahba_matrix(recon),
         recon.direction is Direction.REVERSED,
     )
     if opts.motion_penalty_weight > 0.0:
@@ -183,71 +178,52 @@ def cost(
 
 def optimize(
     recon: ReconstructionSet,
-    targets=None,
     opts: CompensationOptions | None = None,
-    rng: np.random.Generator | None = None,
 ) -> CompensationResult:
-    """Best-of-restarts Nelder-Mead minimization of the compensation cost.
+    """Minimize the compensation cost.
 
-    The first restart starts at ``previous_angles`` (zeros when absent);
-    the rest start at uniform random angle triples drawn from ``rng``.
-    Non-convergence within the evaluation budget is reported through the
-    ``converged`` flag rather than an error, because the best iterate is
-    still actionable.  Cost ties between restarts are broken by the least
-    total plate travel from the reference angles.
+    Without the motion penalty the optimum is exact: the Wahba rotation
+    and, of its four plate settings, the one with the least total travel
+    from ``previous_angles`` (zeros when absent).  With the penalty, a
+    Nelder-Mead search on cost plus penalty starts from each of those
+    settings and from ``previous_angles``, and the best result wins.
+    ``evaluations_used`` counts cost evaluations, ``converged`` reports
+    whether that search met its tolerance.
     """
     opts = opts if opts is not None else CompensationOptions()
-    rng = rng if rng is not None else np.random.default_rng(0)
-    rho_p = _rho_params(recon)
-    ket_p = _ket_params(targets if targets is not None else bb84_states())
+    b = _wahba_matrix(recon)
     reversed_mode = recon.direction is Direction.REVERSED
-
-    lam = opts.motion_penalty_weight
     reference = (
         opts.previous_angles.as_tuple() if opts.previous_angles is not None else (0.0, 0.0, 0.0)
     )
+    candidates = plate_angle_candidates(_optimal_rotation(b, reversed_mode), reference)
+    angles = min(candidates, key=lambda a: _travel(a.as_tuple(), reference))
+    evaluations = 1
+    converged = True
 
+    lam = opts.motion_penalty_weight
     if lam > 0.0:
+        # imported here because scipy.optimize adds ~0.6 s and ~50 MB to
+        # start-up, and only the penalized search needs it
+        from scipy.optimize import minimize
 
         def objective(x):
-            return _cost_kernel(x[0], x[1], x[2], rho_p, ket_p, reversed_mode) + lam * _travel(
-                x, reference
+            return _stokes_cost(_stack_rotation(x), b, reversed_mode) + lam * _travel(x, reference)
+
+        best = None
+        for start in [c.as_tuple() for c in candidates] + [reference]:
+            res = minimize(
+                objective, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
             )
+            evaluations += res.nfev
+            if best is None or res.fun < best.fun:
+                best = res
+        angles = WavePlateAngles(*best.x)
+        converged = bool(best.success)
 
-    else:
-
-        def objective(x):
-            return _cost_kernel(x[0], x[1], x[2], rho_p, ket_p, reversed_mode)
-
-    starts = [reference]
-    for _ in range(opts.restarts - 1):
-        starts.append(tuple(rng.uniform(0.0, math.pi, size=3)))
-
-    best = None
-    best_travel = math.inf
-    total_evals = 0
-    for start in starts:
-        res = nelder_mead(
-            objective,
-            start,
-            initial_step=INITIAL_SIMPLEX_STEP,
-            cost_tolerance=opts.cost_tolerance,
-            max_evaluations=opts.max_evaluations,
-        )
-        total_evals += res.evaluations
-        travel = _travel(res.x, reference)
-        if (
-            best is None
-            or res.fun < best.fun - _TIE_TOLERANCE
-            or (abs(res.fun - best.fun) <= _TIE_TOLERANCE and travel < best_travel)
-        ):
-            best = res
-            best_travel = travel
-
-    angles = WavePlateAngles(*best.x)
     raw = angles.as_tuple()
-    cost_free = _cost_kernel(raw[0], raw[1], raw[2], rho_p, ket_p, reversed_mode)
-    penalized = cost_free + (lam * _travel(raw, reference) if lam > 0.0 else 0.0)
+    cost_free = _stokes_cost(_stack_rotation(raw), b, reversed_mode)
+    penalized = cost_free + lam * _travel(raw, reference)
     predicted = 1.0 + cost_free / 4.0
     if predicted < -1e-9 or predicted > 1.0 + 1e-9:
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
@@ -256,8 +232,8 @@ def optimize(
         angles=angles,
         cost=penalized,
         predicted_qber=predicted,
-        evaluations_used=total_evals,
-        converged=best.converged,
+        evaluations_used=evaluations,
+        converged=converged,
     )
 
 

@@ -255,7 +255,7 @@ def run_trial(cfg: TrialConfig, rng: np.random.Generator | None = None) -> float
         recon = reconstruct_forward(cm)
     else:
         recon = reconstruct_reversed(cm)
-    result = optimize(recon, rng=rng)
+    result = optimize(recon)
     return residual_qber(u, result.angles)
 
 

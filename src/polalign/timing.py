@@ -22,9 +22,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .errors import InsufficientCountsError
 from .polarization import BB84_LABELS, CANONICAL_KETS, ChannelUnitary, SIGMA_X, SIGMA_Z
@@ -33,6 +33,8 @@ from .polarization import BB84_LABELS, CANONICAL_KETS, ChannelUnitary, SIGMA_X, 
 TIMING_FREQUENCY = 0.25
 #: lower bound on the best cell's frequency under intact timing
 POLARIZATION_BOUND = 0.375
+#: cells the test picks its maximum from
+_CELLS = 16
 
 _BB84_MATRIX = np.column_stack([CANONICAL_KETS[lab] for lab in BB84_LABELS])
 
@@ -112,6 +114,23 @@ def generate_timing_counts(
     return rng.multinomial(n_events, p.ravel()).reshape(4, 4).astype(float)
 
 
+def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
+    """Two-sided Wilson score interval for a binomial proportion.
+
+    Newcombe's form, as in ``scipy.stats.binomtest(...).proportion_ci(
+    method="wilson")``: the bound on the side of an observed 0 or 1 is
+    exactly 0 or 1.
+    """
+    z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+    p = successes / trials
+    denom = 2.0 * (trials + z * z)
+    center = (2.0 * trials * p + z * z) / denom
+    delta = z / denom * math.sqrt(4.0 * trials * p * (1.0 - p) + z * z)
+    lo = 0.0 if successes == 0 else center - delta
+    hi = 1.0 if successes == trials else center + delta
+    return lo, hi
+
+
 def classify(counts, confidence: float = 0.99) -> AlignmentVerdict:
     """Decide between broken timing and a rotated polarization frame.
 
@@ -121,6 +140,10 @@ def classify(counts, confidence: float = 0.99) -> AlignmentVerdict:
     Wilson interval: broken timing predicts 1/4, intact timing predicts at
     least 3/8.  When the interval is wide enough to cover both hypotheses
     (or excludes both), the verdict is inconclusive rather than a guess.
+
+    ``confidence`` is family-wise over the 16 cells: the tested cell is the
+    largest of them, so its interval is taken at 1 - (1 - confidence)/16
+    (Bonferroni).  The reported ``ci_low``/``ci_high`` are that interval.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -142,10 +165,7 @@ def classify(counts, confidence: float = 0.99) -> AlignmentVerdict:
     row, col = divmod(flat_index, 4)
     successes = int(round(c[row, col]))
     row_total = int(round(row_totals[row]))
-    interval = binomtest(successes, row_total).proportion_ci(
-        confidence_level=confidence, method="wilson"
-    )
-    lo, hi = float(interval.low), float(interval.high)
+    lo, hi = wilson_interval(successes, row_total, 1.0 - (1.0 - confidence) / _CELLS)
 
     timing_plausible = lo <= TIMING_FREQUENCY <= hi
     polarization_plausible = hi >= POLARIZATION_BOUND

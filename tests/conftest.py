@@ -5,6 +5,7 @@ import pytest
 
 from polalign import ChannelUnitary, CountMatrix, Direction
 from polalign.montecarlo import expected_probabilities
+from polalign.polarization import PAULI_STOKES
 
 
 def default_jobs() -> int:
@@ -30,6 +31,14 @@ def exact_count_matrix(
 def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Phase-insensitive closeness of two 2x2 unitaries: |tr(U+V)|^2 / 4."""
     return abs(np.trace(u.conj().T @ v)) ** 2 / 4.0
+
+
+def stokes_rotation(u: np.ndarray) -> np.ndarray:
+    """SO(3) action of a 2x2 unitary on Stokes vectors: R_ij = tr(s_i U s_j U+) / 2."""
+    return np.array(
+        [[0.5 * np.real(np.trace(si @ u @ sj @ u.conj().T)) for sj in PAULI_STOKES]
+         for si in PAULI_STOKES]
+    )
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

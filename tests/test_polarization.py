@@ -5,10 +5,9 @@ import pytest
 from scipy.stats import kstest
 
 import polalign as pa
-from polalign.compensation import INITIAL_SIMPLEX_STEP
-from polalign.simplex import nelder_mead
+from polalign.compensation import plate_angle_candidates
 
-from conftest import operator_fidelity
+from conftest import operator_fidelity, stokes_rotation
 
 SQ2 = math.sqrt(0.5)
 
@@ -232,22 +231,13 @@ class TestWavePlates:
             pa.quarter_wave(math.inf)
 
 
-def _best_stack_fidelity(target: np.ndarray, rng, restarts: int = 6) -> float:
-    """Maximum operator fidelity of the quarter-half-quarter stack to a target."""
-
-    def objective(x):
-        v = pa.compensation_unitary(pa.WavePlateAngles(x[0], x[1], x[2]))
-        return 1.0 - operator_fidelity(target, v.entries)
-
-    best = math.inf
-    starts = [(0.0, 0.0, 0.0)] + [tuple(rng.uniform(0, math.pi, 3)) for _ in range(restarts - 1)]
-    for start in starts:
-        res = nelder_mead(
-            objective, start, initial_step=INITIAL_SIMPLEX_STEP,
-            cost_tolerance=1e-13, max_evaluations=4000,
-        )
-        best = min(best, res.fun)
-    return 1.0 - best
+def _analytic_stack_fidelities(target: np.ndarray) -> list[float]:
+    """Operator fidelity to a target of each closed-form plate setting."""
+    rotation = stokes_rotation(target)
+    return [
+        operator_fidelity(target, pa.compensation_unitary(angles).entries)
+        for angles in plate_angle_candidates(rotation)
+    ]
 
 
 def _grid_refined_stack_fidelity(target: np.ndarray, levels: int = 9, width: float = math.pi):
@@ -286,20 +276,22 @@ class TestCompensationUnitary:
             np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
     def test_surjective_onto_su2(self, rng):
-        # 200 Haar targets, optimized plate angles reach each one
+        # 200 Haar targets, each reached by all four closed-form settings
         for _ in range(200):
             target = pa.haar_random_unitary(rng).entries
-            assert _best_stack_fidelity(target, rng) >= 1.0 - 1e-8
+            fidelities = _analytic_stack_fidelities(target)
+            assert len(fidelities) == 4
+            assert min(fidelities) >= 1.0 - 1e-12
 
     def test_surjectivity_grid_oracle(self, rng):
-        # independent multiscale grid search corroborates the optimizer
+        # independent multiscale grid search corroborates the closed form
         for _ in range(3):
             target = pa.haar_random_unitary(rng).entries
-            nm = _best_stack_fidelity(target, rng, restarts=8)
+            analytic = min(_analytic_stack_fidelities(target))
             grid = _grid_refined_stack_fidelity(target)
-            assert nm >= 1.0 - 1e-9
+            assert analytic >= 1.0 - 1e-12
             assert grid >= 1.0 - 1e-6
-            assert nm >= grid - 1e-6
+            assert analytic >= grid - 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,115 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.stats import binomtest
+
+import polalign as pa
+from polalign.errors import InsufficientCountsError
+from polalign.timing import (
+    POLARIZATION_BOUND,
+    TIMING_FREQUENCY,
+    AlignmentStatus,
+    classify,
+    generate_timing_counts,
+    wilson_interval,
+)
+
+
+class TestBound:
+    def test_worst_case_unitary_is_exactly_three_eighths(self):
+        assert pa.aligned_max_probability(pa.worst_case_unitary()) == pytest.approx(
+            POLARIZATION_BOUND, abs=1e-15
+        )
+
+    def test_bound_holds_over_haar_draws(self, rng):
+        lowest = min(pa.aligned_max_probability(pa.haar_random_unitary(rng)) for _ in range(10_000))
+        assert lowest >= POLARIZATION_BOUND - 1e-12
+        # the bound is approached, not just respected
+        assert lowest < POLARIZATION_BOUND + 0.02
+
+    def test_identity_channel_is_one_half(self):
+        assert pa.aligned_max_probability(pa.ChannelUnitary(np.eye(2))) == pytest.approx(0.5)
+
+    def test_misaligned_model(self):
+        assert pa.misaligned_frequency_model() == TIMING_FREQUENCY == 0.25
+
+
+class TestWilsonInterval:
+    @pytest.mark.parametrize("trials", [1, 7, 66, 267, 4000])
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.99, 1.0 - 0.01 / 16])
+    def test_matches_scipy(self, trials, confidence):
+        for k in sorted({0, 1, trials // 4, trials // 2, trials - 1, trials}):
+            ref = binomtest(k, trials).proportion_ci(confidence_level=confidence, method="wilson")
+            lo, hi = wilson_interval(k, trials, confidence)
+            assert lo == pytest.approx(ref.low, abs=1e-14)
+            assert hi == pytest.approx(ref.high, abs=1e-14)
+
+    def test_edges_are_exact(self):
+        assert wilson_interval(0, 50, 0.99)[0] == 0.0
+        assert wilson_interval(50, 50, 0.99)[1] == 1.0
+
+
+class TestClassify:
+    def test_timing_misaligned(self):
+        verdict = classify(np.full((4, 4), 1000.0))
+        assert verdict.status is AlignmentStatus.TIMING_MISALIGNED
+        assert verdict.max_conditional_frequency == pytest.approx(0.25)
+
+    def test_polarization_frame_misaligned(self):
+        # identity channel: H -> H with probability 1/2 (basis choice)
+        counts = generate_timing_counts(
+            pa.ChannelUnitary(np.eye(2)), 4000, np.random.default_rng(1)
+        )
+        verdict = classify(counts)
+        assert verdict.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED
+        assert verdict.input_label == verdict.outcome_label
+
+    def test_inconclusive_on_few_counts(self):
+        verdict = classify(np.ones((4, 4)))
+        assert verdict.status is AlignmentStatus.INCONCLUSIVE
+        assert verdict.total_counts == 16
+
+    def test_interval_is_family_wise(self):
+        counts = np.array([[30, 20, 10, 7], [15, 15, 15, 15], [9, 9, 9, 9], [5, 6, 7, 8]], float)
+        verdict = classify(counts, confidence=0.95)
+        ref = binomtest(30, 67).proportion_ci(confidence_level=1 - 0.05 / 16, method="wilson")
+        assert (verdict.ci_low, verdict.ci_high) == pytest.approx((ref.low, ref.high), abs=1e-14)
+        assert verdict.confidence == 0.95
+        assert (verdict.input_label, verdict.outcome_label) == ("H", "H")
+
+    def test_empty_row_rejected(self):
+        counts = np.ones((4, 4))
+        counts[2] = 0.0
+        with pytest.raises(InsufficientCountsError, match="D"):
+            classify(counts)
+
+    @pytest.mark.parametrize(
+        "counts,confidence,match",
+        [
+            (np.ones((4, 6)), 0.99, "4x4"),
+            (-np.ones((4, 4)), 0.99, "nonnegative"),
+            (np.ones((4, 4)), 1.0, "confidence"),
+            (np.ones((4, 4)), math.nan, "confidence"),
+        ],
+    )
+    def test_invalid_input_rejected(self, counts, confidence, match):
+        with pytest.raises(ValueError, match=match):
+            classify(counts, confidence=confidence)
+
+    def test_broken_timing_rarely_named_polarization(self):
+        # 267 linear-basis events is what a forward count file at N=400
+        # keeps; testing the largest of 16 cells at the per-cell level
+        # instead of the family-wise one names polarization misalignment
+        # on ~11 % of such files
+        rng = np.random.default_rng(2024)
+        wrong = intact_wrong = 0
+        trials = 1000
+        for _ in range(trials):
+            u = pa.haar_random_unitary(rng)
+            broken = classify(generate_timing_counts(u, 267, rng, timing_aligned=False))
+            intact = classify(generate_timing_counts(u, 267, rng))
+            wrong += broken.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED
+            intact_wrong += intact.status is AlignmentStatus.TIMING_MISALIGNED
+        assert wrong <= 0.02 * trials
+        assert intact_wrong == 0

@@ -297,7 +297,7 @@ class TestForwardReversedDuality:
             u = pa.haar_random_unitary(rng)
             fwd = pa.reconstruct_forward(exact_count_matrix(u, D.FORWARD))
             rev = pa.reconstruct_reversed(exact_count_matrix(u, D.REVERSED))
-            res_f = pa.optimize(fwd, rng=rng)
-            res_r = pa.optimize(rev, rng=rng)
+            res_f = pa.optimize(fwd)
+            res_r = pa.optimize(rev)
             assert pa.residual_qber(u, res_f.angles) < 1e-6
             assert pa.residual_qber(u, res_r.angles) < 1e-6

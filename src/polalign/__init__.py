@@ -31,7 +31,6 @@ from .polarization import (
 from .tomography import (
     CountMatrix,
     Direction,
-    MLEDiagnostics,
     ReconstructionSet,
     linear_inversion,
     mle_reconstruct,
@@ -74,7 +73,6 @@ from .timing import (
 from .errors import (
     FitError,
     InsufficientCountsError,
-    MLEConvergenceError,
     PolalignError,
     SchemaError,
     SweepError,

@@ -18,6 +18,7 @@ everywhere inside the library.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -309,7 +310,9 @@ def _default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``polalign`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="polalign",
         description="Polarization-frame alignment toolkit for BB84 QKD.",
@@ -626,7 +629,7 @@ def cmd_timing_check(parser, args) -> int:
             f"verdict: {verdict.status.value}",
             f"max conditional frequency: {verdict.max_conditional_frequency:.4f} "
             f"at (input {verdict.input_label}, outcome {verdict.outcome_label})",
-            f"{verdict.confidence:.0%} family-wise interval: "
+            f"{verdict.confidence * 100:.12g}% family-wise interval: "
             f"[{verdict.ci_low:.4f}, {verdict.ci_high:.4f}]"
             f" (timing model: 0.25, polarization bound: 0.375)",
             f"counts used: {verdict.total_counts}",
@@ -688,10 +691,14 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PolalignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        # a path given on the command line is bad input, like any other
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except PolalignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,18 +26,6 @@ class InsufficientCountsError(PolalignError):
         self.where = where
 
 
-class MLEConvergenceError(PolalignError):
-    """Raised when the likelihood maximization hits its iteration cap.
-
-    Carries the best iterate so callers can still act on it.
-    """
-
-    def __init__(self, message: str, *, best, likelihood_delta: float):
-        super().__init__(message)
-        self.best = best
-        self.likelihood_delta = likelihood_delta
-
-
 class FitError(PolalignError):
     """Raised when a power-law fit is impossible.
 

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .compensation import optimize, residual_qber
-from .errors import FitError, InsufficientCountsError, MLEConvergenceError, SweepError
+from .errors import FitError, InsufficientCountsError, SweepError
 from .polarization import ALL_LABELS, BB84_LABELS, CANONICAL_KETS, ChannelUnitary, haar_random_unitary
 from .tomography import (
     CountMatrix,
@@ -319,7 +319,7 @@ def _sweep_block(args):
         )
         try:
             values.append(run_trial(cfg, _trial_rng(ss)))
-        except (InsufficientCountsError, MLEConvergenceError):
+        except InsufficientCountsError:
             failures += 1
     return values, failures
 
@@ -336,7 +336,7 @@ def _study_block(args):
         try:
             value_bg = run_trial(replace(cfg, subtract_background=False), _trial_rng(ss))
             value_bgs = run_trial(replace(cfg, subtract_background=True), _trial_rng(ss))
-        except (InsufficientCountsError, MLEConvergenceError):
+        except InsufficientCountsError:
             failures += 1
             continue
         with_bg.append(value_bg)

@@ -6,24 +6,24 @@ The forward orientation reconstructs the four received BB84 states from a
 four receiver outcomes of a 6x4 matrix and reconstructs, per outcome, the
 effective pre-channel state the channel maps onto that outcome.
 
-Reconstruction is maximum-likelihood via the standard fixed-point
-iteration rho -> R rho R / tr(...), where R is the count-weighted sum of
-outcome projectors.  For a single qubit the whole iteration collapses to
-arithmetic on the Stokes components, which is how it is computed here.
-Steps that would decrease the log-likelihood are diluted (the step
-operator is blended toward the identity) until they do not, so the
-likelihood trace is non-decreasing by construction.
+Reconstruction is maximum-likelihood, in closed form.  For one qubit the
+six-outcome likelihood is a product of three binomials, one per basis,
+each in one Stokes component.  So inside the Bloch ball the maximum is the
+linear inversion s_k = (n+ - n-)/(n+ + n-); when that lies outside the
+ball, the maximum lies on the sphere, at the root of a single Lagrange
+multiplier.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCountsError, MLEConvergenceError
+from .errors import InsufficientCountsError
 from .polarization import (
     ALL_LABELS,
     BB84_LABELS,
@@ -32,14 +32,8 @@ from .polarization import (
     density_from_stokes,
 )
 
-#: eigenvalue floor used to keep the MLE initializer interior
-_EIG_FLOOR = 1e-6
-_DEFAULT_LOGLIK_TOL = 1e-10
-_DEFAULT_MAX_ITERATIONS = 10_000
 #: minimum total counts for a meaningful six-outcome fit
 _MIN_TOTAL_COUNTS = 6
-
-_UNIFORM_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 #: outcome pairs per basis, as indices into (H, V, D, A, R, L)
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
 _BASIS_NAMES = ("Z", "X", "Y")
@@ -103,26 +97,6 @@ class ReconstructionSet:
             raise ValueError("a reconstruction set holds exactly four states")
 
 
-@dataclass(frozen=True)
-class MLEDiagnostics:
-    iterations: int
-    converged: bool
-    log_likelihood: float
-    final_delta: float
-    loglik_trace: tuple[float, ...] | None = None
-
-
-def _validate_weights(basis_weights) -> tuple[float, float, float]:
-    w = tuple(float(x) for x in basis_weights)
-    if len(w) != 3:
-        raise ValueError(f"expected three basis weights (Z, X, Y), got {len(w)}")
-    if any(x <= 0.0 for x in w):
-        raise ValueError(f"basis weights must be strictly positive, got {w}")
-    if abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError(f"basis weights must sum to 1, got sum {sum(w)!r}")
-    return w
-
-
 def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
     """Per-axis Stokes estimates (n+ - n-)/(n+ + n-).
 
@@ -149,8 +123,8 @@ def linear_inversion(counts) -> np.ndarray:
     """Direct Stokes inversion of six outcome totals, ordered (H,V,D,A,R,L).
 
     Returns a Hermitian trace-one matrix that may be non-positive for noisy
-    counts; it serves as the MLE initializer and as an independent
-    cross-check of the iterative reconstruction.
+    counts.  When it is positive it is the maximum-likelihood estimate, and
+    :func:`mle_reconstruct` returns the same matrix.
     """
     c = np.asarray(counts, dtype=float)
     if c.shape != (6,):
@@ -164,139 +138,109 @@ def linear_inversion(counts) -> np.ndarray:
     return 0.5 * m
 
 
-def _projected_stokes(s: list[float]) -> list[float]:
-    """Clip negative eigenvalues to the floor and renormalize the trace.
+def _decreasing_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
+    """Root in [lo, hi] of a strictly decreasing function, and the slope there.
 
-    In Stokes form the eigenvalues are (1 +- |s|)/2, so clipping shrinks
-    the Bloch radius to (lam_plus - floor)/(lam_plus + floor).  A radius
-    within rounding error of 1 is snapped onto the sphere instead: data
-    that is exactly consistent with a pure state must start (and stay) at
-    that pure state, where the fixed point is reached immediately; pushing
-    it inside would cost thousands of slow recovery iterations.
+    ``f(x)`` returns (value, slope), with the value positive below the root
+    and negative above it; ``x`` is the starting point.  Newton steps are
+    kept inside a bracket that shrinks to each evaluated point.  Bisection
+    replaces a step that would leave the bracket, a step left undefined by
+    a zero slope, and a step that crosses back over the root without
+    halving the step before it (Newton oscillating about a kink).  Every
+    step moves toward the root, so in exact arithmetic a value that keeps
+    its sign also shrinks.  The search ends at the last evaluated point
+    once one does not (rounding noise), or once the step falls below the
+    float resolution of the starting bracket.
     """
+    resolution = sys.float_info.epsilon * (hi - lo)
+    previous_step, previous_value = hi - lo, 0.0
+    while True:
+        value, slope = f(x)
+        if value == 0.0 or (value * previous_value > 0.0 and abs(value) >= abs(previous_value)):
+            return x, slope
+        if value > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -value / slope if slope < 0.0 else math.inf
+        crossed = value * previous_value < 0.0
+        if abs(step) > resolution and (not lo < x + step < hi
+                                       or (crossed and 2.0 * abs(step) > previous_step)):
+            step = 0.5 * (lo + hi) - x
+        if abs(step) <= resolution:
+            return x, slope
+        previous_step, previous_value = abs(step), value
+        x += step
+
+
+def _sphere_stokes(n, s: list[float]) -> list[float]:
+    """Likelihood maximum on the Bloch sphere for inversions ``s`` outside it.
+
+    On |s| = 1 the stationarity condition per axis is
+    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam,
+    s_k(lam) maximizes the concave n+ log(1+s) + n- log(1-s) - lam s^2/2
+    over [-1, 1]: the root of its strictly decreasing derivative, or +-1
+    while one outcome is empty and lam <= n+/2 (n-/2).  An empty pair keeps
+    its component at 0.  |s(lam)| falls from |s| > 1 at lam = 0 to below 1
+    at lam = total, so lam is the root of |s(lam)|^2 - 1 there, found by
+    Newton with ds_k/dlam = s_k / (d/ds of that derivative).  The
+    cubic-polynomial form of the axis condition is not used: it has a
+    spurious root at +-1 when an outcome count is 0.
+    """
+    s = list(s)
+    axes = [(k, n[i_plus], n[i_minus])
+            for k, (i_plus, i_minus) in enumerate(_BASIS_PAIRS)
+            if n[i_plus] + n[i_minus] > 0.0]
+
+    def excess(lam):
+        value, slope = -1.0, 0.0
+        for k, n_plus, n_minus in axes:
+            if n_minus == 0.0 and lam <= n_plus / 2.0:
+                s[k] = 1.0
+            elif n_plus == 0.0 and lam <= n_minus / 2.0:
+                s[k] = -1.0
+            else:
+                def gradient(x):
+                    up, down = 1.0 + x, 1.0 - x
+                    return (n_plus / up - n_minus / down - lam * x,
+                            -n_plus / (up * up) - n_minus / (down * down) - lam)
+
+                # a component just released from +-1 restarts inside the interval,
+                # where both terms of the gradient are finite
+                start = s[k] if -1.0 < s[k] < 1.0 else 0.0
+                s[k], curvature = _decreasing_root(gradient, -1.0, 1.0, start)
+                slope += 2.0 * s[k] * s[k] / curvature
+            value += s[k] * s[k]
+        return value, slope
+
+    _decreasing_root(excess, 0.0, sum(n), 0.0)
     radius = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
-    lam_minus = (1.0 - radius) / 2.0
-    if lam_minus >= 0.0:
-        return list(s)
-    if lam_minus >= -1e-12:
-        return [x / radius for x in s]
-    lam_plus = (1.0 + radius) / 2.0
-    new_radius = (lam_plus - _EIG_FLOOR) / (lam_plus + _EIG_FLOOR)
-    scale = new_radius / radius
-    return [x * scale for x in s]
+    return [x / radius for x in s]
 
 
-def _log_likelihood(n, w, s) -> float:
-    total = 0.0
-    for (i_plus, i_minus), wb, sk in zip(_BASIS_PAIRS, w, s):
-        p_plus = wb * (1.0 + sk) / 2.0
-        p_minus = wb * (1.0 - sk) / 2.0
-        if n[i_plus] > 0.0:
-            if p_plus <= 0.0:
-                return -math.inf
-            total += n[i_plus] * math.log(p_plus)
-        if n[i_minus] > 0.0:
-            if p_minus <= 0.0:
-                return -math.inf
-            total += n[i_minus] * math.log(p_minus)
-    return total
+def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix:
+    """Maximum-likelihood state estimate from six outcome totals (H,V,D,A,R,L).
 
-
-def _mle_stokes(
-    n,
-    w,
-    *,
-    allow_empty: bool,
-    dilution: float,
-    loglik_tolerance: float,
-    max_iterations: int,
-    keep_trace: bool,
-):
-    """Run the diluted fixed-point iteration on Stokes components."""
-    total = n[0] + n[1] + n[2] + n[3] + n[4] + n[5]
-    s = _projected_stokes(_stokes_estimates(n, allow_empty=allow_empty))
-    loglik = _log_likelihood(n, w, s)
-    trace = [loglik] if keep_trace else None
-
-    iterations = 0
-    delta = math.inf
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        # step operator R = a I + v . sigma, from count/probability ratios
-        a = 0.0
-        v = [0.0, 0.0, 0.0]
-        for k, (i_plus, i_minus) in enumerate(_BASIS_PAIRS):
-            c_plus = (2.0 * n[i_plus] / total / (1.0 + s[k])) if n[i_plus] > 0.0 else 0.0
-            c_minus = (2.0 * n[i_minus] / total / (1.0 - s[k])) if n[i_minus] > 0.0 else 0.0
-            a += (c_plus + c_minus) / 2.0
-            v[k] = (c_plus - c_minus) / 2.0
-
-        eps = dilution
-        accepted = False
-        for _ in range(60):
-            ag = (1.0 - eps) + eps * a
-            vg = [eps * x for x in v]
-            sv = s[0] * vg[0] + s[1] * vg[1] + s[2] * vg[2]
-            vv = vg[0] * vg[0] + vg[1] * vg[1] + vg[2] * vg[2]
-            denom = ag * ag + 2.0 * ag * sv + vv
-            coef_s = (ag * ag - vv) / denom
-            coef_v = 2.0 * (ag + sv) / denom
-            s_new = [coef_s * s[k] + coef_v * vg[k] for k in range(3)]
-            loglik_new = _log_likelihood(n, w, s_new)
-            if loglik_new >= loglik:
-                accepted = True
-                break
-            eps /= 2.0
-        if not accepted:
-            # no dilution improves the likelihood: numerically converged
-            delta = 0.0
-            converged = True
-            break
-
-        delta = loglik_new - loglik
-        s = s_new
-        loglik = loglik_new
-        if keep_trace:
-            trace.append(loglik)
-        if delta < loglik_tolerance:
-            converged = True
-            break
-
-    return s, loglik, delta, iterations, converged, trace
-
-
-def mle_reconstruct(
-    counts,
-    basis_weights=None,
-    *,
-    allow_empty_basis: bool = False,
-    dilution: float = 1.0,
-    loglik_tolerance: float = _DEFAULT_LOGLIK_TOL,
-    max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    with_diagnostics: bool = False,
-):
-    """Maximum-likelihood state estimate from six outcome totals.
-
-    The outcome probabilities are modeled as p_m = w(basis of m) <m|rho|m>,
-    with ``basis_weights`` the (Z, X, Y) duty-cycle weights (uniform by
-    default).  The returned state is always physical, even when the plain
-    Stokes inversion is not.  Zero counts need no smoothing: they simply
+    The likelihood is a product of one binomial per basis, in the Stokes
+    component of that basis.  Inside the Bloch ball its maximum is the
+    linear inversion, returned unchanged; outside, the maximum lies on the
+    sphere and comes from one Lagrange-multiplier root (Hradil, PRA 55,
+    R1561 (1997); Rehacek et al., PRA 75, 042108 (2007)).  The returned
+    state is always physical.  Zero counts need no smoothing: they simply
     contribute nothing to the likelihood.
 
     Raises :class:`InsufficientCountsError` when the total is below 6 or a
-    basis pair is empty (unless ``allow_empty_basis``), and
-    :class:`MLEConvergenceError`, carrying the best iterate, if the
-    iteration cap is reached first.
+    basis pair is empty.  With ``allow_empty_basis`` an empty pair is
+    accepted instead and its Stokes component is held at 0.
     """
     n = [float(x) for x in counts]
     if len(n) != 6:
         raise ValueError(f"expected six outcome totals, got {len(n)}")
     if any(x < 0 or not math.isfinite(x) for x in n):
         raise ValueError("counts must be finite and nonnegative")
-    w = _validate_weights(basis_weights if basis_weights is not None else _UNIFORM_WEIGHTS)
-    # counts below the float-noise scale of the total carry no information
-    # and would destabilize the count/probability ratios at the boundary
+    # counts below the float-noise scale of the total carry no information;
+    # zeroed, an outcome that background subtraction left at rounding noise
+    # counts as empty
     tiny = sum(n) * 1e-15
     n = [x if x > tiny else 0.0 for x in n]
     total = sum(n)
@@ -304,61 +248,26 @@ def mle_reconstruct(
         raise InsufficientCountsError(
             f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a six-outcome fit"
         )
-    if dilution <= 0.0 or dilution > 1.0:
-        raise ValueError(f"dilution must be in (0, 1], got {dilution!r}")
-
-    s, loglik, delta, iterations, converged, trace = _mle_stokes(
-        n,
-        w,
-        allow_empty=allow_empty_basis,
-        dilution=dilution,
-        loglik_tolerance=loglik_tolerance,
-        max_iterations=max_iterations,
-        keep_trace=with_diagnostics,
-    )
-    rho = density_from_stokes(*s)
-    if not converged:
-        raise MLEConvergenceError(
-            f"likelihood not converged after {iterations} iterations "
-            f"(last improvement {delta:.3e})",
-            best=rho,
-            likelihood_delta=delta,
-        )
-    if with_diagnostics:
-        diag = MLEDiagnostics(
-            iterations=iterations,
-            converged=converged,
-            log_likelihood=loglik,
-            final_delta=delta,
-            loglik_trace=tuple(trace),
-        )
-        return rho, diag
-    return rho
+    s = _stokes_estimates(n, allow_empty=allow_empty_basis)
+    if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
+        s = _sphere_stokes(n, s)
+    return density_from_stokes(*s)
 
 
-def _reconstruct_rows(rows, labels, direction, basis_weights, allow_empty):
+def _reconstruct_rows(rows, labels, direction, allow_empty):
     states = []
     for label, row in zip(labels, rows):
         try:
-            states.append(
-                mle_reconstruct(row, basis_weights, allow_empty_basis=allow_empty)
-            )
+            states.append(mle_reconstruct(row, allow_empty_basis=allow_empty))
         except InsufficientCountsError as exc:
             where = ("input row" if direction is Direction.FORWARD else "outcome column")
             raise InsufficientCountsError(
                 f"{exc} [{where} {label}]", basis=exc.basis, where=f"{where} {label}"
             ) from None
-        except MLEConvergenceError as exc:
-            where = ("input row" if direction is Direction.FORWARD else "outcome column")
-            raise MLEConvergenceError(
-                f"{exc} [{where} {label}]",
-                best=exc.best,
-                likelihood_delta=exc.likelihood_delta,
-            ) from None
     return tuple(states)
 
 
-def reconstruct_forward(cm: CountMatrix, basis_weights=None) -> ReconstructionSet:
+def reconstruct_forward(cm: CountMatrix) -> ReconstructionSet:
     """Reconstruct the four received BB84 states from forward counts.
 
     Each row of the 4x6 matrix is an independent six-outcome tomography of
@@ -367,25 +276,23 @@ def reconstruct_forward(cm: CountMatrix, basis_weights=None) -> ReconstructionSe
     if cm.direction is not Direction.FORWARD:
         raise ValueError(f"expected a forward count matrix, got {cm.direction.value}")
     states = _reconstruct_rows(
-        cm.counts, BB84_LABELS, Direction.FORWARD, basis_weights, cm.background_subtracted
+        cm.counts, BB84_LABELS, Direction.FORWARD, cm.background_subtracted
     )
     return ReconstructionSet(direction=Direction.FORWARD, states=states)
 
 
-def reconstruct_reversed(cm: CountMatrix, basis_weights=None) -> ReconstructionSet:
+def reconstruct_reversed(cm: CountMatrix) -> ReconstructionSet:
     """Reconstruct, per receiver outcome, the state the channel maps onto it.
 
     Post-selecting one outcome column of the 6x4 matrix turns the six
     transmitted states into an overcomplete measurement of the effective
     pre-channel state: the count share of input n is proportional to
-    <n|rho_eff|n> when each state is sent with equal probability.  The
-    ``basis_weights`` here are the source-side duty cycles of the three
-    preparation bases.
+    <n|rho_eff|n> when each state is sent with equal probability.
     """
     if cm.direction is not Direction.REVERSED:
         raise ValueError(f"expected a reversed count matrix, got {cm.direction.value}")
     columns = [cm.counts[:, j] for j in range(4)]
     states = _reconstruct_rows(
-        columns, BB84_LABELS, Direction.REVERSED, basis_weights, cm.background_subtracted
+        columns, BB84_LABELS, Direction.REVERSED, cm.background_subtracted
     )
     return ReconstructionSet(direction=Direction.REVERSED, states=states)

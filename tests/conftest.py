@@ -20,9 +20,8 @@ def exact_count_matrix(
 ) -> CountMatrix:
     """Noiseless counts: exactly proportional to the model probabilities.
 
-    Only count fractions matter to the reconstruction; the modest total
-    keeps the absolute log-likelihood small enough that the convergence
-    tolerance is well above float resolution.
+    Only count fractions matter to the reconstruction; ``total`` matters
+    only to callers that round the counts to integers.
     """
     p = expected_probabilities(u, direction, signal_fidelity)
     return CountMatrix(direction, p * total)

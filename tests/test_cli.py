@@ -172,7 +172,29 @@ class TestCountFiles:
     def test_timing_check_output(self, capsys, count_file):
         code, out, _err = run(["timing-check", "--counts", str(count_file)], capsys)
         assert code == 0
-        assert "family-wise interval" in out
+        assert "99% family-wise interval" in out
+
+    def test_timing_check_confidence_not_rounded(self, capsys, count_file):
+        code, out, _err = run(["timing-check", "--counts", str(count_file),
+                               "--confidence", "0.999"], capsys)
+        assert code == 0
+        assert "99.9% family-wise interval" in out
+
+
+class TestMissingFiles:
+    @pytest.mark.parametrize("argv", [["align", "--counts"], ["timing-check", "--counts"],
+                                      ["fit", "--in"]])
+    def test_missing_input_file(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "absent.json")
+        assert_rejected(argv + [missing], capsys, f"cannot open {missing}")
+
+    def test_unwritable_output(self, tmp_path, capsys, count_file):
+        out = str(tmp_path / "no-such-dir" / "align.txt")
+        assert_rejected(["align", "--counts", str(count_file), "--out", out], capsys,
+                        f"cannot open {out}")
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestRate:

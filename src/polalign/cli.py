@@ -506,36 +506,26 @@ def cmd_simulate(parser, args) -> int:
     return 0
 
 
+#: ``fit`` selection flags, each with the test that drops a cell for the flag's value
+_FIT_CRITERIA = (
+    ("direction", lambda c, v: c.direction.value != v),
+    ("min-n", lambda c, v: c.n_detected < v),
+    ("max-n", lambda c, v: c.n_detected > v),
+    ("min-fs", lambda c, v: c.signal_fidelity < v),
+    ("max-fs", lambda c, v: c.signal_fidelity > v),
+)
+
+
 def cmd_fit(parser, args) -> int:
     cells = read_sweep_file(args.input)
     criteria = []
-    if args.direction is not None:
-        criteria.append(("direction", args.direction))
-    if args.min_n is not None:
-        criteria.append(("min-n", args.min_n))
-    if args.max_n is not None:
-        criteria.append(("max-n", args.max_n))
-    if args.min_fs is not None:
-        criteria.append(("min-fs", args.min_fs))
-    if args.max_fs is not None:
-        criteria.append(("max-fs", args.max_fs))
-
-    def keep(c: SweepCell) -> bool:
-        if args.direction is not None and c.direction.value != args.direction:
-            return False
-        if args.min_n is not None and c.n_detected < args.min_n:
-            return False
-        if args.max_n is not None and c.n_detected > args.max_n:
-            return False
-        if args.min_fs is not None and c.signal_fidelity < args.min_fs:
-            return False
-        if args.max_fs is not None and c.signal_fidelity > args.max_fs:
-            return False
-        return True
-
-    selected = [c for c in cells if keep(c)]
+    for flag, drops in _FIT_CRITERIA:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            criteria.append((flag, value, drops))
+    selected = [c for c in cells if not any(drops(c, v) for _flag, v, drops in criteria)]
     fit = fit_power_law(selected)
-    selection = ", ".join(f"{k}={v}" for k, v in criteria) or "all cells"
+    selection = ", ".join(f"{flag}={v}" for flag, v, _drops in criteria) or "all cells"
     if args.format == "json":
         payload = {
             "alpha": fit.alpha,

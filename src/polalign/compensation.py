@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import (
+    BB84_KETS,
     WavePlateAngles,
     ChannelUnitary,
-    bb84_states,
     compensation_unitary,
     stokes_vector,
 )
@@ -244,10 +244,8 @@ def residual_qber(true_channel: ChannelUnitary, angles: WavePlateAngles) -> floa
     zero exactly when V undoes U up to a phase, independent of any source
     depolarization.
     """
-    v = compensation_unitary(angles).entries
-    combined = v @ true_channel.entries
+    combined = compensation_unitary(angles).entries @ true_channel.entries
     total = 0.0
-    for state in bb84_states():
-        amp = state.amplitudes
+    for amp in BB84_KETS.T:
         total += abs(np.vdot(amp, combined @ amp)) ** 2
     return 1.0 - total / 4.0

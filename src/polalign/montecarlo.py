@@ -13,8 +13,9 @@ by ordinary least squares in log space.
 
 Determinism: every trial's generator is seeded from (master seed, cell
 coordinates, trial index), so results are bit-identical for any worker
-count, and the with/without-background-subtraction arms of a paired study
-share their random draws exactly.
+count.  The seed leaves out the subtraction flag, so the two arms of a
+paired background study, the same sweep engine run without and with
+mean-background subtraction, share their random draws exactly.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .compensation import optimize, residual_qber
 from .errors import FitError, InsufficientCountsError, SweepError
-from .polarization import ALL_LABELS, BB84_LABELS, CANONICAL_KETS, ChannelUnitary, haar_random_unitary
+from .polarization import BB84_KETS, SIX_STATE_KETS, ChannelUnitary, haar_random_unitary
 from .tomography import (
     CountMatrix,
     Direction,
@@ -40,11 +41,6 @@ from .tomography import (
 MAX_FAILURE_FRACTION = 0.01
 _BLOCK_SIZE = 250
 
-_FORWARD_INPUTS = np.column_stack([CANONICAL_KETS[lab] for lab in BB84_LABELS])
-_FORWARD_OUTCOMES = np.column_stack([CANONICAL_KETS[lab] for lab in ALL_LABELS])
-_REVERSED_INPUTS = _FORWARD_OUTCOMES
-_REVERSED_OUTCOMES = _FORWARD_INPUTS
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -55,7 +51,6 @@ class TrialConfig:
     signal_fidelity: float
     background_mean: float = 0.0
     subtract_background: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         minimum = 4 if self.direction is Direction.FORWARD else 6
@@ -107,7 +102,6 @@ class FitResult:
 @dataclass
 class SweepResult:
     cells: tuple[SweepCell, ...]
-    fit: FitResult | None = None
 
 
 @dataclass(frozen=True)
@@ -131,36 +125,6 @@ class BackgroundStudyCell:
 @dataclass
 class BackgroundStudyResult:
     cells: tuple[BackgroundStudyCell, ...]
-
-    def to_sweep_results(self) -> tuple[SweepResult, SweepResult]:
-        """The two arms repackaged as plain sweep results (BG, BGS)."""
-        bg, bgs = [], []
-        for c in self.cells:
-            common = dict(
-                direction=c.direction,
-                n_detected=c.n_detected,
-                signal_fidelity=c.signal_fidelity,
-                background_mean=c.background_mean,
-                samples=c.samples,
-                failures=c.failures,
-            )
-            bg.append(
-                SweepCell(
-                    subtract_background=False,
-                    mean_qber=c.mean_with_background,
-                    std_qber=c.std_with_background,
-                    **common,
-                )
-            )
-            bgs.append(
-                SweepCell(
-                    subtract_background=True,
-                    mean_qber=c.mean_subtracted,
-                    std_qber=c.std_subtracted,
-                    **common,
-                )
-            )
-        return SweepResult(cells=tuple(bg)), SweepResult(cells=tuple(bgs))
 
 
 @dataclass(frozen=True)
@@ -196,9 +160,9 @@ def expected_probabilities(
     basis for the depolarized post-channel state.  Sums to one.
     """
     if direction is Direction.FORWARD:
-        inputs, outcomes = _FORWARD_INPUTS, _FORWARD_OUTCOMES
+        inputs, outcomes = BB84_KETS, SIX_STATE_KETS
     else:
-        inputs, outcomes = _REVERSED_INPUTS, _REVERSED_OUTCOMES
+        inputs, outcomes = SIX_STATE_KETS, BB84_KETS
     n_in = inputs.shape[1]
     n_bases = 3 if direction is Direction.FORWARD else 2
     fs = signal_fidelity
@@ -239,7 +203,7 @@ def generate_counts(
     return CountMatrix(cfg.direction, counts)
 
 
-def run_trial(cfg: TrialConfig, rng: np.random.Generator | None = None) -> float:
+def run_trial(cfg: TrialConfig, rng: np.random.Generator) -> float:
     """One end-to-end protocol trial; returns the residual QBER.
 
     Draws the channel, simulates counting, reconstructs, optimizes the
@@ -247,8 +211,6 @@ def run_trial(cfg: TrialConfig, rng: np.random.Generator | None = None) -> float
     the true channel.  Tomography errors propagate: sweeps record them as
     failed trials rather than dropping them silently.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     u = haar_random_unitary(rng)
     cm = generate_counts(u, cfg, rng)
     if cfg.direction is Direction.FORWARD:
@@ -308,10 +270,10 @@ def _cell_configs(directions, n_values, fs_values, background_means, subtract_ba
     return cells
 
 
-def _sweep_block(args):
+def _block(args):
+    """Residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed."""
     master_seed, cfg, start, stop = args
     values = []
-    failures = 0
     for t in range(start, stop):
         ss = trial_seed_sequence(
             master_seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity,
@@ -320,47 +282,32 @@ def _sweep_block(args):
         try:
             values.append(run_trial(cfg, _trial_rng(ss)))
         except InsufficientCountsError:
-            failures += 1
-    return values, failures
+            values.append(None)
+    return values
 
 
-def _study_block(args):
-    master_seed, cfg, start, stop = args
-    with_bg, subtracted = [], []
-    failures = 0
-    for t in range(start, stop):
-        ss = trial_seed_sequence(
-            master_seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity,
-            cfg.background_mean, t,
-        )
-        try:
-            value_bg = run_trial(replace(cfg, subtract_background=False), _trial_rng(ss))
-            value_bgs = run_trial(replace(cfg, subtract_background=True), _trial_rng(ss))
-        except InsufficientCountsError:
-            failures += 1
-            continue
-        with_bg.append(value_bg)
-        subtracted.append(value_bgs)
-    return with_bg, subtracted, failures
+def _run_cells(cells, samples: int, master_seed: int, jobs: int) -> list[list[float | None]]:
+    """Every cell's residual QBER per trial, in trial order, None for a failed trial.
 
-
-def _map_blocks(worker, tasks, jobs: int):
+    Each cell runs in blocks of ``_BLOCK_SIZE`` trials, spread over ``jobs``
+    worker processes; a trial's draws depend only on its seed, never on the
+    block or worker that runs it.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not cells:
+        raise ValueError("empty sweep grid")
+    starts = range(0, samples, _BLOCK_SIZE)
+    tasks = [(master_seed, cfg, start, min(start + _BLOCK_SIZE, samples))
+             for cfg in cells for start in starts]
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _blocks_for(cells, samples):
-    tasks = []
-    spans = []
-    for idx, cfg in enumerate(cells):
-        cell_tasks = []
-        for start in range(0, samples, _BLOCK_SIZE):
-            cell_tasks.append((cfg, start, min(start + _BLOCK_SIZE, samples)))
-        spans.append((idx, len(tasks), len(tasks) + len(cell_tasks)))
-        tasks.extend(cell_tasks)
-    return tasks, spans
+        blocks = [_block(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            blocks = list(pool.map(_block, tasks))
+    per_cell = len(starts)
+    return [list(chain.from_iterable(blocks[i:i + per_cell]))
+            for i in range(0, len(blocks), per_cell)]
 
 
 def _moments(values) -> tuple[float, float | None]:
@@ -397,23 +344,11 @@ def run_sweep(
     counted; a cell aborts the sweep if more than 1% of its trials fail,
     since at realistic N any failure indicates a modeling bug.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     cells = _cell_configs(directions, n_values, fs_values, background_means, subtract_background)
-    if not cells:
-        raise ValueError("empty sweep grid")
-    tasks, spans = _blocks_for(cells, samples)
-    worker_args = [(master_seed, cfg, start, stop) for cfg, start, stop in tasks]
-    results = _map_blocks(_sweep_block, worker_args, jobs)
-
     out = []
-    for idx, lo, hi in spans:
-        cfg = cells[idx]
-        values = []
-        failures = 0
-        for block_values, block_failures in results[lo:hi]:
-            values.extend(block_values)
-            failures += block_failures
+    for cfg, values in zip(cells, _run_cells(cells, samples, master_seed, jobs)):
+        values = [v for v in values if v is not None]
+        failures = samples - len(values)
         _check_failures(cfg, failures, samples)
         mean, std = _moments(values)
         out.append(
@@ -443,30 +378,25 @@ def background_study(
 ) -> BackgroundStudyResult:
     """Paired with/without-subtraction comparison on shared random draws.
 
-    Both arms of each trial replay the same channel, signal and background
-    counts; only the mean-subtraction step differs, so the reported delta
-    isolates the subtraction strategy itself.  A pair failing in either
-    arm is excluded from both.
+    The two arms are the sweep run without and with mean-background
+    subtraction.  Trial seeds leave out the subtraction flag, so trial t of
+    both arms draws the same channel, signal and background counts and only
+    the subtraction step differs: the reported delta isolates the
+    subtraction strategy itself.  A pair failing in either arm is excluded
+    from both.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     cells = _cell_configs(directions, n_values, fs_values, background_means, False)
-    if not cells:
-        raise ValueError("empty study grid")
-    tasks, spans = _blocks_for(cells, samples)
-    worker_args = [(master_seed, cfg, start, stop) for cfg, start, stop in tasks]
-    results = _map_blocks(_study_block, worker_args, jobs)
-
+    arms = _run_cells(
+        cells + [replace(cfg, subtract_background=True) for cfg in cells],
+        samples, master_seed, jobs,
+    )
     out = []
-    for idx, lo, hi in spans:
-        cfg = cells[idx]
-        with_bg, subtracted = [], []
-        failures = 0
-        for block_bg, block_bgs, block_failures in results[lo:hi]:
-            with_bg.extend(block_bg)
-            subtracted.extend(block_bgs)
-            failures += block_failures
+    for cfg, with_bg_arm, subtracted_arm in zip(cells, arms, arms[len(cells):]):
+        pairs = [(a, b) for a, b in zip(with_bg_arm, subtracted_arm)
+                 if a is not None and b is not None]
+        failures = samples - len(pairs)
         _check_failures(cfg, failures, samples)
+        with_bg, subtracted = zip(*pairs)
         mean_bg, std_bg = _moments(with_bg)
         mean_bgs, std_bgs = _moments(subtracted)
         diffs = np.asarray(subtracted) - np.asarray(with_bg)

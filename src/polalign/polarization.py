@@ -55,6 +55,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: the BB84 kets as columns, in BB84_LABELS order
+BB84_KETS = _freeze(np.column_stack([CANONICAL_KETS[lab] for lab in BB84_LABELS]))
+#: the six canonical kets as columns, in ALL_LABELS order
+SIX_STATE_KETS = _freeze(np.column_stack([CANONICAL_KETS[lab] for lab in ALL_LABELS]))
+
+
 def reduce_angle(theta: float) -> float:
     """Reduce a physical plate rotation to [0, pi); idempotent.
 

@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InsufficientCountsError
-from .polarization import BB84_LABELS, CANONICAL_KETS, ChannelUnitary, SIGMA_X, SIGMA_Z
+from .polarization import BB84_KETS, BB84_LABELS, ChannelUnitary, SIGMA_X, SIGMA_Z
 
 #: conditional frequency of every cell under broken timing
 TIMING_FREQUENCY = 0.25
@@ -35,8 +35,6 @@ TIMING_FREQUENCY = 0.25
 POLARIZATION_BOUND = 0.375
 #: cells the test picks its maximum from
 _CELLS = 16
-
-_BB84_MATRIX = np.column_stack([CANONICAL_KETS[lab] for lab in BB84_LABELS])
 
 
 class AlignmentStatus(enum.Enum):
@@ -66,7 +64,7 @@ def aligned_max_probability(u: ChannelUnitary) -> float:
     (1/2) |<phi| U |psi>|^2; the 1/2 is the receiver's uniform choice
     between the two linear bases.  Never below 3/8, for any U.
     """
-    overlaps = np.abs(_BB84_MATRIX.conj().T @ (u.entries @ _BB84_MATRIX)) ** 2
+    overlaps = np.abs(BB84_KETS.conj().T @ (u.entries @ BB84_KETS)) ** 2
     return 0.5 * float(overlaps.max())
 
 
@@ -107,7 +105,7 @@ def generate_timing_counts(
     if n_events < 1:
         raise ValueError(f"need at least one event, got {n_events}")
     if timing_aligned:
-        overlaps = np.abs(_BB84_MATRIX.conj().T @ (u.entries @ _BB84_MATRIX)) ** 2
+        overlaps = np.abs(BB84_KETS.conj().T @ (u.entries @ BB84_KETS)) ** 2
         p = overlaps.T / 8.0  # (input, outcome); 1/4 input choice x 1/2 basis choice
     else:
         p = np.full((4, 4), 1.0 / 16.0)

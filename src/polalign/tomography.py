@@ -119,6 +119,17 @@ def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
     return s
 
 
+def _outcome_totals(counts) -> list[float]:
+    """Six outcome totals as floats; rejects other shapes and negative or non-finite counts."""
+    c = np.asarray(counts, dtype=float)
+    if c.shape != (6,):
+        raise ValueError(f"expected six outcome totals, got shape {c.shape}")
+    n = c.tolist()
+    if any(x < 0 or not math.isfinite(x) for x in n):
+        raise ValueError("counts must be finite and nonnegative")
+    return n
+
+
 def linear_inversion(counts) -> np.ndarray:
     """Direct Stokes inversion of six outcome totals, ordered (H,V,D,A,R,L).
 
@@ -126,12 +137,7 @@ def linear_inversion(counts) -> np.ndarray:
     counts.  When it is positive it is the maximum-likelihood estimate, and
     :func:`mle_reconstruct` returns the same matrix.
     """
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (6,):
-        raise ValueError(f"expected six outcome totals, got shape {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("counts must be nonnegative")
-    s1, s2, s3 = _stokes_estimates(c, allow_empty=False)
+    s1, s2, s3 = _stokes_estimates(_outcome_totals(counts), allow_empty=False)
     m = np.eye(2, dtype=complex)
     for s, sigma in zip((s1, s2, s3), PAULI_STOKES):
         m = m + s * sigma
@@ -233,11 +239,7 @@ def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix
     basis pair is empty.  With ``allow_empty_basis`` an empty pair is
     accepted instead and its Stokes component is held at 0.
     """
-    n = [float(x) for x in counts]
-    if len(n) != 6:
-        raise ValueError(f"expected six outcome totals, got {len(n)}")
-    if any(x < 0 or not math.isfinite(x) for x in n):
-        raise ValueError("counts must be finite and nonnegative")
+    n = _outcome_totals(counts)
     # counts below the float-noise scale of the total carry no information;
     # zeroed, an outcome that background subtraction left at rounding noise
     # counts as empty

@@ -61,6 +61,19 @@ class TestFit:
         assert code == 0
         assert "cells used: 4" in out
 
+    def test_selection(self, tmp_path, capsys):
+        rows = SWEEP_ROWS + ["forward,100,1,0,false,10,0,0.02,0.01",
+                             "reversed,400,1,0,false,10,0,0.005,0.003"]
+        path = write_csv(tmp_path / "s.csv", rows)
+        code, out, _err = run(["fit", "--in", path, "--direction", "forward", "--min-n", "400"],
+                              capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "cells used: 4 (direction=forward, min-n=400)"
+        _code, plain, _err = run(["fit", "--in", write_csv(tmp_path / "p.csv", SWEEP_ROWS)],
+                                 capsys)
+        assert out.splitlines()[:-1] == plain.splitlines()[:-1]
+        assert plain.splitlines()[-1] == "cells used: 4 (all cells)"
+
     def test_json_missing_key(self, tmp_path, capsys):
         cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
         del cells[1]["mean_qber"]

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import polalign as pa
-from polalign.errors import FitError
+from polalign import montecarlo
+from polalign.errors import FitError, InsufficientCountsError
 
 D = pa.Direction
 
@@ -77,3 +79,55 @@ class TestBackgroundStudy:
         assert study.std_subtracted == subtracted.std_qber
         assert study.delta == study.mean_subtracted - study.mean_with_background
         assert math.isfinite(study.std_delta)
+
+    def test_jobs_invariant(self, monkeypatch):
+        # blocks of 16 split each 40-trial arm into three, the last one short
+        monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
+        grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95],
+                    background_means=[20.0, 100.0], samples=40, master_seed=5)
+        serial = pa.background_study(**grid, jobs=1)
+        assert len(serial.cells) == 2
+        assert pa.background_study(**grid, jobs=2) == serial
+
+    def test_pair_failing_in_one_arm_leaves_both(self, monkeypatch):
+        samples, seed, dropped = 100, 3, 37
+        cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
+        subtracted_calls = []
+
+        def trial(c, rng, run_trial=montecarlo.run_trial):
+            if c.subtract_background:
+                subtracted_calls.append(None)
+                if len(subtracted_calls) == dropped + 1:
+                    raise InsufficientCountsError("injected")
+            return run_trial(c, rng)
+
+        monkeypatch.setattr(montecarlo, "run_trial", trial)
+        study = pa.background_study(["forward"], [400], [0.95], [20.0], samples=samples,
+                                    master_seed=seed).cells[0]
+        monkeypatch.undo()
+
+        def arm(c):
+            return [
+                pa.run_trial(c, np.random.default_rng(montecarlo.trial_seed_sequence(
+                    seed, c.direction, c.n_detected, c.signal_fidelity, c.background_mean, t)))
+                for t in range(samples) if t != dropped
+            ]
+
+        with_bg = arm(cfg)
+        subtracted = arm(dataclasses.replace(cfg, subtract_background=True))
+        assert study.samples == samples
+        assert study.failures == 1
+        assert study.mean_with_background == pytest.approx(np.mean(with_bg), rel=1e-12)
+        assert study.mean_subtracted == pytest.approx(np.mean(subtracted), rel=1e-12)
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
+    @pytest.mark.parametrize(
+        "samples,n_values,match", [(0, [400], "samples must be >= 1"), (10, [], "empty")]
+    )
+    def test_rejected(self, entry, samples, n_values, match):
+        grid = dict(directions=["forward"], n_values=n_values, fs_values=[0.95],
+                    background_means=[20.0], samples=samples, master_seed=1)
+        with pytest.raises(ValueError, match=match):
+            getattr(pa, entry)(**grid)

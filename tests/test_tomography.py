@@ -77,6 +77,12 @@ class TestLinearInversion:
         rho = pa.linear_inversion([100, 0, 100, 0, 100, 0])
         assert np.linalg.eigvalsh(rho).min() < -1e-3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("estimator", [pa.linear_inversion, pa.mle_reconstruct])
+    def test_non_finite_or_negative_rejected(self, estimator, bad):
+        with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
+            estimator([bad, 1, 1, 1, 1, 1])
+
 
 class TestMLE:
     def test_exact_diagonal_state(self):

@@ -14,7 +14,6 @@ from .polarization import (
     DensityMatrix,
     PureState,
     WavePlateAngles,
-    bb84_states,
     canonical_state,
     compensation_unitary,
     density_from_stokes,
@@ -67,7 +66,6 @@ from .timing import (
     aligned_max_probability,
     classify,
     generate_timing_counts,
-    misaligned_frequency_model,
     worst_case_unitary,
 )
 from .errors import (

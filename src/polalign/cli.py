@@ -37,7 +37,7 @@ from .montecarlo import (
     fit_power_law,
     run_sweep,
 )
-from .polarization import BB84_LABELS, stokes_vector
+from .polarization import BB84_LABELS
 from .tomography import (
     COLUMN_LABELS,
     COUNT_SHAPE,
@@ -558,8 +558,8 @@ def cmd_align(parser, args) -> int:
     result = optimize(recon)
     angles_deg = [math.degrees(t) for t in result.angles.as_tuple()]
     stokes = {
-        label: [round(x, 9) for x in stokes_vector(state)]
-        for label, state in zip(BB84_LABELS, recon.states)
+        label: [round(x, 9) for x in row]
+        for label, row in zip(BB84_LABELS, recon.stokes.tolist())
     }
     if args.format == "json":
         payload = {

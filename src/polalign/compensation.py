@@ -7,8 +7,9 @@ channel and the predicted post-compensation state is V rho V+; in the
 reversed orientation they sit before the channel, the reconstructions are
 the required *inputs*, and the prediction for prepared state |psi> is
 V|psi> compared against the reconstruction, i.e. the adjoint conjugation.
-Either way the optimum satisfies V ~ U+ up to phase, so a single residual
-error metric applies to both orientations.
+Either way the optimum satisfies V ~ U+ up to phase.  Away from it the
+order matters: the signal states see V U forward and U V reversed, and
+:func:`residual_qber` scores the product of its direction.
 
 On Stokes vectors V acts as a rotation R in SO(3), and the summed fidelity
 is 2 + (1/2) sum_n t_n . R s_n for targets t_n and reconstructions s_n
@@ -26,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import (
-    BB84_KETS,
-    WavePlateAngles,
-    ChannelUnitary,
-    compensation_unitary,
-    stokes_vector,
-)
+from .polarization import BB84_KETS, ChannelUnitary, WavePlateAngles, _plate_stack
 from .tomography import Direction, ReconstructionSet
 
 #: Stokes vectors of the targets H, V, D, A, one per row
@@ -96,8 +91,7 @@ def _stack_rotation(angles) -> np.ndarray:
 
 def _wahba_matrix(recon: ReconstructionSet) -> np.ndarray:
     """B = sum_n s_n t_n^T over reconstructions s_n and targets t_n."""
-    s = np.array([stokes_vector(state) for state in recon.states])
-    return s.T @ _TARGET_STOKES
+    return recon.stokes.T @ _TARGET_STOKES
 
 
 def _stokes_cost(rotation: np.ndarray, b: np.ndarray, reversed_mode: bool) -> float:
@@ -237,15 +231,18 @@ def optimize(
     )
 
 
-def residual_qber(true_channel: ChannelUnitary, angles: WavePlateAngles) -> float:
+def residual_qber(
+    true_channel: ChannelUnitary, angles: WavePlateAngles, direction: Direction
+) -> float:
     """Error ratio of ideal signal states after channel plus compensation.
 
-    1 - (1/4) sum_n |<psi_n| V(theta) U |psi_n>|^2 over the BB84 states;
-    zero exactly when V undoes U up to a phase, independent of any source
-    depolarization.
+    1 - (1/4) sum_n |<psi_n| W |psi_n>|^2 over the BB84 states, with
+    W = V(theta) U forward (plates after the channel) and W = U V(theta)
+    reversed (plates before it); zero exactly when V undoes U up to a
+    phase, independent of any source depolarization.
     """
-    combined = compensation_unitary(angles).entries @ true_channel.entries
-    total = 0.0
-    for amp in BB84_KETS.T:
-        total += abs(np.vdot(amp, combined @ amp)) ** 2
-    return 1.0 - total / 4.0
+    v = _plate_stack(angles)
+    u = true_channel.entries
+    w = v @ u if Direction(direction) is Direction.FORWARD else u @ v
+    overlaps = np.sum(BB84_KETS.conj() * (w @ BB84_KETS), axis=0)
+    return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / 4.0

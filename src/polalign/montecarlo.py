@@ -218,7 +218,7 @@ def run_trial(cfg: TrialConfig, rng: np.random.Generator) -> float:
     else:
         recon = reconstruct_reversed(cm)
     result = optimize(recon)
-    return residual_qber(u, result.angles)
+    return residual_qber(u, result.angles, cfg.direction)
 
 
 def _float_bits(x: float) -> int:

@@ -128,10 +128,6 @@ class DensityMatrix:
             )
         object.__setattr__(self, "entries", _freeze(m))
 
-    def stokes(self) -> np.ndarray:
-        """Stokes components (S1, S2, S3)."""
-        return stokes_vector(self)
-
 
 @dataclass(frozen=True)
 class ChannelUnitary:
@@ -183,11 +179,6 @@ def canonical_state(label: str) -> PureState:
     except KeyError:
         raise ValueError(f"unknown state label {label!r}; expected one of {ALL_LABELS}") from None
     return PureState(ket.copy())
-
-
-def bb84_states() -> tuple[PureState, PureState, PureState, PureState]:
-    """The four BB84 signal states in canonical (H, V, D, A) order."""
-    return tuple(canonical_state(lab) for lab in BB84_LABELS)
 
 
 def fidelity_pure(phi: PureState, psi: PureState) -> float:
@@ -250,10 +241,15 @@ def compensation_unitary(angles: WavePlateAngles) -> ChannelUnitary:
     SU(2) element up to global phase, so three plate rotations suffice to
     undo any channel unitary.
     """
+    return ChannelUnitary(_plate_stack(angles))
+
+
+def _plate_stack(angles: WavePlateAngles) -> np.ndarray:
+    """Jones matrix of :func:`compensation_unitary` as a plain array, unchecked."""
     q1 = _wave_plate(angles.theta1, 1.0j)
     h2 = _wave_plate(angles.theta2, -1.0)
     q3 = _wave_plate(angles.theta3, 1.0j)
-    return ChannelUnitary(q3 @ h2 @ q1)
+    return q3 @ h2 @ q1
 
 
 def haar_random_unitary(rng: np.random.Generator) -> ChannelUnitary:

@@ -68,11 +68,6 @@ def aligned_max_probability(u: ChannelUnitary) -> float:
     return 0.5 * float(overlaps.max())
 
 
-def misaligned_frequency_model() -> float:
-    """Conditional frequency of any cell when timing is broken: exactly 1/4."""
-    return TIMING_FREQUENCY
-
-
 def worst_case_unitary() -> ChannelUnitary:
     """A channel rotation minimizing the best conditional probability.
 

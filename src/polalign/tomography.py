@@ -87,14 +87,20 @@ class CountMatrix:
 
 @dataclass(frozen=True)
 class ReconstructionSet:
-    """Four reconstructed states, indexed by the BB84 labels (H, V, D, A)."""
+    """Stokes vectors of four reconstructed states, one row per BB84 label (H, V, D, A).
+
+    ``stokes`` is a read-only float array of shape (4, 3).
+    """
 
     direction: Direction
-    states: tuple[DensityMatrix, DensityMatrix, DensityMatrix, DensityMatrix]
+    stokes: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) != 4:
-            raise ValueError("a reconstruction set holds exactly four states")
+        s = np.array(self.stokes, dtype=float)
+        if s.shape != (4, 3):
+            raise ValueError(f"a reconstruction set holds a (4, 3) Stokes array, got {s.shape}")
+        s.setflags(write=False)
+        object.__setattr__(self, "stokes", s)
 
 
 def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
@@ -224,6 +230,25 @@ def _sphere_stokes(n, s: list[float]) -> list[float]:
     return [x / radius for x in s]
 
 
+def _mle_stokes(counts, allow_empty: bool) -> list[float]:
+    """Stokes components of :func:`mle_reconstruct`'s estimate."""
+    n = _outcome_totals(counts)
+    # counts below the float-noise scale of the total carry no information;
+    # zeroed, an outcome that background subtraction left at rounding noise
+    # counts as empty
+    tiny = sum(n) * 1e-15
+    n = [x if x > tiny else 0.0 for x in n]
+    total = sum(n)
+    if total < _MIN_TOTAL_COUNTS:
+        raise InsufficientCountsError(
+            f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a six-outcome fit"
+        )
+    s = _stokes_estimates(n, allow_empty=allow_empty)
+    if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
+        s = _sphere_stokes(n, s)
+    return s
+
+
 def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix:
     """Maximum-likelihood state estimate from six outcome totals (H,V,D,A,R,L).
 
@@ -239,34 +264,20 @@ def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix
     basis pair is empty.  With ``allow_empty_basis`` an empty pair is
     accepted instead and its Stokes component is held at 0.
     """
-    n = _outcome_totals(counts)
-    # counts below the float-noise scale of the total carry no information;
-    # zeroed, an outcome that background subtraction left at rounding noise
-    # counts as empty
-    tiny = sum(n) * 1e-15
-    n = [x if x > tiny else 0.0 for x in n]
-    total = sum(n)
-    if total < _MIN_TOTAL_COUNTS:
-        raise InsufficientCountsError(
-            f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a six-outcome fit"
-        )
-    s = _stokes_estimates(n, allow_empty=allow_empty_basis)
-    if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
-        s = _sphere_stokes(n, s)
-    return density_from_stokes(*s)
+    return density_from_stokes(*_mle_stokes(counts, allow_empty_basis))
 
 
-def _reconstruct_rows(rows, labels, direction, allow_empty):
-    states = []
-    for label, row in zip(labels, rows):
+def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
+    stokes = []
+    for label, row in zip(BB84_LABELS, rows):
         try:
-            states.append(mle_reconstruct(row, allow_empty_basis=allow_empty))
+            stokes.append(_mle_stokes(row, allow_empty))
         except InsufficientCountsError as exc:
             where = ("input row" if direction is Direction.FORWARD else "outcome column")
             raise InsufficientCountsError(
                 f"{exc} [{where} {label}]", basis=exc.basis, where=f"{where} {label}"
             ) from None
-    return tuple(states)
+    return ReconstructionSet(direction, stokes)
 
 
 def reconstruct_forward(cm: CountMatrix) -> ReconstructionSet:
@@ -277,10 +288,7 @@ def reconstruct_forward(cm: CountMatrix) -> ReconstructionSet:
     """
     if cm.direction is not Direction.FORWARD:
         raise ValueError(f"expected a forward count matrix, got {cm.direction.value}")
-    states = _reconstruct_rows(
-        cm.counts, BB84_LABELS, Direction.FORWARD, cm.background_subtracted
-    )
-    return ReconstructionSet(direction=Direction.FORWARD, states=states)
+    return _reconstruct_rows(cm.counts, Direction.FORWARD, cm.background_subtracted)
 
 
 def reconstruct_reversed(cm: CountMatrix) -> ReconstructionSet:
@@ -293,8 +301,4 @@ def reconstruct_reversed(cm: CountMatrix) -> ReconstructionSet:
     """
     if cm.direction is not Direction.REVERSED:
         raise ValueError(f"expected a reversed count matrix, got {cm.direction.value}")
-    columns = [cm.counts[:, j] for j in range(4)]
-    states = _reconstruct_rows(
-        columns, BB84_LABELS, Direction.REVERSED, cm.background_subtracted
-    )
-    return ReconstructionSet(direction=Direction.REVERSED, states=states)
+    return _reconstruct_rows(cm.counts.T, Direction.REVERSED, cm.background_subtracted)

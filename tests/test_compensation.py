@@ -16,16 +16,17 @@ from conftest import default_jobs, exact_count_matrix
 def exact_reconstruction(
     u: pa.ChannelUnitary, fs: float = 1.0, direction: Direction = Direction.FORWARD
 ) -> ReconstructionSet:
-    """Reconstruction set built from the exact states.
+    """Reconstruction set built from the Stokes vectors of the exact states.
 
     Forward: the post-channel states U|psi>.  Reversed: the inputs U+|psi>
     that the channel maps onto each outcome.
     """
     op = u if direction is Direction.FORWARD else pa.ChannelUnitary(u.entries.conj().T)
-    states = tuple(
-        pa.depolarize(op.apply(pa.canonical_state(label)), fs) for label in pa.BB84_LABELS
-    )
-    return ReconstructionSet(direction=direction, states=states)
+    stokes = [
+        pa.stokes_vector(pa.depolarize(op.apply(pa.canonical_state(label)), fs))
+        for label in pa.BB84_LABELS
+    ]
+    return ReconstructionSet(direction=direction, stokes=np.array(stokes))
 
 
 def _plate(theta: float, e: complex):
@@ -45,8 +46,8 @@ def _fidelity_objective(recon: ReconstructionSet):
 
     Scalar arithmetic, so that a Nelder-Mead search over it stays fast.
     """
-    rhos = [(s.entries[0, 0].real, complex(s.entries[0, 1]), s.entries[1, 1].real)
-            for s in recon.states]
+    rhos = [(m[0, 0].real, complex(m[0, 1]), m[1, 1].real)
+            for m in (pa.density_from_stokes(*s).entries for s in recon.stokes)]
     kets = [tuple(complex(a) for a in pa.canonical_state(label).amplitudes)
             for label in pa.BB84_LABELS]
     reversed_mode = recon.direction is Direction.REVERSED
@@ -94,8 +95,7 @@ class TestCost:
         assert value == pytest.approx(-4.0, abs=1e-12)
 
     def test_maximally_mixed_recon(self, rng):
-        mixed = pa.DensityMatrix(np.eye(2) / 2)
-        recon = ReconstructionSet(direction=Direction.FORWARD, states=(mixed,) * 4)
+        recon = ReconstructionSet(direction=Direction.FORWARD, stokes=np.zeros((4, 3)))
         for _ in range(10):
             angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
             assert pa.cost(angles, recon) == pytest.approx(-2.0, abs=1e-12)
@@ -124,9 +124,10 @@ class TestCost:
         angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
         v = pa.compensation_unitary(angles).entries
         expected = 0.0
-        for label, state in zip(pa.BB84_LABELS, recon.states):
+        for label, s in zip(pa.BB84_LABELS, recon.stokes):
             ket = pa.canonical_state(label).amplitudes
-            expected -= float(np.real(ket.conj() @ v @ state.entries @ v.conj().T @ ket))
+            rho = pa.density_from_stokes(*s).entries
+            expected -= float(np.real(ket.conj() @ v @ rho @ v.conj().T @ ket))
         assert pa.cost(angles, recon) == pytest.approx(expected, abs=1e-12)
 
 
@@ -145,7 +146,8 @@ class TestOptimize:
         for _ in range(100):
             u = pa.haar_random_unitary(rng)
             result = pa.optimize(exact_reconstruction(u))
-            if result.predicted_qber < 1e-6 and pa.residual_qber(u, result.angles) < 1e-6:
+            if (result.predicted_qber < 1e-6
+                    and pa.residual_qber(u, result.angles, Direction.FORWARD) < 1e-6):
                 good += 1
         assert good >= 99
 
@@ -203,7 +205,7 @@ class TestOptimize:
             for opts in (CompensationOptions(), CompensationOptions(previous_angles=prev)):
                 result = pa.optimize(recon, opts=opts)
                 assert result.cost == pytest.approx(-4.0, abs=1e-12)
-                assert pa.residual_qber(u, result.angles) < 1e-12
+                assert pa.residual_qber(u, result.angles, direction) < 1e-12
                 if tilt == 0.0:
                     reference = 0.0 if opts.previous_angles is None else prev.theta1
                     assert wrapped_angle_distance(result.angles.theta1, reference) < 1e-12
@@ -250,11 +252,12 @@ class TestOptimize:
             cm = generate_counts(u, cfg, rng)
             recon = pa.reconstruct_forward(cm)
             impurity.append(
-                np.mean([np.linalg.eigvalsh(s.entries).min() for s in recon.states])
+                np.mean([np.linalg.eigvalsh(pa.density_from_stokes(*s).entries).min()
+                         for s in recon.stokes])
             )
             result = pa.optimize(recon)
             predicted.append(result.predicted_qber)
-            actual.append(pa.residual_qber(u, result.angles))
+            actual.append(pa.residual_qber(u, result.angles, Direction.FORWARD))
         mean_pred = float(np.mean(predicted))
         mean_act = float(np.mean(actual))
         mean_impurity = float(np.mean(impurity))
@@ -267,27 +270,56 @@ class TestOptimize:
 class TestResidualQber:
     def test_identity(self):
         u = pa.ChannelUnitary(np.eye(2))
-        assert pa.residual_qber(u, pa.WavePlateAngles(0, 0, 0)) == pytest.approx(0.0, abs=1e-12)
+        for direction in Direction:
+            assert pa.residual_qber(u, pa.WavePlateAngles(0, 0, 0), direction) == pytest.approx(
+                0.0, abs=1e-12
+            )
 
     def test_swap_channel_uncompensated(self):
         u = pa.half_wave(math.pi / 4)
-        assert pa.residual_qber(u, pa.WavePlateAngles(0, 0, 0)) == pytest.approx(0.5, abs=1e-12)
+        for direction in Direction:
+            assert pa.residual_qber(u, pa.WavePlateAngles(0, 0, 0), direction) == pytest.approx(
+                0.5, abs=1e-12
+            )
 
     def test_optimized_haar_channel(self):
         rng = np.random.default_rng(9)
         u = pa.haar_random_unitary(rng)
         result = pa.optimize(exact_reconstruction(u))
-        assert pa.residual_qber(u, result.angles) < 1e-6
+        assert pa.residual_qber(u, result.angles, Direction.FORWARD) < 1e-6
 
     def test_affine_link_to_cost(self, rng):
-        # with exact unit-fidelity reconstructions, residual = 1 + cost/4
-        for _ in range(100):
-            u = pa.haar_random_unitary(rng)
-            recon = exact_reconstruction(u)
-            angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
-            lhs = pa.residual_qber(u, angles)
-            rhs = 1.0 + pa.cost(angles, recon) / 4.0
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        # with exact unit-fidelity reconstructions, residual = 1 + cost/4,
+        # in the orientation the reconstructions were taken in
+        for direction in Direction:
+            for _ in range(100):
+                u = pa.haar_random_unitary(rng)
+                recon = exact_reconstruction(u, direction=direction)
+                angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
+                lhs = pa.residual_qber(u, angles, direction)
+                rhs = 1.0 + pa.cost(angles, recon) / 4.0
+                assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_operator_order_matches_jones_form(self, rng):
+        # 1 - (1/4) sum |<psi| W |psi>|^2 with W = V U forward (plates after
+        # the channel) and W = U V reversed (plates before it), V built here
+        # from scalar plate matrices
+        kets = [pa.canonical_state(label).amplitudes for label in pa.BB84_LABELS]
+        for _ in range(200):
+            channel = pa.haar_random_unitary(rng)
+            u = channel.entries
+            x = rng.uniform(0, math.pi, 3)
+            v = _mul(_plate(x[2], 1j), _mul(_plate(x[1], -1.0), _plate(x[0], 1j)))
+            v = np.reshape(v, (2, 2))
+            for direction, w in ((Direction.FORWARD, v @ u), (Direction.REVERSED, u @ v)):
+                expected = 1.0 - sum(abs(np.vdot(k, w @ k)) ** 2 for k in kets) / 4.0
+                lhs = pa.residual_qber(channel, pa.WavePlateAngles(*x), direction)
+                assert lhs == pytest.approx(expected, abs=1e-12)
+
+    def test_direction_required(self):
+        u = pa.ChannelUnitary(np.eye(2))
+        with pytest.raises(TypeError):
+            pa.residual_qber(u, pa.WavePlateAngles(0, 0, 0))
 
 
 class TestMonotoneImprovement:

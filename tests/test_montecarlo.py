@@ -8,6 +8,8 @@ import polalign as pa
 from polalign import montecarlo
 from polalign.errors import FitError, InsufficientCountsError
 
+from conftest import default_jobs
+
 D = pa.Direction
 
 
@@ -131,3 +133,24 @@ class TestGridChecks:
                     background_means=[20.0], samples=samples, master_seed=1)
         with pytest.raises(ValueError, match=match):
             getattr(pa, entry)(**grid)
+
+
+class TestAsymptoticOracle:
+    def test_mean_residual_follows_inverse_n_law(self):
+        # a small Wahba error omega about the targets' frame gives
+        # QBER ~ (w1^2 + w2^2 + 2 w3^2)/8 with omega = A^-1 g / (2 F_S - 1),
+        # A = diag(2, 2, 4); averaged over Haar channels this is
+        # E(F_S, N) = (9/4) ((2 F_S - 1)^-2 - 1/5) / N in both orientations.
+        # F_S = 1 is left out: there the MLE's projection onto the sphere
+        # pulls the mean a few percent below the law.
+        n, samples = 6400, 4000
+        sweep = pa.run_sweep(
+            directions=["forward", "reversed"], n_values=[n], fs_values=[0.95, 0.8],
+            samples=samples, master_seed=1, jobs=default_jobs(),
+        )
+        assert len(sweep.cells) == 4
+        for cell in sweep.cells:
+            v = 2.0 * cell.signal_fidelity - 1.0
+            expected = 2.25 * (v ** -2 - 0.2) / n
+            sem = cell.std_qber / math.sqrt(cell.samples - cell.failures)
+            assert abs(cell.mean_qber - expected) <= 4.0 * sem, (cell, expected)

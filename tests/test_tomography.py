@@ -211,9 +211,9 @@ class TestReconstructForward:
     def test_identity_channel(self):
         cm = exact_count_matrix(pa.ChannelUnitary(np.eye(2)), D.FORWARD)
         recon = pa.reconstruct_forward(cm)
-        for label, state in zip(pa.BB84_LABELS, recon.states):
+        for label, s in zip(pa.BB84_LABELS, recon.stokes):
             target = pa.canonical_state(label).projector()
-            assert trace_distance(state.entries, target) < 1e-6
+            assert trace_distance(pa.density_from_stokes(*s).entries, target) < 1e-6
 
     def test_swap_channel(self):
         # half-wave at 45 degrees swaps H and V; compare against the
@@ -221,14 +221,15 @@ class TestReconstructForward:
         u = pa.half_wave(math.pi / 4)
         cm = exact_count_matrix(u, D.FORWARD)
         recon = pa.reconstruct_forward(cm)
-        for label, state in zip(pa.BB84_LABELS, recon.states):
+        states = [pa.density_from_stokes(*s) for s in recon.stokes]
+        for label, state in zip(pa.BB84_LABELS, states):
             sent = pa.canonical_state(label).amplitudes
             received = u.entries @ sent
             target = np.outer(received, received.conj())
             assert trace_distance(state.entries, target) < 1e-6
         # explicitly: H lands on V, D stays D up to phase
-        assert pa.fidelity_mixed(pa.canonical_state("V"), recon.states[0]) > 1 - 1e-6
-        assert pa.fidelity_mixed(pa.canonical_state("D"), recon.states[2]) > 1 - 1e-6
+        assert pa.fidelity_mixed(pa.canonical_state("V"), states[0]) > 1 - 1e-6
+        assert pa.fidelity_mixed(pa.canonical_state("D"), states[2]) > 1 - 1e-6
 
     def test_random_channels_with_depolarization(self, rng):
         for _ in range(10):
@@ -236,9 +237,9 @@ class TestReconstructForward:
             fs = rng.uniform(0.7, 1.0)
             cm = exact_count_matrix(u, D.FORWARD, signal_fidelity=fs)
             recon = pa.reconstruct_forward(cm)
-            for label, state in zip(pa.BB84_LABELS, recon.states):
+            for label, s in zip(pa.BB84_LABELS, recon.stokes):
                 expected = pa.depolarize(u.apply(pa.canonical_state(label)), fs)
-                assert trace_distance(state.entries, expected.entries) < 1e-6
+                assert trace_distance(pa.density_from_stokes(*s).entries, expected.entries) < 1e-6
 
     def test_empty_circular_columns(self):
         counts = np.full((4, 6), 100.0)
@@ -260,7 +261,7 @@ class TestReconstructForward:
         counts[1, 5] = 0.0
         cm = pa.CountMatrix(D.FORWARD, counts, background_subtracted=True)
         recon = pa.reconstruct_forward(cm)
-        assert len(recon.states) == 4
+        assert recon.stokes.shape == (4, 3)
         # the strict path still refuses
         with pytest.raises(InsufficientCountsError):
             pa.reconstruct_forward(pa.CountMatrix(D.FORWARD, counts))
@@ -270,9 +271,9 @@ class TestReconstructReversed:
     def test_identity_channel(self):
         cm = exact_count_matrix(pa.ChannelUnitary(np.eye(2)), D.REVERSED)
         recon = pa.reconstruct_reversed(cm)
-        for label, state in zip(pa.BB84_LABELS, recon.states):
+        for label, s in zip(pa.BB84_LABELS, recon.stokes):
             target = pa.canonical_state(label).projector()
-            assert trace_distance(state.entries, target) < 1e-6
+            assert trace_distance(pa.density_from_stokes(*s).entries, target) < 1e-6
 
     def test_columns_give_back_propagated_outcomes(self, rng):
         # the state reconstructed for outcome m is U+|m><m|U, which rests on
@@ -289,11 +290,11 @@ class TestReconstructReversed:
             u = pa.haar_random_unitary(rng)
             cm = exact_count_matrix(u, D.REVERSED)
             recon = pa.reconstruct_reversed(cm)
-            for label, state in zip(pa.BB84_LABELS, recon.states):
+            for label, s in zip(pa.BB84_LABELS, recon.stokes):
                 phi = pa.canonical_state(label).amplitudes
                 back = u.entries.conj().T @ phi
                 target = np.outer(back, back.conj())
-                assert trace_distance(state.entries, target) < 1e-6
+                assert trace_distance(pa.density_from_stokes(*s).entries, target) < 1e-6
 
     def test_zero_column_names_outcome(self):
         counts = np.full((6, 4), 50.0)
@@ -308,6 +309,58 @@ class TestReconstructReversed:
             pa.reconstruct_reversed(cm)
 
 
+class TestReconstructionSet:
+    def test_rows_are_mle_stokes_vectors(self):
+        # each row equals the Stokes vector of mle_reconstruct on its counts:
+        # boundary rows (an empty outcome per basis), empty outcomes, and a
+        # background-subtracted matrix with a clipped basis pair
+        forward = np.array([
+            [40, 0, 21, 19, 22, 18],
+            [0, 30, 30, 0, 12, 15],
+            [7, 5, 25, 0, 6, 7],
+            [50, 50, 50, 50, 50, 50],
+        ], dtype=float)
+        subtracted = np.full((4, 6), 3.5)
+        subtracted[1, 4:] = 0.0
+        subtracted[2, :3] = [9.25, 0.0, 11.0]
+        reversed_counts = np.array([
+            [30, 0, 12, 11],
+            [0, 28, 10, 14],
+            [16, 15, 31, 0],
+            [14, 13, 0, 27],
+            [20, 9, 0, 15],
+            [9, 20, 16, 13],
+        ], dtype=float)
+        cases = [
+            (pa.CountMatrix(D.FORWARD, forward), pa.reconstruct_forward, forward),
+            (pa.CountMatrix(D.FORWARD, subtracted, background_subtracted=True),
+             pa.reconstruct_forward, subtracted),
+            (pa.CountMatrix(D.REVERSED, reversed_counts), pa.reconstruct_reversed,
+             reversed_counts.T),
+        ]
+        boundary = 0
+        for cm, reconstruct, rows in cases:
+            recon = reconstruct(cm)
+            assert recon.direction is cm.direction
+            for row, s in zip(rows, recon.stokes):
+                expected = pa.stokes_vector(
+                    pa.mle_reconstruct(row, allow_empty_basis=cm.background_subtracted)
+                )
+                np.testing.assert_allclose(s, expected, rtol=0, atol=1e-15)
+                boundary += abs(np.linalg.norm(s) - 1.0) < 1e-12
+        assert boundary >= 5
+
+    def test_read_only_array(self):
+        recon = pa.reconstruct_forward(exact_count_matrix(pa.ChannelUnitary(np.eye(2)), D.FORWARD))
+        assert not recon.stokes.flags.writeable
+        with pytest.raises(ValueError):
+            recon.stokes[0, 0] = 0.0
+
+    def test_shape_enforced(self):
+        with pytest.raises(ValueError, match=r"\(4, 3\)"):
+            pa.ReconstructionSet(D.FORWARD, np.zeros((3, 3)))
+
+
 class TestForwardReversedDuality:
     def test_noiseless_duality(self, rng):
         # the same channel characterized in either orientation compensates
@@ -318,5 +371,5 @@ class TestForwardReversedDuality:
             rev = pa.reconstruct_reversed(exact_count_matrix(u, D.REVERSED))
             res_f = pa.optimize(fwd)
             res_r = pa.optimize(rev)
-            assert pa.residual_qber(u, res_f.angles) < 1e-6
-            assert pa.residual_qber(u, res_r.angles) < 1e-6
+            assert pa.residual_qber(u, res_f.angles, D.FORWARD) < 1e-6
+            assert pa.residual_qber(u, res_r.angles, D.REVERSED) < 1e-6

@@ -50,6 +50,8 @@ from .tomography import (
 from .timing import classify
 
 COUNT_FILE_SCHEMA_VERSION = 1
+#: the largest count that a float holds exactly
+_MAX_COUNT = 2**53
 MANIFEST_SCHEMA_VERSION = 1
 SWEEP_CSV_HEADER = "direction,n,fs,bg_mean,bg_subtract,samples,failures,mean_qber,std_qber"
 
@@ -128,9 +130,12 @@ def load_count_file(path) -> tuple[CountMatrix, dict]:
         _require(isinstance(row, list) and len(row) == n_cols,
                  f"{path}: counts row {i} must have {n_cols} entries")
         for j, x in enumerate(row):
+            # raised directly: the messages are built only on failure
             ok = isinstance(x, int) or (isinstance(x, float) and float(x).is_integer())
-            _require(ok and not isinstance(x, bool) and x >= 0,
-                     f"{path}: counts[{i}][{j}] = {x!r} is not a nonnegative integer")
+            if not ok or isinstance(x, bool) or x < 0:
+                raise SchemaError(f"{path}: counts[{i}][{j}] = {x!r} is not a nonnegative integer")
+            if x > _MAX_COUNT:
+                raise SchemaError(f"{path}: counts[{i}][{j}] is above 2**53, the largest count")
             matrix[i, j] = float(x)
 
     # reindex to canonical label order
@@ -373,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 
 
+#: the multinomial draw of the counts takes a 64-bit integer budget
+_MAX_N = int(np.iinfo(np.int64).max)
 #: keys of a simulate configuration, as stored in its manifest
 _SIMULATE_KEYS = ("direction", "n", "fs", "bg", "bg_subtract", "samples", "seed", "format", "out")
 
@@ -418,6 +425,8 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
     for n in config["n"]:
         if n < minimum_n:
             fail("n", f"{n} is below the {direction} minimum of {minimum_n}")
+        if n > _MAX_N:
+            fail("n", f"{n} is above the largest supported budget {_MAX_N}")
     for fs in config["fs"]:
         if not 0.5 <= fs <= 1.0:
             fail("fs", f"{fs} outside the signal-fidelity range [0.5, 1]")

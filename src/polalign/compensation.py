@@ -18,6 +18,11 @@ solved exactly by one SVD (Wahba, SIAM Rev. 7, 409 (1965); Kabsch, Acta
 Cryst. A32, 922 (1976)).  The plate angles then follow from R in closed
 form: a quarter plate at theta is a +pi/2 rotation and a half plate a pi
 rotation, both about the equatorial axis (cos 2 theta, sin 2 theta, 0).
+
+The per-trial path works on plain floats: the plate settings are read off
+R by dot products, and :func:`residual_qber` multiplies the 2x2 Jones
+matrices as complex scalars and takes the four BB84 overlaps from the
+entries of W directly.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import BB84_KETS, ChannelUnitary, WavePlateAngles, _plate_stack
+from .polarization import ChannelUnitary, WavePlateAngles, _matmul2, _plate_stack
 from .tomography import Direction, ReconstructionSet
 
 #: Stokes vectors of the targets H, V, D, A, one per row
@@ -103,10 +108,50 @@ def _stokes_cost(rotation: np.ndarray, b: np.ndarray, reversed_mode: bool) -> fl
 def _optimal_rotation(b: np.ndarray, reversed_mode: bool) -> np.ndarray:
     """The rotation R maximizing tr(R B), or tr(R^T B) when reversed."""
     u, _, wt = np.linalg.svd(b)
-    w = wt.T
-    sign = 1.0 if np.linalg.det(w @ u.T) > 0.0 else -1.0
-    rotation = w @ np.diag([1.0, 1.0, sign]) @ u.T
-    return rotation.T if reversed_mode else rotation
+    # R = W diag(1, 1, det(W U^T)) U^T, built transposed as U diag(...) W^T
+    sign = 1.0 if _det3(u.tolist()) * _det3(wt.tolist()) > 0.0 else -1.0
+    r_transposed = (u * (1.0, 1.0, sign)) @ wt
+    return r_transposed if reversed_mode else r_transposed.T
+
+
+def _det3(m) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _plate_settings(rotation, reference) -> list[tuple[float, float, float]]:
+    """The four settings of :func:`plate_angle_candidates` as unreduced tuples.
+
+    ``rotation`` is a nested 3x3 sequence.  Each quarter plate is fixed by
+    an equatorial direction at angle 2 theta + pi/2, which gives its
+    (cos 2 theta, sin 2 theta) without further trigonometry; the half plate
+    follows from the first row of Q3^T R Q1^T, taken by dot products.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    if math.hypot(r20, r21) <= _POLE_TOLERANCE:
+        phi0 = 2.0 * reference[0] + math.pi / 2.0
+    else:
+        phi0 = math.atan2(-r20, r21)
+    settings = []
+    for phi in (phi0, phi0 + math.pi):
+        # u = (cos phi, sin phi, 0) and the angle psi of R u on the equator
+        x, y = math.cos(phi), math.sin(phi)
+        psi = math.atan2(r10 * x + r11 * y, r00 * x + r01 * y)
+        c1, s1 = y, -x
+        c3, s3 = math.sin(psi), -math.cos(psi)
+        # first column of Q3 taken through R, then against the rows of Q1
+        q0, q1, q2 = c3 * c3, c3 * s3, -s3
+        v0 = q0 * r00 + q1 * r10 + q2 * r20
+        v1 = q0 * r01 + q1 * r11 + q2 * r21
+        v2 = q0 * r02 + q1 * r12 + q2 * r22
+        m00 = v0 * c1 * c1 + v1 * c1 * s1 + v2 * s1
+        m01 = v0 * c1 * s1 + v1 * s1 * s1 - v2 * c1
+        theta1 = (phi - math.pi / 2.0) / 2.0
+        theta2 = math.atan2(m01, m00) / 4.0
+        theta3 = (psi - math.pi / 2.0) / 2.0
+        settings.append((theta1, theta2, theta3))
+        settings.append((theta1, theta2 + math.pi / 2.0, theta3))
+    return settings
 
 
 def plate_angle_candidates(rotation, reference=(0.0, 0.0, 0.0)) -> list[WavePlateAngles]:
@@ -119,21 +164,8 @@ def plate_angle_candidates(rotation, reference=(0.0, 0.0, 0.0)) -> list[WavePlat
     theta3; the half plate is what is left, fixed up to pi/2.  When R keeps
     the pole in place every phi works, and the reference theta1 is used.
     """
-    r = np.asarray(rotation, dtype=float)
-    if math.hypot(r[2, 0], r[2, 1]) <= _POLE_TOLERANCE:
-        phi0 = 2.0 * reference[0] + math.pi / 2.0
-    else:
-        phi0 = math.atan2(-r[2, 0], r[2, 1])
-    candidates = []
-    for phi in (phi0, phi0 + math.pi):
-        theta1 = (phi - math.pi / 2.0) / 2.0
-        ru = r @ np.array([math.cos(phi), math.sin(phi), 0.0])
-        theta3 = (math.atan2(ru[1], ru[0]) - math.pi / 2.0) / 2.0
-        m = _quarter_rotation(theta3).T @ r @ _quarter_rotation(theta1).T
-        theta2 = math.atan2(m[0, 1], m[0, 0]) / 4.0
-        for t2 in (theta2, theta2 + math.pi / 2.0):
-            candidates.append(WavePlateAngles(theta1, t2, theta3))
-    return candidates
+    rotation = np.asarray(rotation, dtype=float).tolist()
+    return [WavePlateAngles(*t) for t in _plate_settings(rotation, reference)]
 
 
 def wrapped_angle_distance(a: float, b: float) -> float:
@@ -143,7 +175,9 @@ def wrapped_angle_distance(a: float, b: float) -> float:
 
 
 def _travel(angles, reference) -> float:
-    return sum(wrapped_angle_distance(a, b) for a, b in zip(angles, reference))
+    (a1, a2, a3), (b1, b2, b3) = angles, reference
+    return (wrapped_angle_distance(a1, b1) + wrapped_angle_distance(a2, b2)
+            + wrapped_angle_distance(a3, b3))
 
 
 def cost(
@@ -190,10 +224,12 @@ def optimize(
     reference = (
         opts.previous_angles.as_tuple() if opts.previous_angles is not None else (0.0, 0.0, 0.0)
     )
-    candidates = plate_angle_candidates(_optimal_rotation(b, reversed_mode), reference)
-    angles = min(candidates, key=lambda a: _travel(a.as_tuple(), reference))
+    rotation = _optimal_rotation(b, reversed_mode)
+    settings = _plate_settings(rotation.tolist(), reference)
+    best = min(settings, key=lambda a: _travel(a, reference))
     evaluations = 1
     converged = True
+    penalty = 0.0
 
     lam = opts.motion_penalty_weight
     if lam > 0.0:
@@ -204,27 +240,29 @@ def optimize(
         def objective(x):
             return _stokes_cost(_stack_rotation(x), b, reversed_mode) + lam * _travel(x, reference)
 
-        best = None
-        for start in [c.as_tuple() for c in candidates] + [reference]:
+        starts = [WavePlateAngles(*a).as_tuple() for a in settings] + [reference]
+        result = None
+        for start in starts:
             res = minimize(
                 objective, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
             )
             evaluations += res.nfev
-            if best is None or res.fun < best.fun:
-                best = res
-        angles = WavePlateAngles(*best.x)
-        converged = bool(best.success)
+            if result is None or res.fun < result.fun:
+                result = res
+        best = result.x
+        rotation = _stack_rotation(best)
+        converged = bool(result.success)
+        penalty = lam * _travel(best, reference)
 
-    raw = angles.as_tuple()
-    cost_free = _stokes_cost(_stack_rotation(raw), b, reversed_mode)
-    penalized = cost_free + lam * _travel(raw, reference)
+    angles = WavePlateAngles(*best)
+    cost_free = _stokes_cost(rotation, b, reversed_mode)
     predicted = 1.0 + cost_free / 4.0
     if predicted < -1e-9 or predicted > 1.0 + 1e-9:
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
     predicted = min(1.0, max(0.0, predicted))
     return CompensationResult(
         angles=angles,
-        cost=penalized,
+        cost=cost_free + penalty,
         predicted_qber=predicted,
         evaluations_used=evaluations,
         converged=converged,
@@ -242,7 +280,9 @@ def residual_qber(
     phase, independent of any source depolarization.
     """
     v = _plate_stack(angles)
-    u = true_channel.entries
-    w = v @ u if Direction(direction) is Direction.FORWARD else u @ v
-    overlaps = np.sum(BB84_KETS.conj() * (w @ BB84_KETS), axis=0)
-    return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / 4.0
+    u = tuple(true_channel.entries.ravel().tolist())
+    forward = Direction(direction) is Direction.FORWARD
+    w00, w01, w10, w11 = _matmul2(v, u) if forward else _matmul2(u, v)
+    # <psi|W|psi> for H, V, D and A
+    diagonal = (w00, w11, (w00 + w01 + w10 + w11) / 2.0, (w00 - w01 - w10 + w11) / 2.0)
+    return 1.0 - sum(abs(z) ** 2 for z in diagonal) / 4.0

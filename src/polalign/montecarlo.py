@@ -94,9 +94,9 @@ class FitResult:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "r_squared"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"fit produced non-finite {name}")
+                raise FitError(f"fit produced non-finite {name}")
         if self.r_squared > 1.0 + 1e-12:
-            raise ValueError(f"r_squared {self.r_squared!r} exceeds 1")
+            raise FitError(f"r_squared {self.r_squared!r} exceeds 1")
 
 
 @dataclass
@@ -303,7 +303,8 @@ def _run_cells(cells, samples: int, master_seed: int, jobs: int) -> list[list[fl
     if jobs <= 1 or len(tasks) <= 1:
         blocks = [_block(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             blocks = list(pool.map(_block, tasks))
     per_cell = len(starts)
     return [list(chain.from_iterable(blocks[i:i + per_cell]))
@@ -459,8 +460,14 @@ def fit_power_law(sweep, select=None) -> FitResult:
     ss_res = float(residuals @ residuals)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    try:
+        alpha = math.exp(coef[0])
+    except OverflowError:
+        # an intercept past exp's range (a subnormal mean QBER can give one)
+        # makes alpha infinite, which FitResult rejects
+        alpha = math.inf
     return FitResult(
-        alpha=float(math.exp(coef[0])),
+        alpha=alpha,
         beta=float(coef[1]),
         gamma=float(coef[2]),
         r_squared=r_squared,

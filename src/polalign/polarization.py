@@ -91,7 +91,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (2,):
             raise ValueError(f"a polarization ket has exactly 2 amplitudes, got shape {amp.shape}")
         norm = float(np.sum(np.abs(amp) ** 2))
@@ -111,7 +111,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
         a, b, c, d = complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
@@ -136,7 +136,7 @@ class ChannelUnitary:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"channel unitary must be 2x2, got shape {m.shape}")
         a, b, c, d = complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
@@ -178,7 +178,7 @@ def canonical_state(label: str) -> PureState:
         ket = CANONICAL_KETS[label]
     except KeyError:
         raise ValueError(f"unknown state label {label!r}; expected one of {ALL_LABELS}") from None
-    return PureState(ket.copy())
+    return PureState(ket)
 
 
 def fidelity_pure(phi: PureState, psi: PureState) -> float:
@@ -207,17 +207,17 @@ def depolarize(psi: PureState, fs: float) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _wave_plate(theta: float, retardance_phase: complex) -> np.ndarray:
-    # R(theta) @ diag(1, e) @ R(-theta), expanded
+def _plate_entries(theta: float, retardance_phase: complex) -> tuple:
+    """R(theta) @ diag(1, e) @ R(-theta), expanded, as row-major scalars."""
     c = math.cos(theta)
     s = math.sin(theta)
     e = retardance_phase
-    cs = c * s
-    off = cs * (1.0 - e)
-    return np.array(
-        [[c * c + e * s * s, off], [off, s * s + e * c * c]],
-        dtype=complex,
-    )
+    off = c * s * (1.0 - e)
+    return (c * c + e * s * s, off, off, s * s + e * c * c)
+
+
+def _wave_plate(theta: float, retardance_phase: complex) -> np.ndarray:
+    return np.array(_plate_entries(theta, retardance_phase), dtype=complex).reshape(2, 2)
 
 
 def quarter_wave(theta: float) -> ChannelUnitary:
@@ -241,15 +241,19 @@ def compensation_unitary(angles: WavePlateAngles) -> ChannelUnitary:
     SU(2) element up to global phase, so three plate rotations suffice to
     undo any channel unitary.
     """
-    return ChannelUnitary(_plate_stack(angles))
+    return ChannelUnitary(np.array(_plate_stack(angles), dtype=complex).reshape(2, 2))
 
 
-def _plate_stack(angles: WavePlateAngles) -> np.ndarray:
-    """Jones matrix of :func:`compensation_unitary` as a plain array, unchecked."""
-    q1 = _wave_plate(angles.theta1, 1.0j)
-    h2 = _wave_plate(angles.theta2, -1.0)
-    q3 = _wave_plate(angles.theta3, 1.0j)
-    return q3 @ h2 @ q1
+def _plate_stack(angles: WavePlateAngles) -> tuple:
+    """Jones matrix of :func:`compensation_unitary` as row-major scalars, unchecked."""
+    q3_h2 = _matmul2(_plate_entries(angles.theta3, 1.0j), _plate_entries(angles.theta2, -1.0))
+    return _matmul2(q3_h2, _plate_entries(angles.theta1, 1.0j))
+
+
+def _matmul2(x, y) -> tuple:
+    """Product of two 2x2 matrices held as row-major scalar 4-tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
 def haar_random_unitary(rng: np.random.Generator) -> ChannelUnitary:

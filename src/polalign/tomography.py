@@ -10,8 +10,10 @@ Reconstruction is maximum-likelihood, in closed form.  For one qubit the
 six-outcome likelihood is a product of three binomials, one per basis,
 each in one Stokes component.  So inside the Bloch ball the maximum is the
 linear inversion s_k = (n+ - n-)/(n+ + n-); when that lies outside the
-ball, the maximum lies on the sphere, at the root of a single Lagrange
-multiplier.
+ball, the maximum lies on the sphere.  There, for a given Lagrange
+multiplier, each component is the middle root of a depressed cubic, taken
+from the trigonometric formula, and only the multiplier itself is found
+by a one-dimensional Newton search.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ _MIN_TOTAL_COUNTS = 6
 #: outcome pairs per basis, as indices into (H, V, D, A, R, L)
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
 _BASIS_NAMES = ("Z", "X", "Y")
+#: the largest float below 1
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class Direction(str, enum.Enum):
@@ -69,7 +73,7 @@ class CountMatrix:
     background_subtracted: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=float)
+        c = np.array(self.counts, dtype=float)
         expected = COUNT_SHAPE[self.direction]
         if c.shape != expected:
             raise ValueError(
@@ -185,19 +189,54 @@ def _decreasing_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
         x += step
 
 
+def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]:
+    """One axis of the sphere maximum at multiplier ``lam``, and its lam-derivative.
+
+    The component maximizes the concave n+ log(1+s) + n- log(1-s) - lam s^2/2
+    over [-1, 1].  It is +-1 while one outcome is empty and lam <= n+/2
+    (n-/2).  Otherwise it is the root in (-1, 1) of the stationarity
+    condition n+/(1+s) - n-/(1-s) = lam s, which cleared of denominators is
+    the depressed cubic lam s^3 - (lam + n) s + d = 0 with n = n+ + n- and
+    d = n+ - n-.  The cubic is positive at -1 and negative at +1, so that
+    root is its middle one.  With r = sqrt(3 lam/(lam + n)) and
+    x = 3 d r/(2 (lam + n)), where |x| <= 1, the trigonometric formula gives
+    it as (2/r) sin(asin(x)/3), which is free of cancellation and tends to
+    d/n as lam -> 0; at lam = 0 it is d/n itself.  With an empty outcome
+    the cubic also has the spurious root +-1, which the middle root meets
+    at lam = n+/2 (n-/2), where the formula loses half its digits.  One
+    Newton step on the rational condition, which lacks the spurious root,
+    restores them.  The derivative is s / (d/ds of that condition).
+    """
+    if n_minus == 0.0 and lam <= n_plus / 2.0:
+        return 1.0, 0.0
+    if n_plus == 0.0 and lam <= n_minus / 2.0:
+        return -1.0, 0.0
+    n = n_plus + n_minus
+    d = n_plus - n_minus
+    if lam == 0.0:
+        s = d / n
+    else:
+        r = math.sqrt(3.0 * lam / (lam + n))
+        x = 1.5 * d * r / (lam + n)
+        s = 2.0 / r * math.sin(math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
+        if not -1.0 < s < 1.0:
+            # rounding next to the spurious root; the step below divides by 1 -+ s
+            s = math.copysign(_BELOW_ONE, s)
+    up, down = 1.0 + s, 1.0 - s
+    curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
+    s -= (n_plus / up - n_minus / down - lam * s) / curvature
+    return s, s / curvature
+
+
 def _sphere_stokes(n, s: list[float]) -> list[float]:
     """Likelihood maximum on the Bloch sphere for inversions ``s`` outside it.
 
     On |s| = 1 the stationarity condition per axis is
-    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam,
-    s_k(lam) maximizes the concave n+ log(1+s) + n- log(1-s) - lam s^2/2
-    over [-1, 1]: the root of its strictly decreasing derivative, or +-1
-    while one outcome is empty and lam <= n+/2 (n-/2).  An empty pair keeps
-    its component at 0.  |s(lam)| falls from |s| > 1 at lam = 0 to below 1
-    at lam = total, so lam is the root of |s(lam)|^2 - 1 there, found by
-    Newton with ds_k/dlam = s_k / (d/ds of that derivative).  The
-    cubic-polynomial form of the axis condition is not used: it has a
-    spurious root at +-1 when an outcome count is 0.
+    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam each
+    component s_k(lam) is the closed-form root of :func:`_axis_root`; an
+    empty pair keeps its component at 0.  |s(lam)| falls from |s| > 1 at
+    lam = 0 to below 1 at lam = total, so lam is the root of
+    |s(lam)|^2 - 1 there, found by Newton with the axes' derivatives.
     """
     s = list(s)
     axes = [(k, n[i_plus], n[i_minus])
@@ -205,25 +244,15 @@ def _sphere_stokes(n, s: list[float]) -> list[float]:
             if n[i_plus] + n[i_minus] > 0.0]
 
     def excess(lam):
-        value, slope = -1.0, 0.0
+        slope = 0.0
         for k, n_plus, n_minus in axes:
-            if n_minus == 0.0 and lam <= n_plus / 2.0:
-                s[k] = 1.0
-            elif n_plus == 0.0 and lam <= n_minus / 2.0:
-                s[k] = -1.0
-            else:
-                def gradient(x):
-                    up, down = 1.0 + x, 1.0 - x
-                    return (n_plus / up - n_minus / down - lam * x,
-                            -n_plus / (up * up) - n_minus / (down * down) - lam)
-
-                # a component just released from +-1 restarts inside the interval,
-                # where both terms of the gradient are finite
-                start = s[k] if -1.0 < s[k] < 1.0 else 0.0
-                s[k], curvature = _decreasing_root(gradient, -1.0, 1.0, start)
-                slope += 2.0 * s[k] * s[k] / curvature
-            value += s[k] * s[k]
-        return value, slope
+            s[k], ds = _axis_root(n_plus, n_minus, lam)
+            slope += 2.0 * s[k] * ds
+        # |s|^2 - 1 with 1 - s^2 of the largest component taken as a product:
+        # summed directly, 1 absorbs components below 1e-8, whose slope then
+        # lacks its value and leaves Newton creeping along a plateau
+        small, middle, large = sorted((abs(s[0]), abs(s[1]), abs(s[2])))
+        return small * small + middle * middle - (1.0 - large) * (1.0 + large), slope
 
     _decreasing_root(excess, 0.0, sum(n), 0.0)
     radius = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from polalign import cli
 from polalign.tomography import Direction
 
 from conftest import exact_count_matrix
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SWEEP_ROWS = [
     "forward,400,1,0,false,10,0,0.004,0.003",
@@ -84,6 +89,14 @@ class TestFit:
         path = write_json(tmp_path / "s.json", {"schema_version": 1})
         assert_rejected(["fit", "--in", path], capsys, "'cells' list")
 
+    def test_subnormal_mean_fails_with_message(self, tmp_path, capsys):
+        rows = list(SWEEP_ROWS)
+        rows[1] = "forward,1600,1,0,false,10,0,1e-320,0.001"
+        code, _out, err = run(["fit", "--in", write_csv(tmp_path / "s.csv", rows)], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error: fit produced non-finite alpha" in err
+
     @pytest.mark.parametrize(
         "row,match",
         [
@@ -148,6 +161,12 @@ class TestSimulate:
         path = write_json(tmp_path / "m.json", {"config": config})
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys, match)
 
+    def test_budget_above_int64_rejected(self, tmp_path, capsys):
+        argv = ["simulate", "--direction", "forward", "--n", "100000000000000000000",
+                "--fs", "0.95", "--samples", "1", "--seed", "1", "--jobs", "1",
+                "--out", str(tmp_path / "s.csv")]
+        assert_rejected(argv, capsys, "--n: 100000000000000000000 is above the largest")
+
     def test_manifest_without_config(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [1, 2])
         assert_rejected(["simulate", "--from-manifest", path], capsys, "no config block")
@@ -176,6 +195,13 @@ class TestCountFiles:
         assert payload["converged"] is True
         assert payload["evaluations_used"] >= 1
         assert payload["predicted_qber"] < 1e-3
+
+    @pytest.mark.parametrize("command", ["align", "timing-check"])
+    def test_count_beyond_float_range_rejected(self, tmp_path, capsys, count_file, command):
+        payload = json.loads(count_file.read_text())
+        payload["counts"][1][2] = 10**400
+        path = write_json(tmp_path / "huge.json", payload)
+        assert_rejected([command, "--counts", path], capsys, "counts[1][2] is above 2**53")
 
     def test_removed_align_flags_rejected(self, capsys, count_file):
         for flag in ("--restarts", "--seed"):
@@ -208,6 +234,19 @@ class TestMissingFiles:
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_polalign(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "polalign", "rate", "--pulse-rate", "1e6", "--mu", "0.5",
+             "--eta", "0.1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("expected detection rate:")
 
 
 class TestRate:

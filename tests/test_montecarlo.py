@@ -64,6 +64,17 @@ class TestFitPowerLaw:
             pa.fit_power_law(power_law_cells(**grid))
         assert err.value.regressor == regressor
 
+    def test_overflowing_intercept_rejected(self):
+        # a subnormal mean puts the log-space intercept past exp's range
+        cells = power_law_cells(n_values=(400, 1600), fs_values=(1.0, 0.9))
+        cells[2] = dataclasses.replace(cells[2], mean_qber=1e-320)  # N=1600, F_S=1
+        with pytest.raises(FitError, match="non-finite alpha"):
+            pa.fit_power_law(cells)
+
+    def test_fit_result_rejects_non_finite(self):
+        with pytest.raises(FitError, match="non-finite beta"):
+            pa.FitResult(alpha=1.0, beta=math.nan, gamma=-1.0, r_squared=1.0)
+
 
 class TestBackgroundStudy:
     def test_arms_equal_plain_sweeps(self):
@@ -121,6 +132,32 @@ class TestBackgroundStudy:
         assert study.failures == 1
         assert study.mean_with_background == pytest.approx(np.mean(with_bg), rel=1e-12)
         assert study.mean_subtracted == pytest.approx(np.mean(subtracted), rel=1e-12)
+
+
+class _RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records its worker count."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestProcessPool:
+    def test_workers_capped_at_blocks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        pa.run_sweep(["forward"], [400], [0.95, 1.0], samples=3, master_seed=1, jobs=5000)
+        assert _RecordingPool.max_workers == [2]
 
 
 class TestGridChecks:

@@ -82,6 +82,24 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 5.0
 
+    def test_pure_state_copies_caller_array(self):
+        amplitudes = np.array([1.0, 0.0], dtype=complex)
+        state = pa.PureState(amplitudes)
+        amplitudes[0] = 5.0
+        assert state.amplitudes[0] == 1.0
+
+    def test_density_matrix_copies_caller_array(self):
+        entries = np.eye(2, dtype=complex) / 2.0
+        rho = pa.DensityMatrix(entries)
+        entries[0, 0] = 5.0
+        assert rho.entries[0, 0] == 0.5
+
+    def test_channel_unitary_copies_caller_array(self):
+        entries = np.eye(2, dtype=complex)
+        u = pa.ChannelUnitary(entries)
+        entries[0, 0] = 5.0
+        assert u.entries[0, 0] == 1.0
+
 
 class TestFidelities:
     def test_pure_identity(self):

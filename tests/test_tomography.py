@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 import polalign as pa
 from polalign.errors import InsufficientCountsError
 from polalign.montecarlo import expected_probabilities
+from polalign.tomography import _axis_root
 
 from conftest import exact_count_matrix, trace_distance
 
@@ -40,6 +41,13 @@ class TestCountMatrix:
     def test_total(self):
         cm = pa.CountMatrix(D.FORWARD, np.full((4, 6), 2.0))
         assert cm.total == 48.0
+
+    def test_caller_array_stays_writable(self):
+        m = np.ones((4, 6))
+        cm = pa.CountMatrix(D.FORWARD, m)
+        m[0, 0] = 5.0
+        assert cm.counts[0, 0] == 1.0
+        assert not cm.counts.flags.writeable
 
 
 class TestLinearInversion:
@@ -160,6 +168,15 @@ class TestMLE:
                 best = max(best, loglik(n, res.x / max(1.0, np.linalg.norm(res.x))))
             assert loglik(n, s) >= best - 1e-9
 
+    def test_faint_axes_beside_a_pinned_one(self):
+        # X has only A counts, so s_X stays at -1 until lam = 150; the other
+        # axes add under 1e-16 to |s|^2 there, so the root sits at that kink
+        # and those axes take their values at lam = 150
+        n = [1e-9, 1e-6, 0.0, 300.0, 1e-12, 0.0]
+        s = pa.stokes_vector(pa.mle_reconstruct(n))
+        expected = [_axis_root(1e-9, 1e-6, 150.0)[0], -1.0, _axis_root(1e-12, 0.0, 150.0)[0]]
+        np.testing.assert_allclose(s, expected, rtol=0, atol=1e-13)
+
     def test_total_below_six_rejected(self):
         with pytest.raises(InsufficientCountsError, match="minimum"):
             pa.mle_reconstruct([1, 0, 1, 0, 1, 1])
@@ -205,6 +222,61 @@ class TestMLE:
             medians.append(np.median(distances))
         slope = np.polyfit(np.log(n_values), np.log(medians), 1)[0]
         assert -0.6 <= slope <= -0.4
+
+
+#: (n+, n-) outcome pairs of one basis: integer counts, background-subtracted
+#: fractions, lopsided pairs and an even split
+AXIS_PAIRS = [(3.0, 1.0), (1.0, 3.0), (7.0, 7.0), (399.0, 1.0), (1.0, 399.0), (40.0, 23.0),
+              (0.25, 16.75), (16.6667, 0.3333), (1600.0, 2.0), (5.5, 0.5)]
+
+
+def _stationarity_residual(n_plus, n_minus, lam, s):
+    return n_plus / (1.0 + s) - n_minus / (1.0 - s) - lam * s
+
+
+class TestAxisRoot:
+    LAM_FRACTIONS = np.logspace(-12, 4, 161)
+
+    def test_root_inside_interval_and_stationary(self):
+        for n_plus, n_minus in AXIS_PAIRS:
+            n = n_plus + n_minus
+            for lam in n * self.LAM_FRACTIONS:
+                s, _ds = _axis_root(n_plus, n_minus, lam)
+                assert -1.0 < s < 1.0
+                assert abs(_stationarity_residual(n_plus, n_minus, lam, s)) <= 1e-12 * (n + lam)
+
+    def test_tends_to_linear_inversion(self):
+        # |ds/dlam| <= |s|/n, so s(lam) stays within lam/n of d/n
+        for n_plus, n_minus in AXIS_PAIRS:
+            n, d = n_plus + n_minus, n_plus - n_minus
+            assert _axis_root(n_plus, n_minus, 0.0)[0] == pytest.approx(d / n, abs=1e-15)
+            for fraction in (1e-12, 1e-9, 1e-6, 1e-3):
+                s, _ds = _axis_root(n_plus, n_minus, fraction * n)
+                assert abs(s - d / n) <= fraction + 1e-15
+
+    def test_derivative_matches_finite_difference(self):
+        for n_plus, n_minus in AXIS_PAIRS:
+            n = n_plus + n_minus
+            for lam in n * np.logspace(-3, 3, 13):
+                _s, ds = _axis_root(n_plus, n_minus, lam)
+                h = 1e-6 * lam
+                diff = (_axis_root(n_plus, n_minus, lam + h)[0]
+                        - _axis_root(n_plus, n_minus, lam - h)[0]) / (2.0 * h)
+                assert ds == pytest.approx(diff, rel=1e-5, abs=1e-12 / n)
+
+    def test_empty_outcome_exact_above_clamp(self):
+        # with n- = 0 the cubic is (s - 1)(lam s^2 + lam s - n+), so above
+        # lam = n+/2 the component is the quadratic's root in (0, 1), which
+        # meets the spurious root 1 at the clamp itself
+        for n_plus in (1.0, 3.0, 37.0, 400.0, 1e4):
+            assert _axis_root(n_plus, 0.0, n_plus / 2.0) == (1.0, 0.0)
+            assert _axis_root(0.0, n_plus, n_plus / 2.0) == (-1.0, 0.0)
+            for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 100.0):
+                lam = n_plus / 2.0 * (1.0 + eps)
+                q = n_plus / lam
+                exact = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q))
+                assert abs(_axis_root(n_plus, 0.0, lam)[0] - exact) <= 5e-16
+                assert abs(_axis_root(0.0, n_plus, lam)[0] + exact) <= 5e-16
 
 
 class TestReconstructForward:

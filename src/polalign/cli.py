@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .compensation import optimize
-from .errors import PolalignError, SchemaError
+from .errors import FitError, PolalignError, SchemaError
 from .montecarlo import (
     DetectionRateParams,
     SweepCell,
@@ -687,7 +687,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except SchemaError as exc:
+    except (SchemaError, FitError) as exc:
+        # a fit fails only on what the sweep file holds: bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

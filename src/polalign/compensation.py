@@ -277,7 +277,8 @@ def residual_qber(
     1 - (1/4) sum_n |<psi_n| W |psi_n>|^2 over the BB84 states, with
     W = V(theta) U forward (plates after the channel) and W = U V(theta)
     reversed (plates before it); zero exactly when V undoes U up to a
-    phase, independent of any source depolarization.
+    phase, independent of any source depolarization.  Clamped at 0, where
+    an exact compensation can round the sum of overlaps above 4.
     """
     v = _plate_stack(angles)
     u = tuple(true_channel.entries.ravel().tolist())
@@ -285,4 +286,4 @@ def residual_qber(
     w00, w01, w10, w11 = _matmul2(v, u) if forward else _matmul2(u, v)
     # <psi|W|psi> for H, V, D and A
     diagonal = (w00, w11, (w00 + w01 + w10 + w11) / 2.0, (w00 - w01 - w10 + w11) / 2.0)
-    return 1.0 - sum(abs(z) ** 2 for z in diagonal) / 4.0
+    return max(0.0, 1.0 - sum(abs(z) ** 2 for z in diagonal) / 4.0)

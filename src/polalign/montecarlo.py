@@ -13,16 +13,18 @@ by ordinary least squares in log space.
 
 Determinism: every trial's generator is seeded from (master seed, cell
 coordinates, trial index), so results are bit-identical for any worker
-count.  The seed leaves out the subtraction flag, so the two arms of a
-paired background study, the same sweep engine run without and with
-mean-background subtraction, share their random draws exactly.
+count.  Mean-background subtraction is a deterministic step on a drawn
+count matrix, not part of the draw: one trial draws its channel and counts
+once and scores every requested arm (without and/or with subtraction) from
+that one draw.  A paired background study is the sweep engine asked for
+both arms, so its pairs share their channel and counts by construction.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, product
 
 import numpy as np
@@ -50,7 +52,6 @@ class TrialConfig:
     n_detected: int
     signal_fidelity: float
     background_mean: float = 0.0
-    subtract_background: bool = False
 
     def __post_init__(self):
         minimum = 4 if self.direction is Direction.FORWARD else 6
@@ -180,14 +181,14 @@ def expected_background_per_cell(cfg: TrialConfig) -> float:
 def generate_counts(
     u: ChannelUnitary, cfg: TrialConfig, rng: np.random.Generator
 ) -> CountMatrix:
-    """Stochastic count matrix for one trial.
+    """Stochastic count matrix for one trial, as the detectors record it.
 
     Signal: ``n_detected`` events multinomially allocated over (input,
     basis, outcome) cells.  Background: an independent Poisson draw per
     detector column, spread uniformly over input rows (background is
-    uncorrelated with the preparation).  With ``subtract_background`` the
-    pre-calibrated mean is removed per cell, clipping at zero so no count
-    goes negative.
+    uncorrelated with the preparation).  Nothing is subtracted here:
+    :func:`run_trial` subtracts the mean background from this draw in each
+    arm that asks for it.
     """
     p = expected_probabilities(u, cfg.direction, cfg.signal_fidelity)
     counts = rng.multinomial(cfg.n_detected, p.ravel()).reshape(p.shape).astype(float)
@@ -197,28 +198,36 @@ def generate_counts(
         row_share = np.full(n_rows, 1.0 / n_rows)
         for j in range(n_cols):
             counts[:, j] += rng.multinomial(per_detector[j], row_share)
-        if cfg.subtract_background:
-            counts = np.clip(counts - expected_background_per_cell(cfg), 0.0, None)
-            return CountMatrix(cfg.direction, counts, background_subtracted=True)
     return CountMatrix(cfg.direction, counts)
 
 
-def run_trial(cfg: TrialConfig, rng: np.random.Generator) -> float:
-    """One end-to-end protocol trial; returns the residual QBER.
+def run_trial(
+    cfg: TrialConfig, rng: np.random.Generator, arms: tuple[bool, ...]
+) -> tuple[float, ...]:
+    """One end-to-end protocol trial; the residual QBER of each arm.
 
-    Draws the channel, simulates counting, reconstructs, optimizes the
-    compensation (no motion penalty), and scores the compensation against
-    the true channel.  Tomography errors propagate: sweeps record them as
-    failed trials rather than dropping them silently.
+    Draws the channel and the counts once.  Each entry of ``arms`` is a
+    subtraction flag: that arm reconstructs from the drawn counts, with the
+    mean background subtracted where the flag is set (a no-op without
+    background), optimizes the compensation (no motion penalty) and scores
+    it against the true channel.  Every arm scores the same draw.
+    Tomography errors propagate (a trial fails if any arm does): sweeps
+    record them as failed trials rather than dropping them silently.
     """
     u = haar_random_unitary(rng)
-    cm = generate_counts(u, cfg, rng)
-    if cfg.direction is Direction.FORWARD:
-        recon = reconstruct_forward(cm)
-    else:
-        recon = reconstruct_reversed(cm)
-    result = optimize(recon)
-    return residual_qber(u, result.angles, cfg.direction)
+    drawn = generate_counts(u, cfg, rng)
+    reconstruct = (reconstruct_forward if cfg.direction is Direction.FORWARD
+                   else reconstruct_reversed)
+    qbers = []
+    for subtract in arms:
+        cm = drawn
+        if subtract and cfg.background_mean > 0.0:
+            # the pre-calibrated mean per cell, clipped so no count goes negative
+            counts = np.clip(drawn.counts - expected_background_per_cell(cfg), 0.0, None)
+            cm = CountMatrix(cfg.direction, counts, background_subtracted=True)
+        result = optimize(reconstruct(cm))
+        qbers.append(residual_qber(u, result.angles, cfg.direction))
+    return tuple(qbers)
 
 
 def _float_bits(x: float) -> int:
@@ -235,8 +244,8 @@ def trial_seed_sequence(
 ) -> np.random.SeedSequence:
     """Per-trial seed derived from the cell coordinates and trial index.
 
-    Deliberately excludes the subtraction flag so that paired background
-    studies replay identical draws in both arms.
+    Mean-background subtraction is not a coordinate: it acts on the drawn
+    counts, so every arm of a trial shares the one draw.
     """
     dir_code = 0 if direction is Direction.FORWARD else 1
     return np.random.SeedSequence(
@@ -255,7 +264,7 @@ def _trial_rng(ss: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _cell_configs(directions, n_values, fs_values, background_means, subtract_background):
+def _cell_configs(directions, n_values, fs_values, background_means):
     cells = []
     for direction, n, fs, bg in product(directions, n_values, fs_values, background_means):
         cells.append(
@@ -264,15 +273,14 @@ def _cell_configs(directions, n_values, fs_values, background_means, subtract_ba
                 n_detected=int(n),
                 signal_fidelity=float(fs),
                 background_mean=float(bg),
-                subtract_background=bool(subtract_background),
             )
         )
     return cells
 
 
 def _block(args):
-    """Residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed."""
-    master_seed, cfg, start, stop = args
+    """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed."""
+    master_seed, cfg, arms, start, stop = args
     values = []
     for t in range(start, stop):
         ss = trial_seed_sequence(
@@ -280,14 +288,16 @@ def _block(args):
             cfg.background_mean, t,
         )
         try:
-            values.append(run_trial(cfg, _trial_rng(ss)))
+            values.append(run_trial(cfg, _trial_rng(ss), arms))
         except InsufficientCountsError:
             values.append(None)
     return values
 
 
-def _run_cells(cells, samples: int, master_seed: int, jobs: int) -> list[list[float | None]]:
-    """Every cell's residual QBER per trial, in trial order, None for a failed trial.
+def _run_cells(
+    cells, arms, samples: int, master_seed: int, jobs: int
+) -> list[list[tuple[float, ...] | None]]:
+    """Every cell's per-arm residual QBER per trial, in trial order, None for a failed trial.
 
     Each cell runs in blocks of ``_BLOCK_SIZE`` trials, spread over ``jobs``
     worker processes; a trial's draws depend only on its seed, never on the
@@ -298,7 +308,7 @@ def _run_cells(cells, samples: int, master_seed: int, jobs: int) -> list[list[fl
     if not cells:
         raise ValueError("empty sweep grid")
     starts = range(0, samples, _BLOCK_SIZE)
-    tasks = [(master_seed, cfg, start, min(start + _BLOCK_SIZE, samples))
+    tasks = [(master_seed, cfg, arms, start, min(start + _BLOCK_SIZE, samples))
              for cfg in cells for start in starts]
     if jobs <= 1 or len(tasks) <= 1:
         blocks = [_block(task) for task in tasks]
@@ -345,10 +355,12 @@ def run_sweep(
     counted; a cell aborts the sweep if more than 1% of its trials fail,
     since at realistic N any failure indicates a modeling bug.
     """
-    cells = _cell_configs(directions, n_values, fs_values, background_means, subtract_background)
+    cells = _cell_configs(directions, n_values, fs_values, background_means)
+    subtract_background = bool(subtract_background)
     out = []
-    for cfg, values in zip(cells, _run_cells(cells, samples, master_seed, jobs)):
-        values = [v for v in values if v is not None]
+    for cfg, trials in zip(cells, _run_cells(cells, (subtract_background,), samples,
+                                             master_seed, jobs)):
+        values = [qbers[0] for qbers in trials if qbers is not None]
         failures = samples - len(values)
         _check_failures(cfg, failures, samples)
         mean, std = _moments(values)
@@ -358,7 +370,7 @@ def run_sweep(
                 n_detected=cfg.n_detected,
                 signal_fidelity=cfg.signal_fidelity,
                 background_mean=cfg.background_mean,
-                subtract_background=cfg.subtract_background,
+                subtract_background=subtract_background,
                 samples=samples,
                 failures=failures,
                 mean_qber=mean,
@@ -379,22 +391,17 @@ def background_study(
 ) -> BackgroundStudyResult:
     """Paired with/without-subtraction comparison on shared random draws.
 
-    The two arms are the sweep run without and with mean-background
-    subtraction.  Trial seeds leave out the subtraction flag, so trial t of
-    both arms draws the same channel, signal and background counts and only
-    the subtraction step differs: the reported delta isolates the
-    subtraction strategy itself.  A pair failing in either arm is excluded
-    from both.
+    Each trial draws its channel, signal and background counts once and
+    scores both arms from that draw: without subtraction, and with the
+    mean background subtracted.  Only the subtraction step differs, so the
+    reported delta isolates the subtraction strategy itself, and each arm
+    equals :func:`run_sweep` run with that flag.  A pair failing in either
+    arm is excluded from both.
     """
-    cells = _cell_configs(directions, n_values, fs_values, background_means, False)
-    arms = _run_cells(
-        cells + [replace(cfg, subtract_background=True) for cfg in cells],
-        samples, master_seed, jobs,
-    )
+    cells = _cell_configs(directions, n_values, fs_values, background_means)
     out = []
-    for cfg, with_bg_arm, subtracted_arm in zip(cells, arms, arms[len(cells):]):
-        pairs = [(a, b) for a, b in zip(with_bg_arm, subtracted_arm)
-                 if a is not None and b is not None]
+    for cfg, trials in zip(cells, _run_cells(cells, (False, True), samples, master_seed, jobs)):
+        pairs = [qbers for qbers in trials if qbers is not None]
         failures = samples - len(pairs)
         _check_failures(cfg, failures, samples)
         with_bg, subtracted = zip(*pairs)

@@ -93,9 +93,18 @@ class TestFit:
         rows = list(SWEEP_ROWS)
         rows[1] = "forward,1600,1,0,false,10,0,1e-320,0.001"
         code, _out, err = run(["fit", "--in", write_csv(tmp_path / "s.csv", rows)], capsys)
-        assert code == 1
+        assert code == 2
         assert "Traceback" not in err
         assert "error: fit produced non-finite alpha" in err
+
+    def test_too_few_cells_rejected(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "s.csv", SWEEP_ROWS[:3])
+        assert_rejected(["fit", "--in", path], capsys, "error: need at least four cells")
+
+    def test_no_spread_rejected(self, tmp_path, capsys):
+        rows = [row.replace(",1600,", ",400,") for row in SWEEP_ROWS]
+        path = write_csv(tmp_path / "s.csv", rows)
+        assert_rejected(["fit", "--in", path], capsys, "error: no spread in the photon-number")
 
     @pytest.mark.parametrize(
         "row,match",

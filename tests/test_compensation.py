@@ -288,6 +288,14 @@ class TestResidualQber:
         result = pa.optimize(exact_reconstruction(u))
         assert pa.residual_qber(u, result.angles, Direction.FORWARD) < 1e-6
 
+    def test_exact_compensation_not_negative(self, rng):
+        # the overlaps of an exact compensation can round to a sum above 4
+        for direction in Direction:
+            for _ in range(200):
+                u = pa.haar_random_unitary(rng)
+                result = pa.optimize(exact_reconstruction(u, direction=direction))
+                assert 0.0 <= pa.residual_qber(u, result.angles, direction) < 1e-12
+
     def test_affine_link_to_cost(self, rng):
         # with exact unit-fidelity reconstructions, residual = 1 + cost/4,
         # in the orientation the reconstructions were taken in

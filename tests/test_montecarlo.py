@@ -107,31 +107,68 @@ class TestBackgroundStudy:
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
         subtracted_calls = []
 
-        def trial(c, rng, run_trial=montecarlo.run_trial):
-            if c.subtract_background:
+        def reconstruct(cm, reconstruct_forward=montecarlo.reconstruct_forward):
+            if cm.background_subtracted:
                 subtracted_calls.append(None)
                 if len(subtracted_calls) == dropped + 1:
                     raise InsufficientCountsError("injected")
-            return run_trial(c, rng)
+            return reconstruct_forward(cm)
 
-        monkeypatch.setattr(montecarlo, "run_trial", trial)
+        monkeypatch.setattr(montecarlo, "reconstruct_forward", reconstruct)
         study = pa.background_study(["forward"], [400], [0.95], [20.0], samples=samples,
                                     master_seed=seed).cells[0]
         monkeypatch.undo()
 
-        def arm(c):
+        def arm(subtract):
             return [
-                pa.run_trial(c, np.random.default_rng(montecarlo.trial_seed_sequence(
-                    seed, c.direction, c.n_detected, c.signal_fidelity, c.background_mean, t)))
+                pa.run_trial(cfg, trial_rng(seed, cfg, t), (subtract,))[0]
                 for t in range(samples) if t != dropped
             ]
 
-        with_bg = arm(cfg)
-        subtracted = arm(dataclasses.replace(cfg, subtract_background=True))
+        with_bg = arm(False)
+        subtracted = arm(True)
         assert study.samples == samples
         assert study.failures == 1
         assert study.mean_with_background == pytest.approx(np.mean(with_bg), rel=1e-12)
         assert study.mean_subtracted == pytest.approx(np.mean(subtracted), rel=1e-12)
+
+    def test_one_draw_per_pair(self, monkeypatch):
+        calls = {"generate_counts": 0, "haar_random_unitary": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
+        study = pa.background_study(["forward", "reversed"], [400], [0.95],
+                                    [20.0, 100.0], samples=7, master_seed=2)
+        assert len(study.cells) == 4
+        assert calls == {"generate_counts": 4 * 7, "haar_random_unitary": 4 * 7}
+
+
+def trial_rng(seed, cfg, t):
+    return np.random.default_rng(montecarlo.trial_seed_sequence(
+        seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean, t))
+
+
+class TestRunTrial:
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("background", [0.0, 20.0])
+    def test_arms_share_one_draw(self, direction, background):
+        # both arms from one call equal the two single-arm calls on fresh
+        # generators from the same seed, bit for bit
+        cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
+        for t in range(20):
+            both = pa.run_trial(cfg, trial_rng(4, cfg, t), (False, True))
+            plain, = pa.run_trial(cfg, trial_rng(4, cfg, t), (False,))
+            subtracted, = pa.run_trial(cfg, trial_rng(4, cfg, t), (True,))
+            assert both == (plain, subtracted)
+            assert pa.run_trial(cfg, trial_rng(4, cfg, t), (True, False)) == (subtracted, plain)
+            if background == 0.0:
+                assert plain == subtracted
 
 
 class _RecordingPool:

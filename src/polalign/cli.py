@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .compensation import optimize
-from .errors import FitError, PolalignError, SchemaError
+from .errors import FitError, InsufficientCountsError, PolalignError, SchemaError
 from .montecarlo import (
     DetectionRateParams,
     SweepCell,
@@ -687,8 +687,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except (SchemaError, FitError) as exc:
-        # a fit fails only on what the sweep file holds: bad input
+    except (SchemaError, FitError, InsufficientCountsError) as exc:
+        # a fit or a reconstruction fails only on what its input file holds: bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,17 +12,17 @@ order matters: the signal states see V U forward and U V reversed, and
 :func:`residual_qber` scores the product of its direction.
 
 On Stokes vectors V acts as a rotation R in SO(3), and the summed fidelity
-is 2 + (1/2) sum_n t_n . R s_n for targets t_n and reconstructions s_n
-(R^T in the reversed orientation).  Maximizing it is Wahba's problem,
-solved exactly by one SVD (Wahba, SIAM Rev. 7, 409 (1965); Kabsch, Acta
-Cryst. A32, 922 (1976)).  The plate angles then follow from R in closed
-form: a quarter plate at theta is a +pi/2 rotation and a half plate a pi
-rotation, both about the equatorial axis (cos 2 theta, sin 2 theta, 0).
-
-The per-trial path works on plain floats: the plate settings are read off
-R by dot products, and :func:`residual_qber` multiplies the 2x2 Jones
-matrices as complex scalars and takes the four BB84 overlaps from the
-entries of W directly.
+is 2 + tr(R B)/2 with B = sum_n s_n t_n^T over reconstructions s_n and
+targets t_n (R^T in the reversed orientation).  Maximizing it is Wahba's
+problem (Wahba, SIAM Rev. 7, 409 (1965); Kabsch, Acta Cryst. A32, 922
+(1976)).  The targets lie in the S1-S2 plane, so B = [a b 0] with
+a = s_H - s_V and b = s_D - s_A has rank <= 2, and the optimal R is its
+planar polar factor: rows x = unit(a + b x n), y = n x x and n, the unit
+normal of a and b.  The maximum is h = |a + b x n| = sigma1 + sigma2, the
+sum of B's singular values, with sigma1 sigma2 = |a x b|.  The plate
+angles follow from R in closed form: a quarter plate at theta is a +pi/2
+rotation and a half plate a pi rotation, both about (cos 2 theta,
+sin 2 theta, 0).  The per-trial path is scalar arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ import numpy as np
 from .polarization import ChannelUnitary, WavePlateAngles, _matmul2, _plate_stack
 from .tomography import Direction, ReconstructionSet
 
-#: Stokes vectors of the targets H, V, D, A, one per row
-_TARGET_STOKES = np.array(
-    [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
-)
 #: below this tilt of R's third row from the S3 axis, theta1 is free
 _POLE_TOLERANCE = 1e-12
 
@@ -62,6 +58,9 @@ class CompensationOptions:
             )
         if self.motion_penalty_weight > 0.0 and self.previous_angles is None:
             raise ValueError("previous_angles is required when the motion penalty is active")
+
+
+_DEFAULT_OPTIONS = CompensationOptions()
 
 
 @dataclass(frozen=True)
@@ -94,29 +93,47 @@ def _stack_rotation(angles) -> np.ndarray:
     return _quarter_rotation(t3) @ _half_rotation(t2) @ _quarter_rotation(t1)
 
 
-def _wahba_matrix(recon: ReconstructionSet) -> np.ndarray:
-    """B = sum_n s_n t_n^T over reconstructions s_n and targets t_n."""
-    return recon.stokes.T @ _TARGET_STOKES
+def _wahba_columns(recon: ReconstructionSet) -> tuple[tuple, tuple]:
+    """The columns a = s_H - s_V and b = s_D - s_A of B = [a b 0]."""
+    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.stokes.tolist()
+    return (h0 - v0, h1 - v1, h2 - v2), (d0 - a0, d1 - a1, d2 - a2)
 
 
-def _stokes_cost(rotation: np.ndarray, b: np.ndarray, reversed_mode: bool) -> float:
-    """-sum_n <psi_n| V rho_n V+ |psi_n> = -2 - tr(R B) / 2 (R^T when reversed)."""
-    trace = np.sum(rotation * b) if reversed_mode else np.sum(rotation * b.T)
-    return -2.0 - 0.5 * float(trace)
+def _stokes_cost(rotation: np.ndarray, a, b, reversed_mode: bool) -> float:
+    """-sum_n <psi_n| V rho_n V+ |psi_n> = -2 - tr(R B)/2 (R^T when reversed), B = [a b 0]."""
+    r = rotation.T if reversed_mode else rotation
+    return -2.0 - 0.5 * float(r[0] @ a + r[1] @ b)
 
 
-def _optimal_rotation(b: np.ndarray, reversed_mode: bool) -> np.ndarray:
-    """The rotation R maximizing tr(R B), or tr(R^T B) when reversed."""
-    u, _, wt = np.linalg.svd(b)
-    # R = W diag(1, 1, det(W U^T)) U^T, built transposed as U diag(...) W^T
-    sign = 1.0 if _det3(u.tolist()) * _det3(wt.tolist()) > 0.0 else -1.0
-    r_transposed = (u * (1.0, 1.0, sign)) @ wt
-    return r_transposed if reversed_mode else r_transposed.T
+def _wahba_rotation(a, b) -> tuple[tuple, float]:
+    """Rows (x, y, n) of the R maximizing tr(R B) = x . a + y . b, and h = tr(R B).
 
-
-def _det3(m) -> float:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    n is a x b made normal to the longer of a and b, so that when a x b is
+    lost to cancellation (a nearly parallel to b) its error only turns n
+    about that vector, which costs h the small singular value times the
+    squared error.  When a x b vanishes (rank <= 1) every normal of the
+    longer vector is optimal, and when B = 0 every rotation is: R = I.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    aa, bb = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
+    (u0, u1, u2), uu = (a, aa) if aa >= bb else (b, bb)
+    if uu == 0.0:
+        return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0
+    n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    k = (n0 * u0 + n1 * u1 + n2 * u2) / uu
+    n0, n1, n2 = n0 - k * u0, n1 - k * u1, n2 - k * u2
+    norm = math.hypot(n0, n1, n2)
+    if norm == 0.0:
+        # u x e0 or u x e1, whichever axis is further from u
+        n0, n1, n2 = (0.0, u2, -u1) if abs(u0) <= abs(u1) else (-u2, 0.0, u0)
+        norm = math.hypot(n0, n1, n2)
+    n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
+    x0, x1, x2 = a0 + b1 * n2 - b2 * n1, a1 + b2 * n0 - b0 * n2, a2 + b0 * n1 - b1 * n0
+    h = math.hypot(x0, x1, x2)
+    x0, x1, x2 = x0 / h, x1 / h, x2 / h
+    y = (n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0)
+    return ((x0, x1, x2), y, (n0, n1, n2)), h
 
 
 def _plate_settings(rotation, reference) -> list[tuple[float, float, float]]:
@@ -191,12 +208,9 @@ def cost(
     the targets (index order H, V, D, A), plus the motion penalty when
     enabled.
     """
-    opts = opts if opts is not None else CompensationOptions()
-    value = _stokes_cost(
-        _stack_rotation(angles.as_tuple()),
-        _wahba_matrix(recon),
-        recon.direction is Direction.REVERSED,
-    )
+    opts = opts if opts is not None else _DEFAULT_OPTIONS
+    value = _stokes_cost(_stack_rotation(angles.as_tuple()), *_wahba_columns(recon),
+                         recon.direction is Direction.REVERSED)
     if opts.motion_penalty_weight > 0.0:
         value += opts.motion_penalty_weight * _travel(
             angles.as_tuple(), opts.previous_angles.as_tuple()
@@ -218,17 +232,18 @@ def optimize(
     ``evaluations_used`` counts cost evaluations, ``converged`` reports
     whether that search met its tolerance.
     """
-    opts = opts if opts is not None else CompensationOptions()
-    b = _wahba_matrix(recon)
+    opts = opts if opts is not None else _DEFAULT_OPTIONS
     reversed_mode = recon.direction is Direction.REVERSED
-    reference = (
-        opts.previous_angles.as_tuple() if opts.previous_angles is not None else (0.0, 0.0, 0.0)
-    )
-    rotation = _optimal_rotation(b, reversed_mode)
-    settings = _plate_settings(rotation.tolist(), reference)
-    best = min(settings, key=lambda a: _travel(a, reference))
+    previous = opts.previous_angles
+    reference = previous.as_tuple() if previous is not None else (0.0, 0.0, 0.0)
+    a, b = _wahba_columns(recon)
+    rows, h = _wahba_rotation(a, b)
+    settings = _plate_settings(tuple(zip(*rows)) if reversed_mode else rows, reference)
+    best = min(settings, key=lambda setting: _travel(setting, reference))
     evaluations = 1
     converged = True
+    # -sum of fidelities = -2 - tr(R B)/2 at the Wahba optimum tr(R B) = h
+    cost_free = -2.0 - 0.5 * h
     penalty = 0.0
 
     lam = opts.motion_penalty_weight
@@ -238,9 +253,10 @@ def optimize(
         from scipy.optimize import minimize
 
         def objective(x):
-            return _stokes_cost(_stack_rotation(x), b, reversed_mode) + lam * _travel(x, reference)
+            return (_stokes_cost(_stack_rotation(x), a, b, reversed_mode)
+                    + lam * _travel(x, reference))
 
-        starts = [WavePlateAngles(*a).as_tuple() for a in settings] + [reference]
+        starts = [WavePlateAngles(*setting).as_tuple() for setting in settings] + [reference]
         result = None
         for start in starts:
             res = minimize(
@@ -250,12 +266,11 @@ def optimize(
             if result is None or res.fun < result.fun:
                 result = res
         best = result.x
-        rotation = _stack_rotation(best)
+        cost_free = _stokes_cost(_stack_rotation(best), a, b, reversed_mode)
         converged = bool(result.success)
         penalty = lam * _travel(best, reference)
 
     angles = WavePlateAngles(*best)
-    cost_free = _stokes_cost(rotation, b, reversed_mode)
     predicted = 1.0 + cost_free / 4.0
     if predicted < -1e-9 or predicted > 1.0 + 1e-9:
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")

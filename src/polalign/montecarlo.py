@@ -23,6 +23,7 @@ both arms, so its pairs share their channel and counts by construction.
 from __future__ import annotations
 
 import math
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, product
@@ -195,9 +196,8 @@ def generate_counts(
     if cfg.background_mean > 0.0:
         n_rows, n_cols = p.shape
         per_detector = rng.poisson(cfg.background_mean, size=n_cols)
-        row_share = np.full(n_rows, 1.0 / n_rows)
-        for j in range(n_cols):
-            counts[:, j] += rng.multinomial(per_detector[j], row_share)
+        # one row-share draw per column, in column order
+        counts += rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows)).T
     return CountMatrix(cfg.direction, counts)
 
 
@@ -231,7 +231,7 @@ def run_trial(
 
 
 def _float_bits(x: float) -> int:
-    return int(np.float64(x).view(np.uint64))
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
 def trial_seed_sequence(

@@ -29,9 +29,8 @@ ATOL = 1e-12
 
 BB84_LABELS = ("H", "V", "D", "A")
 ALL_LABELS = ("H", "V", "D", "A", "R", "L")
+#: basis of each outcome pair (H/V, D/A, R/L)
 BASIS_NAMES = ("Z", "X", "Y")
-#: basis of each outcome label, in ALL_LABELS order
-BASIS_OF_LABEL = {"H": "Z", "V": "Z", "D": "X", "A": "X", "R": "Y", "L": "Y"}
 
 _SQRT_HALF = math.sqrt(0.5)
 CANONICAL_KETS = {

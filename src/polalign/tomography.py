@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InsufficientCountsError
 from .polarization import (
     ALL_LABELS,
+    BASIS_NAMES,
     BB84_LABELS,
     PAULI_STOKES,
     DensityMatrix,
@@ -38,7 +39,6 @@ from .polarization import (
 _MIN_TOTAL_COUNTS = 6
 #: outcome pairs per basis, as indices into (H, V, D, A, R, L)
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
-_BASIS_NAMES = ("Z", "X", "Y")
 #: the largest float below 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -79,7 +79,7 @@ class CountMatrix:
             raise ValueError(
                 f"{self.direction.value} counts must have shape {expected}, got {c.shape}"
             )
-        if np.any(c < 0) or not np.all(np.isfinite(c)):
+        if not ((0.0 <= c) & (c < math.inf)).all():
             raise ValueError("counts must be finite and nonnegative")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
@@ -114,7 +114,7 @@ def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
     the corresponding component is pinned at zero (no information).
     """
     s = []
-    for name, (i_plus, i_minus) in zip(_BASIS_NAMES, _BASIS_PAIRS):
+    for name, (i_plus, i_minus) in zip(BASIS_NAMES, _BASIS_PAIRS):
         pair_total = counts[i_plus] + counts[i_minus]
         if pair_total <= 0.0:
             if not allow_empty:
@@ -131,11 +131,14 @@ def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
 
 def _outcome_totals(counts) -> list[float]:
     """Six outcome totals as floats; rejects other shapes and negative or non-finite counts."""
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (6,):
-        raise ValueError(f"expected six outcome totals, got shape {c.shape}")
-    n = c.tolist()
-    if any(x < 0 or not math.isfinite(x) for x in n):
+    if type(counts) is list and len(counts) == 6 and all(type(x) is float for x in counts):
+        n = counts
+    else:
+        c = np.asarray(counts, dtype=float)
+        if c.shape != (6,):
+            raise ValueError(f"expected six outcome totals, got shape {c.shape}")
+        n = c.tolist()
+    if not all(0.0 <= x < math.inf for x in n):  # NaN fails both
         raise ValueError("counts must be finite and nonnegative")
     return n
 
@@ -298,7 +301,7 @@ def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix
 
 def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
     stokes = []
-    for label, row in zip(BB84_LABELS, rows):
+    for label, row in zip(BB84_LABELS, rows.tolist()):
         try:
             stokes.append(_mle_stokes(row, allow_empty))
         except InsufficientCountsError as exc:

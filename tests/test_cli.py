@@ -217,6 +217,34 @@ class TestCountFiles:
             assert_rejected(["align", "--counts", str(count_file), flag, "3"], capsys,
                             "unrecognized arguments")
 
+    def test_identical_rows_align(self, tmp_path, capsys, count_file):
+        # four equal rows reconstruct four equal states: no rotation is
+        # preferred, and the prediction is a coin toss
+        payload = json.loads(count_file.read_text())
+        payload["counts"] = [[30, 10, 20, 20, 5, 5]] * 4
+        path = write_json(tmp_path / "same.json", payload)
+        code, out, _err = run(["align", "--counts", path, "--format", "json"], capsys)
+        assert code == 0
+        result = json.loads(out)
+        assert result["predicted_qber"] == 0.5
+        assert result["cost"] == -2.0
+        assert all(math.isfinite(a) for a in result["angles_deg"])
+
+    @pytest.mark.parametrize(
+        "command,rows,match",
+        [
+            ("align", [[0] * 6] * 4, "total counts 0 below the minimum 6"),
+            ("align", [[30, 10, 20, 20, 0, 0]] * 4, "no counts in the Y basis"),
+            ("timing-check", [[0] * 6] * 4, "no detections for input state H"),
+        ],
+    )
+    def test_counts_that_cannot_be_fitted_rejected(self, tmp_path, capsys, count_file,
+                                                   command, rows, match):
+        payload = json.loads(count_file.read_text())
+        payload["counts"] = rows
+        path = write_json(tmp_path / "empty.json", payload)
+        assert_rejected([command, "--counts", path], capsys, match)
+
     def test_timing_check_output(self, capsys, count_file):
         code, out, _err = run(["timing-check", "--counts", str(count_file)], capsys)
         assert code == 0

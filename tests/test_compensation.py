@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 import polalign as pa
-from polalign.compensation import CompensationOptions, wrapped_angle_distance
+from polalign.compensation import CompensationOptions, _wahba_rotation, wrapped_angle_distance
 from polalign.montecarlo import generate_counts
 from polalign.tomography import Direction, ReconstructionSet
 
@@ -265,6 +265,52 @@ class TestOptimize:
         # gap tracks the impurity scale and stays small in absolute terms
         assert mean_pred - mean_act == pytest.approx(mean_impurity, abs=0.005)
         assert mean_pred - mean_act < 0.025
+
+
+def kabsch_maximum(b: np.ndarray) -> float:
+    """max of tr(R B) over rotations R, from the SVD (Kabsch, Acta Cryst. A32, 922 (1976))."""
+    u, sigma, vt = np.linalg.svd(b)
+    return float(sigma[0] + sigma[1] + np.sign(np.linalg.det(u @ vt)) * sigma[2])
+
+
+def wahba_cases():
+    """1000 random (a, b) pairs, then the rank <= 1 and nearly rank-1 cases."""
+    rng = np.random.default_rng(1965)
+    for _ in range(1000):
+        yield rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+    a = np.array([0.7, -1.1, 0.3])
+    side = np.cross(a, [0.2, 0.5, -0.9])
+    side /= np.linalg.norm(side)
+    zero = np.zeros(3)
+    yield a, -0.6 * a  # a parallel to b
+    yield a, 1.3 * a
+    yield zero, a
+    yield a, zero
+    yield zero, zero
+    yield np.array([2.0, 0.0, 0.0]), zero  # pure H and V, no D/A information
+    yield np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])  # both along S3
+    for tilt in (1e-9, 1e-15):
+        yield a, 0.8 * a + tilt * side
+        yield 0.8 * a + tilt * side, a
+
+
+class TestWahbaRotation:
+    """The closed-form rotation for B = [a b 0] against the SVD oracle."""
+
+    def test_matches_kabsch(self):
+        for a, b in wahba_cases():
+            rows, h = _wahba_rotation(a.tolist(), b.tolist())
+            r = np.array(rows)
+            bmat = np.column_stack([a, b, np.zeros(3)])
+            np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-12)
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+            trace = float(np.trace(r @ bmat))
+            assert trace >= kabsch_maximum(bmat) - 1e-12, (a, b)
+            assert h == pytest.approx(trace, rel=0, abs=1e-12)
+            # so the singular values come free: h = s1 + s2 and s1 s2 = |a x b|
+            sigma = np.linalg.svd(bmat, compute_uv=False)
+            assert h == pytest.approx(sigma[0] + sigma[1], rel=0, abs=1e-12)
+            assert np.linalg.norm(np.cross(a, b)) == pytest.approx(sigma[0] * sigma[1], abs=1e-12)
 
 
 class TestResidualQber:

@@ -228,3 +228,93 @@ class TestAsymptoticOracle:
             expected = 2.25 * (v ** -2 - 0.2) / n
             sem = cell.std_qber / math.sqrt(cell.samples - cell.failures)
             assert abs(cell.mean_qber - expected) <= 4.0 * sem, (cell, expected)
+
+
+class TestGoldenStream:
+    """Cell moments pinned to the values the seeded streams gave when recorded.
+
+    A change that only reorders arithmetic moves them by rounding; one that
+    changes a draw, a seed or the estimator moves them far more.
+    """
+
+    SWEEP = [
+        # (direction, N, F_S, failures, mean, std)
+        ("forward", 400, 1.0, 0, 0.004957595316086966, 0.005190100228389962),
+        ("forward", 400, 0.95, 0, 0.006152478610199699, 0.004522524291635638),
+        ("forward", 6400, 1.0, 0, 0.00024655012516487386, 0.00019397983225963945),
+        ("forward", 6400, 0.95, 0, 0.00030682781762703115, 0.00025263360994438714),
+        ("reversed", 400, 1.0, 0, 0.004807003706296156, 0.0036339422358959384),
+        ("reversed", 400, 0.95, 0, 0.005771457627854826, 0.004540721088914179),
+        ("reversed", 6400, 1.0, 0, 0.0002969252483796425, 0.00030211893113927445),
+        ("reversed", 6400, 0.95, 0, 0.00033301188168348704, 0.00028952132918906733),
+    ]
+    STUDY = [
+        # (direction, bg, failures, mean plain, std plain, mean subtracted, std subtracted)
+        ("forward", 20.0, 0, 0.009467345161605911, 0.006288762270304983,
+         0.00963505596608695, 0.006200804510378126),
+        ("forward", 100.0, 0, 0.016866314176889503, 0.009774332747679292,
+         0.01742057936911625, 0.01171738939446283),
+        ("reversed", 20.0, 0, 0.006682416139001779, 0.004774980650229467,
+         0.0070610451920780195, 0.005147935749382396),
+        ("reversed", 100.0, 0, 0.017822418775390505, 0.014249446310068768,
+         0.01871921837180375, 0.015129023967165993),
+    ]
+
+    def test_sweep_and_study_reproduce(self):
+        sweep = pa.run_sweep(["forward", "reversed"], [400, 6400], [1.0, 0.95],
+                             samples=40, master_seed=7)
+        got = [(c.direction.value, c.n_detected, c.signal_fidelity, c.failures)
+               for c in sweep.cells]
+        assert got == [row[:4] for row in self.SWEEP]
+        for cell, (*_, mean, std) in zip(sweep.cells, self.SWEEP):
+            assert cell.mean_qber == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert cell.std_qber == pytest.approx(std, rel=1e-12, abs=0.0)
+
+        study = pa.background_study(["forward", "reversed"], [400], [0.95], [20.0, 100.0],
+                                    samples=40, master_seed=7)
+        got = [(c.direction.value, c.background_mean, c.failures) for c in study.cells]
+        assert got == [row[:3] for row in self.STUDY]
+        for cell, (*_, mean_bg, std_bg, mean_sub, std_sub) in zip(study.cells, self.STUDY):
+            assert cell.mean_with_background == pytest.approx(mean_bg, rel=1e-12, abs=0.0)
+            assert cell.std_with_background == pytest.approx(std_bg, rel=1e-12, abs=0.0)
+            assert cell.mean_subtracted == pytest.approx(mean_sub, rel=1e-12, abs=0.0)
+            assert cell.std_subtracted == pytest.approx(std_sub, rel=1e-12, abs=0.0)
+
+
+class TestSeeds:
+    def test_entropy_pinned(self):
+        # float coordinates enter as their IEEE-754 bit patterns, so -0.0
+        # and 0.0 seed different streams
+        ss = montecarlo.trial_seed_sequence
+        assert ss(7, D.FORWARD, 400, 0.95, 0.0, 3).entropy == [
+            7, 0, 400, 4606732058837280358, 0, 3]
+        assert ss(7, D.REVERSED, 6400, 1.0, 20.0, 249).entropy == [
+            7, 1, 6400, 4607182418800017408, 4626322717216342016, 249]
+        assert ss(7, D.FORWARD, 400, 0.95, -0.0, 3).entropy == [
+            7, 0, 400, 4606732058837280358, 9223372036854775808, 3]
+
+
+class TestGenerateCounts:
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("background", [20.0, 100.0])
+    def test_background_matches_per_column_draws(self, direction, background):
+        # the background written out one detector column at a time: the
+        # single multinomial call must draw the same columns from the same
+        # stream, and leave the generator in the same state
+        cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            u = pa.haar_random_unitary(rng)
+            drawn = montecarlo.generate_counts(u, cfg, rng)
+            after = rng.random()
+
+            rng = np.random.default_rng(seed)
+            u = pa.haar_random_unitary(rng)
+            p = montecarlo.expected_probabilities(u, direction, cfg.signal_fidelity)
+            counts = rng.multinomial(cfg.n_detected, p.ravel()).reshape(p.shape).astype(float)
+            n_rows, n_cols = p.shape
+            per_detector = rng.poisson(background, size=n_cols)
+            for j in range(n_cols):
+                counts[:, j] += rng.multinomial(per_detector[j], np.full(n_rows, 1.0 / n_rows))
+            assert np.array_equal(drawn.counts, counts)
+            assert rng.random() == after

@@ -38,6 +38,18 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             pa.CountMatrix(D.FORWARD, counts)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        counts = np.zeros((4, 6))
+        counts[2, 3] = bad
+        with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
+            pa.CountMatrix(D.FORWARD, counts)
+
+    def test_large_finite_counts_accepted(self):
+        # the check is elementwise: counts whose sum overflows are still finite
+        counts = np.full((4, 6), 1e308)
+        assert pa.CountMatrix(D.FORWARD, counts).counts[3, 5] == 1e308
+
     def test_total(self):
         cm = pa.CountMatrix(D.FORWARD, np.full((4, 6), 2.0))
         assert cm.total == 48.0
@@ -90,6 +102,20 @@ class TestLinearInversion:
     def test_non_finite_or_negative_rejected(self, estimator, bad):
         with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
             estimator([bad, 1, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    @pytest.mark.parametrize("estimator", [pa.linear_inversion, pa.mle_reconstruct])
+    def test_every_form_checked(self, estimator, form, bad):
+        # a list of six floats is checked as it stands, other forms through an array
+        with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
+            estimator(form([1.0, 1.0, 1.0, 1.0, 1.0, bad]))
+
+    @pytest.mark.parametrize("counts", [[1.0] * 5, [1.0] * 7, [[1.0] * 6], [[1.0] * 3] * 2])
+    @pytest.mark.parametrize("estimator", [pa.linear_inversion, pa.mle_reconstruct])
+    def test_other_shapes_rejected(self, estimator, counts):
+        with pytest.raises(ValueError, match="expected six outcome totals"):
+            estimator(counts)
 
 
 class TestMLE:

@@ -31,6 +31,8 @@ from . import __version__
 from .compensation import optimize
 from .errors import FitError, InsufficientCountsError, PolalignError, SchemaError
 from .montecarlo import (
+    MAX_BACKGROUND_MEAN,
+    MAX_DETECTIONS,
     DetectionRateParams,
     SweepCell,
     expected_detection_rate,
@@ -378,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 
 
-#: the multinomial draw of the counts takes a 64-bit integer budget
-_MAX_N = int(np.iinfo(np.int64).max)
 #: keys of a simulate configuration, as stored in its manifest
 _SIMULATE_KEYS = ("direction", "n", "fs", "bg", "bg_subtract", "samples", "seed", "format", "out")
 
@@ -425,14 +425,16 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
     for n in config["n"]:
         if n < minimum_n:
             fail("n", f"{n} is below the {direction} minimum of {minimum_n}")
-        if n > _MAX_N:
-            fail("n", f"{n} is above the largest supported budget {_MAX_N}")
+        if n > MAX_DETECTIONS:
+            fail("n", f"{n} is above the largest supported budget {MAX_DETECTIONS}")
     for fs in config["fs"]:
         if not 0.5 <= fs <= 1.0:
             fail("fs", f"{fs} outside the signal-fidelity range [0.5, 1]")
     for bg in config["bg"]:
         if bg < 0:
             fail("bg", f"{bg} must be >= 0")
+        if bg > MAX_BACKGROUND_MEAN:
+            fail("bg", f"{bg} is above the largest supported background {MAX_BACKGROUND_MEAN:g}")
     if not isinstance(config["bg_subtract"], bool):
         fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
     if not _is_int(config["samples"]) or config["samples"] < 1:

@@ -197,6 +197,28 @@ def _travel(angles, reference) -> float:
             + wrapped_angle_distance(a3, b3))
 
 
+def _least_travel(settings, reference) -> tuple[float, float, float]:
+    """The first of ``settings`` with the least :func:`_travel` from ``reference``.
+
+    The settings come in pairs whose half plates differ by pi/2, and a half
+    plate at distance d from the reference puts its partner at pi/2 - d,
+    so each pair costs three distances, not six.  Where the two half plates
+    are equally far to within rounding, that difference can pick the other
+    one of the pair: both give the same rotation and the same travel.
+    """
+    r1, r2, r3 = reference
+    best, least = None, math.inf
+    for k in (0, 2):
+        t1, t2, t3 = settings[k]
+        d1, d2, d3 = (wrapped_angle_distance(t1, r1), wrapped_angle_distance(t2, r2),
+                      wrapped_angle_distance(t3, r3))
+        flipped = math.pi / 2.0 - d2
+        travel, pick = (d1 + d2 + d3, k) if d2 <= flipped else (d1 + flipped + d3, k + 1)
+        if travel < least:
+            best, least = settings[pick], travel
+    return best
+
+
 def cost(
     angles: WavePlateAngles,
     recon: ReconstructionSet,
@@ -239,7 +261,7 @@ def optimize(
     a, b = _wahba_columns(recon)
     rows, h = _wahba_rotation(a, b)
     settings = _plate_settings(tuple(zip(*rows)) if reversed_mode else rows, reference)
-    best = min(settings, key=lambda setting: _travel(setting, reference))
+    best = _least_travel(settings, reference)
     evaluations = 1
     converged = True
     # -sum of fidelities = -2 - tr(R B)/2 at the Wahba optimum tr(R B) = h

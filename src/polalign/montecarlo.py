@@ -13,11 +13,14 @@ by ordinary least squares in log space.
 
 Determinism: every trial's generator is seeded from (master seed, cell
 coordinates, trial index), so results are bit-identical for any worker
-count.  Mean-background subtraction is a deterministic step on a drawn
-count matrix, not part of the draw: one trial draws its channel and counts
-once and scores every requested arm (without and/or with subtraction) from
-that one draw.  A paired background study is the sweep engine asked for
-both arms, so its pairs share their channel and counts by construction.
+count.  A block of trials seeds each trial with the uint32 words NumPy
+makes of :func:`trial_seed_sequence`'s list, the cell's words computed
+once per block, so both give the same stream.  Mean-background
+subtraction is a deterministic step on a drawn count matrix, not part of
+the draw: one trial draws its channel and counts once and scores every
+requested arm (without and/or with subtraction) from that one draw.  A
+paired background study is the sweep engine asked for both arms, so its
+pairs share their channel and counts by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .compensation import optimize, residual_qber
 from .errors import FitError, InsufficientCountsError, SweepError
-from .polarization import BB84_KETS, SIX_STATE_KETS, ChannelUnitary, haar_random_unitary
+from .polarization import ChannelUnitary, haar_random_unitary
 from .tomography import (
     CountMatrix,
     Direction,
@@ -42,6 +45,10 @@ from .tomography import (
 
 #: largest fraction of failed trials a sweep cell tolerates before aborting
 MAX_FAILURE_FRACTION = 0.01
+#: largest detection budget a trial can draw (NumPy's int64 multinomial)
+MAX_DETECTIONS = int(np.iinfo(np.int64).max)
+#: largest mean background NumPy's Poisson sampler accepts
+MAX_BACKGROUND_MEAN = float(MAX_DETECTIONS - 10.0 * math.sqrt(MAX_DETECTIONS))
 _BLOCK_SIZE = 250
 
 
@@ -61,12 +68,20 @@ class TrialConfig:
                 f"{self.direction.value} trials need at least {minimum} detections, "
                 f"got {self.n_detected}"
             )
+        if self.n_detected > MAX_DETECTIONS:
+            raise ValueError(
+                f"detection budget {self.n_detected} is above the largest supported "
+                f"budget {MAX_DETECTIONS}"
+            )
         if not 0.5 <= self.signal_fidelity <= 1.0:
             raise ValueError(
                 f"signal fidelity must be in [0.5, 1], got {self.signal_fidelity!r}"
             )
-        if self.background_mean < 0.0:
-            raise ValueError(f"background mean must be >= 0, got {self.background_mean!r}")
+        if not 0.0 <= self.background_mean <= MAX_BACKGROUND_MEAN:  # NaN fails both
+            raise ValueError(
+                f"background mean must be in [0, {MAX_BACKGROUND_MEAN:g}], "
+                f"got {self.background_mean!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -139,10 +154,14 @@ class DetectionRateParams:
     vacuum_yield: float = 0.0
 
     def __post_init__(self):
-        if self.pulse_rate_hz < 0.0:
-            raise ValueError(f"pulse rate must be >= 0 Hz, got {self.pulse_rate_hz!r}")
-        if self.mean_photon_number < 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.mean_photon_number!r}")
+        if not 0.0 <= self.pulse_rate_hz < math.inf:
+            raise ValueError(
+                f"pulse rate must be finite and >= 0 Hz, got {self.pulse_rate_hz!r}"
+            )
+        if not 0.0 <= self.mean_photon_number < math.inf:
+            raise ValueError(
+                f"mean photon number must be finite and >= 0, got {self.mean_photon_number!r}"
+            )
         if not 0.0 <= self.channel_transmission <= 1.0:
             raise ValueError(
                 f"channel transmission must be in [0, 1], got {self.channel_transmission!r}"
@@ -160,17 +179,38 @@ def expected_probabilities(
     row n and outcome column m: uniform input choice, uniform basis choice
     (three bases forward, two reversed), Born-rule outcome within the
     basis for the depolarized post-channel state.  Sums to one.
+
+    Both directions have 12 (input, basis) pairs, and each input and
+    outcome is a signed Stokes axis, so with R the Stokes rotation of U
+    every entry is (1 +- (2 F_S - 1) R_kj)/24: outcome axis k, input axis j.
+    Forward reads the columns R e1 and R e2 (inputs H/V and D/A), reversed
+    the rows 0 and 1 (outcomes H/V and D/A).  With U = [[a, b], [c, d]]:
+
+        R e1 = (|a|^2 - |b|^2, Re(a c* - b d*), -Im(a c* - b d*))
+        R e2 = (Re(a b* - c d*), Re(a d* + b c*), -Im(a d* + b c*))
+        R_02 = Im(a b* - c d*),  R_12 = Im(a d* - b c*)
     """
-    if direction is Direction.FORWARD:
-        inputs, outcomes = BB84_KETS, SIX_STATE_KETS
+    (a, b), (c, d) = u.entries.tolist()
+    ac = a * c.conjugate() - b * d.conjugate()
+    ab = a * b.conjugate() - c * d.conjugate()
+    ad = a * d.conjugate() + b * c.conjugate()
+    r00 = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
+    f = 2.0 * signal_fidelity - 1.0
+    forward = direction is Direction.FORWARD
+    if forward:
+        axes = ((r00, ac.real, -ac.imag), (ab.real, ad.real, -ad.imag))
     else:
-        inputs, outcomes = SIX_STATE_KETS, BB84_KETS
-    n_in = inputs.shape[1]
-    n_bases = 3 if direction is Direction.FORWARD else 2
-    fs = signal_fidelity
-    overlap = np.abs(outcomes.conj().T @ (u.entries @ inputs)) ** 2  # (outcomes, inputs)
-    born = (2.0 * fs - 1.0) * overlap + (1.0 - fs)
-    return born.T / (n_in * n_bases)
+        r12 = (a * d.conjugate() - b * c.conjugate()).imag
+        axes = ((r00, ab.real, ab.imag), (ac.real, ad.real, r12))
+    cells = []
+    for x0, x1, x2 in axes:
+        x0, x1, x2 = f * x0, f * x1, f * x2
+        h0, l0, h1, l1, h2, l2 = ((1.0 + x0) / 24.0, (1.0 - x0) / 24.0, (1.0 + x1) / 24.0,
+                                  (1.0 - x1) / 24.0, (1.0 + x2) / 24.0, (1.0 - x2) / 24.0)
+        # the opposite input (outcome) of the axis swaps each pair
+        cells += (h0, l0, h1, l1, h2, l2, l0, h0, l1, h1, l2, h2)
+    p = np.array(cells).reshape(4, 6)
+    return p if forward else p.T
 
 
 def expected_background_per_cell(cfg: TrialConfig) -> float:
@@ -192,12 +232,14 @@ def generate_counts(
     arm that asks for it.
     """
     p = expected_probabilities(u, cfg.direction, cfg.signal_fidelity)
-    counts = rng.multinomial(cfg.n_detected, p.ravel()).reshape(p.shape).astype(float)
+    counts = rng.multinomial(cfg.n_detected, p.ravel()).reshape(p.shape)
     if cfg.background_mean > 0.0:
         n_rows, n_cols = p.shape
         per_detector = rng.poisson(cfg.background_mean, size=n_cols)
-        # one row-share draw per column, in column order
-        counts += rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows)).T
+        # one row-share draw per column, in column order; summed as floats,
+        # where int64 could overflow
+        counts = np.add(counts, rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows)).T,
+                        dtype=float)
     return CountMatrix(cfg.direction, counts)
 
 
@@ -234,6 +276,28 @@ def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
+def _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
+                           background_mean) -> list[int]:
+    """The seed entropy of a cell, before the trial index: float coordinates as their bits."""
+    dir_code = 0 if direction is Direction.FORWARD else 1
+    return [int(master_seed), dir_code, int(n_detected), _float_bits(signal_fidelity),
+            _float_bits(background_mean)]
+
+
+def _uint32_words(values) -> list[int]:
+    """The uint32 words SeedSequence makes of non-negative ints: little-endian, 0 as [0]."""
+    words = []
+    for v in values:
+        if v < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {v}")
+        words.append(v & 0xFFFFFFFF)
+        v >>= 32
+        while v:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+    return words
+
+
 def trial_seed_sequence(
     master_seed: int,
     direction: Direction,
@@ -247,17 +311,9 @@ def trial_seed_sequence(
     Mean-background subtraction is not a coordinate: it acts on the drawn
     counts, so every arm of a trial shares the one draw.
     """
-    dir_code = 0 if direction is Direction.FORWARD else 1
-    return np.random.SeedSequence(
-        [
-            int(master_seed),
-            dir_code,
-            int(n_detected),
-            _float_bits(signal_fidelity),
-            _float_bits(background_mean),
-            int(trial_index),
-        ]
-    )
+    coordinates = _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
+                                         background_mean)
+    return np.random.SeedSequence(coordinates + [int(trial_index)])
 
 
 def _trial_rng(ss: np.random.SeedSequence) -> np.random.Generator:
@@ -281,12 +337,12 @@ def _cell_configs(directions, n_values, fs_values, background_means):
 def _block(args):
     """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed."""
     master_seed, cfg, arms, start, stop = args
+    # the words of trial_seed_sequence's entropy, the cell's taken once
+    cell_words = _uint32_words(_cell_seed_coordinates(
+        master_seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean))
     values = []
     for t in range(start, stop):
-        ss = trial_seed_sequence(
-            master_seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity,
-            cfg.background_mean, t,
-        )
+        ss = np.random.SeedSequence(np.array(cell_words + _uint32_words((t,)), dtype=np.uint32))
         try:
             values.append(run_trial(cfg, _trial_rng(ss), arms))
         except InsufficientCountsError:

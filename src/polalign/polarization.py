@@ -56,8 +56,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 #: the BB84 kets as columns, in BB84_LABELS order
 BB84_KETS = _freeze(np.column_stack([CANONICAL_KETS[lab] for lab in BB84_LABELS]))
-#: the six canonical kets as columns, in ALL_LABELS order
-SIX_STATE_KETS = _freeze(np.column_stack([CANONICAL_KETS[lab] for lab in ALL_LABELS]))
 
 
 def reduce_angle(theta: float) -> float:
@@ -262,13 +260,14 @@ def haar_random_unitary(rng: np.random.Generator) -> ChannelUnitary:
     3-sphere, where |U00|^2 is uniform on [0, 1] and the two internal
     phases are uniform; an overall random phase lifts SU(2) to U(2).
     """
-    u, alpha, beta, gamma = rng.random(4)
+    u, alpha, beta, gamma = rng.random(4).tolist()
     ca = math.sqrt(u)
     sa = math.sqrt(1.0 - u)
     a = ca * cmath.exp(2j * math.pi * alpha)
     b = sa * cmath.exp(2j * math.pi * beta)
     phase = cmath.exp(2j * math.pi * gamma)
     mat = np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
+    # an array multiply: Python's complex product rounds some entries differently
     return ChannelUnitary(phase * mat)
 
 

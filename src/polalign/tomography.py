@@ -131,13 +131,14 @@ def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
 
 def _outcome_totals(counts) -> list[float]:
     """Six outcome totals as floats; rejects other shapes and negative or non-finite counts."""
-    if type(counts) is list and len(counts) == 6 and all(type(x) is float for x in counts):
-        n = counts
-    else:
-        c = np.asarray(counts, dtype=float)
-        if c.shape != (6,):
-            raise ValueError(f"expected six outcome totals, got shape {c.shape}")
-        n = c.tolist()
+    if (type(counts) is list and len(counts) == 6
+            and all(type(x) is float and 0.0 <= x < math.inf for x in counts)):
+        return counts
+    # anything else, a list with a bad value included, is checked as an array
+    c = np.asarray(counts, dtype=float)
+    if c.shape != (6,):
+        raise ValueError(f"expected six outcome totals, got shape {c.shape}")
+    n = c.tolist()
     if not all(0.0 <= x < math.inf for x in n):  # NaN fails both
         raise ValueError("counts must be finite and nonnegative")
     return n

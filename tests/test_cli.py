@@ -176,6 +176,21 @@ class TestSimulate:
                 "--out", str(tmp_path / "s.csv")]
         assert_rejected(argv, capsys, "--n: 100000000000000000000 is above the largest")
 
+    @pytest.mark.parametrize("bg", ["1e19", "1e300"])
+    def test_background_above_sampler_limit_rejected(self, tmp_path, capsys, bg):
+        argv = ["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95",
+                "--bg", bg, "--samples", "1", "--seed", "1", "--jobs", "1",
+                "--out", str(tmp_path / "s.csv")]
+        assert_rejected(argv, capsys, f"--bg: {float(bg)} is above the largest supported background")
+
+    def test_manifest_background_above_sampler_limit_rejected(self, tmp_path, capsys):
+        config = {"direction": "reversed", "n": [400], "fs": [0.95], "bg": [1e19],
+                  "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
+                  "out": str(tmp_path / "s.csv")}
+        path = write_json(tmp_path / "m.json", {"config": config})
+        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
+                        "bg: 1e+19 is above the largest supported background")
+
     def test_manifest_without_config(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [1, 2])
         assert_rejected(["simulate", "--from-manifest", path], capsys, "no config block")

@@ -6,7 +6,14 @@ import pytest
 from scipy.optimize import minimize
 
 import polalign as pa
-from polalign.compensation import CompensationOptions, _wahba_rotation, wrapped_angle_distance
+from polalign.compensation import (
+    CompensationOptions,
+    _least_travel,
+    _plate_settings,
+    _travel,
+    _wahba_rotation,
+    wrapped_angle_distance,
+)
 from polalign.montecarlo import generate_counts
 from polalign.tomography import Direction, ReconstructionSet
 
@@ -407,3 +414,36 @@ class TestWrappedDistance:
 
     def test_period(self):
         assert wrapped_angle_distance(0.2, 0.2 + math.pi) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestLeastTravel:
+    @staticmethod
+    def four_way(settings, reference):
+        return min(settings, key=lambda setting: _travel(setting, reference))
+
+    def test_matches_four_way_min(self):
+        # the pairwise choice against every setting's travel summed directly,
+        # on the settings of random rotations from random references
+        rng = np.random.default_rng(8)
+        for k in range(4000):
+            rows, _ = _wahba_rotation(tuple(rng.normal(size=3)), tuple(rng.normal(size=3)))
+            reference = (0.0, 0.0, 0.0) if k % 4 == 0 else tuple(rng.uniform(0.0, math.pi, 3))
+            settings = _plate_settings(rows, reference)
+            assert _least_travel(settings, reference) is self.four_way(settings, reference)
+
+    def test_ties_at_quarter_pi_keep_the_first(self):
+        # half plates at +-pi/4 from the reference are exactly as far from
+        # it as their partners, so each pair ties within; a second pair
+        # equal to the first ties across pairs too: min keeps the first
+        rng = np.random.default_rng(9)
+        q = math.pi / 4.0
+        for _ in range(2000):
+            t1, t3, u1, u3, r1, r3 = rng.uniform(0.0, math.pi, 6)
+            t2, u2 = rng.choice([q, -q], size=2)
+            reference = (r1, 0.0, r3)
+            for second in ((u1, u2, u3), (t1, t2, t3)):
+                settings = [(t1, t2, t3), (t1, t2 + 2.0 * q, t3),
+                            second, (second[0], second[1] + 2.0 * q, second[2])]
+                chosen = _least_travel(settings, reference)
+                assert chosen is self.four_way(settings, reference)
+            assert chosen is settings[0]

@@ -209,6 +209,60 @@ class TestGridChecks:
             getattr(pa, entry)(**grid)
 
 
+class TestConfigLimits:
+    @pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, 1e19, 1e300,
+                                            math.nextafter(montecarlo.MAX_BACKGROUND_MEAN,
+                                                           math.inf)])
+    def test_background_the_sampler_cannot_draw_rejected(self, background):
+        with pytest.raises(ValueError, match="background mean must be in"):
+            pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=background)
+
+    def test_budget_above_int64_rejected(self):
+        with pytest.raises(ValueError, match="above the largest supported budget"):
+            pa.TrialConfig(D.REVERSED, montecarlo.MAX_DETECTIONS + 1, 0.95)
+
+    def test_nan_background_sweep_rejected(self):
+        with pytest.raises(ValueError, match="background mean"):
+            pa.run_sweep(["forward"], [400], [0.95], samples=2, master_seed=1,
+                         background_means=[math.nan])
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_largest_supported_values_draw(self, direction):
+        # the limits are what NumPy's multinomial and Poisson samplers accept
+        cfg = pa.TrialConfig(direction, montecarlo.MAX_DETECTIONS, 0.95,
+                             background_mean=montecarlo.MAX_BACKGROUND_MEAN)
+        rng = np.random.default_rng(1)
+        cm = montecarlo.generate_counts(pa.haar_random_unitary(rng), cfg, rng)
+        assert math.isfinite(cm.total) and cm.total > montecarlo.MAX_DETECTIONS
+
+    @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_detection_rate_params_rejected(self, field, value):
+        params = dict(pulse_rate_hz=1e6, mean_photon_number=0.1, channel_transmission=0.5)
+        params[field] = value
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            pa.DetectionRateParams(**params)
+
+
+class TestExpectedProbabilities:
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("fs", [0.5, 0.95, 1.0])
+    def test_matches_born_rule(self, direction, fs):
+        # the Born rule written out with kets and matrix products: the
+        # closed Stokes form must agree on every cell
+        bb84 = np.column_stack([pa.CANONICAL_KETS[lab] for lab in "HVDA"])
+        six = np.column_stack([pa.CANONICAL_KETS[lab] for lab in "HVDARL"])
+        inputs, outcomes, n_bases = (bb84, six, 3) if direction is D.FORWARD else (six, bb84, 2)
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            u = pa.haar_random_unitary(rng)
+            overlap = np.abs(outcomes.conj().T @ (u.entries @ inputs)) ** 2
+            born = ((2.0 * fs - 1.0) * overlap + (1.0 - fs)).T / (inputs.shape[1] * n_bases)
+            p = montecarlo.expected_probabilities(u, direction, fs)
+            assert p.shape == born.shape
+            np.testing.assert_allclose(p, born, rtol=0.0, atol=1e-15)
+
+
 class TestAsymptoticOracle:
     def test_mean_residual_follows_inverse_n_law(self):
         # a small Wahba error omega about the targets' frame gives
@@ -292,6 +346,38 @@ class TestSeeds:
             7, 1, 6400, 4607182418800017408, 4626322717216342016, 249]
         assert ss(7, D.FORWARD, 400, 0.95, -0.0, 3).entropy == [
             7, 0, 400, 4606732058837280358, 9223372036854775808, 3]
+
+    CELLS = [
+        (D.FORWARD, 400, 0.95, 0.0),
+        (D.FORWARD, 400, 0.95, -0.0),
+        (D.REVERSED, 6400, 1.0, 20.0),
+        (D.FORWARD, 2**32, 0.5, montecarlo.MAX_BACKGROUND_MEAN),
+        (D.REVERSED, montecarlo.MAX_DETECTIONS, 0.75, 100.0),
+    ]
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("start", [0, 2**32 - 2])
+    def test_block_seeds_match_definition(self, monkeypatch, master_seed, start):
+        # a block builds each seed from uint32 words of its own; every
+        # stream it starts must be the one trial_seed_sequence defines
+        states = []
+        monkeypatch.setattr(montecarlo, "_trial_rng",
+                            lambda ss: states.append(ss.generate_state(8)))
+        monkeypatch.setattr(montecarlo, "run_trial", lambda cfg, rng, arms: (0.0,))
+        for direction, n, fs, bg in self.CELLS:
+            cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
+            states.clear()
+            montecarlo._block((master_seed, cfg, (False,), start, start + 4))
+            for t, state in zip(range(start, start + 4), states, strict=True):
+                expected = montecarlo.trial_seed_sequence(master_seed, direction, n, fs, bg, t)
+                assert np.array_equal(state, expected.generate_state(8)), (cfg, t)
+
+    def test_negative_master_seed_rejected(self):
+        cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
+        with pytest.raises(ValueError):
+            montecarlo.trial_seed_sequence(-1, D.FORWARD, 400, 0.95, 0.0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            montecarlo._block((-1, cfg, (False,), 0, 1))
 
 
 class TestGenerateCounts:

@@ -327,6 +327,38 @@ class TestHaarSampling:
             u = pa.haar_random_unitary(rng).entries
             np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
+    # the entries of draws from default_rng([11, k]), k = 0..4, as hex floats
+    PINNED = [
+        [("-0x1.6984af0beb9ebp-2", "-0x1.00c0ebbb137fbp-4"),
+         ("-0x1.46c58c9e35661p-1", "-0x1.5ccc67b576d12p-1"),
+         ("0x1.acce719d5bc12p-1", "-0x1.a6358c3719016p-2"),
+         ("-0x1.68ebc22bf1c75p-2", "-0x1.0ddd8e2c3deb9p-4")],
+        [("-0x1.bd0f4c070d762p-2", "-0x1.dbb65ca25c487p-4"),
+         ("-0x1.ba8d031b20b1dp-1", "-0x1.cc368194d56b7p-3"),
+         ("0x1.24338ad6efd55p-2", "0x1.b14b151dbcb42p-1"),
+         ("-0x1.2c4972d072418p-3", "-0x1.b38584177e2b0p-2")],
+        [("-0x1.aa7f1dbd8f3b6p-2", "-0x1.b39bacd739885p-1"),
+         ("0x1.cdd5e01b4ef15p-3", "-0x1.d233a3d7469c8p-3"),
+         ("0x1.ee6b0d87283b2p-4", "0x1.2ff13abe59642p-2"),
+         ("0x1.6c46d69c3b535p-1", "-0x1.4034ac56494ebp-1")],
+        [("-0x1.cd32438bd36ffp-2", "0x1.bed8c96ca86d7p-1"),
+         ("-0x1.7e1815d98c070p-3", "0x1.a341c1bef7fe3p-6"),
+         ("0x1.7d0f23e9fd9f7p-3", "-0x1.dbbc6a213b9b7p-6"),
+         ("-0x1.5d26681cdb1e4p-1", "-0x1.69dbe0857cd32p-1")],
+        [("-0x1.2aa9515f2e72ap-6", "-0x1.898a18c8f1d37p-2"),
+         ("0x1.c9f78d5edffb2p-1", "0x1.d28ef2173de82p-3"),
+         ("-0x1.b423fc2f99a72p-1", "0x1.6bfa56a410ac8p-2"),
+         ("0x1.3606575facdd3p-5", "0x1.8812421e44c62p-2")],
+    ]
+
+    def test_entries_pinned(self):
+        # bit for bit: the phase product rounds as NumPy's complex multiply
+        # does, and a change of arithmetic there changes the last bits
+        for k, expected in enumerate(self.PINNED):
+            u = pa.haar_random_unitary(np.random.default_rng([11, k]))
+            got = [(z.real.hex(), z.imag.hex()) for z in u.entries.ravel().tolist()]
+            assert got == expected
+
     def test_mean_overlap_is_half(self, overlap_samples):
         assert abs(overlap_samples.mean() - 0.5) < 0.002
 

@@ -570,7 +570,7 @@ def cmd_align(parser, args) -> int:
     angles_deg = [math.degrees(t) for t in result.angles.as_tuple()]
     stokes = {
         label: [round(x, 9) for x in row]
-        for label, row in zip(BB84_LABELS, recon.stokes.tolist())
+        for label, row in zip(BB84_LABELS, recon.rows)
     }
     if args.format == "json":
         payload = {

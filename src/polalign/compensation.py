@@ -95,7 +95,7 @@ def _stack_rotation(angles) -> np.ndarray:
 
 def _wahba_columns(recon: ReconstructionSet) -> tuple[tuple, tuple]:
     """The columns a = s_H - s_V and b = s_D - s_A of B = [a b 0]."""
-    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.stokes.tolist()
+    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.rows
     return (h0 - v0, h1 - v1, h2 - v2), (d0 - a0, d1 - a1, d2 - a2)
 
 
@@ -294,16 +294,10 @@ def optimize(
 
     angles = WavePlateAngles(*best)
     predicted = 1.0 + cost_free / 4.0
-    if predicted < -1e-9 or predicted > 1.0 + 1e-9:
+    if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
     predicted = min(1.0, max(0.0, predicted))
-    return CompensationResult(
-        angles=angles,
-        cost=cost_free + penalty,
-        predicted_qber=predicted,
-        evaluations_used=evaluations,
-        converged=converged,
-    )
+    return CompensationResult(angles, cost_free + penalty, predicted, evaluations, converged)
 
 
 def residual_qber(
@@ -317,10 +311,12 @@ def residual_qber(
     phase, independent of any source depolarization.  Clamped at 0, where
     an exact compensation can round the sum of overlaps above 4.
     """
+    if type(direction) is not Direction:
+        direction = Direction(direction)
     v = _plate_stack(angles)
-    u = tuple(true_channel.entries.ravel().tolist())
-    forward = Direction(direction) is Direction.FORWARD
-    w00, w01, w10, w11 = _matmul2(v, u) if forward else _matmul2(u, v)
-    # <psi|W|psi> for H, V, D and A
-    diagonal = (w00, w11, (w00 + w01 + w10 + w11) / 2.0, (w00 - w01 - w10 + w11) / 2.0)
-    return max(0.0, 1.0 - sum(abs(z) ** 2 for z in diagonal) / 4.0)
+    u = true_channel.entries.ravel().tolist()
+    w00, w01, w10, w11 = _matmul2(v, u) if direction is Direction.FORWARD else _matmul2(u, v)
+    # |<psi|W|psi>|^2 summed over H, V, D and A
+    overlaps = (abs(w00) ** 2 + abs(w11) ** 2 + abs((w00 + w01 + w10 + w11) / 2.0) ** 2
+                + abs((w00 - w01 - w10 + w11) / 2.0) ** 2)
+    return max(0.0, 1.0 - overlaps / 4.0)

@@ -265,7 +265,7 @@ def run_trial(
         cm = drawn
         if subtract and cfg.background_mean > 0.0:
             # the pre-calibrated mean per cell, clipped so no count goes negative
-            counts = np.clip(drawn.counts - expected_background_per_cell(cfg), 0.0, None)
+            counts = np.maximum(drawn.counts - expected_background_per_cell(cfg), 0.0)
             cm = CountMatrix(cfg.direction, counts, background_subtracted=True)
         result = optimize(reconstruct(cm))
         qbers.append(residual_qber(u, result.angles, cfg.direction))
@@ -489,21 +489,26 @@ def fit_power_law(sweep, select=None) -> FitResult:
 
     ``select`` optionally filters the cells entering the fit.  Requires at
     least four cells spanning two distinct N and two distinct F_S; a
-    regressor without spread aborts with a :class:`FitError` naming it.
+    regressor without spread aborts with a :class:`FitError` naming it, and
+    a cell outside the model's domain (mean QBER <= 0, F_S outside
+    (0.5, 1], N < 1) with one naming the cell.
     """
     cells = sweep.cells if isinstance(sweep, SweepResult) else tuple(sweep)
     if select is not None:
         cells = tuple(c for c in cells if select(c))
     for c in cells:
+        where = f"cell (n={c.n_detected}, fs={c.signal_fidelity})"
         if c.mean_qber <= 0.0:
-            raise FitError(
-                f"cell (n={c.n_detected}, fs={c.signal_fidelity}) has non-positive "
-                "mean QBER; it cannot enter a log-space fit"
-            )
+            raise FitError(f"{where} has non-positive mean QBER; it cannot enter a log-space fit")
         if c.signal_fidelity <= 0.5:
             raise FitError(
-                f"cell (n={c.n_detected}, fs={c.signal_fidelity}) has F_S <= 0.5; "
-                "the fidelity regressor log(2 F_S - 1) is undefined there"
+                f"{where} has F_S <= 0.5; the fidelity regressor log(2 F_S - 1) is undefined there"
+            )
+        if c.signal_fidelity > 1.0:
+            raise FitError(f"{where} has F_S > 1; a signal fidelity is at most 1")
+        if c.n_detected < 1:
+            raise FitError(
+                f"{where} has N < 1; the photon-number regressor log N is undefined there"
             )
     if len(cells) < 4:
         raise FitError(f"need at least four cells to fit, got {len(cells)}")

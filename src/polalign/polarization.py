@@ -92,7 +92,7 @@ class PureState:
         if amp.shape != (2,):
             raise ValueError(f"a polarization ket has exactly 2 amplitudes, got shape {amp.shape}")
         norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # NaN fails
             raise ValueError(f"state is not unit-norm: |a|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amp))
 
@@ -111,15 +111,16 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        a, b, c, d = complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
-        if abs(a.imag) > ATOL or abs(d.imag) > ATOL or abs(b - c.conjugate()) > ATOL:
+        a, b, c, d = m.ravel().tolist()
+        # each test is written so that NaN fails it
+        if not (abs(a.imag) <= ATOL and abs(d.imag) <= ATOL and abs(b - c.conjugate()) <= ATOL):
             raise ValueError("density matrix is not Hermitian")
         tr = a.real + d.real
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         # 2x2 Hermitian eigenvalues in closed form
         half_gap = math.sqrt(((a.real - d.real) / 2.0) ** 2 + abs(b) ** 2)
-        if tr / 2.0 - half_gap < -ATOL:
+        if not tr / 2.0 - half_gap >= -ATOL:
             raise ValueError(
                 f"density matrix has negative eigenvalue {tr / 2.0 - half_gap!r}"
             )
@@ -136,12 +137,13 @@ class ChannelUnitary:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"channel unitary must be 2x2, got shape {m.shape}")
-        a, b, c, d = complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
-        # columns must be orthonormal: entries of U+U compared to I
+        a, b, c, d = m.ravel().tolist()
+        # columns must be orthonormal: entries of U+U compared to I, each
+        # test written so that NaN fails it
         col0 = abs(a) ** 2 + abs(c) ** 2
         col1 = abs(b) ** 2 + abs(d) ** 2
         cross = a.conjugate() * b + c.conjugate() * d
-        if abs(col0 - 1.0) > ATOL or abs(col1 - 1.0) > ATOL or abs(cross) > ATOL:
+        if not (abs(col0 - 1.0) <= ATOL and abs(col1 - 1.0) <= ATOL and abs(cross) <= ATOL):
             raise ValueError("matrix is not unitary within 1e-12")
         object.__setattr__(self, "entries", _freeze(m))
 
@@ -149,7 +151,7 @@ class ChannelUnitary:
         return PureState(self.entries @ psi.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WavePlateAngles:
     """Physical rotation angles (radians) of the quarter-half-quarter stack.
 
@@ -160,10 +162,10 @@ class WavePlateAngles:
     theta2: float
     theta3: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta1", reduce_angle(float(self.theta1)))
-        object.__setattr__(self, "theta2", reduce_angle(float(self.theta2)))
-        object.__setattr__(self, "theta3", reduce_angle(float(self.theta3)))
+    def __init__(self, theta1: float, theta2: float, theta3: float):
+        object.__setattr__(self, "theta1", reduce_angle(float(theta1)))
+        object.__setattr__(self, "theta2", reduce_angle(float(theta2)))
+        object.__setattr__(self, "theta3", reduce_angle(float(theta3)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
@@ -249,8 +251,9 @@ def _plate_stack(angles: WavePlateAngles) -> tuple:
 
 def _matmul2(x, y) -> tuple:
     """Product of two 2x2 matrices held as row-major scalar 4-tuples."""
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3)
 
 
 def haar_random_unitary(rng: np.random.Generator) -> ChannelUnitary:
@@ -266,9 +269,9 @@ def haar_random_unitary(rng: np.random.Generator) -> ChannelUnitary:
     a = ca * cmath.exp(2j * math.pi * alpha)
     b = sa * cmath.exp(2j * math.pi * beta)
     phase = cmath.exp(2j * math.pi * gamma)
-    mat = np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
+    mat = np.array((a, b, -b.conjugate(), a.conjugate()))
     # an array multiply: Python's complex product rounds some entries differently
-    return ChannelUnitary(phase * mat)
+    return ChannelUnitary((phase * mat).reshape(2, 2))
 
 
 def qber_from_fidelities(fidelities) -> float:

@@ -12,8 +12,12 @@ each in one Stokes component.  So inside the Bloch ball the maximum is the
 linear inversion s_k = (n+ - n-)/(n+ + n-); when that lies outside the
 ball, the maximum lies on the sphere.  There, for a given Lagrange
 multiplier, each component is the middle root of a depressed cubic, taken
-from the trigonometric formula, and only the multiplier itself is found
-by a one-dimensional Newton search.
+from the trigonometric formula; one pass over the three axes gives the
+point and its derivative for that multiplier, and only the multiplier
+itself is found by a one-dimensional Newton search.  Counts are checked
+once, where they enter: a :class:`CountMatrix` on construction, a bare
+list of six totals in :func:`linear_inversion` and
+:func:`mle_reconstruct`.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from .polarization import (
 
 #: minimum total counts for a meaningful six-outcome fit
 _MIN_TOTAL_COUNTS = 6
-#: outcome pairs per basis, as indices into (H, V, D, A, R, L)
-_BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
 #: the largest float below 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -79,7 +81,8 @@ class CountMatrix:
             raise ValueError(
                 f"{self.direction.value} counts must have shape {expected}, got {c.shape}"
             )
-        if not ((0.0 <= c) & (c < math.inf)).all():
+        # NaN propagates through both reductions and fails both comparisons
+        if not (0.0 <= np.minimum.reduce(c, None) and np.maximum.reduce(c, None) < math.inf):
             raise ValueError("counts must be finite and nonnegative")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
@@ -93,40 +96,51 @@ class CountMatrix:
 class ReconstructionSet:
     """Stokes vectors of four reconstructed states, one row per BB84 label (H, V, D, A).
 
-    ``stokes`` is a read-only float array of shape (4, 3).
+    ``rows`` holds them as four (S1, S2, S3) tuples of floats, given as any
+    (4, 3) nested sequence or array; :attr:`stokes` is the same as a
+    read-only float array, built when asked for.
     """
 
     direction: Direction
-    stokes: np.ndarray
+    rows: tuple
 
     def __post_init__(self):
-        s = np.array(self.stokes, dtype=float)
-        if s.shape != (4, 3):
-            raise ValueError(f"a reconstruction set holds a (4, 3) Stokes array, got {s.shape}")
+        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        try:
+            (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = rows
+            rows = ((float(h0), float(h1), float(h2)), (float(v0), float(v1), float(v2)),
+                    (float(d0), float(d1), float(d2)), (float(a0), float(a1), float(a2)))
+        except (TypeError, ValueError):
+            raise ValueError(
+                "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers"
+            ) from None
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def stokes(self) -> np.ndarray:
+        s = np.array(self.rows)
         s.setflags(write=False)
-        object.__setattr__(self, "stokes", s)
+        return s
 
 
-def _stokes_estimates(counts, *, allow_empty: bool) -> list[float]:
-    """Per-axis Stokes estimates (n+ - n-)/(n+ + n-).
+def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
+    """Per-axis Stokes estimates (n+ - n-)/(n+ + n-) of six checked outcome totals.
 
     An empty basis pair is an error unless ``allow_empty``, in which case
     the corresponding component is pinned at zero (no information).
     """
-    s = []
-    for name, (i_plus, i_minus) in zip(BASIS_NAMES, _BASIS_PAIRS):
-        pair_total = counts[i_plus] + counts[i_minus]
-        if pair_total <= 0.0:
-            if not allow_empty:
-                raise InsufficientCountsError(
-                    f"no counts in the {name} basis "
-                    f"(outcomes {ALL_LABELS[i_plus]}/{ALL_LABELS[i_minus]})",
-                    basis=name,
-                )
-            s.append(0.0)
-        else:
-            s.append((counts[i_plus] - counts[i_minus]) / pair_total)
-    return s
+    n_h, n_v, n_d, n_a, n_r, n_l = n
+    pairs = (n_h + n_v, n_d + n_a, n_r + n_l)
+    if not allow_empty and 0.0 in pairs:
+        k = pairs.index(0.0)
+        raise InsufficientCountsError(
+            f"no counts in the {BASIS_NAMES[k]} basis "
+            f"(outcomes {ALL_LABELS[2 * k]}/{ALL_LABELS[2 * k + 1]})",
+            basis=BASIS_NAMES[k],
+        )
+    z, x, y = pairs
+    return [(n_h - n_v) / z if z > 0.0 else 0.0, (n_d - n_a) / x if x > 0.0 else 0.0,
+            (n_r - n_l) / y if y > 0.0 else 0.0]
 
 
 def _outcome_totals(counts) -> list[float]:
@@ -193,92 +207,108 @@ def _decreasing_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
         x += step
 
 
-def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]:
-    """One axis of the sphere maximum at multiplier ``lam``, and its lam-derivative.
+def _axis_roots(pairs, lam: float) -> tuple[list[float], list[float]]:
+    """Each axis of the sphere maximum at multiplier ``lam``, and its lam-derivative.
 
-    The component maximizes the concave n+ log(1+s) + n- log(1-s) - lam s^2/2
-    over [-1, 1].  It is +-1 while one outcome is empty and lam <= n+/2
-    (n-/2).  Otherwise it is the root in (-1, 1) of the stationarity
-    condition n+/(1+s) - n-/(1-s) = lam s, which cleared of denominators is
-    the depressed cubic lam s^3 - (lam + n) s + d = 0 with n = n+ + n- and
-    d = n+ - n-.  The cubic is positive at -1 and negative at +1, so that
-    root is its middle one.  With r = sqrt(3 lam/(lam + n)) and
-    x = 3 d r/(2 (lam + n)), where |x| <= 1, the trigonometric formula gives
-    it as (2/r) sin(asin(x)/3), which is free of cancellation and tends to
-    d/n as lam -> 0; at lam = 0 it is d/n itself.  With an empty outcome
-    the cubic also has the spurious root +-1, which the middle root meets
-    at lam = n+/2 (n-/2), where the formula loses half its digits.  One
-    Newton step on the rational condition, which lacks the spurious root,
-    restores them.  The derivative is s / (d/ds of that condition).
+    ``pairs`` holds the (n+, n-) totals of the three bases, and all three
+    axes are evaluated in one pass.  An empty pair keeps its component at 0.
+    Otherwise the component maximizes the concave
+    n+ log(1+s) + n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1 while one
+    outcome is empty and lam <= n+/2 (n-/2).  Otherwise it is the root in
+    (-1, 1) of the stationarity condition n+/(1+s) - n-/(1-s) = lam s, which
+    cleared of denominators is the depressed cubic lam s^3 - (lam + n) s + d = 0
+    with n = n+ + n- and d = n+ - n-.  The cubic is positive at -1 and
+    negative at +1, so that root is its middle one.  With
+    r = sqrt(3 lam/(lam + n)) and x = 3 d r/(2 (lam + n)), where |x| <= 1, the
+    trigonometric formula gives it as (2/r) sin(asin(x)/3), which is free of
+    cancellation and tends to d/n as lam -> 0; at lam = 0 it is d/n itself.
+    With an empty outcome the cubic also has the spurious root +-1, which the
+    middle root meets at lam = n+/2 (n-/2), where the formula loses half its
+    digits.  One Newton step on the rational condition, which lacks the
+    spurious root, restores them.  The derivative is s / (d/ds of that
+    condition).
     """
-    if n_minus == 0.0 and lam <= n_plus / 2.0:
-        return 1.0, 0.0
-    if n_plus == 0.0 and lam <= n_minus / 2.0:
-        return -1.0, 0.0
-    n = n_plus + n_minus
-    d = n_plus - n_minus
-    if lam == 0.0:
-        s = d / n
-    else:
-        r = math.sqrt(3.0 * lam / (lam + n))
-        x = 1.5 * d * r / (lam + n)
-        s = 2.0 / r * math.sin(math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
-        if not -1.0 < s < 1.0:
-            # rounding next to the spurious root; the step below divides by 1 -+ s
-            s = math.copysign(_BELOW_ONE, s)
-    up, down = 1.0 + s, 1.0 - s
-    curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
-    s -= (n_plus / up - n_minus / down - lam * s) / curvature
-    return s, s / curvature
+    roots, slopes = [], []
+    for n_plus, n_minus in pairs:
+        if n_plus + n_minus == 0.0:
+            s, ds = 0.0, 0.0
+        elif n_minus == 0.0 and lam <= n_plus / 2.0:
+            s, ds = 1.0, 0.0
+        elif n_plus == 0.0 and lam <= n_minus / 2.0:
+            s, ds = -1.0, 0.0
+        else:
+            n = n_plus + n_minus
+            d = n_plus - n_minus
+            if lam == 0.0:
+                s = d / n
+            else:
+                r = math.sqrt(3.0 * lam / (lam + n))
+                x = 1.5 * d * r / (lam + n)
+                s = 2.0 / r * math.sin(
+                    math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
+                if not -1.0 < s < 1.0:
+                    # rounding next to the spurious root; the step below divides by 1 -+ s
+                    s = math.copysign(_BELOW_ONE, s)
+            up, down = 1.0 + s, 1.0 - s
+            curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
+            s -= (n_plus / up - n_minus / down - lam * s) / curvature
+            ds = s / curvature
+        roots.append(s)
+        slopes.append(ds)
+    return roots, slopes
 
 
-def _sphere_stokes(n, s: list[float]) -> list[float]:
-    """Likelihood maximum on the Bloch sphere for inversions ``s`` outside it.
+def _sphere_stokes(n) -> list[float]:
+    """Likelihood maximum on the Bloch sphere for totals whose inversion lies outside it.
 
     On |s| = 1 the stationarity condition per axis is
-    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam each
-    component s_k(lam) is the closed-form root of :func:`_axis_root`; an
-    empty pair keeps its component at 0.  |s(lam)| falls from |s| > 1 at
-    lam = 0 to below 1 at lam = total, so lam is the root of
-    |s(lam)|^2 - 1 there, found by Newton with the axes' derivatives.
+    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam one
+    pass of :func:`_axis_roots` gives every component s_k(lam) in closed
+    form, with its derivative; an empty pair keeps its component at 0.
+    |s(lam)| falls from |s| > 1 at lam = 0 to below 1 at lam = total, so
+    lam is the root of |s(lam)|^2 - 1 there, found by Newton with those
+    derivatives.
     """
-    s = list(s)
-    axes = [(k, n[i_plus], n[i_minus])
-            for k, (i_plus, i_minus) in enumerate(_BASIS_PAIRS)
-            if n[i_plus] + n[i_minus] > 0.0]
+    pairs = ((n[0], n[1]), (n[2], n[3]), (n[4], n[5]))
+    s = None
 
     def excess(lam):
-        slope = 0.0
-        for k, n_plus, n_minus in axes:
-            s[k], ds = _axis_root(n_plus, n_minus, lam)
-            slope += 2.0 * s[k] * ds
+        nonlocal s
+        s, ds = _axis_roots(pairs, lam)
+        (s0, s1, s2), (d0, d1, d2) = s, ds
+        slope = 2.0 * s0 * d0 + 2.0 * s1 * d1 + 2.0 * s2 * d2
         # |s|^2 - 1 with 1 - s^2 of the largest component taken as a product:
         # summed directly, 1 absorbs components below 1e-8, whose slope then
         # lacks its value and leaves Newton creeping along a plateau
-        small, middle, large = sorted((abs(s[0]), abs(s[1]), abs(s[2])))
-        return small * small + middle * middle - (1.0 - large) * (1.0 + large), slope
+        a0, a1, a2 = abs(s0), abs(s1), abs(s2)
+        if a0 >= a1 and a0 >= a2:
+            return a1 * a1 + a2 * a2 - (1.0 - a0) * (1.0 + a0), slope
+        if a1 >= a2:
+            return a0 * a0 + a2 * a2 - (1.0 - a1) * (1.0 + a1), slope
+        return a0 * a0 + a1 * a1 - (1.0 - a2) * (1.0 + a2), slope
 
     _decreasing_root(excess, 0.0, sum(n), 0.0)
     radius = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
     return [x / radius for x in s]
 
 
-def _mle_stokes(counts, allow_empty: bool) -> list[float]:
-    """Stokes components of :func:`mle_reconstruct`'s estimate."""
-    n = _outcome_totals(counts)
+def _mle_stokes(n, allow_empty: bool) -> list[float]:
+    """Stokes components of :func:`mle_reconstruct`'s estimate from six checked totals."""
     # counts below the float-noise scale of the total carry no information;
     # zeroed, an outcome that background subtraction left at rounding noise
     # counts as empty
-    tiny = sum(n) * 1e-15
-    n = [x if x > tiny else 0.0 for x in n]
     total = sum(n)
+    tiny = total * 1e-15
+    if min(n) <= tiny:
+        n = [x if x > tiny else 0.0 for x in n]
+        total = sum(n)
     if total < _MIN_TOTAL_COUNTS:
         raise InsufficientCountsError(
             f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a six-outcome fit"
         )
     s = _stokes_estimates(n, allow_empty=allow_empty)
     if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
-        s = _sphere_stokes(n, s)
+        s = _sphere_stokes(n)
     return s
 
 
@@ -297,10 +327,11 @@ def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix
     basis pair is empty.  With ``allow_empty_basis`` an empty pair is
     accepted instead and its Stokes component is held at 0.
     """
-    return density_from_stokes(*_mle_stokes(counts, allow_empty_basis))
+    return density_from_stokes(*_mle_stokes(_outcome_totals(counts), allow_empty_basis))
 
 
 def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
+    """MLE of each row of a count array, which its :class:`CountMatrix` has checked."""
     stokes = []
     for label, row in zip(BB84_LABELS, rows.tolist()):
         try:

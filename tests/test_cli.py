@@ -97,6 +97,25 @@ class TestFit:
         assert "Traceback" not in err
         assert "error: fit produced non-finite alpha" in err
 
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "row,match",
+        [
+            ("forward,0,1,0,false,10,0,0.004,0.003", "error: cell (n=0, fs=1.0) has N < 1"),
+            ("forward,-5,1,0,false,10,0,0.004,0.003", "error: cell (n=-5, fs=1.0) has N < 1"),
+            ("forward,400,1.5,0,false,10,0,0.004,0.003", "error: cell (n=400, fs=1.5) has F_S > 1"),
+        ],
+    )
+    def test_cell_outside_model_domain_rejected(self, tmp_path, capsys, form, row, match):
+        rows = SWEEP_ROWS + [row]
+        if form == "csv":
+            path = write_csv(tmp_path / "s.csv", rows)
+        else:
+            keys = cli.SWEEP_CSV_HEADER.split(",")
+            cells = [dict(zip(keys, r.split(","))) for r in rows]
+            path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
+        assert_rejected(["fit", "--in", path], capsys, match)
+
     def test_too_few_cells_rejected(self, tmp_path, capsys):
         path = write_csv(tmp_path / "s.csv", SWEEP_ROWS[:3])
         assert_rejected(["fit", "--in", path], capsys, "error: need at least four cells")

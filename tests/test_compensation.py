@@ -33,7 +33,7 @@ def exact_reconstruction(
         pa.stokes_vector(pa.depolarize(op.apply(pa.canonical_state(label)), fs))
         for label in pa.BB84_LABELS
     ]
-    return ReconstructionSet(direction=direction, stokes=np.array(stokes))
+    return ReconstructionSet(direction=direction, rows=np.array(stokes))
 
 
 def _plate(theta: float, e: complex):
@@ -102,7 +102,7 @@ class TestCost:
         assert value == pytest.approx(-4.0, abs=1e-12)
 
     def test_maximally_mixed_recon(self, rng):
-        recon = ReconstructionSet(direction=Direction.FORWARD, stokes=np.zeros((4, 3)))
+        recon = ReconstructionSet(direction=Direction.FORWARD, rows=np.zeros((4, 3)))
         for _ in range(10):
             angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
             assert pa.cost(angles, recon) == pytest.approx(-2.0, abs=1e-12)

@@ -48,6 +48,21 @@ class TestFitPowerLaw:
         with pytest.raises(FitError, match="F_S <= 0.5"):
             pa.fit_power_law(cells)
 
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (dict(n_detected=0), r"cell \(n=0, fs=1.0\) has N < 1"),
+            (dict(n_detected=-5), r"cell \(n=-5, fs=1.0\) has N < 1"),
+            (dict(signal_fidelity=1.5), r"cell \(n=1600, fs=1.5\) has F_S > 1"),
+        ],
+    )
+    def test_cell_outside_model_domain_named(self, change, match):
+        # log N is undefined (N = 0) or NaN (N < 0), and F_S > 1 is no fidelity
+        cells = power_law_cells()
+        cells[3] = dataclasses.replace(cells[3], **change)
+        with pytest.raises(FitError, match=match):
+            pa.fit_power_law(cells)
+
     def test_fewer_than_four_cells_rejected(self):
         with pytest.raises(FitError, match="at least four cells"):
             pa.fit_power_law(power_law_cells()[:3])

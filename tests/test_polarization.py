@@ -10,6 +10,8 @@ from polalign.compensation import plate_angle_candidates
 from conftest import operator_fidelity, stokes_rotation
 
 SQ2 = math.sqrt(0.5)
+#: non-finite entries, real and imaginary: NaN fails a tolerance test only if written to
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, -math.inf)]
 
 
 class TestCanonicalStates:
@@ -61,6 +63,30 @@ class TestTypeInvariants:
     def test_unitary_enforced(self):
         with pytest.raises(ValueError, match="unitary"):
             pa.ChannelUnitary(np.array([[1.0, 0.0], [0.0, 1.1]]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_pure_state_rejects_non_finite(self, index, bad):
+        amplitudes = np.array([1.0, 0.0], dtype=complex)
+        amplitudes[index] = bad
+        with pytest.raises(ValueError, match="unit-norm"):
+            pa.PureState(amplitudes)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_density_matrix_rejects_non_finite(self, index, bad):
+        entries = np.eye(2, dtype=complex) / 2.0
+        entries[index] = bad
+        with pytest.raises(ValueError, match="Hermitian|trace|eigenvalue"):
+            pa.DensityMatrix(entries)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_channel_unitary_rejects_non_finite(self, index, bad):
+        entries = np.eye(2, dtype=complex)
+        entries[index] = bad
+        with pytest.raises(ValueError, match="unitary"):
+            pa.ChannelUnitary(entries)
 
     def test_wave_plate_angles_reduced(self):
         angles = pa.WavePlateAngles(-0.25, math.pi + 0.5, 7.0)

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 import polalign as pa
 from polalign.errors import InsufficientCountsError
 from polalign.montecarlo import expected_probabilities
-from polalign.tomography import _axis_root
+from polalign.tomography import _axis_roots
 
 from conftest import exact_count_matrix, trace_distance
 
@@ -32,18 +32,26 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="shape"):
             pa.CountMatrix(D.REVERSED, np.zeros((4, 6)))
 
+    @staticmethod
+    def one_bad_cell(bad):
+        """Counts of either shape with ``bad`` in the first, a middle or the last cell."""
+        for direction in D:
+            shape = pa.tomography.COUNT_SHAPE[direction]
+            for index in ((0, 0), (shape[0] // 2, shape[1] // 2), (shape[0] - 1, shape[1] - 1)):
+                counts = np.zeros(shape)
+                counts[index] = bad
+                yield direction, counts
+
     def test_negative_counts_rejected(self):
-        counts = np.zeros((4, 6))
-        counts[0, 0] = -1
-        with pytest.raises(ValueError, match="nonnegative"):
-            pa.CountMatrix(D.FORWARD, counts)
+        for direction, counts in self.one_bad_cell(-1.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pa.CountMatrix(direction, counts)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_counts_rejected(self, bad):
-        counts = np.zeros((4, 6))
-        counts[2, 3] = bad
-        with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
-            pa.CountMatrix(D.FORWARD, counts)
+        for direction, counts in self.one_bad_cell(bad):
+            with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
+                pa.CountMatrix(direction, counts)
 
     def test_large_finite_counts_accepted(self):
         # the check is elementwise: counts whose sum overflows are still finite
@@ -260,6 +268,18 @@ def _stationarity_residual(n_plus, n_minus, lam, s):
     return n_plus / (1.0 + s) - n_minus / (1.0 - s) - lam * s
 
 
+def _axis_root(n_plus, n_minus, lam):
+    """(s, ds/dlam) of one axis from the three-axis pass, the same at each of its positions."""
+    results = set()
+    for k in range(3):
+        pairs = [(5.0, 2.0), (0.0, 9.0), (4.0, 4.0)]
+        pairs[k] = (n_plus, n_minus)
+        s, ds = _axis_roots(pairs, lam)
+        results.add((s[k], ds[k]))
+    assert len(results) == 1
+    return results.pop()
+
+
 class TestAxisRoot:
     LAM_FRACTIONS = np.logspace(-12, 4, 161)
 
@@ -303,6 +323,11 @@ class TestAxisRoot:
                 exact = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q))
                 assert abs(_axis_root(n_plus, 0.0, lam)[0] - exact) <= 5e-16
                 assert abs(_axis_root(0.0, n_plus, lam)[0] + exact) <= 5e-16
+
+    def test_empty_pair_held_at_zero(self):
+        for lam in (0.0, 1e-9, 1.0, 1e6):
+            s, ds = _axis_roots([(3.0, 1.0), (0.0, 0.0), (0.0, 5.0)], lam)
+            assert (s[1], ds[1]) == (0.0, 0.0)
 
 
 class TestReconstructForward:

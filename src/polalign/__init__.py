@@ -37,9 +37,7 @@ from .tomography import (
     reconstruct_reversed,
 )
 from .compensation import (
-    CompensationOptions,
     CompensationResult,
-    cost,
     optimize,
     residual_qber,
     wrapped_angle_distance,

@@ -579,9 +579,6 @@ def cmd_align(parser, args) -> int:
             "reconstructed_stokes": stokes,
             "angles_deg": [round(a, 9) for a in angles_deg],
             "predicted_qber": result.predicted_qber,
-            "cost": result.cost,
-            "converged": result.converged,
-            "evaluations_used": result.evaluations_used,
         }
         _emit(json.dumps(payload, indent=1), args.out)
     else:
@@ -595,10 +592,6 @@ def cmd_align(parser, args) -> int:
             + ", ".join(f"{a:.4f}" for a in angles_deg)
         )
         lines.append(f"predicted residual QBER: {result.predicted_qber * 100:.4f}%")
-        lines.append(
-            f"converged: {'yes' if result.converged else 'no'} "
-            f"({result.evaluations_used} cost evaluations)"
-        )
         _emit("\n".join(lines), args.out)
     return 0
 

@@ -1,4 +1,4 @@
-"""Wave-plate compensation: cost function and closed-form optimum.
+"""Wave-plate compensation: the closed-form plate setting and its residual QBER.
 
 The compensation stack V(theta) = Q(theta3) H(theta2) Q(theta1) is chosen
 to maximize the summed fidelity between the reconstructed states and the
@@ -40,69 +40,21 @@ _POLE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
-class CompensationOptions:
-    """Optimizer knobs.
-
-    ``motion_penalty_weight`` adds lambda * sum_i |theta_i - previous_i|
-    (shortest path modulo pi) to the cost, discouraging long plate trips
-    when compensation runs continuously against a drifting channel.
-    """
-
-    motion_penalty_weight: float = 0.0
-    previous_angles: WavePlateAngles | None = None
-
-    def __post_init__(self):
-        if self.motion_penalty_weight < 0.0:
-            raise ValueError(
-                f"motion penalty weight must be >= 0, got {self.motion_penalty_weight}"
-            )
-        if self.motion_penalty_weight > 0.0 and self.previous_angles is None:
-            raise ValueError("previous_angles is required when the motion penalty is active")
-
-
-_DEFAULT_OPTIONS = CompensationOptions()
-
-
-@dataclass(frozen=True)
 class CompensationResult:
-    """Optimized plate angles plus cost and convergence bookkeeping."""
+    """Plate angles and the QBER they predict against the reconstructions."""
 
     angles: WavePlateAngles
-    cost: float
     predicted_qber: float
+    # constant 1 and True, as the optimum is closed form; kept only
+    # because the benchmark's per-layer trace reads them
     evaluations_used: int
     converged: bool
-
-
-def _quarter_rotation(theta: float) -> np.ndarray:
-    """Stokes rotation of a quarter plate: +pi/2 about (cos 2t, sin 2t, 0)."""
-    c = math.cos(2.0 * theta)
-    s = math.sin(2.0 * theta)
-    return np.array([[c * c, c * s, s], [c * s, s * s, -c], [-s, c, 0.0]])
-
-
-def _half_rotation(theta: float) -> np.ndarray:
-    """Stokes rotation of a half plate: pi about (cos 2t, sin 2t, 0)."""
-    c = math.cos(4.0 * theta)
-    s = math.sin(4.0 * theta)
-    return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
-
-
-def _stack_rotation(angles) -> np.ndarray:
-    t1, t2, t3 = angles
-    return _quarter_rotation(t3) @ _half_rotation(t2) @ _quarter_rotation(t1)
 
 
 def _wahba_columns(recon: ReconstructionSet) -> tuple[tuple, tuple]:
     """The columns a = s_H - s_V and b = s_D - s_A of B = [a b 0]."""
     (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.rows
     return (h0 - v0, h1 - v1, h2 - v2), (d0 - a0, d1 - a1, d2 - a2)
-
-
-def _stokes_cost(rotation: np.ndarray, a, b, reversed_mode: bool) -> float:
-    """-sum_n <psi_n| V rho_n V+ |psi_n> = -2 - tr(R B)/2 (R^T when reversed), B = [a b 0]."""
-    r = rotation.T if reversed_mode else rotation
-    return -2.0 - 0.5 * float(r[0] @ a + r[1] @ b)
 
 
 def _wahba_rotation(a, b) -> tuple[tuple, float]:
@@ -191,15 +143,10 @@ def wrapped_angle_distance(a: float, b: float) -> float:
     return min(d, math.pi - d)
 
 
-def _travel(angles, reference) -> float:
-    (a1, a2, a3), (b1, b2, b3) = angles, reference
-    return (wrapped_angle_distance(a1, b1) + wrapped_angle_distance(a2, b2)
-            + wrapped_angle_distance(a3, b3))
-
-
 def _least_travel(settings, reference) -> tuple[float, float, float]:
-    """The first of ``settings`` with the least :func:`_travel` from ``reference``.
+    """The first of ``settings`` with the least plate travel from ``reference``.
 
+    Travel is the sum of the three plates' :func:`wrapped_angle_distance`.
     The settings come in pairs whose half plates differ by pi/2, and a half
     plate at distance d from the reference puts its partner at pi/2 - d,
     so each pair costs three distances, not six.  Where the two half plates
@@ -219,85 +166,26 @@ def _least_travel(settings, reference) -> tuple[float, float, float]:
     return best
 
 
-def cost(
-    angles: WavePlateAngles,
-    recon: ReconstructionSet,
-    opts: CompensationOptions | None = None,
-) -> float:
-    """Compensation cost at the given plate angles.
-
-    Negative summed fidelity between the compensated reconstructions and
-    the targets (index order H, V, D, A), plus the motion penalty when
-    enabled.
-    """
-    opts = opts if opts is not None else _DEFAULT_OPTIONS
-    value = _stokes_cost(_stack_rotation(angles.as_tuple()), *_wahba_columns(recon),
-                         recon.direction is Direction.REVERSED)
-    if opts.motion_penalty_weight > 0.0:
-        value += opts.motion_penalty_weight * _travel(
-            angles.as_tuple(), opts.previous_angles.as_tuple()
-        )
-    return value
-
-
 def optimize(
-    recon: ReconstructionSet,
-    opts: CompensationOptions | None = None,
+    recon: ReconstructionSet, previous_angles: WavePlateAngles | None = None
 ) -> CompensationResult:
-    """Minimize the compensation cost.
+    """The plate setting that maximizes the summed fidelity to the BB84 targets.
 
-    Without the motion penalty the optimum is exact: the Wahba rotation
-    and, of its four plate settings, the one with the least total travel
-    from ``previous_angles`` (zeros when absent).  With the penalty, a
-    Nelder-Mead search on cost plus penalty starts from each of those
-    settings and from ``previous_angles``, and the best result wins.
-    ``evaluations_used`` counts cost evaluations, ``converged`` reports
-    whether that search met its tolerance.
+    The optimum is exact: the Wahba rotation and, of its four plate
+    settings, the one with the least total travel from ``previous_angles``
+    (zeros when absent).  ``predicted_qber`` is one minus a quarter of the
+    summed fidelity at that optimum, 2 + h/2 with h = tr(R B).
     """
-    opts = opts if opts is not None else _DEFAULT_OPTIONS
-    reversed_mode = recon.direction is Direction.REVERSED
-    previous = opts.previous_angles
-    reference = previous.as_tuple() if previous is not None else (0.0, 0.0, 0.0)
-    a, b = _wahba_columns(recon)
-    rows, h = _wahba_rotation(a, b)
-    settings = _plate_settings(tuple(zip(*rows)) if reversed_mode else rows, reference)
-    best = _least_travel(settings, reference)
-    evaluations = 1
-    converged = True
-    # -sum of fidelities = -2 - tr(R B)/2 at the Wahba optimum tr(R B) = h
-    cost_free = -2.0 - 0.5 * h
-    penalty = 0.0
-
-    lam = opts.motion_penalty_weight
-    if lam > 0.0:
-        # imported here because scipy.optimize adds ~0.6 s and ~50 MB to
-        # start-up, and only the penalized search needs it
-        from scipy.optimize import minimize
-
-        def objective(x):
-            return (_stokes_cost(_stack_rotation(x), a, b, reversed_mode)
-                    + lam * _travel(x, reference))
-
-        starts = [WavePlateAngles(*setting).as_tuple() for setting in settings] + [reference]
-        result = None
-        for start in starts:
-            res = minimize(
-                objective, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
-            )
-            evaluations += res.nfev
-            if result is None or res.fun < result.fun:
-                result = res
-        best = result.x
-        cost_free = _stokes_cost(_stack_rotation(best), a, b, reversed_mode)
-        converged = bool(result.success)
-        penalty = lam * _travel(best, reference)
-
-    angles = WavePlateAngles(*best)
-    predicted = 1.0 + cost_free / 4.0
+    reference = previous_angles.as_tuple() if previous_angles is not None else (0.0, 0.0, 0.0)
+    rows, h = _wahba_rotation(*_wahba_columns(recon))
+    if recon.direction is Direction.REVERSED:
+        rows = tuple(zip(*rows))
+    angles = WavePlateAngles(*_least_travel(_plate_settings(rows, reference), reference))
+    predicted = 1.0 + (-2.0 - 0.5 * h) / 4.0
     if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
     predicted = min(1.0, max(0.0, predicted))
-    return CompensationResult(angles, cost_free + penalty, predicted, evaluations, converged)
+    return CompensationResult(angles, predicted, 1, True)
 
 
 def residual_qber(

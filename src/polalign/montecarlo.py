@@ -251,7 +251,7 @@ def run_trial(
     Draws the channel and the counts once.  Each entry of ``arms`` is a
     subtraction flag: that arm reconstructs from the drawn counts, with the
     mean background subtracted where the flag is set (a no-op without
-    background), optimizes the compensation (no motion penalty) and scores
+    background), optimizes the compensation and scores
     it against the true channel.  Every arm scores the same draw.
     Tomography errors propagate (a trial fails if any arm does): sweeps
     record them as failed trials rather than dropping them silently.

@@ -57,6 +57,11 @@ class AlignmentVerdict:
     confidence: float
 
 
+def _overlaps(u: ChannelUnitary) -> np.ndarray:
+    """|<phi| U |psi>|^2 for BB84 analyzer states phi (rows) and preparations psi (columns)."""
+    return np.abs(BB84_KETS.conj().T @ (u.entries @ BB84_KETS)) ** 2
+
+
 def aligned_max_probability(u: ChannelUnitary) -> float:
     """Best conditional detection probability under intact timing.
 
@@ -64,8 +69,7 @@ def aligned_max_probability(u: ChannelUnitary) -> float:
     (1/2) |<phi| U |psi>|^2; the 1/2 is the receiver's uniform choice
     between the two linear bases.  Never below 3/8, for any U.
     """
-    overlaps = np.abs(BB84_KETS.conj().T @ (u.entries @ BB84_KETS)) ** 2
-    return 0.5 * float(overlaps.max())
+    return 0.5 * float(_overlaps(u).max())
 
 
 def worst_case_unitary() -> ChannelUnitary:
@@ -100,8 +104,7 @@ def generate_timing_counts(
     if n_events < 1:
         raise ValueError(f"need at least one event, got {n_events}")
     if timing_aligned:
-        overlaps = np.abs(BB84_KETS.conj().T @ (u.entries @ BB84_KETS)) ** 2
-        p = overlaps.T / 8.0  # (input, outcome); 1/4 input choice x 1/2 basis choice
+        p = _overlaps(u).T / 8.0  # (input, outcome); 1/4 input choice x 1/2 basis choice
     else:
         p = np.full((4, 4), 1.0 / 16.0)
     return rng.multinomial(n_events, p.ravel()).reshape(4, 4).astype(float)

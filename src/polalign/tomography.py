@@ -96,8 +96,8 @@ class CountMatrix:
 class ReconstructionSet:
     """Stokes vectors of four reconstructed states, one row per BB84 label (H, V, D, A).
 
-    ``rows`` holds them as four (S1, S2, S3) tuples of floats, given as any
-    (4, 3) nested sequence or array; :attr:`stokes` is the same as a
+    ``rows`` holds them as four (S1, S2, S3) tuples of finite floats, given
+    as any (4, 3) nested sequence or array; :attr:`stokes` is the same as a
     read-only float array, built when asked for.
     """
 
@@ -114,6 +114,11 @@ class ReconstructionSet:
             raise ValueError(
                 "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers"
             ) from None
+        # 0 * x is NaN exactly when x is NaN or infinite, and never overflows
+        (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = rows
+        if (0.0 * h0 + 0.0 * h1 + 0.0 * h2 + 0.0 * v0 + 0.0 * v1 + 0.0 * v2
+                + 0.0 * d0 + 0.0 * d1 + 0.0 * d2 + 0.0 * a0 + 0.0 * a1 + 0.0 * a2) != 0.0:
+            raise ValueError(f"Stokes components must be finite, got {rows}")
         object.__setattr__(self, "rows", rows)
 
     @property

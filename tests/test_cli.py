@@ -235,8 +235,6 @@ class TestCountFiles:
         code, out, _err = run(["align", "--counts", str(count_file), "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["converged"] is True
-        assert payload["evaluations_used"] >= 1
         assert payload["predicted_qber"] < 1e-3
 
     @pytest.mark.parametrize("command", ["align", "timing-check"])
@@ -261,7 +259,6 @@ class TestCountFiles:
         assert code == 0
         result = json.loads(out)
         assert result["predicted_qber"] == 0.5
-        assert result["cost"] == -2.0
         assert all(math.isfinite(a) for a in result["angles_deg"])
 
     @pytest.mark.parametrize(
@@ -318,6 +315,30 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("expected detection rate:")
+
+    def test_runtime_never_imports_scipy(self, tmp_path, count_file):
+        # scipy is a test dependency only: no subcommand may load it
+        sweep = write_csv(tmp_path / "fit.csv", SWEEP_ROWS)
+        script = f"""
+import sys
+from polalign.cli import main
+for argv in (
+    ["rate", "--pulse-rate", "1e8", "--mu", "0.5", "--loss-db", "20"],
+    ["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95", "--samples", "3",
+     "--seed", "1", "--jobs", "1", "--out", {str(tmp_path / "sweep.csv")!r}],
+    ["fit", "--in", {sweep!r}],
+    ["align", "--counts", {str(count_file)!r}],
+    ["timing-check", "--counts", {str(count_file)!r}],
+):
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestRate:

@@ -483,6 +483,20 @@ class TestReconstructionSet:
         with pytest.raises(ValueError, match=r"\(4, 3\)"):
             pa.ReconstructionSet(D.FORWARD, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row,col", [(0, 0), (1, 2), (3, 2)])
+    def test_non_finite_rejected(self, bad, row, col):
+        # the first, a middle and the last component
+        rows = np.zeros((4, 3))
+        rows[row, col] = bad
+        for given in (rows, rows.tolist()):
+            with pytest.raises(ValueError, match="finite"):
+                pa.ReconstructionSet(D.FORWARD, given)
+
+    def test_large_finite_accepted(self):
+        rows = np.full((4, 3), 1e308)
+        assert pa.ReconstructionSet(D.REVERSED, rows).rows[3][2] == 1e308
+
 
 class TestForwardReversedDuality:
     def test_noiseless_duality(self, rng):

@@ -4,35 +4,23 @@ Channel characterization by six-outcome qubit tomography, compensation by
 a quarter-half-quarter wave-plate stack set in closed form from the optimal
 Stokes rotation, Monte Carlo performance sweeps over photon budget and
 signal fidelity, and a timing-vs-polarization misalignment discriminator.
+The package holds what the ``polalign`` commands and the sweep run; the
+independent reference physics the tests compare against lives in
+``tests/oracles.py``.
 """
 
 from .polarization import (
     ALL_LABELS,
     BB84_LABELS,
-    CANONICAL_KETS,
     ChannelUnitary,
-    DensityMatrix,
-    PureState,
     WavePlateAngles,
-    canonical_state,
-    compensation_unitary,
-    density_from_stokes,
-    depolarize,
-    fidelity_mixed,
-    fidelity_pure,
     haar_random_unitary,
-    half_wave,
-    qber_from_fidelities,
-    quarter_wave,
     reduce_angle,
-    stokes_vector,
 )
 from .tomography import (
     CountMatrix,
     Direction,
     ReconstructionSet,
-    linear_inversion,
-    mle_reconstruct,
     reconstruct_forward,
     reconstruct_reversed,
 )
@@ -61,10 +49,7 @@ from .montecarlo import (
 from .timing import (
     AlignmentStatus,
     AlignmentVerdict,
-    aligned_max_probability,
     classify,
-    generate_timing_counts,
-    worst_case_unitary,
 )
 from .errors import (
     FitError,

@@ -62,22 +62,6 @@ SWEEP_CSV_HEADER = "direction,n,fs,bg_mean,bg_subtract,samples,failures,mean_qbe
 # count files
 
 
-def save_count_file(path, cm: CountMatrix, metadata: dict | None = None):
-    """Write a count matrix as self-describing JSON."""
-    payload = {
-        "schema_version": COUNT_FILE_SCHEMA_VERSION,
-        "direction": cm.direction.value,
-        "row_labels": list(ROW_LABELS[cm.direction]),
-        "column_labels": list(COLUMN_LABELS[cm.direction]),
-        "counts": [[int(round(x)) for x in row] for row in cm.counts],
-    }
-    if metadata:
-        payload["metadata"] = metadata
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise SchemaError(message)
@@ -528,12 +512,14 @@ _FIT_CRITERIA = (
 
 
 def cmd_fit(parser, args) -> int:
-    cells = read_sweep_file(args.input)
     criteria = []
     for flag, drops in _FIT_CRITERIA:
         value = getattr(args, flag.replace("-", "_"))
+        if isinstance(value, float) and not math.isfinite(value):
+            parser.error(f"--{flag}: {value} must be a finite number")
         if value is not None:
             criteria.append((flag, value, drops))
+    cells = read_sweep_file(args.input)
     selected = [c for c in cells if not any(drops(c, v) for _flag, v, drops in criteria)]
     fit = fit_power_law(selected)
     selection = ", ".join(f"{flag}={v}" for flag, v, _drops in criteria) or "all cells"

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .polarization import ChannelUnitary, WavePlateAngles, _matmul2, _plate_stack
 from .tomography import Direction, ReconstructionSet
 
@@ -89,12 +87,15 @@ def _wahba_rotation(a, b) -> tuple[tuple, float]:
 
 
 def _plate_settings(rotation, reference) -> list[tuple[float, float, float]]:
-    """The four settings of :func:`plate_angle_candidates` as unreduced tuples.
+    """The four plate settings whose Stokes rotation is ``rotation``, as unreduced tuples.
 
-    ``rotation`` is a nested 3x3 sequence.  Each quarter plate is fixed by
-    an equatorial direction at angle 2 theta + pi/2, which gives its
-    (cos 2 theta, sin 2 theta) without further trigonometry; the half plate
-    follows from the first row of Q3^T R Q1^T, taken by dot products.
+    ``rotation`` is a nested 3x3 sequence.  The first quarter plate takes
+    u = (cos phi, sin phi, 0) to the S3 pole and the half plate flips it, so
+    R u must lie on the equator: that fixes phi up to pi (the reference
+    theta1 when R keeps the pole in place), then theta3, and leaves the half
+    plate fixed up to pi/2.  Each quarter plate follows from its equatorial
+    direction without further trigonometry, the half plate from the first
+    row of Q3^T R Q1^T by dot products.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
     if math.hypot(r20, r21) <= _POLE_TOLERANCE:
@@ -121,20 +122,6 @@ def _plate_settings(rotation, reference) -> list[tuple[float, float, float]]:
         settings.append((theta1, theta2, theta3))
         settings.append((theta1, theta2 + math.pi / 2.0, theta3))
     return settings
-
-
-def plate_angle_candidates(rotation, reference=(0.0, 0.0, 0.0)) -> list[WavePlateAngles]:
-    """The four plate settings whose Stokes rotation is ``rotation``.
-
-    The first quarter plate takes an equatorial direction
-    u = (cos phi, sin phi, 0) to the S3 pole and the half plate flips the
-    pole, so the last quarter plate must take the opposite pole to R u.
-    That needs R u on the equator, which fixes phi up to pi and then
-    theta3; the half plate is what is left, fixed up to pi/2.  When R keeps
-    the pole in place every phi works, and the reference theta1 is used.
-    """
-    rotation = np.asarray(rotation, dtype=float).tolist()
-    return [WavePlateAngles(*t) for t in _plate_settings(rotation, reference)]
 
 
 def wrapped_angle_distance(a: float, b: float) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, product
@@ -491,7 +492,7 @@ def fit_power_law(sweep, select=None) -> FitResult:
     least four cells spanning two distinct N and two distinct F_S; a
     regressor without spread aborts with a :class:`FitError` naming it, and
     a cell outside the model's domain (mean QBER <= 0, F_S outside
-    (0.5, 1], N < 1) with one naming the cell.
+    (0.5, 1], N < 1 or beyond float range) with one naming the cell.
     """
     cells = sweep.cells if isinstance(sweep, SweepResult) else tuple(sweep)
     if select is not None:
@@ -510,6 +511,8 @@ def fit_power_law(sweep, select=None) -> FitResult:
             raise FitError(
                 f"{where} has N < 1; the photon-number regressor log N is undefined there"
             )
+        if c.n_detected > sys.float_info.max:
+            raise FitError(f"{where} has N beyond float range; log N cannot be taken")
     if len(cells) < 4:
         raise FitError(f"need at least four cells to fit, got {len(cells)}")
     n_values = {c.n_detected for c in cells}

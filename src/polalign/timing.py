@@ -14,7 +14,9 @@ conditional detection frequencies:
 
 The gap between 1/4 and 3/8 makes the regimes distinguishable from finite
 statistics; :func:`classify` formalizes the decision as a two-sided
-binomial interval test with an explicit inconclusive outcome.
+binomial interval test with an explicit inconclusive outcome.  This module
+holds only that decision; the tests check the 3/8 bound it relies on with
+reference physics of their own.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InsufficientCountsError
-from .polarization import BB84_KETS, BB84_LABELS, ChannelUnitary, SIGMA_X, SIGMA_Z
+from .polarization import BB84_LABELS
 
 #: conditional frequency of every cell under broken timing
 TIMING_FREQUENCY = 0.25
@@ -55,59 +57,6 @@ class AlignmentVerdict:
     ci_low: float
     ci_high: float
     confidence: float
-
-
-def _overlaps(u: ChannelUnitary) -> np.ndarray:
-    """|<phi| U |psi>|^2 for BB84 analyzer states phi (rows) and preparations psi (columns)."""
-    return np.abs(BB84_KETS.conj().T @ (u.entries @ BB84_KETS)) ** 2
-
-
-def aligned_max_probability(u: ChannelUnitary) -> float:
-    """Best conditional detection probability under intact timing.
-
-    max over BB84 preparations psi and linear analyzer states phi of
-    (1/2) |<phi| U |psi>|^2; the 1/2 is the receiver's uniform choice
-    between the two linear bases.  Never below 3/8, for any U.
-    """
-    return 0.5 * float(_overlaps(u).max())
-
-
-def worst_case_unitary() -> ChannelUnitary:
-    """A channel rotation minimizing the best conditional probability.
-
-    Rotates the great circle of the four signal states by 90 degrees about
-    an axis midway between two adjacent analyzer states, which parks two
-    received states 60 degrees (on the sphere) from their nearest analyzer
-    states at opposite circular-polarization latitudes.  The best cell
-    then sits exactly at the 3/8 bound.
-    """
-    axis = -(SIGMA_X + SIGMA_Z) / math.sqrt(2.0)
-    u = math.cos(math.pi / 4.0) * np.eye(2, dtype=complex) - 1j * math.sin(math.pi / 4.0) * axis
-    return ChannelUnitary(u)
-
-
-def generate_timing_counts(
-    u: ChannelUnitary,
-    n_events: int,
-    rng: np.random.Generator,
-    *,
-    timing_aligned: bool = True,
-) -> np.ndarray:
-    """Simulated 4x4 linear-basis counts, with timing intact or broken.
-
-    Rows are preparations (H, V, D, A), columns analyzer outcomes in the
-    same order.  Broken timing pairs each outcome with an independent,
-    uniformly chosen preparation label, which lands every cell at
-    probability 1/16; intact timing Born-samples through ``u`` with a
-    uniform basis choice.
-    """
-    if n_events < 1:
-        raise ValueError(f"need at least one event, got {n_events}")
-    if timing_aligned:
-        p = _overlaps(u).T / 8.0  # (input, outcome); 1/4 input choice x 1/2 basis choice
-    else:
-        p = np.full((4, 4), 1.0 / 16.0)
-    return rng.multinomial(n_events, p.ravel()).reshape(4, 4).astype(float)
 
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:

@@ -15,9 +15,7 @@ multiplier, each component is the middle root of a depressed cubic, taken
 from the trigonometric formula; one pass over the three axes gives the
 point and its derivative for that multiplier, and only the multiplier
 itself is found by a one-dimensional Newton search.  Counts are checked
-once, where they enter: a :class:`CountMatrix` on construction, a bare
-list of six totals in :func:`linear_inversion` and
-:func:`mle_reconstruct`.
+once, where they enter: a :class:`CountMatrix` on construction.
 """
 
 from __future__ import annotations
@@ -30,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientCountsError
-from .polarization import (
-    ALL_LABELS,
-    BASIS_NAMES,
-    BB84_LABELS,
-    PAULI_STOKES,
-    DensityMatrix,
-    density_from_stokes,
-)
+from .polarization import ALL_LABELS, BASIS_NAMES, BB84_LABELS
 
 #: minimum total counts for a meaningful six-outcome fit
 _MIN_TOTAL_COUNTS = 6
@@ -97,19 +88,19 @@ class ReconstructionSet:
     """Stokes vectors of four reconstructed states, one row per BB84 label (H, V, D, A).
 
     ``rows`` holds them as four (S1, S2, S3) tuples of finite floats, given
-    as any (4, 3) nested sequence or array; :attr:`stokes` is the same as a
-    read-only float array, built when asked for.
+    as any (4, 3) nested sequence or array.
     """
 
     direction: Direction
     rows: tuple
 
     def __post_init__(self):
-        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
         try:
-            (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = rows
+            (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = self.rows
             rows = ((float(h0), float(h1), float(h2)), (float(v0), float(v1), float(v2)),
                     (float(d0), float(d1), float(d2)), (float(a0), float(a1), float(a2)))
+        except OverflowError:
+            raise ValueError("Stokes components must be finite, not past float range") from None
         except (TypeError, ValueError):
             raise ValueError(
                 "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers"
@@ -120,12 +111,6 @@ class ReconstructionSet:
                 + 0.0 * d0 + 0.0 * d1 + 0.0 * d2 + 0.0 * a0 + 0.0 * a1 + 0.0 * a2) != 0.0:
             raise ValueError(f"Stokes components must be finite, got {rows}")
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def stokes(self) -> np.ndarray:
-        s = np.array(self.rows)
-        s.setflags(write=False)
-        return s
 
 
 def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
@@ -146,35 +131,6 @@ def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
     z, x, y = pairs
     return [(n_h - n_v) / z if z > 0.0 else 0.0, (n_d - n_a) / x if x > 0.0 else 0.0,
             (n_r - n_l) / y if y > 0.0 else 0.0]
-
-
-def _outcome_totals(counts) -> list[float]:
-    """Six outcome totals as floats; rejects other shapes and negative or non-finite counts."""
-    if (type(counts) is list and len(counts) == 6
-            and all(type(x) is float and 0.0 <= x < math.inf for x in counts)):
-        return counts
-    # anything else, a list with a bad value included, is checked as an array
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (6,):
-        raise ValueError(f"expected six outcome totals, got shape {c.shape}")
-    n = c.tolist()
-    if not all(0.0 <= x < math.inf for x in n):  # NaN fails both
-        raise ValueError("counts must be finite and nonnegative")
-    return n
-
-
-def linear_inversion(counts) -> np.ndarray:
-    """Direct Stokes inversion of six outcome totals, ordered (H,V,D,A,R,L).
-
-    Returns a Hermitian trace-one matrix that may be non-positive for noisy
-    counts.  When it is positive it is the maximum-likelihood estimate, and
-    :func:`mle_reconstruct` returns the same matrix.
-    """
-    s1, s2, s3 = _stokes_estimates(_outcome_totals(counts), allow_empty=False)
-    m = np.eye(2, dtype=complex)
-    for s, sigma in zip((s1, s2, s3), PAULI_STOKES):
-        m = m + s * sigma
-    return 0.5 * m
 
 
 def _decreasing_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
@@ -298,7 +254,14 @@ def _sphere_stokes(n) -> list[float]:
 
 
 def _mle_stokes(n, allow_empty: bool) -> list[float]:
-    """Stokes components of :func:`mle_reconstruct`'s estimate from six checked totals."""
+    """Maximum-likelihood Stokes vector from six checked outcome totals (H,V,D,A,R,L).
+
+    The linear inversion when it lies in the Bloch ball, else the sphere
+    point of one Lagrange-multiplier root (Hradil, PRA 55, R1561 (1997);
+    Rehacek et al., PRA 75, 042108 (2007)); zero counts need no smoothing.
+    Raises :class:`InsufficientCountsError` when the total is below 6 or a
+    basis pair is empty, unless ``allow_empty``, which holds that axis at 0.
+    """
     # counts below the float-noise scale of the total carry no information;
     # zeroed, an outcome that background subtraction left at rounding noise
     # counts as empty
@@ -315,24 +278,6 @@ def _mle_stokes(n, allow_empty: bool) -> list[float]:
     if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
         s = _sphere_stokes(n)
     return s
-
-
-def mle_reconstruct(counts, *, allow_empty_basis: bool = False) -> DensityMatrix:
-    """Maximum-likelihood state estimate from six outcome totals (H,V,D,A,R,L).
-
-    The likelihood is a product of one binomial per basis, in the Stokes
-    component of that basis.  Inside the Bloch ball its maximum is the
-    linear inversion, returned unchanged; outside, the maximum lies on the
-    sphere and comes from one Lagrange-multiplier root (Hradil, PRA 55,
-    R1561 (1997); Rehacek et al., PRA 75, 042108 (2007)).  The returned
-    state is always physical.  Zero counts need no smoothing: they simply
-    contribute nothing to the likelihood.
-
-    Raises :class:`InsufficientCountsError` when the total is below 6 or a
-    basis pair is empty.  With ``allow_empty_basis`` an empty pair is
-    accepted instead and its Stokes component is held at 0.
-    """
-    return density_from_stokes(*_mle_stokes(_outcome_totals(counts), allow_empty_basis))
 
 
 def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from polalign import ChannelUnitary, CountMatrix, Direction
+from polalign import ChannelUnitary, CountMatrix, Direction, haar_random_unitary
 from polalign.montecarlo import expected_probabilities
-from polalign.polarization import PAULI_STOKES
+
+from oracles import KETS
 
 
 def default_jobs() -> int:
@@ -32,12 +33,9 @@ def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.trace(u.conj().T @ v)) ** 2 / 4.0
 
 
-def stokes_rotation(u: np.ndarray) -> np.ndarray:
-    """SO(3) action of a 2x2 unitary on Stokes vectors: R_ij = tr(s_i U s_j U+) / 2."""
-    return np.array(
-        [[0.5 * np.real(np.trace(si @ u @ sj @ u.conj().T)) for sj in PAULI_STOKES]
-         for si in PAULI_STOKES]
-    )
+def haar_state(rng, label: str = "H") -> np.ndarray:
+    """A Haar-random pure state: the image of a canonical ket under a Haar channel."""
+    return haar_random_unitary(rng).entries @ KETS[label]
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -53,11 +53,13 @@ def write_json(path, payload):
 @pytest.fixture
 def count_file(tmp_path):
     u = pa.haar_random_unitary(np.random.default_rng(3))
-    counts = np.round(exact_count_matrix(u, Direction.FORWARD).counts)
-    cm = pa.CountMatrix(Direction.FORWARD, counts)
-    path = tmp_path / "counts.json"
-    cli.save_count_file(path, cm)
-    return path
+    counts = np.round(exact_count_matrix(u, Direction.FORWARD).counts).astype(int)
+    write_json(tmp_path / "counts.json", {
+        "schema_version": 1, "direction": "forward",
+        "row_labels": list(pa.BB84_LABELS), "column_labels": list(pa.ALL_LABELS),
+        "counts": counts.tolist(),
+    })
+    return tmp_path / "counts.json"
 
 
 class TestFit:
@@ -104,6 +106,8 @@ class TestFit:
             ("forward,0,1,0,false,10,0,0.004,0.003", "error: cell (n=0, fs=1.0) has N < 1"),
             ("forward,-5,1,0,false,10,0,0.004,0.003", "error: cell (n=-5, fs=1.0) has N < 1"),
             ("forward,400,1.5,0,false,10,0,0.004,0.003", "error: cell (n=400, fs=1.5) has F_S > 1"),
+            pytest.param(f"forward,{10**400},1,0,false,10,0,0.004,0.003",
+                         "has N beyond float range", id="n=10**400"),
         ],
     )
     def test_cell_outside_model_domain_rejected(self, tmp_path, capsys, form, row, match):
@@ -124,6 +128,12 @@ class TestFit:
         rows = [row.replace(",1600,", ",400,") for row in SWEEP_ROWS]
         path = write_csv(tmp_path / "s.csv", rows)
         assert_rejected(["fit", "--in", path], capsys, "error: no spread in the photon-number")
+
+    @pytest.mark.parametrize("flag", ["--min-fs", "--max-fs"])
+    def test_non_finite_fidelity_bound_rejected(self, tmp_path, capsys, flag):
+        path = write_csv(tmp_path / "s.csv", SWEEP_ROWS)
+        assert_rejected(["fit", "--in", path, flag, "nan"], capsys,
+                        f"{flag}: nan must be a finite number")
 
     @pytest.mark.parametrize(
         "row,match",

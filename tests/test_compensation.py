@@ -15,7 +15,9 @@ from polalign.compensation import (
 from polalign.montecarlo import generate_counts
 from polalign.tomography import Direction, ReconstructionSet
 
+import oracles
 from conftest import default_jobs, exact_count_matrix
+from oracles import KETS
 
 
 def exact_reconstruction(
@@ -26,61 +28,30 @@ def exact_reconstruction(
     Forward: the post-channel states U|psi>.  Reversed: the inputs U+|psi>
     that the channel maps onto each outcome.
     """
-    op = u if direction is Direction.FORWARD else pa.ChannelUnitary(u.entries.conj().T)
-    stokes = [
-        pa.stokes_vector(pa.depolarize(op.apply(pa.canonical_state(label)), fs))
-        for label in pa.BB84_LABELS
-    ]
+    op = u.entries if direction is Direction.FORWARD else u.entries.conj().T
+    stokes = [oracles.stokes(oracles.depolarize(op @ KETS[label], fs)) for label in pa.BB84_LABELS]
     return ReconstructionSet(direction=direction, rows=np.array(stokes))
 
 
-def _plate(theta: float, e: complex):
-    """Wave-plate Jones matrix R(theta) diag(1, e) R(-theta) as (a, b, c, d)."""
-    c, s = math.cos(theta), math.sin(theta)
-    off = c * s * (1.0 - e)
-    return (c * c + e * s * s, off, off, s * s + e * c * c)
-
-
-def _mul(x, y):
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
 def _fidelity_objective(recon: ReconstructionSet):
-    """-sum_n <psi_n| V rho_n V+ |psi_n> (V+ rho_n V when reversed) in Jones form.
-
-    Scalar arithmetic, so that a Nelder-Mead search over it stays fast.
-    """
-    rhos = [(m[0, 0].real, complex(m[0, 1]), m[1, 1].real)
-            for m in (pa.density_from_stokes(*s).entries for s in recon.stokes)]
-    kets = [tuple(complex(a) for a in pa.canonical_state(label).amplitudes)
-            for label in pa.BB84_LABELS]
-    reversed_mode = recon.direction is Direction.REVERSED
+    """-sum_n <psi_n| V rho_n V+ |psi_n> (V+ rho_n V when reversed) over the plate angles."""
+    rhos = np.array([oracles.rho_from_stokes(s) for s in recon.rows])
+    kets = np.column_stack([KETS[label] for label in pa.BB84_LABELS])
+    forward = recon.direction is Direction.FORWARD
 
     def objective(x):
-        v00, v01, v10, v11 = _mul(_plate(x[2], 1j), _mul(_plate(x[1], -1.0), _plate(x[0], 1j)))
-        if not reversed_mode:  # w = V+ psi
-            v00, v01, v10, v11 = v00.conjugate(), v10.conjugate(), v01.conjugate(), v11.conjugate()
-        total = 0.0
-        for (a0, a1), (r00, r01, r11) in zip(kets, rhos):
-            w0 = v00 * a0 + v01 * a1
-            w1 = v10 * a0 + v11 * a1
-            total += r00 * abs(w0) ** 2 + r11 * abs(w1) ** 2
-            total += 2.0 * (w0.conjugate() * r01 * w1).real
-        return -total
+        v = oracles.stack(*x)
+        w = (v.conj().T if forward else v) @ kets  # the states each rho_n is scored against
+        return -np.einsum("in,nij,jn->", w.conj(), rhos, w).real
 
     return objective
-
-
-def bb84_projector_recon() -> ReconstructionSet:
-    return exact_reconstruction(pa.ChannelUnitary(np.eye(2)))
 
 
 class TestCost:
     """The test-side cost, minus the summed fidelity, that optimize is checked against."""
 
     def test_ideal_projectors_at_zero_angles(self):
-        value = _fidelity_objective(bb84_projector_recon())((0.0, 0.0, 0.0))
+        value = _fidelity_objective(exact_reconstruction(pa.ChannelUnitary(np.eye(2))))((0, 0, 0))
         assert value == pytest.approx(-4.0, abs=1e-12)
 
     def test_maximally_mixed_recon(self, rng):
@@ -105,11 +76,11 @@ class TestCost:
         u = pa.haar_random_unitary(rng)
         recon = exact_reconstruction(u, fs=0.9)
         angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
-        v = pa.compensation_unitary(angles).entries
+        v = oracles.stack(*angles.as_tuple())
         expected = 0.0
-        for label, s in zip(pa.BB84_LABELS, recon.stokes):
-            ket = pa.canonical_state(label).amplitudes
-            rho = pa.density_from_stokes(*s).entries
+        for label, s in zip(pa.BB84_LABELS, recon.rows):
+            ket = KETS[label]
+            rho = oracles.rho_from_stokes(s)
             expected -= float(np.real(ket.conj() @ v @ rho @ v.conj().T @ ket))
         assert _fidelity_objective(recon)(angles.as_tuple()) == pytest.approx(expected, abs=1e-12)
 
@@ -181,7 +152,7 @@ class TestOptimize:
         for alpha in (0.3, math.pi / 2, 2.0, math.pi):
             c, s = math.cos(alpha / 2), math.sin(alpha / 2)
             channels.append(pa.ChannelUnitary(np.array([[c, -s], [s, c]])))
-        channels += [pa.half_wave(t) for t in (0.0, 0.4, 1.3)]
+        channels += [pa.ChannelUnitary(oracles.half(t)) for t in (0.0, 0.4, 1.3)]
         prev = pa.WavePlateAngles(0.7, 0.2, 2.9)
         for channel in channels:
             u = pa.ChannelUnitary(tilted.entries @ channel.entries)
@@ -215,8 +186,8 @@ class TestOptimize:
             cm = generate_counts(u, cfg, rng)
             recon = pa.reconstruct_forward(cm)
             impurity.append(
-                np.mean([np.linalg.eigvalsh(pa.density_from_stokes(*s).entries).min()
-                         for s in recon.stokes])
+                np.mean([np.linalg.eigvalsh(oracles.rho_from_stokes(s)).min()
+                         for s in recon.rows])
             )
             result = pa.optimize(recon)
             predicted.append(result.predicted_qber)
@@ -285,7 +256,7 @@ class TestResidualQber:
             )
 
     def test_swap_channel_uncompensated(self):
-        u = pa.half_wave(math.pi / 4)
+        u = pa.ChannelUnitary(oracles.half(math.pi / 4))
         for direction in Direction:
             assert pa.residual_qber(u, pa.WavePlateAngles(0, 0, 0), direction) == pytest.approx(
                 0.5, abs=1e-12
@@ -321,15 +292,14 @@ class TestResidualQber:
         # 1 - (1/4) sum |<psi| W |psi>|^2 with W = V U forward (plates after
         # the channel) and W = U V reversed (plates before it), V built here
         # from scalar plate matrices
-        kets = [pa.canonical_state(label).amplitudes for label in pa.BB84_LABELS]
+        kets = [KETS[label] for label in pa.BB84_LABELS]
         for _ in range(200):
             channel = pa.haar_random_unitary(rng)
             u = channel.entries
             x = rng.uniform(0, math.pi, 3)
-            v = _mul(_plate(x[2], 1j), _mul(_plate(x[1], -1.0), _plate(x[0], 1j)))
-            v = np.reshape(v, (2, 2))
+            v = oracles.stack(*x)
             for direction, w in ((Direction.FORWARD, v @ u), (Direction.REVERSED, u @ v)):
-                expected = 1.0 - sum(abs(np.vdot(k, w @ k)) ** 2 for k in kets) / 4.0
+                expected = oracles.qber([oracles.overlap(k, w @ k) for k in kets])
                 lhs = pa.residual_qber(channel, pa.WavePlateAngles(*x), direction)
                 assert lhs == pytest.approx(expected, abs=1e-12)
 

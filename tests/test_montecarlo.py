@@ -9,6 +9,7 @@ from polalign import montecarlo
 from polalign.errors import FitError, InsufficientCountsError
 
 from conftest import default_jobs
+from oracles import KETS
 
 D = pa.Direction
 
@@ -265,8 +266,8 @@ class TestExpectedProbabilities:
     def test_matches_born_rule(self, direction, fs):
         # the Born rule written out with kets and matrix products: the
         # closed Stokes form must agree on every cell
-        bb84 = np.column_stack([pa.CANONICAL_KETS[lab] for lab in "HVDA"])
-        six = np.column_stack([pa.CANONICAL_KETS[lab] for lab in "HVDARL"])
+        bb84 = np.column_stack([KETS[lab] for lab in "HVDA"])
+        six = np.column_stack([KETS[lab] for lab in "HVDARL"])
         inputs, outcomes, n_bases = (bb84, six, 3) if direction is D.FORWARD else (six, bb84, 2)
         rng = np.random.default_rng(21)
         for _ in range(1000):

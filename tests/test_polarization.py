@@ -5,9 +5,12 @@ import pytest
 from scipy.stats import kstest
 
 import polalign as pa
-from polalign.compensation import plate_angle_candidates
+from polalign.compensation import _plate_settings
+from polalign.montecarlo import expected_probabilities
 
-from conftest import operator_fidelity, stokes_rotation
+import oracles
+from conftest import haar_state, operator_fidelity
+from oracles import KETS
 
 SQ2 = math.sqrt(0.5)
 #: non-finite entries, real and imaginary: NaN fails a tolerance test only if written to
@@ -16,49 +19,44 @@ NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0
 
 class TestCanonicalStates:
     def test_h_amplitudes(self):
-        np.testing.assert_allclose(pa.canonical_state("H").amplitudes, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(KETS["H"], [1, 0], atol=1e-15)
 
     def test_d_amplitudes(self):
-        np.testing.assert_allclose(pa.canonical_state("D").amplitudes, [SQ2, SQ2], atol=1e-15)
+        np.testing.assert_allclose(KETS["D"], [SQ2, SQ2], atol=1e-15)
 
     def test_r_amplitudes(self):
-        np.testing.assert_allclose(pa.canonical_state("R").amplitudes, [SQ2, 1j * SQ2], atol=1e-15)
+        np.testing.assert_allclose(KETS["R"], [SQ2, 1j * SQ2], atol=1e-15)
 
     def test_all_six_unit_norm(self):
+        assert tuple(KETS) == pa.ALL_LABELS
         for label in pa.ALL_LABELS:
-            amp = pa.canonical_state(label).amplitudes
-            assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0, abs=1e-15)
+            assert np.sum(np.abs(oracles.pure(KETS[label])) ** 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_dalr_balanced_magnitudes(self):
         for label in ("D", "A", "R", "L"):
-            amp = pa.canonical_state(label).amplitudes
-            np.testing.assert_allclose(np.abs(amp), [SQ2, SQ2], atol=1e-15)
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown state label"):
-            pa.canonical_state("Q")
+            np.testing.assert_allclose(np.abs(KETS[label]), [SQ2, SQ2], atol=1e-15)
 
 
 class TestTypeInvariants:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError, match="unit-norm"):
-            pa.PureState(np.array([1.0, 1.0]))
+            oracles.pure(np.array([1.0, 1.0]))
 
     def test_pure_state_shape_enforced(self):
         with pytest.raises(ValueError):
-            pa.PureState(np.array([1.0, 0.0, 0.0]))
+            oracles.pure(np.array([1.0, 0.0, 0.0]))
 
     def test_density_matrix_requires_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            pa.DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
+            oracles.density(np.array([[0.5, 0.1], [0.3, 0.5]]))
 
     def test_density_matrix_requires_unit_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            pa.DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.5]]))
+            oracles.density(np.array([[0.7, 0.0], [0.0, 0.5]]))
 
     def test_density_matrix_requires_psd(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            pa.DensityMatrix(np.array([[1.2, 0.0], [0.0, -0.2]]))
+            oracles.density(np.array([[1.2, 0.0], [0.0, -0.2]]))
 
     def test_unitary_enforced(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -70,7 +68,7 @@ class TestTypeInvariants:
         amplitudes = np.array([1.0, 0.0], dtype=complex)
         amplitudes[index] = bad
         with pytest.raises(ValueError, match="unit-norm"):
-            pa.PureState(amplitudes)
+            oracles.pure(amplitudes)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -78,7 +76,7 @@ class TestTypeInvariants:
         entries = np.eye(2, dtype=complex) / 2.0
         entries[index] = bad
         with pytest.raises(ValueError, match="Hermitian|trace|eigenvalue"):
-            pa.DensityMatrix(entries)
+            oracles.density(entries)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -104,21 +102,21 @@ class TestTypeInvariants:
             pa.WavePlateAngles(math.nan, 0.0, 0.0)
 
     def test_immutable_arrays(self):
-        state = pa.canonical_state("H")
+        # the oracle's kets are shared by every test: none may change them
         with pytest.raises(ValueError):
-            state.amplitudes[0] = 5.0
+            KETS["H"][0] = 5.0
 
     def test_pure_state_copies_caller_array(self):
         amplitudes = np.array([1.0, 0.0], dtype=complex)
-        state = pa.PureState(amplitudes)
+        state = oracles.pure(amplitudes)
         amplitudes[0] = 5.0
-        assert state.amplitudes[0] == 1.0
+        assert state[0] == 1.0
 
     def test_density_matrix_copies_caller_array(self):
         entries = np.eye(2, dtype=complex) / 2.0
-        rho = pa.DensityMatrix(entries)
+        rho = oracles.density(entries)
         entries[0, 0] = 5.0
-        assert rho.entries[0, 0] == 0.5
+        assert rho[0, 0] == 0.5
 
     def test_channel_unitary_copies_caller_array(self):
         entries = np.eye(2, dtype=complex)
@@ -129,159 +127,147 @@ class TestTypeInvariants:
 
 class TestFidelities:
     def test_pure_identity(self):
-        h = pa.canonical_state("H")
-        assert pa.fidelity_pure(h, h) == pytest.approx(1.0, abs=1e-15)
+        assert oracles.overlap(KETS["H"], KETS["H"]) == pytest.approx(1.0, abs=1e-15)
 
     def test_pure_orthogonal(self):
-        assert pa.fidelity_pure(
-            pa.canonical_state("H"), pa.canonical_state("V")
-        ) == pytest.approx(0.0, abs=1e-15)
+        assert oracles.overlap(KETS["H"], KETS["V"]) == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_h_d_half(self):
-        assert pa.fidelity_pure(
-            pa.canonical_state("H"), pa.canonical_state("D")
-        ) == pytest.approx(0.5, abs=1e-12)
+        assert oracles.overlap(KETS["H"], KETS["D"]) == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_symmetric_and_phase_invariant(self, rng):
         for _ in range(50):
-            a = pa.haar_random_unitary(rng).apply(pa.canonical_state("H"))
-            b = pa.haar_random_unitary(rng).apply(pa.canonical_state("D"))
-            f_ab = pa.fidelity_pure(a, b)
-            f_ba = pa.fidelity_pure(b, a)
-            assert f_ab == pytest.approx(f_ba, abs=1e-12)
+            a = haar_state(rng, "H")
+            b = haar_state(rng, "D")
+            f_ab = oracles.overlap(a, b)
+            assert f_ab == pytest.approx(oracles.overlap(b, a), abs=1e-12)
             phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
-            a_rot = pa.PureState(phase * a.amplitudes)
-            assert pa.fidelity_pure(a_rot, b) == pytest.approx(f_ab, abs=1e-12)
+            assert oracles.overlap(phase * a, b) == pytest.approx(f_ab, abs=1e-12)
 
     def test_mixed_pure_projector(self):
-        h = pa.canonical_state("H")
-        rho = pa.DensityMatrix(h.projector())
-        assert pa.fidelity_mixed(h, rho) == pytest.approx(1.0, abs=1e-12)
+        rho = oracles.density(oracles.projector(KETS["H"]))
+        assert oracles.fidelity(KETS["H"], rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_maximally_mixed(self):
-        h = pa.canonical_state("H")
-        rho = pa.DensityMatrix(np.eye(2) / 2.0)
-        assert pa.fidelity_mixed(h, rho) == pytest.approx(0.5, abs=1e-12)
+        rho = oracles.density(np.eye(2) / 2.0)
+        assert oracles.fidelity(KETS["H"], rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_mixed_depolarized_recovers_fs(self):
-        d = pa.canonical_state("D")
-        assert pa.fidelity_mixed(d, pa.depolarize(d, 0.95)) == pytest.approx(0.95, abs=1e-12)
+        d = KETS["D"]
+        assert oracles.fidelity(d, oracles.depolarize(d, 0.95)) == pytest.approx(0.95, abs=1e-12)
 
     def test_mixed_reduces_to_pure(self, rng):
         for _ in range(20):
-            a = pa.haar_random_unitary(rng).apply(pa.canonical_state("H"))
-            b = pa.haar_random_unitary(rng).apply(pa.canonical_state("H"))
-            rho = pa.DensityMatrix(b.projector())
-            assert pa.fidelity_mixed(a, rho) == pytest.approx(
-                pa.fidelity_pure(a, b), abs=1e-12
-            )
+            a = haar_state(rng)
+            b = haar_state(rng)
+            rho = oracles.density(oracles.projector(b))
+            assert oracles.fidelity(a, rho) == pytest.approx(oracles.overlap(a, b), abs=1e-12)
 
     def test_simultaneous_rotation_invariance(self, rng):
         # F(U phi, U rho U+) = F(phi, rho)
         for _ in range(50):
-            u = pa.haar_random_unitary(rng)
-            phi = pa.haar_random_unitary(rng).apply(pa.canonical_state("D"))
-            rho = pa.depolarize(
-                pa.haar_random_unitary(rng).apply(pa.canonical_state("H")),
-                rng.uniform(0.5, 1.0),
-            )
-            rotated_phi = u.apply(phi)
-            rotated_rho = pa.DensityMatrix(u.entries @ rho.entries @ u.entries.conj().T)
-            assert pa.fidelity_mixed(rotated_phi, rotated_rho) == pytest.approx(
-                pa.fidelity_mixed(phi, rho), abs=1e-12
+            u = pa.haar_random_unitary(rng).entries
+            phi = haar_state(rng, "D")
+            rho = oracles.depolarize(haar_state(rng), rng.uniform(0.5, 1.0))
+            rotated_rho = oracles.density(u @ rho @ u.conj().T)
+            assert oracles.fidelity(u @ phi, rotated_rho) == pytest.approx(
+                oracles.fidelity(phi, rho), abs=1e-12
             )
 
 
 class TestDepolarize:
     def test_fs_one_is_projector(self):
-        h = pa.canonical_state("H")
-        np.testing.assert_allclose(pa.depolarize(h, 1.0).entries, h.projector(), atol=1e-15)
+        h = KETS["H"]
+        np.testing.assert_allclose(oracles.depolarize(h, 1.0), oracles.projector(h), atol=1e-15)
 
     def test_fs_half_is_maximally_mixed(self):
-        h = pa.canonical_state("H")
-        np.testing.assert_allclose(pa.depolarize(h, 0.5).entries, np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(oracles.depolarize(KETS["H"], 0.5), np.eye(2) / 2, atol=1e-15)
 
     def test_d_0875_matches_direct_evaluation(self):
         # independent evaluation: 0.75 |D><D| + 0.125 I, assembled by hand
         d_ket = np.array([SQ2, SQ2], dtype=complex)
         expected = 0.75 * np.outer(d_ket, d_ket.conj()) + 0.125 * np.eye(2)
-        got = pa.depolarize(pa.canonical_state("D"), 0.875).entries
+        got = oracles.depolarize(KETS["D"], 0.875)
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
     @pytest.mark.parametrize("fs", [0.3, 0.49999, 1.0001, -1.0])
     def test_out_of_range_rejected(self, fs):
         with pytest.raises(ValueError, match="signal fidelity"):
-            pa.depolarize(pa.canonical_state("H"), fs)
+            oracles.depolarize(KETS["H"], fs)
 
     def test_eigenvalues_are_fs_and_complement(self, rng):
         for _ in range(20):
             fs = rng.uniform(0.5, 1.0)
-            psi = pa.haar_random_unitary(rng).apply(pa.canonical_state("H"))
-            eigs = np.sort(np.linalg.eigvalsh(pa.depolarize(psi, fs).entries))
+            eigs = np.sort(np.linalg.eigvalsh(oracles.depolarize(haar_state(rng), fs)))
             np.testing.assert_allclose(eigs, [1.0 - fs, fs], atol=1e-12)
+
+
+def born_row(u: np.ndarray, label: str) -> np.ndarray:
+    """The program's forward cell probabilities of input ``label`` through channel ``u``."""
+    p = expected_probabilities(pa.ChannelUnitary(u), pa.Direction.FORWARD, 1.0)
+    return p[pa.BB84_LABELS.index(label)]
 
 
 class TestWavePlates:
     def test_quarter_at_zero(self):
-        np.testing.assert_allclose(
-            pa.quarter_wave(0.0).entries, np.diag([1.0, 1.0j]), atol=1e-15
-        )
+        np.testing.assert_allclose(oracles.quarter(0.0), np.diag([1.0, 1.0j]), atol=1e-15)
 
     def test_half_at_zero(self):
-        np.testing.assert_allclose(
-            pa.half_wave(0.0).entries, np.diag([1.0, -1.0]), atol=1e-15
-        )
+        np.testing.assert_allclose(oracles.half(0.0), np.diag([1.0, -1.0]), atol=1e-15)
 
     def test_half_at_pi_over_8_maps_h_to_d(self):
-        # brute-force oracle: R(t) @ diag(1,-1) @ R(-t) applied to (1, 0)
+        # written out: R(t) @ diag(1,-1) @ R(-t) applied to (1, 0)
         t = math.pi / 8
         rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-        oracle = rot @ np.diag([1.0, -1.0]) @ rot.T @ np.array([1.0, 0.0])
-        got = pa.half_wave(t).apply(pa.canonical_state("H"))
-        np.testing.assert_allclose(got.amplitudes, oracle, atol=1e-12)
-        assert pa.fidelity_pure(got, pa.canonical_state("D")) == pytest.approx(1.0, abs=1e-12)
+        written = rot @ np.diag([1.0, -1.0]) @ rot.T @ np.array([1.0, 0.0])
+        got = oracles.half(t) @ KETS["H"]
+        np.testing.assert_allclose(got, written, atol=1e-12)
+        assert oracles.overlap(got, KETS["D"]) == pytest.approx(1.0, abs=1e-12)
+        # the program's counting model agrees: every Z and Y outcome at 1/24,
+        # D at 1/12 and A never
+        np.testing.assert_allclose(born_row(oracles.half(t), "H"),
+                                   np.array([1, 1, 2, 0, 1, 1]) / 24.0, rtol=0, atol=1e-15)
 
     def test_quarter_at_pi_over_4_maps_h_to_l(self):
-        got = pa.quarter_wave(math.pi / 4).apply(pa.canonical_state("H"))
-        assert pa.fidelity_pure(got, pa.canonical_state("L")) == pytest.approx(1.0, abs=1e-12)
+        got = oracles.quarter(math.pi / 4) @ KETS["H"]
+        assert oracles.overlap(got, KETS["L"]) == pytest.approx(1.0, abs=1e-12)
+        # so the program's R/L outcome signs follow the oracle's kets
+        np.testing.assert_allclose(born_row(oracles.quarter(math.pi / 4), "H"),
+                                   np.array([1, 1, 1, 1, 0, 2]) / 24.0, rtol=0, atol=1e-15)
 
     def test_pi_periodicity(self, rng):
         for _ in range(20):
             t = rng.uniform(-10, 10)
-            np.testing.assert_allclose(
-                pa.quarter_wave(t + math.pi).entries, pa.quarter_wave(t).entries, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                pa.half_wave(t + math.pi).entries, pa.half_wave(t).entries, atol=1e-12
-            )
+            np.testing.assert_allclose(oracles.quarter(t + math.pi), oracles.quarter(t),
+                                       atol=1e-12)
+            np.testing.assert_allclose(oracles.half(t + math.pi), oracles.half(t), atol=1e-12)
 
     def test_retardance(self):
         # eigenvalue ratio between slow and fast axis fixes the retardance
-        for build, delta in ((pa.quarter_wave, math.pi / 2), (pa.half_wave, math.pi)):
-            m = build(0.0).entries
+        for build, delta in ((oracles.quarter, math.pi / 2), (oracles.half, math.pi)):
+            m = build(0.0)
             ratio = m[1, 1] / m[0, 0]
             assert np.angle(ratio) == pytest.approx(delta, abs=1e-12)
 
     def test_unitarity_random_angles(self, rng):
+        # unitary, and R(t) @ diag(1, e^{i delta}) @ R(-t) as written
         for _ in range(30):
             t = rng.uniform(0, math.pi)
-            for u in (pa.quarter_wave(t), pa.half_wave(t)):
-                np.testing.assert_allclose(
-                    u.entries.conj().T @ u.entries, np.eye(2), atol=1e-12
-                )
+            rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            for u, phase in ((oracles.quarter(t), 1j), (oracles.half(t), -1.0)):
+                np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+                np.testing.assert_allclose(u, rot @ np.diag([1.0, phase]) @ rot.T, atol=1e-12)
 
     def test_nonfinite_angle_rejected(self):
+        # no plate of the program's stack can be set to a non-finite angle
         with pytest.raises(ValueError, match="finite"):
-            pa.quarter_wave(math.inf)
+            pa.WavePlateAngles(0.0, math.inf, 0.0)
 
 
 def _analytic_stack_fidelities(target: np.ndarray) -> list[float]:
-    """Operator fidelity to a target of each closed-form plate setting."""
-    rotation = stokes_rotation(target)
-    return [
-        operator_fidelity(target, pa.compensation_unitary(angles).entries)
-        for angles in plate_angle_candidates(rotation)
-    ]
+    """Operator fidelity to a target of each of the program's closed-form plate settings."""
+    settings = _plate_settings(oracles.stokes_rotation(target).tolist(), (0.0, 0.0, 0.0))
+    return [operator_fidelity(target, oracles.stack(*t)) for t in settings]
 
 
 def _grid_refined_stack_fidelity(target: np.ndarray, levels: int = 9, width: float = math.pi):
@@ -296,10 +282,8 @@ def _grid_refined_stack_fidelity(target: np.ndarray, levels: int = 9, width: flo
         for i in range(pts):
             for j in range(pts):
                 for k in range(pts):
-                    v = pa.compensation_unitary(
-                        pa.WavePlateAngles(g1[i, j, k], g2[i, j, k], g3[i, j, k])
-                    )
-                    fids[i, j, k] = operator_fidelity(target, v.entries)
+                    v = oracles.stack(g1[i, j, k], g2[i, j, k], g3[i, j, k])
+                    fids[i, j, k] = operator_fidelity(target, v)
         flat = int(np.argmax(fids))
         i, j, k = np.unravel_index(flat, fids.shape)
         best_val = float(fids[i, j, k])
@@ -310,14 +294,22 @@ def _grid_refined_stack_fidelity(target: np.ndarray, levels: int = 9, width: flo
 
 class TestCompensationUnitary:
     def test_zero_angles_identity_up_to_phase(self):
-        v = pa.compensation_unitary(pa.WavePlateAngles(0, 0, 0)).entries
+        v = oracles.stack(0.0, 0.0, 0.0)
         assert operator_fidelity(np.eye(2), v) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary_for_random_angles(self, rng):
+        # the oracle's stack is the unitary product of its plates, and it is
+        # the program's: the program's plates at the same angles undo its adjoint
         for _ in range(50):
             angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
-            v = pa.compensation_unitary(angles).entries
+            t1, t2, t3 = angles.as_tuple()
+            v = oracles.stack(t1, t2, t3)
+            product = oracles.quarter(t3) @ oracles.half(t2) @ oracles.quarter(t1)
+            np.testing.assert_allclose(v, product, atol=1e-12)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
+            channel = pa.ChannelUnitary(v.conj().T)
+            for direction in pa.Direction:
+                assert pa.residual_qber(channel, angles, direction) < 1e-12
 
     def test_surjective_onto_su2(self, rng):
         # 200 Haar targets, each reached by all four closed-form settings
@@ -395,33 +387,29 @@ class TestHaarSampling:
 
 class TestQber:
     def test_perfect(self):
-        assert pa.qber_from_fidelities((1, 1, 1, 1)) == 0.0
+        assert oracles.qber((1, 1, 1, 1)) == 0.0
 
     def test_half(self):
-        assert pa.qber_from_fidelities((0, 0, 1, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert oracles.qber((0, 0, 1, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_arithmetic(self):
-        assert pa.qber_from_fidelities((0.99, 0.98, 0.97, 0.96)) == pytest.approx(
-            0.025, abs=1e-12
-        )
+        assert oracles.qber((0.99, 0.98, 0.97, 0.96)) == pytest.approx(0.025, abs=1e-12)
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="four"):
-            pa.qber_from_fidelities((1, 1, 1))
+            oracles.qber((1, 1, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            pa.qber_from_fidelities((1, 1, 1, 1.5))
+            oracles.qber((1, 1, 1, 1.5))
 
 
 class TestStokes:
     def test_round_trip(self, rng):
         for _ in range(20):
-            fs = rng.uniform(0.5, 1.0)
-            rho = pa.depolarize(pa.haar_random_unitary(rng).apply(pa.canonical_state("H")), fs)
-            s = pa.stokes_vector(rho)
-            back = pa.density_from_stokes(*s)
-            np.testing.assert_allclose(back.entries, rho.entries, atol=1e-12)
+            rho = oracles.depolarize(haar_state(rng), rng.uniform(0.5, 1.0))
+            back = oracles.rho_from_stokes(oracles.stokes(rho))
+            np.testing.assert_allclose(back, rho, atol=1e-12)
 
     def test_canonical_axes(self):
         for label, expected in (
@@ -429,5 +417,5 @@ class TestStokes:
             ("D", [0, 1, 0]), ("A", [0, -1, 0]),
             ("R", [0, 0, 1]), ("L", [0, 0, -1]),
         ):
-            rho = pa.DensityMatrix(pa.canonical_state(label).projector())
-            np.testing.assert_allclose(pa.stokes_vector(rho), expected, atol=1e-12)
+            rho = oracles.density(oracles.projector(KETS[label]))
+            np.testing.assert_allclose(oracles.stokes(rho), expected, atol=1e-12)

@@ -11,25 +11,27 @@ from polalign.timing import (
     TIMING_FREQUENCY,
     AlignmentStatus,
     classify,
-    generate_timing_counts,
     wilson_interval,
 )
+
+from oracles import aligned_max_probability, timing_counts, worst_case_unitary
 
 
 class TestBound:
     def test_worst_case_unitary_is_exactly_three_eighths(self):
-        assert pa.aligned_max_probability(pa.worst_case_unitary()) == pytest.approx(
+        assert aligned_max_probability(worst_case_unitary()) == pytest.approx(
             POLARIZATION_BOUND, abs=1e-15
         )
 
     def test_bound_holds_over_haar_draws(self, rng):
-        lowest = min(pa.aligned_max_probability(pa.haar_random_unitary(rng)) for _ in range(10_000))
+        lowest = min(aligned_max_probability(pa.haar_random_unitary(rng).entries)
+                     for _ in range(10_000))
         assert lowest >= POLARIZATION_BOUND - 1e-12
         # the bound is approached, not just respected
         assert lowest < POLARIZATION_BOUND + 0.02
 
     def test_identity_channel_is_one_half(self):
-        assert pa.aligned_max_probability(pa.ChannelUnitary(np.eye(2))) == pytest.approx(0.5)
+        assert aligned_max_probability(np.eye(2)) == pytest.approx(0.5)
 
     def test_misaligned_model(self):
         assert TIMING_FREQUENCY == 0.25
@@ -58,9 +60,7 @@ class TestClassify:
 
     def test_polarization_frame_misaligned(self):
         # identity channel: H -> H with probability 1/2 (basis choice)
-        counts = generate_timing_counts(
-            pa.ChannelUnitary(np.eye(2)), 4000, np.random.default_rng(1)
-        )
+        counts = timing_counts(np.eye(2), 4000, np.random.default_rng(1))
         verdict = classify(counts)
         assert verdict.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED
         assert verdict.input_label == verdict.outcome_label
@@ -106,9 +106,9 @@ class TestClassify:
         wrong = intact_wrong = 0
         trials = 1000
         for _ in range(trials):
-            u = pa.haar_random_unitary(rng)
-            broken = classify(generate_timing_counts(u, 267, rng, timing_aligned=False))
-            intact = classify(generate_timing_counts(u, 267, rng))
+            u = pa.haar_random_unitary(rng).entries
+            broken = classify(timing_counts(u, 267, rng, timing_aligned=False))
+            intact = classify(timing_counts(u, 267, rng))
             wrong += broken.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED
             intact_wrong += intact.status is AlignmentStatus.TIMING_MISALIGNED
         assert wrong <= 0.02 * trials

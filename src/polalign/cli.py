@@ -76,7 +76,7 @@ def load_count_file(path) -> tuple[CountMatrix, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad syntax, an int past 4300 digits
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _require(isinstance(payload, dict), f"{path}: top level must be an object")
     _require(
@@ -260,7 +260,7 @@ def read_sweep_file(path) -> list[SweepCell]:
     if path.endswith(".json") or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax or an int past 4300 digits
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
         _require(isinstance(payload, dict) and isinstance(payload.get("cells"), list),
                  f"{path}: expected an object with a 'cells' list")
@@ -439,7 +439,7 @@ def _simulate_config_from_args(parser, args) -> dict:
         try:
             with open(args.from_manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"--from-manifest: cannot read {args.from_manifest}: {exc}")
         config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):

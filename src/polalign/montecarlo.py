@@ -13,14 +13,16 @@ by ordinary least squares in log space.
 
 Determinism: every trial's generator is seeded from (master seed, cell
 coordinates, trial index), so results are bit-identical for any worker
-count.  A block of trials seeds each trial with the uint32 words NumPy
-makes of :func:`trial_seed_sequence`'s list, the cell's words computed
-once per block, so both give the same stream.  Mean-background
-subtraction is a deterministic step on a drawn count matrix, not part of
-the draw: one trial draws its channel and counts once and scores every
-requested arm (without and/or with subtraction) from that one draw.  A
-paired background study is the sweep engine asked for both arms, so its
-pairs share their channel and counts by construction.
+count.  :func:`trial_seed_sequence` defines each trial's seed; a block of
+trials derives the PCG64 states that seed makes by itself, the cell's
+part once per block and the trial indices in one array pass, and resets
+one generator to each state in turn.  Tests pin every state to the
+definition.  Mean-background subtraction is a deterministic step on a
+drawn count matrix, not part of the draw: one trial draws its channel and
+counts once and scores every requested arm (without and/or with
+subtraction) from that one draw.  A paired background study is the sweep
+engine asked for both arms, so its pairs share their channel and counts
+by construction.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ MAX_DETECTIONS = int(np.iinfo(np.int64).max)
 #: largest mean background NumPy's Poisson sampler accepts
 MAX_BACKGROUND_MEAN = float(MAX_DETECTIONS - 10.0 * math.sqrt(MAX_DETECTIONS))
 _BLOCK_SIZE = 250
+# NumPy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -310,15 +319,14 @@ def trial_seed_sequence(
     """Per-trial seed derived from the cell coordinates and trial index.
 
     Mean-background subtraction is not a coordinate: it acts on the drawn
-    counts, so every arm of a trial shares the one draw.
+    counts, so every arm of a trial shares the one draw.  This is the
+    definition of a trial's stream: a sweep block derives the state of
+    ``PCG64`` seeded with it without building it, and tests pin the two
+    to each other.
     """
     coordinates = _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
                                          background_mean)
     return np.random.SeedSequence(coordinates + [int(trial_index)])
-
-
-def _trial_rng(ss: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _cell_configs(directions, n_values, fs_values, background_means):
@@ -335,17 +343,81 @@ def _cell_configs(directions, n_values, fs_values, background_means):
     return cells
 
 
+def _hash(value, hc, mult):
+    """SeedSequence's hash of ``value`` (an int or uint32 array) and the next constant."""
+    nxt = hc * mult & _MASK32
+    value = (value ^ hc) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool, word, hc):
+    """SeedSequence's mixing of an entropy word past the fourth into every pool word."""
+    mixed = []
+    for p in pool:
+        h, hc = _hash(word, hc, _MULT_A)
+        mixed.append(_mix(p, h))
+    return mixed, hc
+
+
+def _pcg64_states(cell_words, start, stop):
+    """(state, inc) of ``PCG64(trial_seed_sequence(...))`` for trials ``start``..``stop - 1``.
+
+    Re-derives NumPy's SeedSequence (a 4-word pool, NEP 19) and PCG64's
+    seeding, without either object.  A cell has at least five entropy
+    words, so its pool and hash constant are fixed before the trial index,
+    whose one or two words are mixed in for the whole block at once.
+    """
+    pool, hc = [], _INIT_A
+    for w in cell_words[:4]:
+        h, hc = _hash(w, hc, _MULT_A)
+        pool.append(h)
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                h, hc = _hash(pool[s], hc, _MULT_A)
+                pool[d] = _mix(pool[d], h)
+    for w in cell_words[4:]:
+        pool, hc = _mix_in(pool, w, hc)
+    t = np.arange(start, stop, dtype=np.uint64)
+    low, high = (t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)
+    pool, hc = _mix_in(np.array(pool, dtype=np.uint32)[:, None], low, hc)
+    # an index of 2**32 or more has a second word; a block may straddle 2**32
+    pool = np.where(high > 0, _mix_in(pool, high, hc)[0], pool)
+    # generate_state(4, np.uint64): eight words, cycling through the pool
+    words, hb = [], _INIT_B
+    for i in range(8):
+        w, hb = _hash(pool[i % 4], hb, _MULT_B)
+        words.append(w)
+    words = np.array(words, dtype=np.uint64)
+    # the four uint64 words: initstate's high and low half, then initseq's
+    seeds = (words[0::2] | words[1::2] << 32).tolist()
+    states = []
+    # PCG64's seeding: two LCG steps from state 0, initstate added after the first
+    for s_hi, s_lo, q_hi, q_lo in zip(*seeds):
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _block(args):
     """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed."""
     master_seed, cfg, arms, start, stop = args
-    # the words of trial_seed_sequence's entropy, the cell's taken once
     cell_words = _uint32_words(_cell_seed_coordinates(
         master_seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean))
+    # one generator for the block; each trial resets it to its own seeded state
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
     values = []
-    for t in range(start, stop):
-        ss = np.random.SeedSequence(np.array(cell_words + _uint32_words((t,)), dtype=np.uint32))
+    for state, inc in _pcg64_states(cell_words, start, stop):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
         try:
-            values.append(run_trial(cfg, _trial_rng(ss), arms))
+            values.append(run_trial(cfg, rng, arms))
         except InsufficientCountsError:
             values.append(None)
     return values

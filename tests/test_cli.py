@@ -50,6 +50,18 @@ def write_json(path, payload):
     return str(path)
 
 
+def write_json_with_long_int(path, payload, marker):
+    """``payload`` as JSON with the number ``marker`` spelt as a 5001-digit integer.
+
+    ``json`` refuses to parse integers past 4300 digits with a plain
+    ValueError, and refuses to write one.
+    """
+    text = json.dumps(payload)
+    assert text.count(str(marker)) == 1
+    path.write_text(text.replace(str(marker), "1" + "0" * 5000), encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture
 def count_file(tmp_path):
     u = pa.haar_random_unitary(np.random.default_rng(3))
@@ -86,6 +98,13 @@ class TestFit:
         del cells[1]["mean_qber"]
         path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
         assert_rejected(["fit", "--in", path], capsys, "no 'mean_qber'")
+
+    def test_json_integer_past_digit_limit_rejected(self, tmp_path, capsys):
+        cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
+        cells[1]["n"] = 987654321
+        path = write_json_with_long_int(tmp_path / "s.json", {"schema_version": 1,
+                                                               "cells": cells}, 987654321)
+        assert_rejected(["fit", "--in", path], capsys, "not valid JSON")
 
     def test_json_without_cells(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", {"schema_version": 1})
@@ -220,6 +239,14 @@ class TestSimulate:
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
                         "bg: 1e+19 is above the largest supported background")
 
+    def test_manifest_integer_past_digit_limit_rejected(self, tmp_path, capsys):
+        config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
+                  "bg_subtract": False, "samples": 987654321, "seed": 1, "format": "csv",
+                  "out": str(tmp_path / "s.csv")}
+        path = write_json_with_long_int(tmp_path / "m.json", {"config": config}, 987654321)
+        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
+                        "--from-manifest: cannot read")
+
     def test_manifest_without_config(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [1, 2])
         assert_rejected(["simulate", "--from-manifest", path], capsys, "no config block")
@@ -253,6 +280,13 @@ class TestCountFiles:
         payload["counts"][1][2] = 10**400
         path = write_json(tmp_path / "huge.json", payload)
         assert_rejected([command, "--counts", path], capsys, "counts[1][2] is above 2**53")
+
+    @pytest.mark.parametrize("command", ["align", "timing-check"])
+    def test_integer_past_digit_limit_rejected(self, tmp_path, capsys, count_file, command):
+        payload = json.loads(count_file.read_text())
+        payload["counts"][1][2] = 987654321
+        path = write_json_with_long_int(tmp_path / "long.json", payload, 987654321)
+        assert_rejected([command, "--counts", path], capsys, "not valid JSON")
 
     def test_removed_align_flags_rejected(self, capsys, count_file):
         for flag in ("--restarts", "--seed"):

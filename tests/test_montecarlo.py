@@ -374,19 +374,52 @@ class TestSeeds:
     @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("start", [0, 2**32 - 2])
     def test_block_seeds_match_definition(self, monkeypatch, master_seed, start):
-        # a block builds each seed from uint32 words of its own; every
-        # stream it starts must be the one trial_seed_sequence defines
+        # a block derives each trial's PCG64 state itself; every state it
+        # hands run_trial must be the one trial_seed_sequence defines
         states = []
-        monkeypatch.setattr(montecarlo, "_trial_rng",
-                            lambda ss: states.append(ss.generate_state(8)))
-        monkeypatch.setattr(montecarlo, "run_trial", lambda cfg, rng, arms: (0.0,))
+
+        def record(cfg, rng, arms):
+            states.append(rng.bit_generator.state)
+            return (0.0,)
+
+        monkeypatch.setattr(montecarlo, "run_trial", record)
         for direction, n, fs, bg in self.CELLS:
             cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
             states.clear()
             montecarlo._block((master_seed, cfg, (False,), start, start + 4))
             for t, state in zip(range(start, start + 4), states, strict=True):
                 expected = montecarlo.trial_seed_sequence(master_seed, direction, n, fs, bg, t)
-                assert np.array_equal(state, expected.generate_state(8)), (cfg, t)
+                assert state == np.random.PCG64(expected).state, (cfg, t)
+
+    def test_reused_generator_leaks_nothing_between_trials(self, monkeypatch):
+        # a block reuses one generator: trials that draw different amounts,
+        # leave a buffered half-word behind or fail part-way must not move
+        # where the next trial's stream starts
+        monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
+        firsts = []
+
+        def trial(cfg, rng, arms):
+            words, u = rng.integers(2**32, size=3, dtype=np.uint32), rng.random(2)
+            firsts.append((words, u))
+            # an odd number of uint32 draws leaves the other half-word buffered
+            rng.integers(7, size=1 + int(u[0] * 6), dtype=np.uint32)
+            if u[1] < 0.3:
+                raise InsufficientCountsError("fails part-way")
+            rng.multinomial(1 + int(u[1] * 1000), [0.25] * 4)
+            return (u[0],)
+
+        monkeypatch.setattr(montecarlo, "run_trial", trial)
+        cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
+        samples = 40
+        trials = montecarlo._run_cells([cfg], (False,), samples, 7, 1)[0]
+        assert len(firsts) == samples
+        for t, (words, u) in enumerate(firsts):
+            fresh = np.random.default_rng(montecarlo.trial_seed_sequence(
+                7, D.FORWARD, 400, 0.95, 20.0, t))
+            assert np.array_equal(words, fresh.integers(2**32, size=3, dtype=np.uint32)), t
+            assert np.array_equal(u, fresh.random(2)), t
+            assert (trials[t] is None) == (u[1] < 0.3), t
+        assert 0 < trials.count(None) < samples
 
     def test_negative_master_seed_rejected(self):
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)

@@ -11,18 +11,18 @@ grid and fit the mean residual QBER to the power law
 
 by ordinary least squares in log space.
 
-Determinism: every trial's generator is seeded from (master seed, cell
-coordinates, trial index), so results are bit-identical for any worker
-count.  :func:`trial_seed_sequence` defines each trial's seed; a block of
-trials derives the PCG64 states that seed makes by itself, the cell's
-part once per block and the trial indices in one array pass, and resets
-one generator to each state in turn.  Tests pin every state to the
-definition.  Mean-background subtraction is a deterministic step on a
-drawn count matrix, not part of the draw: one trial draws its channel and
-counts once and scores every requested arm (without and/or with
-subtraction) from that one draw.  A paired background study is the sweep
-engine asked for both arms, so its pairs share their channel and counts
-by construction.
+Determinism: each cell runs in blocks of ``_BLOCK_SIZE`` trials.  A
+block's generator is seeded through NumPy's ``SeedSequence`` from the
+master seed, the cell coordinates and the block index, and its trials
+draw from it in order.  Blocks depend on neither the worker count nor
+the sample count (a cell's first k trials are the same for any sample
+count of at least k), so results are bit-identical for any worker
+count.  Mean-background subtraction is a deterministic step on a drawn
+count matrix, not part of the draw or the seed: one trial draws its
+channel and counts once and scores every requested arm (without and/or
+with subtraction) from that one draw.  A paired background study is the
+sweep engine asked for both arms, so its pairs share their channel and
+counts by construction.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ MAX_DETECTIONS = int(np.iinfo(np.int64).max)
 #: largest mean background NumPy's Poisson sampler accepts
 MAX_BACKGROUND_MEAN = float(MAX_DETECTIONS - 10.0 * math.sqrt(MAX_DETECTIONS))
 _BLOCK_SIZE = 250
-# NumPy's SeedSequence hash constants and PCG64's 128-bit multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -288,45 +281,10 @@ def _float_bits(x: float) -> int:
 
 def _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
                            background_mean) -> list[int]:
-    """The seed entropy of a cell, before the trial index: float coordinates as their bits."""
+    """The seed entropy of a cell, before the block index: float coordinates as their bits."""
     dir_code = 0 if direction is Direction.FORWARD else 1
     return [int(master_seed), dir_code, int(n_detected), _float_bits(signal_fidelity),
             _float_bits(background_mean)]
-
-
-def _uint32_words(values) -> list[int]:
-    """The uint32 words SeedSequence makes of non-negative ints: little-endian, 0 as [0]."""
-    words = []
-    for v in values:
-        if v < 0:
-            raise ValueError(f"seed entropy must be non-negative, got {v}")
-        words.append(v & 0xFFFFFFFF)
-        v >>= 32
-        while v:
-            words.append(v & 0xFFFFFFFF)
-            v >>= 32
-    return words
-
-
-def trial_seed_sequence(
-    master_seed: int,
-    direction: Direction,
-    n_detected: int,
-    signal_fidelity: float,
-    background_mean: float,
-    trial_index: int,
-) -> np.random.SeedSequence:
-    """Per-trial seed derived from the cell coordinates and trial index.
-
-    Mean-background subtraction is not a coordinate: it acts on the drawn
-    counts, so every arm of a trial shares the one draw.  This is the
-    definition of a trial's stream: a sweep block derives the state of
-    ``PCG64`` seeded with it without building it, and tests pin the two
-    to each other.
-    """
-    coordinates = _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
-                                         background_mean)
-    return np.random.SeedSequence(coordinates + [int(trial_index)])
 
 
 def _cell_configs(directions, n_values, fs_values, background_means):
@@ -343,79 +301,19 @@ def _cell_configs(directions, n_values, fs_values, background_means):
     return cells
 
 
-def _hash(value, hc, mult):
-    """SeedSequence's hash of ``value`` (an int or uint32 array) and the next constant."""
-    nxt = hc * mult & _MASK32
-    value = (value ^ hc) * nxt & _MASK32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _mix_in(pool, word, hc):
-    """SeedSequence's mixing of an entropy word past the fourth into every pool word."""
-    mixed = []
-    for p in pool:
-        h, hc = _hash(word, hc, _MULT_A)
-        mixed.append(_mix(p, h))
-    return mixed, hc
-
-
-def _pcg64_states(cell_words, start, stop):
-    """(state, inc) of ``PCG64(trial_seed_sequence(...))`` for trials ``start``..``stop - 1``.
-
-    Re-derives NumPy's SeedSequence (a 4-word pool, NEP 19) and PCG64's
-    seeding, without either object.  A cell has at least five entropy
-    words, so its pool and hash constant are fixed before the trial index,
-    whose one or two words are mixed in for the whole block at once.
-    """
-    pool, hc = [], _INIT_A
-    for w in cell_words[:4]:
-        h, hc = _hash(w, hc, _MULT_A)
-        pool.append(h)
-    for s in range(4):
-        for d in range(4):
-            if s != d:
-                h, hc = _hash(pool[s], hc, _MULT_A)
-                pool[d] = _mix(pool[d], h)
-    for w in cell_words[4:]:
-        pool, hc = _mix_in(pool, w, hc)
-    t = np.arange(start, stop, dtype=np.uint64)
-    low, high = (t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)
-    pool, hc = _mix_in(np.array(pool, dtype=np.uint32)[:, None], low, hc)
-    # an index of 2**32 or more has a second word; a block may straddle 2**32
-    pool = np.where(high > 0, _mix_in(pool, high, hc)[0], pool)
-    # generate_state(4, np.uint64): eight words, cycling through the pool
-    words, hb = [], _INIT_B
-    for i in range(8):
-        w, hb = _hash(pool[i % 4], hb, _MULT_B)
-        words.append(w)
-    words = np.array(words, dtype=np.uint64)
-    # the four uint64 words: initstate's high and low half, then initseq's
-    seeds = (words[0::2] | words[1::2] << 32).tolist()
-    states = []
-    # PCG64's seeding: two LCG steps from state 0, initstate added after the first
-    for s_hi, s_lo, q_hi, q_lo in zip(*seeds):
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
 def _block(args):
-    """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed."""
+    """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed.
+
+    Every draw of a trial precedes the reconstruction that can fail, so a
+    failed trial consumes the same draws as a successful one.
+    """
     master_seed, cfg, arms, start, stop = args
-    cell_words = _uint32_words(_cell_seed_coordinates(
-        master_seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean))
-    # one generator for the block; each trial resets it to its own seeded state
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+    coordinates = _cell_seed_coordinates(master_seed, cfg.direction, cfg.n_detected,
+                                         cfg.signal_fidelity, cfg.background_mean)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(coordinates, spawn_key=(start // _BLOCK_SIZE,))))
     values = []
-    for state, inc in _pcg64_states(cell_words, start, stop):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    for _ in range(start, stop):
         try:
             values.append(run_trial(cfg, rng, arms))
         except InsufficientCountsError:
@@ -429,8 +327,8 @@ def _run_cells(
     """Every cell's per-arm residual QBER per trial, in trial order, None for a failed trial.
 
     Each cell runs in blocks of ``_BLOCK_SIZE`` trials, spread over ``jobs``
-    worker processes; a trial's draws depend only on its seed, never on the
-    block or worker that runs it.
+    worker processes; a trial's draws depend only on its cell, its block and
+    its place in the block, never on the worker that runs it.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -557,18 +455,15 @@ def background_study(
     return BackgroundStudyResult(cells=tuple(out))
 
 
-def fit_power_law(sweep, select=None) -> FitResult:
+def fit_power_law(cells) -> FitResult:
     """Least-squares fit of log mean QBER against log(2 F_S - 1) and log N.
 
-    ``select`` optionally filters the cells entering the fit.  Requires at
-    least four cells spanning two distinct N and two distinct F_S; a
-    regressor without spread aborts with a :class:`FitError` naming it, and
-    a cell outside the model's domain (mean QBER <= 0, F_S outside
+    Requires at least four cells spanning two distinct N and two distinct
+    F_S; a regressor without spread aborts with a :class:`FitError` naming
+    it, and a cell outside the model's domain (mean QBER <= 0, F_S outside
     (0.5, 1], N < 1 or beyond float range) with one naming the cell.
     """
-    cells = sweep.cells if isinstance(sweep, SweepResult) else tuple(sweep)
-    if select is not None:
-        cells = tuple(c for c in cells if select(c))
+    cells = tuple(cells)
     for c in cells:
         where = f"cell (n={c.n_detected}, fs={c.signal_fidelity})"
         if c.mean_qber <= 0.0:

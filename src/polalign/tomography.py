@@ -88,7 +88,8 @@ class ReconstructionSet:
     """Stokes vectors of four reconstructed states, one row per BB84 label (H, V, D, A).
 
     ``rows`` holds them as four (S1, S2, S3) tuples of finite floats, given
-    as any (4, 3) nested sequence or array.
+    as any (4, 3) nested sequence or array.  Each row is a state, so it lies
+    in the Bloch ball: |s|^2 <= 1 up to 1e-12 of rounding.
     """
 
     direction: Direction
@@ -110,6 +111,11 @@ class ReconstructionSet:
         if (0.0 * h0 + 0.0 * h1 + 0.0 * h2 + 0.0 * v0 + 0.0 * v1 + 0.0 * v2
                 + 0.0 * d0 + 0.0 * d1 + 0.0 * d2 + 0.0 * a0 + 0.0 * a1 + 0.0 * a2) != 0.0:
             raise ValueError(f"Stokes components must be finite, got {rows}")
+        for label, (s1, s2, s3) in zip(BB84_LABELS, rows):
+            if s1 * s1 + s2 * s2 + s3 * s3 > 1.0 + 1e-12:
+                raise ValueError(
+                    f"Stokes row {label} {(s1, s2, s3)} lies outside the Bloch ball |s| <= 1"
+                )
         object.__setattr__(self, "rows", rows)
 
 

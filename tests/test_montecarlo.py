@@ -94,7 +94,7 @@ class TestFitPowerLaw:
 
 class TestBackgroundStudy:
     def test_arms_equal_plain_sweeps(self):
-        # trial seeds leave out the subtraction flag, so each arm replays
+        # block seeds leave out the subtraction flag, so each arm replays
         # the sweep run with that flag, draw for draw
         grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95],
                     background_means=[20.0], samples=40, master_seed=11)
@@ -136,10 +136,12 @@ class TestBackgroundStudy:
         monkeypatch.undo()
 
         def arm(subtract):
-            return [
-                pa.run_trial(cfg, trial_rng(seed, cfg, t), (subtract,))[0]
-                for t in range(samples) if t != dropped
-            ]
+            # one block: its trials draw from one generator in order, the
+            # dropped pair included
+            rng = block_rng(seed, cfg, 0)
+            values = [pa.run_trial(cfg, rng, (subtract,))[0] for _ in range(samples)]
+            del values[dropped]
+            return values
 
         with_bg = arm(False)
         subtracted = arm(True)
@@ -165,9 +167,12 @@ class TestBackgroundStudy:
         assert calls == {"generate_counts": 4 * 7, "haar_random_unitary": 4 * 7}
 
 
-def trial_rng(seed, cfg, t):
-    return np.random.default_rng(montecarlo.trial_seed_sequence(
-        seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean, t))
+def block_rng(seed, cfg, block):
+    """The generator block ``block`` of a sweep cell draws from, by its definition."""
+    coordinates = montecarlo._cell_seed_coordinates(
+        seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(coordinates, spawn_key=(block,))))
 
 
 class TestRunTrial:
@@ -178,11 +183,12 @@ class TestRunTrial:
         # generators from the same seed, bit for bit
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
         for t in range(20):
-            both = pa.run_trial(cfg, trial_rng(4, cfg, t), (False, True))
-            plain, = pa.run_trial(cfg, trial_rng(4, cfg, t), (False,))
-            subtracted, = pa.run_trial(cfg, trial_rng(4, cfg, t), (True,))
+            both = pa.run_trial(cfg, np.random.default_rng([4, t]), (False, True))
+            plain, = pa.run_trial(cfg, np.random.default_rng([4, t]), (False,))
+            subtracted, = pa.run_trial(cfg, np.random.default_rng([4, t]), (True,))
             assert both == (plain, subtracted)
-            assert pa.run_trial(cfg, trial_rng(4, cfg, t), (True, False)) == (subtracted, plain)
+            assert pa.run_trial(cfg, np.random.default_rng([4, t]), (True, False)) == (
+                subtracted, plain)
             if background == 0.0:
                 assert plain == subtracted
 
@@ -309,25 +315,25 @@ class TestGoldenStream:
 
     SWEEP = [
         # (direction, N, F_S, failures, mean, std)
-        ("forward", 400, 1.0, 0, 0.004957595316086966, 0.005190100228389962),
-        ("forward", 400, 0.95, 0, 0.006152478610199699, 0.004522524291635638),
-        ("forward", 6400, 1.0, 0, 0.00024655012516487386, 0.00019397983225963945),
-        ("forward", 6400, 0.95, 0, 0.00030682781762703115, 0.00025263360994438714),
-        ("reversed", 400, 1.0, 0, 0.004807003706296156, 0.0036339422358959384),
-        ("reversed", 400, 0.95, 0, 0.005771457627854826, 0.004540721088914179),
-        ("reversed", 6400, 1.0, 0, 0.0002969252483796425, 0.00030211893113927445),
-        ("reversed", 6400, 0.95, 0, 0.00033301188168348704, 0.00028952132918906733),
+        ("forward", 400, 1.0, 0, 0.004147496723591051, 0.0033255252413782257),
+        ("forward", 400, 0.95, 0, 0.006540079301492666, 0.004941212964014764),
+        ("forward", 6400, 1.0, 0, 0.0002925679474367643, 0.00020366318033571186),
+        ("forward", 6400, 0.95, 0, 0.0003798711361049839, 0.00023892694293061752),
+        ("reversed", 400, 1.0, 0, 0.004132054183043801, 0.0034425959809842154),
+        ("reversed", 400, 0.95, 0, 0.0049364270531035955, 0.003794235132340163),
+        ("reversed", 6400, 1.0, 0, 0.0002981661245855416, 0.00016607088926212462),
+        ("reversed", 6400, 0.95, 0, 0.00032694128544633885, 0.0002799649456389208),
     ]
     STUDY = [
         # (direction, bg, failures, mean plain, std plain, mean subtracted, std subtracted)
-        ("forward", 20.0, 0, 0.009467345161605911, 0.006288762270304983,
-         0.00963505596608695, 0.006200804510378126),
-        ("forward", 100.0, 0, 0.016866314176889503, 0.009774332747679292,
-         0.01742057936911625, 0.01171738939446283),
-        ("reversed", 20.0, 0, 0.006682416139001779, 0.004774980650229467,
-         0.0070610451920780195, 0.005147935749382396),
-        ("reversed", 100.0, 0, 0.017822418775390505, 0.014249446310068768,
-         0.01871921837180375, 0.015129023967165993),
+        ("forward", 20.0, 0, 0.00810681488362135, 0.006527453423286702,
+         0.008417877007602385, 0.007003501557459822),
+        ("forward", 100.0, 0, 0.020227688026486067, 0.023509804274178064,
+         0.02424072880190046, 0.04199916613104261),
+        ("reversed", 20.0, 0, 0.006935126350351315, 0.006411723036397421,
+         0.007262271661092312, 0.006981014104280046),
+        ("reversed", 100.0, 0, 0.014959332712654783, 0.011904234335712674,
+         0.015400054536159655, 0.012496586950767424),
     ]
 
     def test_sweep_and_study_reproduce(self):
@@ -352,16 +358,28 @@ class TestGoldenStream:
 
 
 class TestSeeds:
-    def test_entropy_pinned(self):
-        # float coordinates enter as their IEEE-754 bit patterns, so -0.0
-        # and 0.0 seed different streams
-        ss = montecarlo.trial_seed_sequence
-        assert ss(7, D.FORWARD, 400, 0.95, 0.0, 3).entropy == [
-            7, 0, 400, 4606732058837280358, 0, 3]
-        assert ss(7, D.REVERSED, 6400, 1.0, 20.0, 249).entropy == [
-            7, 1, 6400, 4607182418800017408, 4626322717216342016, 249]
-        assert ss(7, D.FORWARD, 400, 0.95, -0.0, 3).entropy == [
-            7, 0, 400, 4606732058837280358, 9223372036854775808, 3]
+    def test_entropy_pinned(self, monkeypatch):
+        # a block seeds from the cell coordinates, float ones as their
+        # IEEE-754 bit patterns (so -0.0 and 0.0 seed different streams),
+        # with the block index as the spawn key
+        seeds = []
+
+        def record(cfg, rng, arms):
+            seq = rng.bit_generator.seed_seq
+            seeds.append((seq.entropy, seq.spawn_key))
+            return (0.0,)
+
+        monkeypatch.setattr(montecarlo, "run_trial", record)
+        for (direction, n, fs, bg), start in [((D.FORWARD, 400, 0.95, 0.0), 0),
+                                              ((D.REVERSED, 6400, 1.0, 20.0), 750),
+                                              ((D.FORWARD, 400, 0.95, -0.0), 250)]:
+            cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
+            montecarlo._block((7, cfg, (False,), start, start + 1))
+        assert seeds == [
+            ([7, 0, 400, 4606732058837280358, 0], (0,)),
+            ([7, 1, 6400, 4607182418800017408, 4626322717216342016], (3,)),
+            ([7, 0, 400, 4606732058837280358, 9223372036854775808], (1,)),
+        ]
 
     CELLS = [
         (D.FORWARD, 400, 0.95, 0.0),
@@ -374,12 +392,13 @@ class TestSeeds:
     @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("start", [0, 2**32 - 2])
     def test_block_seeds_match_definition(self, monkeypatch, master_seed, start):
-        # a block derives each trial's PCG64 state itself; every state it
-        # hands run_trial must be the one trial_seed_sequence defines
+        # a block starts from PCG64 seeded with its SeedSequence, and each
+        # trial starts where the one before it stopped drawing
         states = []
 
         def record(cfg, rng, arms):
             states.append(rng.bit_generator.state)
+            rng.random(1 + len(states))
             return (0.0,)
 
         monkeypatch.setattr(montecarlo, "run_trial", record)
@@ -387,44 +406,57 @@ class TestSeeds:
             cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
             states.clear()
             montecarlo._block((master_seed, cfg, (False,), start, start + 4))
-            for t, state in zip(range(start, start + 4), states, strict=True):
-                expected = montecarlo.trial_seed_sequence(master_seed, direction, n, fs, bg, t)
-                assert state == np.random.PCG64(expected).state, (cfg, t)
+            expected = block_rng(master_seed, cfg, start // montecarlo._BLOCK_SIZE)
+            assert len(states) == 4
+            for t, state in enumerate(states):
+                assert state == expected.bit_generator.state, (cfg, t)
+                expected.random(2 + t)
 
-    def test_reused_generator_leaks_nothing_between_trials(self, monkeypatch):
-        # a block reuses one generator: trials that draw different amounts,
-        # leave a buffered half-word behind or fail part-way must not move
-        # where the next trial's stream starts
+    def test_cell_prefix_independent_of_samples(self, monkeypatch):
+        # blocks of 16: a cell's first k trials are the same for any sample
+        # count of at least k, across block boundaries, whatever each trial
+        # draws and whether it fails part-way
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
-        firsts = []
 
         def trial(cfg, rng, arms):
-            words, u = rng.integers(2**32, size=3, dtype=np.uint32), rng.random(2)
-            firsts.append((words, u))
+            u = rng.random(2)
             # an odd number of uint32 draws leaves the other half-word buffered
             rng.integers(7, size=1 + int(u[0] * 6), dtype=np.uint32)
             if u[1] < 0.3:
                 raise InsufficientCountsError("fails part-way")
-            rng.multinomial(1 + int(u[1] * 1000), [0.25] * 4)
             return (u[0],)
 
         monkeypatch.setattr(montecarlo, "run_trial", trial)
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
-        samples = 40
-        trials = montecarlo._run_cells([cfg], (False,), samples, 7, 1)[0]
-        assert len(firsts) == samples
-        for t, (words, u) in enumerate(firsts):
-            fresh = np.random.default_rng(montecarlo.trial_seed_sequence(
-                7, D.FORWARD, 400, 0.95, 20.0, t))
-            assert np.array_equal(words, fresh.integers(2**32, size=3, dtype=np.uint32)), t
-            assert np.array_equal(u, fresh.random(2)), t
-            assert (trials[t] is None) == (u[1] < 0.3), t
-        assert 0 < trials.count(None) < samples
+        full = montecarlo._run_cells([cfg], (False,), 40, 7, 1)[0]
+        assert 0 < full.count(None) < 40
+        assert full[16:32] != full[:16]  # each block has a stream of its own
+        for k in (1, 15, 16, 17, 32, 33):
+            assert montecarlo._run_cells([cfg], (False,), k, 7, 1)[0] == full[:k], k
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_failed_trial_leaves_rest_of_block(self, monkeypatch, direction):
+        # every draw of a trial comes before its reconstruction, so a trial
+        # that fails there consumes the draws of one that succeeds
+        monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
+        cfg = pa.TrialConfig(direction, 400, 0.95)
+        name = "reconstruct_" + direction.value
+        clean = montecarlo._run_cells([cfg], (False,), 20, 3, 1)[0]
+        calls = []
+
+        def reconstruct(cm, original=getattr(montecarlo, name)):
+            calls.append(None)
+            if len(calls) == 6:
+                raise InsufficientCountsError("injected")
+            return original(cm)
+
+        monkeypatch.setattr(montecarlo, name, reconstruct)
+        failed = montecarlo._run_cells([cfg], (False,), 20, 3, 1)[0]
+        assert None not in clean
+        assert failed == clean[:5] + [None] + clean[6:]
 
     def test_negative_master_seed_rejected(self):
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
-        with pytest.raises(ValueError):
-            montecarlo.trial_seed_sequence(-1, D.FORWARD, 400, 0.95, 0.0, 0)
         with pytest.raises(ValueError, match="non-negative"):
             montecarlo._block((-1, cfg, (False,), 0, 1))
 

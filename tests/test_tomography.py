@@ -512,9 +512,27 @@ class TestReconstructionSet:
             with pytest.raises(ValueError, match="finite"):
                 pa.ReconstructionSet(D.FORWARD, given)
 
-    def test_large_finite_accepted(self):
-        rows = np.full((4, 3), 1e308)
-        assert pa.ReconstructionSet(D.REVERSED, rows).rows[3][2] == 1e308
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1.2, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3], id="1.2"),
+        pytest.param([[0.0] * 3, [0.0] * 3, [0.0] * 3, [0.0, 0.0, 1e300]], id="1e300"),
+        pytest.param(np.full((4, 3), 1e308), id="1e308"),
+    ])
+    def test_outside_bloch_ball_rejected(self, rows):
+        # a row beyond the ball is no state; one past float range when
+        # squared must not slip through as an overflow
+        with pytest.raises(ValueError, match="outside the Bloch ball"):
+            pa.ReconstructionSet(D.REVERSED, rows)
+
+    def test_unit_norm_mle_row_accepted(self):
+        # every linear inversion here lies outside the ball, so every MLE
+        # row is on the sphere, some a rounding step above norm 1
+        counts = [[28, 0, 33, 0, 13, 15], [27, 0, 24, 0, 3, 4],
+                  [19, 0, 84, 0, 29, 4], [7, 0, 33, 0, 14, 12]]
+        recon = pa.reconstruct_forward(pa.CountMatrix(D.FORWARD, counts))
+        squares = [s1 * s1 + s2 * s2 + s3 * s3 for s1, s2, s3 in recon.rows]
+        assert max(squares) > 1.0
+        assert all(abs(q - 1.0) < 1e-12 for q in squares)
+        assert pa.ReconstructionSet(D.FORWARD, recon.rows).rows == recon.rows
 
 
 class TestForwardReversedDuality:

@@ -470,6 +470,15 @@ def _simulate_config_from_args(parser, args) -> dict:
 
 def cmd_simulate(parser, args) -> int:
     config = _simulate_config_from_args(parser, args)
+    out = config["out"]
+    # an unwritable output fails before any trial runs; appending leaves an
+    # existing file as it is, and a file the check creates goes again, so a
+    # sweep that aborts leaves no output behind
+    created = not os.path.exists(out)
+    with open(out, "a", encoding="utf-8"):
+        pass
+    if created:
+        os.remove(out)
     started = time.monotonic()
     sweep = run_sweep(
         directions=[Direction(config["direction"])],
@@ -481,7 +490,6 @@ def cmd_simulate(parser, args) -> int:
         master_seed=config["seed"],
         jobs=args.jobs,
     )
-    out = config["out"]
     if config["format"] == "json":
         _write_sweep_json(out, sweep.cells)
     else:

@@ -1,6 +1,6 @@
 """Monte Carlo characterization of the alignment protocol.
 
-Each trial draws a Haar-random channel, simulates photon counting with a
+Each trial takes a Haar-random channel, simulates photon counting with a
 finite detection budget, intrinsic signal fidelity and optional Poissonian
 detector background, runs the tomography + compensation pipeline, and
 scores the residual QBER of ideal signal states through the compensated
@@ -13,16 +13,22 @@ by ordinary least squares in log space.
 
 Determinism: each cell runs in blocks of ``_BLOCK_SIZE`` trials.  A
 block's generator is seeded through NumPy's ``SeedSequence`` from the
-master seed, the cell coordinates and the block index, and its trials
-draw from it in order.  Blocks depend on neither the worker count nor
-the sample count (a cell's first k trials are the same for any sample
-count of at least k), so results are bit-identical for any worker
-count.  Mean-background subtraction is a deterministic step on a drawn
-count matrix, not part of the draw or the seed: one trial draws its
-channel and counts once and scores every requested arm (without and/or
-with subtraction) from that one draw.  A paired background study is the
-sweep engine asked for both arms, so its pairs share their channel and
-counts by construction.
+master seed, the cell coordinates and the block index.  The block then
+draws a full block of trials in one pass, each draw one array call: the
+Haar channels from one ``random((_BLOCK_SIZE, 4))``, the signal counts
+from one multinomial over the block's cell probabilities, and with
+background the per-detector Poisson counts and their row shares.  Only
+then are its trials scored, one by one, so a trial's draws depend on its
+cell, its block and its place in the block, never on how many of the
+block's trials the cell runs or on the worker that runs it.  A cell's
+first k trials are the same for any sample count of at least k, and
+results are bit-identical for any worker count.
+
+Mean-background subtraction is a deterministic step on a drawn count
+matrix, not part of the draw or the seed: one trial scores every
+requested arm (without and/or with subtraction) from its one draw.  A
+paired background study is the sweep engine asked for both arms, so its
+pairs share their channel and counts by construction.
 """
 
 from __future__ import annotations
@@ -174,14 +180,16 @@ class DetectionRateParams:
 
 
 def expected_probabilities(
-    u: ChannelUnitary, direction: Direction, signal_fidelity: float
+    entries: np.ndarray, direction: Direction, signal_fidelity: float
 ) -> np.ndarray:
-    """Exact per-event cell probabilities of the counting model.
+    """Exact per-event cell probabilities of the counting model, per channel.
 
-    Entry (n, m) is the probability that a single detection lands in input
-    row n and outcome column m: uniform input choice, uniform basis choice
+    ``entries`` holds 2x2 channel unitaries with shape (..., 2, 2); the
+    result has shape (..., 4, 6) forward and (..., 6, 4) reversed.  Entry
+    (n, m) is the probability that a single detection lands in input row n
+    and outcome column m: uniform input choice, uniform basis choice
     (three bases forward, two reversed), Born-rule outcome within the
-    basis for the depolarized post-channel state.  Sums to one.
+    basis for the depolarized post-channel state.  Each matrix sums to one.
 
     Both directions have 12 (input, basis) pairs, and each input and
     outcome is a signed Stokes axis, so with R the Stokes rotation of U
@@ -193,27 +201,26 @@ def expected_probabilities(
         R e2 = (Re(a b* - c d*), Re(a d* + b c*), -Im(a d* + b c*))
         R_02 = Im(a b* - c d*),  R_12 = Im(a d* - b c*)
     """
-    (a, b), (c, d) = u.entries.tolist()
-    ac = a * c.conjugate() - b * d.conjugate()
-    ab = a * b.conjugate() - c * d.conjugate()
-    ad = a * d.conjugate() + b * c.conjugate()
+    entries = np.asarray(entries, dtype=complex)
+    batch = entries.shape[:-2]
+    a, b = entries[..., 0, 0], entries[..., 0, 1]
+    c, d = entries[..., 1, 0], entries[..., 1, 1]
+    ac = a * c.conj() - b * d.conj()
+    ab = a * b.conj() - c * d.conj()
+    ad = a * d.conj() + b * c.conj()
     r00 = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
-    f = 2.0 * signal_fidelity - 1.0
     forward = direction is Direction.FORWARD
     if forward:
-        axes = ((r00, ac.real, -ac.imag), (ab.real, ad.real, -ad.imag))
+        axes = (r00, ac.real, -ac.imag, ab.real, ad.real, -ad.imag)
     else:
-        r12 = (a * d.conjugate() - b * c.conjugate()).imag
-        axes = ((r00, ab.real, ab.imag), (ac.real, ad.real, r12))
-    cells = []
-    for x0, x1, x2 in axes:
-        x0, x1, x2 = f * x0, f * x1, f * x2
-        h0, l0, h1, l1, h2, l2 = ((1.0 + x0) / 24.0, (1.0 - x0) / 24.0, (1.0 + x1) / 24.0,
-                                  (1.0 - x1) / 24.0, (1.0 + x2) / 24.0, (1.0 - x2) / 24.0)
-        # the opposite input (outcome) of the axis swaps each pair
-        cells += (h0, l0, h1, l1, h2, l2, l0, h0, l1, h1, l2, h2)
-    p = np.array(cells).reshape(4, 6)
-    return p if forward else p.T
+        r12 = (a * d.conj() - b * c.conj()).imag
+        axes = (r00, ab.real, ab.imag, ac.real, ad.real, r12)
+    x = (2.0 * signal_fidelity - 1.0) * np.stack(axes, axis=-1).reshape(*batch, 2, 3)
+    # the (+, -) outcomes (inputs) of each of the three axes, interleaved;
+    # the opposite input (outcome) of the axis swaps each pair
+    plus = np.stack(((1.0 + x) / 24.0, (1.0 - x) / 24.0), axis=-1)
+    p = np.stack((plus, plus[..., ::-1]), axis=-3).reshape(*batch, 4, 6)
+    return p if forward else np.swapaxes(p, -1, -2)
 
 
 def expected_background_per_cell(cfg: TrialConfig) -> float:
@@ -223,44 +230,47 @@ def expected_background_per_cell(cfg: TrialConfig) -> float:
 
 
 def generate_counts(
-    u: ChannelUnitary, cfg: TrialConfig, rng: np.random.Generator
-) -> CountMatrix:
-    """Stochastic count matrix for one trial, as the detectors record it.
+    entries: np.ndarray, cfg: TrialConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Stochastic count matrices, as the detectors record them, one per channel.
 
-    Signal: ``n_detected`` events multinomially allocated over (input,
-    basis, outcome) cells.  Background: an independent Poisson draw per
-    detector column, spread uniformly over input rows (background is
-    uncorrelated with the preparation).  Nothing is subtracted here:
-    :func:`run_trial` subtracts the mean background from this draw in each
-    arm that asks for it.
+    ``entries`` holds channel unitaries with shape (..., 2, 2); the counts
+    have the shape of :func:`expected_probabilities`.  Signal: one
+    multinomial call allocates ``n_detected`` events over the (input,
+    basis, outcome) cells of every channel.  Background: one Poisson call
+    draws every detector column of every channel, then one multinomial
+    call spreads each column uniformly over the input rows (background is
+    uncorrelated with the preparation).  With background the counts are
+    floats.  Nothing is subtracted here: :func:`run_trial` subtracts the
+    mean background from a drawn matrix in each arm that asks for it.
     """
-    p = expected_probabilities(u, cfg.direction, cfg.signal_fidelity)
-    counts = rng.multinomial(cfg.n_detected, p.ravel()).reshape(p.shape)
+    p = expected_probabilities(entries, cfg.direction, cfg.signal_fidelity)
+    *batch, n_rows, n_cols = p.shape
+    counts = rng.multinomial(cfg.n_detected, p.reshape(*batch, n_rows * n_cols)).reshape(p.shape)
     if cfg.background_mean > 0.0:
-        n_rows, n_cols = p.shape
-        per_detector = rng.poisson(cfg.background_mean, size=n_cols)
-        # one row-share draw per column, in column order; summed as floats,
-        # where int64 could overflow
-        counts = np.add(counts, rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows)).T,
-                        dtype=float)
-    return CountMatrix(cfg.direction, counts)
+        per_detector = rng.poisson(cfg.background_mean, size=(*batch, n_cols))
+        shares = rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows))
+        # summed as floats, where int64 could overflow
+        counts = np.add(counts, np.swapaxes(shares, -1, -2), dtype=float)
+    return counts
 
 
 def run_trial(
-    cfg: TrialConfig, rng: np.random.Generator, arms: tuple[bool, ...]
+    cfg: TrialConfig, channel: np.ndarray, counts: np.ndarray, arms: tuple[bool, ...]
 ) -> tuple[float, ...]:
-    """One end-to-end protocol trial; the residual QBER of each arm.
+    """One end-to-end protocol trial on a drawn channel; the residual QBER of each arm.
 
-    Draws the channel and the counts once.  Each entry of ``arms`` is a
-    subtraction flag: that arm reconstructs from the drawn counts, with the
-    mean background subtracted where the flag is set (a no-op without
-    background), optimizes the compensation and scores
-    it against the true channel.  Every arm scores the same draw.
-    Tomography errors propagate (a trial fails if any arm does): sweeps
-    record them as failed trials rather than dropping them silently.
+    ``channel`` is the trial's 2x2 Haar draw and ``counts`` the count
+    matrix drawn through it.  Each entry of ``arms`` is a subtraction
+    flag: that arm reconstructs from the drawn counts, with the mean
+    background subtracted where the flag is set (a no-op without
+    background), optimizes the compensation and scores it against the
+    true channel.  Every arm scores the same draw.  Tomography errors
+    propagate (a trial fails if any arm does): sweeps record them as
+    failed trials rather than dropping them silently.
     """
-    u = haar_random_unitary(rng)
-    drawn = generate_counts(u, cfg, rng)
+    u = ChannelUnitary(channel)
+    drawn = CountMatrix(cfg.direction, counts)
     reconstruct = (reconstruct_forward if cfg.direction is Direction.FORWARD
                    else reconstruct_reversed)
     qbers = []
@@ -268,8 +278,8 @@ def run_trial(
         cm = drawn
         if subtract and cfg.background_mean > 0.0:
             # the pre-calibrated mean per cell, clipped so no count goes negative
-            counts = np.maximum(drawn.counts - expected_background_per_cell(cfg), 0.0)
-            cm = CountMatrix(cfg.direction, counts, background_subtracted=True)
+            subtracted = np.maximum(drawn.counts - expected_background_per_cell(cfg), 0.0)
+            cm = CountMatrix(cfg.direction, subtracted, background_subtracted=True)
         result = optimize(reconstruct(cm))
         qbers.append(residual_qber(u, result.angles, cfg.direction))
     return tuple(qbers)
@@ -304,18 +314,21 @@ def _cell_configs(directions, n_values, fs_values, background_means):
 def _block(args):
     """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed.
 
-    Every draw of a trial precedes the reconstruction that can fail, so a
-    failed trial consumes the same draws as a successful one.
+    Draws the channels and counts of a full block whatever ``stop`` is, so
+    a trial's draws do not depend on the cell's sample count, and scores
+    the first ``stop - start`` of them.
     """
     master_seed, cfg, arms, start, stop = args
     coordinates = _cell_seed_coordinates(master_seed, cfg.direction, cfg.n_detected,
                                          cfg.signal_fidelity, cfg.background_mean)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(coordinates, spawn_key=(start // _BLOCK_SIZE,))))
+    channels = haar_random_unitary(rng, _BLOCK_SIZE)
+    counts = generate_counts(channels, cfg, rng)
     values = []
-    for _ in range(start, stop):
+    for i in range(stop - start):
         try:
-            values.append(run_trial(cfg, rng, arms))
+            values.append(run_trial(cfg, channels[i], counts[i], arms))
         except InsufficientCountsError:
             values.append(None)
     return values

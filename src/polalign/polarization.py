@@ -1,8 +1,8 @@
 """Channel unitaries and wave-plate settings: the polarization algebra the program runs.
 
 Channels and the quarter-half-quarter stack are 2x2 unitaries on Jones
-vectors in the {|H>, |V>} basis; the only randomness is the Haar draw of a
-channel, through an explicitly passed numpy Generator.  The tests' reference
+vectors in the {|H>, |V>} basis; the only randomness is the Haar draw of
+channels, through an explicitly passed numpy Generator.  The tests' reference
 physics (tests/oracles.py) is written from the conventions below.
 
 Conventions (fixed once, used everywhere):
@@ -20,7 +20,6 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -122,19 +121,20 @@ def _matmul2(x, y) -> tuple:
     return (x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3)
 
 
-def haar_random_unitary(rng: np.random.Generator) -> ChannelUnitary:
-    """Draw a 2x2 unitary from the Haar measure on U(2).
+def haar_random_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Entries of ``size`` 2x2 unitaries drawn from the Haar measure on U(2), shape (size, 2, 2).
 
-    Sampled in closed form: an SU(2) element is a point on the unit
-    3-sphere, where |U00|^2 is uniform on [0, 1] and the two internal
-    phases are uniform; an overall random phase lifts SU(2) to U(2).
+    Sampled in closed form from one ``rng.random((size, 4))``, a row of
+    four uniforms (u, alpha, beta, gamma) per draw: an SU(2) element is a
+    point on the unit 3-sphere, where |U00|^2 = u is uniform on [0, 1] and
+    the two internal phases are uniform; an overall random phase lifts
+    SU(2) to U(2).
     """
-    u, alpha, beta, gamma = rng.random(4).tolist()
-    ca = math.sqrt(u)
-    sa = math.sqrt(1.0 - u)
-    a = ca * cmath.exp(2j * math.pi * alpha)
-    b = sa * cmath.exp(2j * math.pi * beta)
-    phase = cmath.exp(2j * math.pi * gamma)
-    mat = np.array((a, b, -b.conjugate(), a.conjugate()))
-    # an array multiply: Python's complex product rounds some entries differently
-    return ChannelUnitary((phase * mat).reshape(2, 2))
+    u, alpha, beta, gamma = rng.random((size, 4)).T
+    a = np.sqrt(u) * np.exp(2j * np.pi * alpha)
+    b = np.sqrt(1.0 - u) * np.exp(2j * np.pi * beta)
+    # the phase as the left operand: NumPy's complex multiply rounds some
+    # entries differently with the operands swapped, and the tests pin the
+    # draws' last bits
+    phase = np.exp(2j * np.pi * gamma)[:, None]
+    return (phase * np.stack((a, b, -b.conj(), a.conj()), axis=-1)).reshape(size, 2, 2)

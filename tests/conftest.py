@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polalign import ChannelUnitary, CountMatrix, Direction, haar_random_unitary
-from polalign.montecarlo import expected_probabilities
+from polalign.montecarlo import TrialConfig, expected_probabilities, generate_counts
 
 from oracles import KETS
 
@@ -24,8 +24,18 @@ def exact_count_matrix(
     Only count fractions matter to the reconstruction; ``total`` matters
     only to callers that round the counts to integers.
     """
-    p = expected_probabilities(u, direction, signal_fidelity)
+    p = expected_probabilities(u.entries, direction, signal_fidelity)
     return CountMatrix(direction, p * total)
+
+
+def haar_channel(rng) -> ChannelUnitary:
+    """One Haar-random channel: a size-1 draw, validated."""
+    return ChannelUnitary(haar_random_unitary(rng, 1)[0])
+
+
+def drawn_count_matrix(u: ChannelUnitary, cfg: TrialConfig, rng) -> CountMatrix:
+    """The count matrix of one trial of ``cfg``, drawn through channel ``u``."""
+    return CountMatrix(cfg.direction, generate_counts(u.entries, cfg, rng))
 
 
 def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -35,7 +45,7 @@ def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 def haar_state(rng, label: str = "H") -> np.ndarray:
     """A Haar-random pure state: the image of a canonical ket under a Haar channel."""
-    return haar_random_unitary(rng).entries @ KETS[label]
+    return haar_channel(rng).entries @ KETS[label]
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -104,6 +104,15 @@ def stokes_rotation(u) -> np.ndarray:
                      for si in PAULI])
 
 
+def haar_unitary(u: float, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """The Haar draw on four uniforms, in scalars: e^{2 pi i gamma} [[a, b], [-b*, a*]]
+    with a = sqrt(u) e^{2 pi i alpha} and b = sqrt(1 - u) e^{2 pi i beta}."""
+    a = math.sqrt(u) * cmath.exp(2j * math.pi * alpha)
+    b = math.sqrt(1.0 - u) * cmath.exp(2j * math.pi * beta)
+    phase = cmath.exp(2j * math.pi * gamma)
+    return np.array([[phase * a, phase * b], [-phase * b.conjugate(), phase * a.conjugate()]])
+
+
 def _plate(theta: float, delta: float) -> tuple:
     """Wave plate of retardance delta, fast axis at theta: R(theta) diag(1, e^{i delta})
     R(-theta) multiplied out, as row-major scalars."""

@@ -11,7 +11,7 @@ import polalign as pa
 from polalign import cli
 from polalign.tomography import Direction
 
-from conftest import exact_count_matrix
+from conftest import exact_count_matrix, haar_channel
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -64,7 +64,7 @@ def write_json_with_long_int(path, payload, marker):
 
 @pytest.fixture
 def count_file(tmp_path):
-    u = pa.haar_random_unitary(np.random.default_rng(3))
+    u = haar_channel(np.random.default_rng(3))
     counts = np.round(exact_count_matrix(u, Direction.FORWARD).counts).astype(int)
     write_json(tmp_path / "counts.json", {
         "schema_version": 1, "direction": "forward",
@@ -182,6 +182,22 @@ class TestSimulate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 3
+
+    def test_unwritable_output_rejected_before_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(**_kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = str(tmp_path / "no-such-dir" / "sweep.csv")
+        assert_rejected(self.ARGS + ["--jobs", "1", "--out", out], capsys, f"cannot open {out}")
+        # a writable path reaches the sweep and is left as it was
+        existing, fresh = tmp_path / "sweep.csv", tmp_path / "new.csv"
+        existing.write_text("kept\n", encoding="utf-8")
+        for path in (existing, fresh):
+            with pytest.raises(AssertionError, match="the sweep ran"):
+                cli.main(self.ARGS + ["--jobs", "1", "--out", str(path)])
+        assert existing.read_text(encoding="utf-8") == "kept\n"
+        assert not fresh.exists()
 
     def test_jobs_zero_rejected(self, tmp_path, capsys):
         argv = self.ARGS + ["--jobs", "0", "--out", str(tmp_path / "s.csv")]

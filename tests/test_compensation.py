@@ -12,11 +12,10 @@ from polalign.compensation import (
     _wahba_rotation,
     wrapped_angle_distance,
 )
-from polalign.montecarlo import generate_counts
 from polalign.tomography import Direction, ReconstructionSet
 
 import oracles
-from conftest import default_jobs, exact_count_matrix
+from conftest import default_jobs, drawn_count_matrix, exact_count_matrix, haar_channel
 from oracles import KETS
 
 
@@ -65,7 +64,7 @@ class TestCost:
         # with reversed reconstructions of U, the correct pre-compensation
         # V = U+ must score a perfect cost
         for _ in range(10):
-            u = pa.haar_random_unitary(rng)
+            u = haar_channel(rng)
             fwd = pa.reconstruct_forward(exact_count_matrix(u, Direction.FORWARD))
             angles = pa.optimize(fwd).angles  # V(angles) ~ U+
             rev = pa.reconstruct_reversed(exact_count_matrix(u, Direction.REVERSED))
@@ -73,7 +72,7 @@ class TestCost:
 
     def test_matches_fidelity_definition(self, rng):
         # forward cost is -sum <psi| V rho V+ |psi>, checked against numpy
-        u = pa.haar_random_unitary(rng)
+        u = haar_channel(rng)
         recon = exact_reconstruction(u, fs=0.9)
         angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
         v = oracles.stack(*angles.as_tuple())
@@ -97,7 +96,7 @@ class TestOptimize:
     def test_exact_states_100_haar_channels(self, rng):
         good = 0
         for _ in range(100):
-            u = pa.haar_random_unitary(rng)
+            u = haar_channel(rng)
             result = pa.optimize(exact_reconstruction(u))
             if (result.predicted_qber < 1e-6
                     and pa.residual_qber(u, result.angles, Direction.FORWARD) < 1e-6):
@@ -105,7 +104,7 @@ class TestOptimize:
         assert good >= 99
 
     def test_result_invariants(self, rng):
-        u = pa.haar_random_unitary(rng)
+        u = haar_channel(rng)
         recon = exact_reconstruction(u, fs=0.92)
         result = pa.optimize(recon)
         assert 0.0 <= result.predicted_qber <= 1.0
@@ -119,8 +118,8 @@ class TestOptimize:
         # search of the cost finds a lower value on noisy reconstructions
         for direction, seed in product(Direction, range(100)):
             rng = np.random.default_rng(seed)
-            u = pa.haar_random_unitary(rng)
-            cm = generate_counts(u, pa.TrialConfig(direction, 400, 0.9), rng)
+            u = haar_channel(rng)
+            cm = drawn_count_matrix(u, pa.TrialConfig(direction, 400, 0.9), rng)
             if direction is Direction.FORWARD:
                 recon = pa.reconstruct_forward(cm)
             else:
@@ -167,7 +166,7 @@ class TestOptimize:
 
     def test_prediction_invariant_to_previous(self, rng):
         # the reference only picks among settings of one rotation
-        u = pa.haar_random_unitary(rng)
+        u = haar_channel(rng)
         recon = exact_reconstruction(u)
         res_a = pa.optimize(recon)
         res_b = pa.optimize(recon, previous_angles=pa.WavePlateAngles(1.0, 0.5, 0.2))
@@ -182,8 +181,8 @@ class TestOptimize:
         predicted, actual, impurity = [], [], []
         for seed in range(1000):
             rng = np.random.default_rng(31_000 + seed)
-            u = pa.haar_random_unitary(rng)
-            cm = generate_counts(u, cfg, rng)
+            u = haar_channel(rng)
+            cm = drawn_count_matrix(u, cfg, rng)
             recon = pa.reconstruct_forward(cm)
             impurity.append(
                 np.mean([np.linalg.eigvalsh(oracles.rho_from_stokes(s)).min()
@@ -264,7 +263,7 @@ class TestResidualQber:
 
     def test_optimized_haar_channel(self):
         rng = np.random.default_rng(9)
-        u = pa.haar_random_unitary(rng)
+        u = haar_channel(rng)
         result = pa.optimize(exact_reconstruction(u))
         assert pa.residual_qber(u, result.angles, Direction.FORWARD) < 1e-6
 
@@ -272,7 +271,7 @@ class TestResidualQber:
         # the overlaps of an exact compensation can round to a sum above 4
         for direction in Direction:
             for _ in range(200):
-                u = pa.haar_random_unitary(rng)
+                u = haar_channel(rng)
                 result = pa.optimize(exact_reconstruction(u, direction=direction))
                 assert 0.0 <= pa.residual_qber(u, result.angles, direction) < 1e-12
 
@@ -281,7 +280,7 @@ class TestResidualQber:
         # in the orientation the reconstructions were taken in
         for direction in Direction:
             for _ in range(100):
-                u = pa.haar_random_unitary(rng)
+                u = haar_channel(rng)
                 recon = exact_reconstruction(u, direction=direction)
                 x = rng.uniform(0, math.pi, 3)
                 lhs = pa.residual_qber(u, pa.WavePlateAngles(*x), direction)
@@ -294,7 +293,7 @@ class TestResidualQber:
         # from scalar plate matrices
         kets = [KETS[label] for label in pa.BB84_LABELS]
         for _ in range(200):
-            channel = pa.haar_random_unitary(rng)
+            channel = haar_channel(rng)
             u = channel.entries
             x = rng.uniform(0, math.pi, 3)
             v = oracles.stack(*x)

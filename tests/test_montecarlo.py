@@ -136,10 +136,11 @@ class TestBackgroundStudy:
         monkeypatch.undo()
 
         def arm(subtract):
-            # one block: its trials draw from one generator in order, the
+            # one block: its trials score the block's draws in order, the
             # dropped pair included
-            rng = block_rng(seed, cfg, 0)
-            values = [pa.run_trial(cfg, rng, (subtract,))[0] for _ in range(samples)]
+            channels, counts = block_draws(seed, cfg, 0)
+            values = [pa.run_trial(cfg, channels[i], counts[i], (subtract,))[0]
+                      for i in range(samples)]
             del values[dropped]
             return values
 
@@ -151,11 +152,14 @@ class TestBackgroundStudy:
         assert study.mean_subtracted == pytest.approx(np.mean(subtracted), rel=1e-12)
 
     def test_one_draw_per_pair(self, monkeypatch):
-        calls = {"generate_counts": 0, "haar_random_unitary": 0}
+        # blocks of 4: each block draws its channels and counts in one call
+        # each, and both arms of a pair score one trial of that draw
+        monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 4)
+        calls = {"generate_counts": [], "haar_random_unitary": [], "run_trial": []}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(args)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -164,7 +168,11 @@ class TestBackgroundStudy:
         study = pa.background_study(["forward", "reversed"], [400], [0.95],
                                     [20.0, 100.0], samples=7, master_seed=2)
         assert len(study.cells) == 4
-        assert calls == {"generate_counts": 4 * 7, "haar_random_unitary": 4 * 7}
+        assert len(calls["haar_random_unitary"]) == len(calls["generate_counts"]) == 4 * 2
+        assert all(size == 4 for _rng, size in calls["haar_random_unitary"])
+        assert all(entries.shape == (4, 2, 2) for entries, _cfg, _rng in calls["generate_counts"])
+        assert len(calls["run_trial"]) == 4 * 7
+        assert all(arms == (False, True) for *_, arms in calls["run_trial"])
 
 
 def block_rng(seed, cfg, block):
@@ -175,22 +183,41 @@ def block_rng(seed, cfg, block):
         np.random.SeedSequence(coordinates, spawn_key=(block,))))
 
 
+def block_draws(seed, cfg, block):
+    """The channels and counts of a full block of a sweep cell, by its definition."""
+    rng = block_rng(seed, cfg, block)
+    channels = pa.haar_random_unitary(rng, montecarlo._BLOCK_SIZE)
+    return channels, pa.generate_counts(channels, cfg, rng)
+
+
 class TestRunTrial:
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("background", [0.0, 20.0])
     def test_arms_share_one_draw(self, direction, background):
-        # both arms from one call equal the two single-arm calls on fresh
-        # generators from the same seed, bit for bit
+        # both arms from one call equal the two single-arm calls on the
+        # same drawn channel and counts, bit for bit
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
+        channels, counts = block_draws(4, cfg, 0)
         for t in range(20):
-            both = pa.run_trial(cfg, np.random.default_rng([4, t]), (False, True))
-            plain, = pa.run_trial(cfg, np.random.default_rng([4, t]), (False,))
-            subtracted, = pa.run_trial(cfg, np.random.default_rng([4, t]), (True,))
+            both = pa.run_trial(cfg, channels[t], counts[t], (False, True))
+            plain, = pa.run_trial(cfg, channels[t], counts[t], (False,))
+            subtracted, = pa.run_trial(cfg, channels[t], counts[t], (True,))
             assert both == (plain, subtracted)
-            assert pa.run_trial(cfg, np.random.default_rng([4, t]), (True, False)) == (
+            assert pa.run_trial(cfg, channels[t], counts[t], (True, False)) == (
                 subtracted, plain)
             if background == 0.0:
                 assert plain == subtracted
+
+    def test_drawn_values_validated(self):
+        # the trial builds a checked channel and count matrix from its draw
+        cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
+        channels, counts = block_draws(4, cfg, 0)
+        with pytest.raises(ValueError, match="not unitary"):
+            pa.run_trial(cfg, 2.0 * channels[0], counts[0], (False,))
+        with pytest.raises(ValueError, match="shape"):
+            pa.run_trial(cfg, channels[0], counts[0].T, (False,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            pa.run_trial(cfg, channels[0], -counts[0], (False,))
 
 
 class _RecordingPool:
@@ -254,8 +281,9 @@ class TestConfigLimits:
         cfg = pa.TrialConfig(direction, montecarlo.MAX_DETECTIONS, 0.95,
                              background_mean=montecarlo.MAX_BACKGROUND_MEAN)
         rng = np.random.default_rng(1)
-        cm = montecarlo.generate_counts(pa.haar_random_unitary(rng), cfg, rng)
-        assert math.isfinite(cm.total) and cm.total > montecarlo.MAX_DETECTIONS
+        counts = montecarlo.generate_counts(pa.haar_random_unitary(rng, 3), cfg, rng)
+        totals = counts.sum(axis=(1, 2))
+        assert np.all(np.isfinite(totals)) and np.all(totals > montecarlo.MAX_DETECTIONS)
 
     @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
@@ -275,14 +303,15 @@ class TestExpectedProbabilities:
         bb84 = np.column_stack([KETS[lab] for lab in "HVDA"])
         six = np.column_stack([KETS[lab] for lab in "HVDARL"])
         inputs, outcomes, n_bases = (bb84, six, 3) if direction is D.FORWARD else (six, bb84, 2)
-        rng = np.random.default_rng(21)
-        for _ in range(1000):
-            u = pa.haar_random_unitary(rng)
-            overlap = np.abs(outcomes.conj().T @ (u.entries @ inputs)) ** 2
+        draws = pa.haar_random_unitary(np.random.default_rng(21), 1000)
+        batch = montecarlo.expected_probabilities(draws, direction, fs)
+        for u, p in zip(draws, batch):
+            overlap = np.abs(outcomes.conj().T @ (u @ inputs)) ** 2
             born = ((2.0 * fs - 1.0) * overlap + (1.0 - fs)).T / (inputs.shape[1] * n_bases)
-            p = montecarlo.expected_probabilities(u, direction, fs)
             assert p.shape == born.shape
             np.testing.assert_allclose(p, born, rtol=0.0, atol=1e-15)
+            # one channel's entries give that channel's matrix
+            assert np.array_equal(montecarlo.expected_probabilities(u, direction, fs), p)
 
 
 class TestAsymptoticOracle:
@@ -306,6 +335,21 @@ class TestAsymptoticOracle:
             assert abs(cell.mean_qber - expected) <= 4.0 * sem, (cell, expected)
 
 
+class TestHeadline:
+    def test_few_hundred_detections_align_below_one_percent(self):
+        # the paper's claim: a few hundred detections align the frame to
+        # better than 99 %.  At N = 300 and F_S = 0.95 the Haar-averaged
+        # error E = (9/4) ((2 F_S - 1)^-2 - 1/5) / N is 0.0078.
+        n, fs = 300, 0.95
+        assert 2.25 * ((2 * fs - 1) ** -2 - 0.2) / n == pytest.approx(0.0078, abs=5e-5)
+        sweep = pa.run_sweep(["forward", "reversed"], [n], [fs], samples=2000, master_seed=3,
+                             jobs=default_jobs())
+        assert [c.direction for c in sweep.cells] == [D.FORWARD, D.REVERSED]
+        for cell in sweep.cells:
+            assert cell.failures == 0
+            assert cell.mean_qber < 0.01, cell
+
+
 class TestGoldenStream:
     """Cell moments pinned to the values the seeded streams gave when recorded.
 
@@ -315,25 +359,25 @@ class TestGoldenStream:
 
     SWEEP = [
         # (direction, N, F_S, failures, mean, std)
-        ("forward", 400, 1.0, 0, 0.004147496723591051, 0.0033255252413782257),
-        ("forward", 400, 0.95, 0, 0.006540079301492666, 0.004941212964014764),
-        ("forward", 6400, 1.0, 0, 0.0002925679474367643, 0.00020366318033571186),
-        ("forward", 6400, 0.95, 0, 0.0003798711361049839, 0.00023892694293061752),
-        ("reversed", 400, 1.0, 0, 0.004132054183043801, 0.0034425959809842154),
-        ("reversed", 400, 0.95, 0, 0.0049364270531035955, 0.003794235132340163),
-        ("reversed", 6400, 1.0, 0, 0.0002981661245855416, 0.00016607088926212462),
-        ("reversed", 6400, 0.95, 0, 0.00032694128544633885, 0.0002799649456389208),
+        ("forward", 400, 1.0, 0, 0.00371151125048958, 0.0028769396181729605),
+        ("forward", 400, 0.95, 0, 0.006819674890591159, 0.0065228133297133015),
+        ("forward", 6400, 1.0, 0, 0.00030262230268674194, 0.0002865593435065192),
+        ("forward", 6400, 0.95, 0, 0.00045979806313131423, 0.00037982378917904514),
+        ("reversed", 400, 1.0, 0, 0.003870761667135597, 0.0031468103709614476),
+        ("reversed", 400, 0.95, 0, 0.005021700642163599, 0.003601906720832029),
+        ("reversed", 6400, 1.0, 0, 0.00028492133163421916, 0.0002463132012663582),
+        ("reversed", 6400, 0.95, 0, 0.0003071792005999496, 0.00022611118763849757),
     ]
     STUDY = [
         # (direction, bg, failures, mean plain, std plain, mean subtracted, std subtracted)
-        ("forward", 20.0, 0, 0.00810681488362135, 0.006527453423286702,
-         0.008417877007602385, 0.007003501557459822),
-        ("forward", 100.0, 0, 0.020227688026486067, 0.023509804274178064,
-         0.02424072880190046, 0.04199916613104261),
-        ("reversed", 20.0, 0, 0.006935126350351315, 0.006411723036397421,
-         0.007262271661092312, 0.006981014104280046),
-        ("reversed", 100.0, 0, 0.014959332712654783, 0.011904234335712674,
-         0.015400054536159655, 0.012496586950767424),
+        ("forward", 20.0, 0, 0.010046149248071984, 0.006781809369725063,
+         0.010205324881230812, 0.007027311432436325),
+        ("forward", 100.0, 0, 0.017096121831027142, 0.011330117940078375,
+         0.017541915970181857, 0.013328127438353633),
+        ("reversed", 20.0, 0, 0.0076426377825322325, 0.006479478710047734,
+         0.008133401569571472, 0.006634268090586633),
+        ("reversed", 100.0, 0, 0.010520900929892048, 0.007572659665792124,
+         0.011355822395169479, 0.007008301464999222),
     ]
 
     def test_sweep_and_study_reproduce(self):
@@ -364,12 +408,12 @@ class TestSeeds:
         # with the block index as the spawn key
         seeds = []
 
-        def record(cfg, rng, arms):
+        def record(rng, size, original=montecarlo.haar_random_unitary):
             seq = rng.bit_generator.seed_seq
             seeds.append((seq.entropy, seq.spawn_key))
-            return (0.0,)
+            return original(rng, size)
 
-        monkeypatch.setattr(montecarlo, "run_trial", record)
+        monkeypatch.setattr(montecarlo, "haar_random_unitary", record)
         for (direction, n, fs, bg), start in [((D.FORWARD, 400, 0.95, 0.0), 0),
                                               ((D.REVERSED, 6400, 1.0, 20.0), 750),
                                               ((D.FORWARD, 400, 0.95, -0.0), 250)]:
@@ -392,52 +436,51 @@ class TestSeeds:
     @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("start", [0, 2**32 - 2])
     def test_block_seeds_match_definition(self, monkeypatch, master_seed, start):
-        # a block starts from PCG64 seeded with its SeedSequence, and each
-        # trial starts where the one before it stopped drawing
-        states = []
+        # trial i of a block scores row i of the block's channels and counts:
+        # a full block drawn from PCG64 seeded with the block's SeedSequence
+        drawn = []
 
-        def record(cfg, rng, arms):
-            states.append(rng.bit_generator.state)
-            rng.random(1 + len(states))
+        def record(cfg, channel, counts, arms):
+            drawn.append((channel, counts))
             return (0.0,)
 
         monkeypatch.setattr(montecarlo, "run_trial", record)
+        block = start // montecarlo._BLOCK_SIZE
         for direction, n, fs, bg in self.CELLS:
             cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
-            states.clear()
+            drawn.clear()
             montecarlo._block((master_seed, cfg, (False,), start, start + 4))
-            expected = block_rng(master_seed, cfg, start // montecarlo._BLOCK_SIZE)
-            assert len(states) == 4
-            for t, state in enumerate(states):
-                assert state == expected.bit_generator.state, (cfg, t)
-                expected.random(2 + t)
+            channels, counts = block_draws(master_seed, cfg, block)
+            assert len(drawn) == 4
+            for t, (channel, trial_counts) in enumerate(drawn):
+                assert np.array_equal(channel, channels[t]), (cfg, t)
+                assert np.array_equal(trial_counts, counts[t]), (cfg, t)
 
     def test_cell_prefix_independent_of_samples(self, monkeypatch):
-        # blocks of 16: a cell's first k trials are the same for any sample
-        # count of at least k, across block boundaries, whatever each trial
-        # draws and whether it fails part-way
+        # blocks of 16 with background, so every draw is made: a cell's first
+        # k trials are the same for any sample count of at least k, across
+        # block boundaries, because each block draws all of its trials
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
-
-        def trial(cfg, rng, arms):
-            u = rng.random(2)
-            # an odd number of uint32 draws leaves the other half-word buffered
-            rng.integers(7, size=1 + int(u[0] * 6), dtype=np.uint32)
-            if u[1] < 0.3:
-                raise InsufficientCountsError("fails part-way")
-            return (u[0],)
-
-        monkeypatch.setattr(montecarlo, "run_trial", trial)
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
         full = montecarlo._run_cells([cfg], (False,), 40, 7, 1)[0]
-        assert 0 < full.count(None) < 40
+        assert None not in full
         assert full[16:32] != full[:16]  # each block has a stream of its own
-        for k in (1, 15, 16, 17, 32, 33):
+        for k in (1, 15, 16, 17, 33):
             assert montecarlo._run_cells([cfg], (False,), k, 7, 1)[0] == full[:k], k
+
+    def test_sweep_jobs_invariant(self, monkeypatch):
+        # blocks of 16 split each 40-trial cell into three, the last one short
+        monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
+        grid = dict(directions=["forward", "reversed"], n_values=[400], fs_values=[0.95, 1.0],
+                    samples=40, master_seed=5, background_means=[0.0, 20.0])
+        serial = pa.run_sweep(**grid, jobs=1)
+        assert len(serial.cells) == 8
+        assert pa.run_sweep(**grid, jobs=2) == serial
 
     @pytest.mark.parametrize("direction", list(D))
     def test_failed_trial_leaves_rest_of_block(self, monkeypatch, direction):
-        # every draw of a trial comes before its reconstruction, so a trial
-        # that fails there consumes the draws of one that succeeds
+        # a block draws every trial before it scores any, so a trial that
+        # fails in its reconstruction changes no other trial
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
         cfg = pa.TrialConfig(direction, 400, 0.95)
         name = "reconstruct_" + direction.value
@@ -465,23 +508,40 @@ class TestGenerateCounts:
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("background", [20.0, 100.0])
     def test_background_matches_per_column_draws(self, direction, background):
-        # the background written out one detector column at a time: the
-        # single multinomial call must draw the same columns from the same
-        # stream, and leave the generator in the same state
+        # the draws written out: one multinomial over every channel's cells,
+        # then one Poisson per detector column of every channel and one
+        # row-share multinomial per column, summed as floats; the generator
+        # ends in the same state
+        size = 50
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            u = pa.haar_random_unitary(rng)
-            drawn = montecarlo.generate_counts(u, cfg, rng)
-            after = rng.random()
+        channels = pa.haar_random_unitary(np.random.default_rng(8), size)
+        rng = np.random.default_rng(9)
+        drawn = montecarlo.generate_counts(channels, cfg, rng)
+        after = rng.random()
 
-            rng = np.random.default_rng(seed)
-            u = pa.haar_random_unitary(rng)
-            p = montecarlo.expected_probabilities(u, direction, cfg.signal_fidelity)
-            counts = rng.multinomial(cfg.n_detected, p.ravel()).reshape(p.shape).astype(float)
-            n_rows, n_cols = p.shape
-            per_detector = rng.poisson(background, size=n_cols)
-            for j in range(n_cols):
-                counts[:, j] += rng.multinomial(per_detector[j], np.full(n_rows, 1.0 / n_rows))
-            assert np.array_equal(drawn.counts, counts)
-            assert rng.random() == after
+        rng = np.random.default_rng(9)
+        p = montecarlo.expected_probabilities(channels, direction, cfg.signal_fidelity)
+        n_rows, n_cols = p.shape[1:]
+        counts = rng.multinomial(cfg.n_detected, p.reshape(size, -1)).reshape(p.shape)
+        per_detector = rng.poisson(background, size=(size, n_cols))
+        shares = rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows))
+        assert shares.shape == (size, n_cols, n_rows)
+        counts = counts + shares.transpose(0, 2, 1).astype(float)
+        assert drawn.dtype == float
+        assert drawn.shape == (size, n_rows, n_cols)
+        assert np.array_equal(drawn, counts)
+        assert rng.random() == after
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_rows_equal_one_channel_at_a_time(self, direction):
+        # without background, row k of a batch is the multinomial of channel
+        # k alone, drawn in order from the same stream
+        cfg = pa.TrialConfig(direction, 400, 0.95)
+        channels = pa.haar_random_unitary(np.random.default_rng(8), 20)
+        batch = montecarlo.generate_counts(channels, cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for u, counts in zip(channels, batch):
+            one = montecarlo.generate_counts(u, cfg, rng)
+            assert one.shape == counts.shape
+            assert np.array_equal(one, counts)
+            assert one.sum() == cfg.n_detected

@@ -9,7 +9,7 @@ from polalign.compensation import _plate_settings
 from polalign.montecarlo import expected_probabilities
 
 import oracles
-from conftest import haar_state, operator_fidelity
+from conftest import haar_channel, haar_state, operator_fidelity
 from oracles import KETS
 
 SQ2 = math.sqrt(0.5)
@@ -166,7 +166,7 @@ class TestFidelities:
     def test_simultaneous_rotation_invariance(self, rng):
         # F(U phi, U rho U+) = F(phi, rho)
         for _ in range(50):
-            u = pa.haar_random_unitary(rng).entries
+            u = haar_channel(rng).entries
             phi = haar_state(rng, "D")
             rho = oracles.depolarize(haar_state(rng), rng.uniform(0.5, 1.0))
             rotated_rho = oracles.density(u @ rho @ u.conj().T)
@@ -204,7 +204,7 @@ class TestDepolarize:
 
 def born_row(u: np.ndarray, label: str) -> np.ndarray:
     """The program's forward cell probabilities of input ``label`` through channel ``u``."""
-    p = expected_probabilities(pa.ChannelUnitary(u), pa.Direction.FORWARD, 1.0)
+    p = expected_probabilities(u, pa.Direction.FORWARD, 1.0)
     return p[pa.BB84_LABELS.index(label)]
 
 
@@ -314,7 +314,7 @@ class TestCompensationUnitary:
     def test_surjective_onto_su2(self, rng):
         # 200 Haar targets, each reached by all four closed-form settings
         for _ in range(200):
-            target = pa.haar_random_unitary(rng).entries
+            target = haar_channel(rng).entries
             fidelities = _analytic_stack_fidelities(target)
             assert len(fidelities) == 4
             assert min(fidelities) >= 1.0 - 1e-12
@@ -322,7 +322,7 @@ class TestCompensationUnitary:
     def test_surjectivity_grid_oracle(self, rng):
         # independent multiscale grid search corroborates the closed form
         for _ in range(3):
-            target = pa.haar_random_unitary(rng).entries
+            target = haar_channel(rng).entries
             analytic = min(_analytic_stack_fidelities(target))
             grid = _grid_refined_stack_fidelity(target)
             assert analytic >= 1.0 - 1e-12
@@ -332,17 +332,14 @@ class TestCompensationUnitary:
 
 @pytest.fixture(scope="module")
 def overlap_samples():
-    # |<H|U|H>|^2 over one million Haar draws
-    rng = np.random.default_rng(777)
-    return np.array(
-        [abs(pa.haar_random_unitary(rng).entries[0, 0]) ** 2 for _ in range(1_000_000)]
-    )
+    # |<H|U|H>|^2 over one million Haar draws, in one batched draw
+    return np.abs(pa.haar_random_unitary(np.random.default_rng(777), 1_000_000)[:, 0, 0]) ** 2
 
 
 class TestHaarSampling:
     def test_every_draw_unitary(self, rng):
         for _ in range(200):
-            u = pa.haar_random_unitary(rng).entries
+            u = haar_channel(rng).entries
             np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     # the entries of draws from default_rng([11, k]), k = 0..4, as hex floats
@@ -373,9 +370,20 @@ class TestHaarSampling:
         # bit for bit: the phase product rounds as NumPy's complex multiply
         # does, and a change of arithmetic there changes the last bits
         for k, expected in enumerate(self.PINNED):
-            u = pa.haar_random_unitary(np.random.default_rng([11, k]))
+            u = haar_channel(np.random.default_rng([11, k]))
             got = [(z.real.hex(), z.imag.hex()) for z in u.entries.ravel().tolist()]
             assert got == expected
+
+    def test_batch_rows_follow_scalar_formula(self):
+        # row k of a batched draw is the oracle's scalar formula on the
+        # block's k-th four uniforms
+        size = 1000
+        uniforms = np.random.default_rng(5).random((size, 4))
+        draws = pa.haar_random_unitary(np.random.default_rng(5), size)
+        assert draws.shape == (size, 2, 2)
+        for k in range(size):
+            expected = oracles.haar_unitary(*uniforms[k].tolist())
+            assert np.max(np.abs(draws[k] - expected)) <= 4e-16, k
 
     def test_mean_overlap_is_half(self, overlap_samples):
         assert abs(overlap_samples.mean() - 0.5) < 0.002

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-import polalign as pa
 from polalign.errors import InsufficientCountsError
 from polalign.timing import (
     POLARIZATION_BOUND,
@@ -14,6 +13,7 @@ from polalign.timing import (
     wilson_interval,
 )
 
+from conftest import haar_channel
 from oracles import aligned_max_probability, timing_counts, worst_case_unitary
 
 
@@ -24,7 +24,7 @@ class TestBound:
         )
 
     def test_bound_holds_over_haar_draws(self, rng):
-        lowest = min(aligned_max_probability(pa.haar_random_unitary(rng).entries)
+        lowest = min(aligned_max_probability(haar_channel(rng).entries)
                      for _ in range(10_000))
         assert lowest >= POLARIZATION_BOUND - 1e-12
         # the bound is approached, not just respected
@@ -106,7 +106,7 @@ class TestClassify:
         wrong = intact_wrong = 0
         trials = 1000
         for _ in range(trials):
-            u = pa.haar_random_unitary(rng).entries
+            u = haar_channel(rng).entries
             broken = classify(timing_counts(u, 267, rng, timing_aligned=False))
             intact = classify(timing_counts(u, 267, rng))
             wrong += broken.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED

@@ -9,7 +9,7 @@ from polalign.errors import InsufficientCountsError
 from polalign.tomography import _axis_roots, _mle_stokes, _stokes_estimates
 
 import oracles
-from conftest import exact_count_matrix, haar_state, trace_distance
+from conftest import exact_count_matrix, haar_channel, haar_state, trace_distance
 from oracles import KETS
 
 D = pa.Direction
@@ -371,7 +371,7 @@ class TestReconstructForward:
 
     def test_random_channels_with_depolarization(self, rng):
         for _ in range(10):
-            u = pa.haar_random_unitary(rng)
+            u = haar_channel(rng)
             fs = rng.uniform(0.7, 1.0)
             cm = exact_count_matrix(u, D.FORWARD, signal_fidelity=fs)
             recon = pa.reconstruct_forward(cm)
@@ -417,7 +417,7 @@ class TestReconstructReversed:
         # the state reconstructed for outcome m is U+|m><m|U, which rests on
         # |<m|U psi>|^2 = |<U+ m|psi>|^2; check both over Haar draws
         for _ in range(100):
-            u = pa.haar_random_unitary(rng)
+            u = haar_channel(rng)
             psi = haar_state(rng)
             phi = KETS["D"]
             lhs = abs(np.vdot(phi, u.entries @ psi)) ** 2
@@ -425,7 +425,7 @@ class TestReconstructReversed:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
         for _ in range(20):
-            u = pa.haar_random_unitary(rng)
+            u = haar_channel(rng)
             cm = exact_count_matrix(u, D.REVERSED)
             recon = pa.reconstruct_reversed(cm)
             for label, s in zip(pa.BB84_LABELS, recon.rows):
@@ -540,7 +540,7 @@ class TestForwardReversedDuality:
         # the same channel characterized in either orientation compensates
         # to negligible residual error
         for _ in range(20):
-            u = pa.haar_random_unitary(rng)
+            u = haar_channel(rng)
             fwd = pa.reconstruct_forward(exact_count_matrix(u, D.FORWARD))
             rev = pa.reconstruct_reversed(exact_count_matrix(u, D.REVERSED))
             res_f = pa.optimize(fwd)

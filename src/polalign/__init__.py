@@ -52,6 +52,7 @@ from .timing import (
     classify,
 )
 from .errors import (
+    ConfigError,
     FitError,
     InsufficientCountsError,
     PolalignError,

@@ -10,9 +10,15 @@ Subcommands:
 * ``rate``         — expected weak-coherent-pulse detection rate.
 
 All randomness is seeded; rerunning any command with identical flags
-produces byte-identical output files at any ``--jobs`` value.  Angles are
-reported in degrees here (hardware convention) and stored in radians
-everywhere inside the library.
+produces byte-identical output files at any ``--jobs`` value, and
+``simulate --from-manifest`` (with only ``--out`` and ``--jobs`` besides)
+replays a sweep.  Angles are reported in degrees here (hardware
+convention) and stored in radians everywhere inside the library.
+
+Bad input exits with code 2 and a message naming the flag, manifest key or
+file at fault.  This module checks types and shapes; ``TrialConfig`` and
+``DetectionRateParams`` check ranges, and their ``ConfigError`` names the
+field.  ``_SWEEP_FIELDS`` is the one description of a sweep row.
 """
 
 from __future__ import annotations
@@ -29,10 +35,8 @@ import numpy as np
 
 from . import __version__
 from .compensation import optimize
-from .errors import FitError, InsufficientCountsError, PolalignError, SchemaError
+from .errors import ConfigError, FitError, InsufficientCountsError, PolalignError, SchemaError
 from .montecarlo import (
-    MAX_BACKGROUND_MEAN,
-    MAX_DETECTIONS,
     DetectionRateParams,
     SweepCell,
     expected_detection_rate,
@@ -55,7 +59,6 @@ COUNT_FILE_SCHEMA_VERSION = 1
 #: the largest count that a float holds exactly
 _MAX_COUNT = 2**53
 MANIFEST_SCHEMA_VERSION = 1
-SWEEP_CSV_HEADER = "direction,n,fs,bg_mean,bg_subtract,samples,failures,mean_qber,std_qber"
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +70,8 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
-def load_count_file(path) -> tuple[CountMatrix, dict]:
-    """Read and validate a count file; returns the matrix and its metadata.
+def load_count_file(path) -> CountMatrix:
+    """Read and validate a count file; an optional ``metadata`` object is checked, not returned.
 
     Labels may appear in any order in the file; rows and columns are
     reindexed to the canonical (H, V, D, A[, R, L]) order.
@@ -127,10 +130,8 @@ def load_count_file(path) -> tuple[CountMatrix, dict]:
     # reindex to canonical label order
     row_order = [rows.index(lab) for lab in ROW_LABELS[direction]]
     col_order = [cols.index(lab) for lab in COLUMN_LABELS[direction]]
-    matrix = matrix[np.ix_(row_order, col_order)]
-    metadata = payload.get("metadata") or {}
-    _require(isinstance(metadata, dict), f"{path}: metadata must be an object")
-    return CountMatrix(direction, matrix), metadata
+    _require(isinstance(payload.get("metadata", {}), dict), f"{path}: metadata must be an object")
+    return CountMatrix(direction, matrix[np.ix_(row_order, col_order)])
 
 
 # ---------------------------------------------------------------------------
@@ -138,54 +139,16 @@ def load_count_file(path) -> tuple[CountMatrix, dict]:
 
 
 def _fmt(x) -> str:
-    """Floats at nine significant digits; empty for missing values."""
+    """A sweep-record value as CSV text: floats at nine significant digits, empty if missing."""
     if x is None:
         return ""
-    return f"{x:.9g}"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return f"{x:.9g}" if isinstance(x, float) else str(x)
 
 
 def _json_float(x):
     return None if x is None else float(f"{x:.9g}")
-
-
-def _cell_record(cell: SweepCell) -> dict:
-    return {
-        "direction": cell.direction.value,
-        "n": cell.n_detected,
-        "fs": _json_float(cell.signal_fidelity),
-        "bg_mean": _json_float(cell.background_mean),
-        "bg_subtract": cell.subtract_background,
-        "samples": cell.samples,
-        "failures": cell.failures,
-        "mean_qber": _json_float(cell.mean_qber),
-        "std_qber": _json_float(cell.std_qber),
-    }
-
-
-def _write_sweep_csv(path, cells):
-    lines = [SWEEP_CSV_HEADER]
-    for c in cells:
-        lines.append(
-            ",".join(
-                [
-                    c.direction.value,
-                    str(c.n_detected),
-                    _fmt(c.signal_fidelity),
-                    _fmt(c.background_mean),
-                    "true" if c.subtract_background else "false",
-                    str(c.samples),
-                    str(c.failures),
-                    _fmt(c.mean_qber),
-                    _fmt(c.std_qber),
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_sweep_json(path, cells):
-    payload = {"schema_version": 1, "cells": [_cell_record(c) for c in cells]}
-    _write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def _write_text(path, text: str):
@@ -221,7 +184,8 @@ def _integer(value) -> int:
 _FLAGS = {"true": True, "false": False, True: True, False: False}
 
 
-#: sweep-file field -> (SweepCell field, converter)
+#: the one description of a sweep row, in column order: key -> (SweepCell field, parser);
+#: the fields parsed as floats are written at nine significant digits
 _SWEEP_FIELDS = {
     "direction": ("direction", Direction),
     "n": ("n_detected", _integer),
@@ -233,6 +197,27 @@ _SWEEP_FIELDS = {
     "mean_qber": ("mean_qber", _finite),
     "std_qber": ("std_qber", _optional_finite),
 }
+SWEEP_CSV_HEADER = ",".join(_SWEEP_FIELDS)
+
+
+def _cell_record(cell: SweepCell) -> dict:
+    record = {}
+    for key, (name, parse) in _SWEEP_FIELDS.items():
+        value = getattr(cell, name)
+        if parse in (_finite, _optional_finite):
+            value = _json_float(value)
+        record[key] = value.value if isinstance(value, Direction) else value
+    return record
+
+
+def _write_sweep(path, cells, fmt: str):
+    """``cells`` as a sweep file: JSON records, or CSV lines of the same values."""
+    records = [_cell_record(c) for c in cells]
+    if fmt == "json":
+        text = json.dumps({"schema_version": 1, "cells": records}, indent=1)
+    else:
+        text = "\n".join([SWEEP_CSV_HEADER] + [",".join(map(_fmt, r.values())) for r in records])
+    _write_text(path, text + "\n")
 
 
 def _sweep_cell(path, where: str, record) -> SweepCell:
@@ -268,7 +253,7 @@ def read_sweep_file(path) -> list[SweepCell]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SWEEP_CSV_HEADER:
         raise SchemaError(f"{path}: missing sweep CSV header")
-    keys = SWEEP_CSV_HEADER.split(",")
+    keys = list(_SWEEP_FIELDS)
     cells = []
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
@@ -315,14 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--direction", choices=["forward", "reversed"])
     sim.add_argument("--n", help="comma-separated detected-photon budgets, e.g. 400,1600")
     sim.add_argument("--fs", help="comma-separated signal fidelities in [0.5, 1]")
-    sim.add_argument("--bg", default="0", help="comma-separated mean background counts per detector")
-    sim.add_argument("--bg-subtract", action="store_true", help="subtract the mean background")
+    sim.add_argument("--bg", help="comma-separated mean background counts per detector, default 0")
+    sim.add_argument("--bg-subtract", action="store_true", default=None,
+                     help="subtract the mean background")
     sim.add_argument("--samples", type=int, help="Monte Carlo samples per grid cell")
     sim.add_argument("--seed", type=int, help="master seed (nonnegative integer)")
     sim.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
-    sim.add_argument("--format", choices=["csv", "json"], default="csv")
+    sim.add_argument("--format", choices=["csv", "json"], help="default csv")
     sim.add_argument("--out", help="output file path")
-    sim.add_argument("--from-manifest", help="re-run the configuration stored in a manifest")
+    sim.add_argument("--from-manifest", help="re-run the configuration stored in a manifest; "
+                     "combines with --out and --jobs only")
     sim.set_defaults(handler=cmd_simulate)
 
     fit = sub.add_parser("fit", help="power-law fit of a sweep file")
@@ -372,53 +359,43 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+def _is_number(x) -> bool:
+    # a JSON integer can be past float range
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
+
+
+def _simulate_error(parser, manifest: str | None, key: str, message):
+    """Exit 2 naming the simulate flag, or the key of ``manifest``, at fault."""
+    if manifest is None:
+        parser.error(f"--{key.replace('_', '-')}: {message}")
+    parser.error(f"--from-manifest: {manifest}: {key}: {message}")
 
 
 def _check_simulate_config(parser, config: dict, manifest: str | None = None) -> dict:
-    """Validate a simulate configuration from flags or from ``manifest``.
+    """Check the types of a simulate configuration from flags or from ``manifest``.
 
     Any problem exits through ``parser.error``, naming the flag or the
-    manifest key at fault.
+    manifest key at fault.  The ranges of N, F_S and the background are
+    :class:`TrialConfig`'s to check.
     """
-    where = f"--from-manifest: {manifest}"
-
-    def fail(key, message):
-        name = f"--{key.replace('_', '-')}" if manifest is None else f"{where}: {key}"
-        parser.error(f"{name}: {message}")
-
+    fail = functools.partial(_simulate_error, parser, manifest)
     unknown = sorted(set(config) - set(_SIMULATE_KEYS))
     if unknown:
-        parser.error(f"{where}: unknown keys {unknown}")
+        parser.error(f"--from-manifest: {manifest}: unknown keys {unknown}")
     for key in _SIMULATE_KEYS:
         if key not in config:
             fail(key, "missing")
     direction = config["direction"]
     if direction not in ("forward", "reversed"):
         fail("direction", f"{direction!r} must be 'forward' or 'reversed'")
-    minimum_n = 4 if direction == "forward" else 6
-    for key, is_valid, label in (("n", _is_int, "integer"), ("fs", _is_real, "finite number"),
-                                 ("bg", _is_real, "finite number")):
+    for key, is_valid, label in (("n", _is_int, "integer"), ("fs", _is_number, "number"),
+                                 ("bg", _is_number, "number")):
         values = config[key]
         if not isinstance(values, list) or not values:
             fail(key, f"expected a non-empty list, got {values!r}")
         for x in values:
             if not is_valid(x):
                 fail(key, f"{x!r} is not a valid {label}")
-    for n in config["n"]:
-        if n < minimum_n:
-            fail("n", f"{n} is below the {direction} minimum of {minimum_n}")
-        if n > MAX_DETECTIONS:
-            fail("n", f"{n} is above the largest supported budget {MAX_DETECTIONS}")
-    for fs in config["fs"]:
-        if not 0.5 <= fs <= 1.0:
-            fail("fs", f"{fs} outside the signal-fidelity range [0.5, 1]")
-    for bg in config["bg"]:
-        if bg < 0:
-            fail("bg", f"{bg} must be >= 0")
-        if bg > MAX_BACKGROUND_MEAN:
-            fail("bg", f"{bg} is above the largest supported background {MAX_BACKGROUND_MEAN:g}")
     if not isinstance(config["bg_subtract"], bool):
         fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
     if not _is_int(config["samples"]) or config["samples"] < 1:
@@ -436,6 +413,11 @@ def _simulate_config_from_args(parser, args) -> dict:
     if args.jobs < 1:
         parser.error(f"--jobs: {args.jobs} must be >= 1")
     if args.from_manifest:
+        given = [f"--{key.replace('_', '-')}" for key in _SIMULATE_KEYS
+                 if key != "out" and getattr(args, key) is not None]
+        if given:
+            parser.error(f"--from-manifest: cannot be given with {', '.join(given)}; "
+                         "only --out and --jobs combine with it")
         try:
             with open(args.from_manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
@@ -448,24 +430,26 @@ def _simulate_config_from_args(parser, args) -> dict:
             config = dict(config, out=args.out)
         return _check_simulate_config(parser, config, args.from_manifest)
 
-    missing = [flag for flag, value in (("--direction", args.direction), ("--n", args.n),
-                                        ("--fs", args.fs), ("--samples", args.samples),
-                                        ("--seed", args.seed), ("--out", args.out))
-               if value is None]
+    missing = [f"--{key}" for key in ("direction", "n", "fs", "samples", "seed", "out")
+               if getattr(args, key) is None]
     if missing:
         parser.error(f"missing required flags: {', '.join(missing)}")
     config = {
         "direction": args.direction,
         "n": _parse_list(parser, args.n, "--n", int, "integer"),
         "fs": _parse_list(parser, args.fs, "--fs", float, "number"),
-        "bg": _parse_list(parser, args.bg, "--bg", float, "number"),
+        "bg": _parse_list(parser, "0" if args.bg is None else args.bg, "--bg", float, "number"),
         "bg_subtract": bool(args.bg_subtract),
         "samples": args.samples,
         "seed": args.seed,
-        "format": args.format,
+        "format": args.format or "csv",
         "out": args.out,
     }
     return _check_simulate_config(parser, config)
+
+
+#: simulate keys of the TrialConfig fields whose ranges it checks
+_GRID_KEYS = {"n_detected": "n", "signal_fidelity": "fs", "background_mean": "bg"}
 
 
 def cmd_simulate(parser, args) -> int:
@@ -480,20 +464,21 @@ def cmd_simulate(parser, args) -> int:
     if created:
         os.remove(out)
     started = time.monotonic()
-    sweep = run_sweep(
-        directions=[Direction(config["direction"])],
-        n_values=config["n"],
-        fs_values=config["fs"],
-        background_means=config["bg"],
-        subtract_background=config["bg_subtract"],
-        samples=config["samples"],
-        master_seed=config["seed"],
-        jobs=args.jobs,
-    )
-    if config["format"] == "json":
-        _write_sweep_json(out, sweep.cells)
-    else:
-        _write_sweep_csv(out, sweep.cells)
+    try:
+        sweep = run_sweep(
+            directions=[Direction(config["direction"])],
+            n_values=config["n"],
+            fs_values=config["fs"],
+            background_means=config["bg"],
+            subtract_background=config["bg_subtract"],
+            samples=config["samples"],
+            master_seed=config["seed"],
+            jobs=args.jobs,
+        )
+    except ConfigError as exc:
+        # run_sweep builds every cell's TrialConfig before any trial runs
+        _simulate_error(parser, args.from_manifest, _GRID_KEYS[exc.field], exc)
+    _write_sweep(out, sweep.cells, config["format"])
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool": "polalign",
@@ -502,9 +487,7 @@ def cmd_simulate(parser, args) -> int:
         "config": config,
         "wall_seconds": round(time.monotonic() - started, 3),
     }
-    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    _write_text(out + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {len(sweep.cells)} cells to {out}")
     return 0
 
@@ -555,7 +538,7 @@ def cmd_fit(parser, args) -> int:
 
 
 def cmd_align(parser, args) -> int:
-    cm, _metadata = load_count_file(args.counts)
+    cm = load_count_file(args.counts)
     if cm.direction is Direction.FORWARD:
         recon = reconstruct_forward(cm)
     else:
@@ -593,7 +576,7 @@ def cmd_align(parser, args) -> int:
 def cmd_timing_check(parser, args) -> int:
     if not 0.0 < args.confidence < 1.0:
         parser.error(f"--confidence: {args.confidence} must be in (0, 1)")
-    cm, _metadata = load_count_file(args.counts)
+    cm = load_count_file(args.counts)
     rows = ROW_LABELS[cm.direction]
     cols = COLUMN_LABELS[cm.direction]
     row_idx = [rows.index(lab) for lab in BB84_LABELS]
@@ -626,34 +609,30 @@ def cmd_timing_check(parser, args) -> int:
     return 0
 
 
+#: rate flags of the DetectionRateParams fields, which check their own ranges
+_RATE_FLAGS = {"pulse_rate_hz": "--pulse-rate", "mean_photon_number": "--mu",
+               "channel_transmission": "--eta", "vacuum_yield": "--y0"}
+
+
 def cmd_rate(parser, args) -> int:
-    for flag, value in (("--pulse-rate", args.pulse_rate), ("--mu", args.mu),
-                        ("--loss-db", args.loss_db), ("--eta", args.eta), ("--y0", args.y0)):
-        if value is not None and not math.isfinite(value):
-            parser.error(f"{flag}: {value} must be a finite number")
-    if args.pulse_rate < 0:
-        parser.error(f"--pulse-rate: {args.pulse_rate} must be >= 0")
-    if args.mu < 0:
-        parser.error(f"--mu: {args.mu} must be >= 0")
-    if not 0.0 <= args.y0 <= 1.0:
-        parser.error(f"--y0: {args.y0} must be in [0, 1]")
     if (args.loss_db is None) == (args.eta is None):
         parser.error("specify exactly one of --loss-db or --eta")
+    eta = args.eta
     if args.loss_db is not None:
-        if args.loss_db < 0:
-            parser.error(f"--loss-db: {args.loss_db} must be >= 0")
+        if not 0.0 <= args.loss_db < math.inf:
+            parser.error(f"--loss-db: {args.loss_db} must be finite and >= 0")
         eta = 10.0 ** (-args.loss_db / 10.0)
-    else:
-        if not 0.0 <= args.eta <= 1.0:
-            parser.error(f"--eta: {args.eta} must be in [0, 1]")
-        eta = args.eta
-    params = DetectionRateParams(
-        pulse_rate_hz=args.pulse_rate,
-        mean_photon_number=args.mu,
-        channel_transmission=eta,
-        vacuum_yield=args.y0,
-    )
+    try:
+        params = DetectionRateParams(
+            pulse_rate_hz=args.pulse_rate,
+            mean_photon_number=args.mu,
+            channel_transmission=eta,
+            vacuum_yield=args.y0,
+        )
+    except ConfigError as exc:
+        parser.error(f"{_RATE_FLAGS[exc.field]}: {exc}")
     rate = expected_detection_rate(params)
+    # a subnormal rate is positive, but 400 / rate overflows to inf
     seconds_400 = 400.0 / rate if rate > 0 else math.inf
     if args.format == "json":
         payload = {
@@ -664,7 +643,7 @@ def cmd_rate(parser, args) -> int:
         print(json.dumps(payload, indent=1))
     else:
         print(f"expected detection rate: {rate:.6g} Hz")
-        if math.isinf(seconds_400):
+        if rate == 0.0:
             print("time to 400 detections: never (zero rate)")
         else:
             print(f"time to 400 detections: {seconds_400:.6g} s")

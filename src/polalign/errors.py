@@ -44,5 +44,13 @@ class SweepError(PolalignError):
     """Raised when a sweep cell exceeds the tolerated trial-failure rate."""
 
 
+class ConfigError(PolalignError, ValueError):
+    """Raised when a configuration value is out of range; ``field`` names its field."""
+
+    def __init__(self, message: str, *, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 class SchemaError(PolalignError):
     """Raised when a count file does not match the expected schema."""

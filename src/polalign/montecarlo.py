@@ -43,7 +43,7 @@ from itertools import chain, product
 import numpy as np
 
 from .compensation import optimize, residual_qber
-from .errors import FitError, InsufficientCountsError, SweepError
+from .errors import ConfigError, FitError, InsufficientCountsError, SweepError
 from .polarization import ChannelUnitary, haar_random_unitary
 from .tomography import (
     CountMatrix,
@@ -73,23 +73,24 @@ class TrialConfig:
     def __post_init__(self):
         minimum = 4 if self.direction is Direction.FORWARD else 6
         if self.n_detected < minimum:
-            raise ValueError(
+            raise ConfigError(
                 f"{self.direction.value} trials need at least {minimum} detections, "
-                f"got {self.n_detected}"
+                f"got {self.n_detected}", field="n_detected"
             )
         if self.n_detected > MAX_DETECTIONS:
-            raise ValueError(
+            raise ConfigError(
                 f"detection budget {self.n_detected} is above the largest supported "
-                f"budget {MAX_DETECTIONS}"
+                f"budget {MAX_DETECTIONS}", field="n_detected"
             )
         if not 0.5 <= self.signal_fidelity <= 1.0:
-            raise ValueError(
-                f"signal fidelity must be in [0.5, 1], got {self.signal_fidelity!r}"
+            raise ConfigError(
+                f"signal fidelity must be in [0.5, 1], got {self.signal_fidelity!r}",
+                field="signal_fidelity",
             )
         if not 0.0 <= self.background_mean <= MAX_BACKGROUND_MEAN:  # NaN fails both
-            raise ValueError(
+            raise ConfigError(
                 f"background mean must be in [0, {MAX_BACKGROUND_MEAN:g}], "
-                f"got {self.background_mean!r}"
+                f"got {self.background_mean!r}", field="background_mean"
             )
 
 
@@ -164,19 +165,23 @@ class DetectionRateParams:
 
     def __post_init__(self):
         if not 0.0 <= self.pulse_rate_hz < math.inf:
-            raise ValueError(
-                f"pulse rate must be finite and >= 0 Hz, got {self.pulse_rate_hz!r}"
+            raise ConfigError(
+                f"pulse rate must be finite and >= 0 Hz, got {self.pulse_rate_hz!r}",
+                field="pulse_rate_hz",
             )
         if not 0.0 <= self.mean_photon_number < math.inf:
-            raise ValueError(
-                f"mean photon number must be finite and >= 0, got {self.mean_photon_number!r}"
+            raise ConfigError(
+                f"mean photon number must be finite and >= 0, got {self.mean_photon_number!r}",
+                field="mean_photon_number",
             )
         if not 0.0 <= self.channel_transmission <= 1.0:
-            raise ValueError(
-                f"channel transmission must be in [0, 1], got {self.channel_transmission!r}"
+            raise ConfigError(
+                f"channel transmission must be in [0, 1], got {self.channel_transmission!r}",
+                field="channel_transmission",
             )
         if not 0.0 <= self.vacuum_yield <= 1.0:
-            raise ValueError(f"vacuum yield must be in [0, 1], got {self.vacuum_yield!r}")
+            raise ConfigError(f"vacuum yield must be in [0, 1], got {self.vacuum_yield!r}",
+                              field="vacuum_yield")
 
 
 def expected_probabilities(

@@ -220,7 +220,7 @@ class TestSimulate:
             (dict(samples=-3), "samples: -3 must be an integer >= 1"),
             (dict(samples=None), "samples: missing"),
             (dict(n=[400, "x"]), "n: 'x' is not a valid integer"),
-            (dict(fs=[1.5]), "fs: 1.5 outside"),
+            (dict(fs=[1.5]), "fs: signal fidelity must be in [0.5, 1], got 1.5"),
             (dict(direction="sideways"), "direction: 'sideways'"),
             (dict(sample=3), "unknown keys ['sample']"),
         ],
@@ -238,14 +238,32 @@ class TestSimulate:
         argv = ["simulate", "--direction", "forward", "--n", "100000000000000000000",
                 "--fs", "0.95", "--samples", "1", "--seed", "1", "--jobs", "1",
                 "--out", str(tmp_path / "s.csv")]
-        assert_rejected(argv, capsys, "--n: 100000000000000000000 is above the largest")
+        assert_rejected(argv, capsys,
+                        "--n: detection budget 100000000000000000000 is above the largest")
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--direction", "forward", "--n", "3"], "--n: forward trials need at least 4 detections"),
+        (["--direction", "reversed", "--n", "5"],
+         "--n: reversed trials need at least 6 detections"),
+        (["--fs", "nan"], "--fs: signal fidelity must be in [0.5, 1], got nan"),
+        (["--bg", "-1"], "--bg: background mean must be in [0, 9.22337e+18], got -1.0"),
+    ])
+    def test_grid_out_of_range_rejected_without_output(self, tmp_path, capsys, flags, match):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95",
+                "--samples", "1", "--seed", "1", "--jobs", "1", "--out", str(out), *flags]
+        assert_rejected(argv, capsys, match)
+        assert not out.exists()
+        unwritable = str(tmp_path / "no-such-dir" / "s.csv")
+        assert_rejected(argv + ["--out", unwritable], capsys, f"cannot open {unwritable}")
 
     @pytest.mark.parametrize("bg", ["1e19", "1e300"])
     def test_background_above_sampler_limit_rejected(self, tmp_path, capsys, bg):
         argv = ["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95",
                 "--bg", bg, "--samples", "1", "--seed", "1", "--jobs", "1",
                 "--out", str(tmp_path / "s.csv")]
-        assert_rejected(argv, capsys, f"--bg: {float(bg)} is above the largest supported background")
+        assert_rejected(argv, capsys,
+                        f"--bg: background mean must be in [0, 9.22337e+18], got {float(bg)!r}")
 
     def test_manifest_background_above_sampler_limit_rejected(self, tmp_path, capsys):
         config = {"direction": "reversed", "n": [400], "fs": [0.95], "bg": [1e19],
@@ -253,7 +271,17 @@ class TestSimulate:
                   "out": str(tmp_path / "s.csv")}
         path = write_json(tmp_path / "m.json", {"config": config})
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
-                        "bg: 1e+19 is above the largest supported background")
+                        "bg: background mean must be in [0, 9.22337e+18], got 1e+19")
+
+    @pytest.mark.parametrize("key", ["fs", "bg"])
+    def test_manifest_number_past_float_range_rejected(self, tmp_path, capsys, key):
+        config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
+                  "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
+                  "out": str(tmp_path / "s.csv")}
+        config[key] = [10**400]
+        path = write_json(tmp_path / "m.json", {"config": config})
+        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
+                        f"{key}: 1{'0' * 400} is not a valid number")
 
     def test_manifest_integer_past_digit_limit_rejected(self, tmp_path, capsys):
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
@@ -263,20 +291,158 @@ class TestSimulate:
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
                         "--from-manifest: cannot read")
 
+    @pytest.mark.parametrize("flags", [["--direction", "reversed"], ["--n", "6400"],
+                                       ["--fs", "0.9"], ["--bg", "0"], ["--bg-subtract"],
+                                       ["--samples", "500"], ["--seed", "2"],
+                                       ["--format", "csv"], ["--samples", "500", "--n", "6400"]])
+    def test_manifest_with_config_flags_rejected(self, tmp_path, capsys, flags):
+        config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
+                  "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
+                  "out": str(tmp_path / "s.csv")}
+        path = write_json(tmp_path / "m.json", {"config": config})
+        out = tmp_path / "b.csv"
+        code, _out, err = run(["simulate", "--from-manifest", path, "--jobs", "1", *flags,
+                               "--out", str(out)], capsys)
+        assert code == 2
+        _, _, named = err.partition("--from-manifest: cannot be given with ")
+        assert all(flag in named for flag in flags if flag.startswith("--"))
+        assert not out.exists()
+
     def test_manifest_without_config(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [1, 2])
         assert_rejected(["simulate", "--from-manifest", path], capsys, "no config block")
 
 
+#: hand-built cells: non-integral F_S and background, subtraction, no std, a large N
+PINNED_CELLS = (
+    pa.SweepCell(Direction.FORWARD, 400, 0.95, 12.5, True, 250, 1, 0.012345678901234,
+                 0.0034567890123456),
+    pa.SweepCell(Direction.REVERSED, 9223372036854775807, 1.0, 0.0, False, 1, 0, 1.5e-10, None),
+    pa.SweepCell(Direction.FORWARD, 6400, 0.8123456789, 1e-5, False, 2, 0, 0.25, 0.0),
+)
+PINNED_CSV = """\
+direction,n,fs,bg_mean,bg_subtract,samples,failures,mean_qber,std_qber
+forward,400,0.95,12.5,true,250,1,0.0123456789,0.00345678901
+reversed,9223372036854775807,1,0,false,1,0,1.5e-10,
+forward,6400,0.812345679,1e-05,false,2,0,0.25,0
+"""
+PINNED_JSON = """\
+{
+ "schema_version": 1,
+ "cells": [
+  {
+   "direction": "forward",
+   "n": 400,
+   "fs": 0.95,
+   "bg_mean": 12.5,
+   "bg_subtract": true,
+   "samples": 250,
+   "failures": 1,
+   "mean_qber": 0.0123456789,
+   "std_qber": 0.00345678901
+  },
+  {
+   "direction": "reversed",
+   "n": 9223372036854775807,
+   "fs": 1.0,
+   "bg_mean": 0.0,
+   "bg_subtract": false,
+   "samples": 1,
+   "failures": 0,
+   "mean_qber": 1.5e-10,
+   "std_qber": null
+  },
+  {
+   "direction": "forward",
+   "n": 6400,
+   "fs": 0.812345679,
+   "bg_mean": 1e-05,
+   "bg_subtract": false,
+   "samples": 2,
+   "failures": 0,
+   "mean_qber": 0.25,
+   "std_qber": 0.0
+  }
+ ]
+}
+"""
+
+
+class TestSweepFormat:
+    """The bytes ``simulate`` writes for given cells, and reading them back."""
+
+    def simulate(self, tmp_path, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "run_sweep", lambda **_kwargs: pa.SweepResult(PINNED_CELLS))
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95",
+                "--samples", "1", "--seed", "1", "--jobs", "1", "--format", fmt,
+                "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        return out
+
+    def test_csv_bytes(self, tmp_path, capsys, monkeypatch):
+        out = self.simulate(tmp_path, capsys, monkeypatch, "csv")
+        assert out.read_bytes() == PINNED_CSV.encode("utf-8")
+
+    def test_json_bytes(self, tmp_path, capsys, monkeypatch):
+        out = self.simulate(tmp_path, capsys, monkeypatch, "json")
+        assert out.read_bytes() == PINNED_JSON.encode("utf-8")
+
+    def test_csv_value_is_the_nine_digit_text_of_the_json_value(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # any finite double, subnormals included, rounded to nine digits and
+        # written at nine digits gives the text of the double itself
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**63 - 2**52, size=2000, dtype=np.int64)  # finite, >= 0
+        values = [float(x) for x in bits.view(np.float64)] + [5e-324, 1e-320, sys.float_info.max]
+        cells = [pa.SweepCell(Direction.FORWARD, 400, 0.95, 0.0, False, 2, 0, x, x)
+                 for x in values]
+        monkeypatch.setattr(cli, "run_sweep", lambda **_kwargs: pa.SweepResult(tuple(cells)))
+        out = tmp_path / "bits.csv"
+        assert run(["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95",
+                    "--samples", "1", "--seed", "1", "--jobs", "1", "--out", str(out)],
+                   capsys)[0] == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == [f"forward,400,0.95,0,false,2,0,{x:.9g},{x:.9g}" for x in values]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_read_back_at_nine_digits(self, tmp_path, capsys, monkeypatch, fmt):
+        out = self.simulate(tmp_path, capsys, monkeypatch, fmt)
+
+        def nine_digits(x):
+            return None if x is None else float(f"{x:.9g}")
+
+        expected = [
+            pa.SweepCell(c.direction, c.n_detected, nine_digits(c.signal_fidelity),
+                         nine_digits(c.background_mean), c.subtract_background, c.samples,
+                         c.failures, nine_digits(c.mean_qber), nine_digits(c.std_qber))
+            for c in PINNED_CELLS
+        ]
+        assert cli.read_sweep_file(str(out)) == expected
+
+
 class TestCountFiles:
     def test_round_trip_with_reordered_labels(self, tmp_path, count_file):
-        cm, _ = cli.load_count_file(count_file)
+        cm = cli.load_count_file(count_file)
         payload = json.loads(count_file.read_text())
         payload["column_labels"] = payload["column_labels"][::-1]
         payload["counts"] = [row[::-1] for row in payload["counts"]]
         reordered = write_json(tmp_path / "r.json", payload)
-        again, _ = cli.load_count_file(reordered)
+        again = cli.load_count_file(reordered)
         np.testing.assert_array_equal(again.counts, cm.counts)
+
+    @pytest.mark.parametrize("metadata", [[], 0, "", False, None, 5, "lab"])
+    def test_metadata_must_be_an_object(self, tmp_path, capsys, count_file, metadata):
+        payload = json.loads(count_file.read_text())
+        payload["metadata"] = metadata
+        path = write_json(tmp_path / "meta.json", payload)
+        assert_rejected(["align", "--counts", path], capsys, "metadata must be an object")
+
+    def test_metadata_object_accepted(self, tmp_path, capsys, count_file):
+        payload = json.loads(count_file.read_text())
+        payload["metadata"] = {"site": "lab", "run": 3}
+        path = write_json(tmp_path / "meta.json", payload)
+        assert run(["align", "--counts", path], capsys)[0] == 0
 
     def test_non_string_labels_rejected(self, tmp_path, capsys, count_file):
         payload = json.loads(count_file.read_text())
@@ -402,12 +568,25 @@ assert not loaded, loaded
 
 
 class TestRate:
-    @pytest.mark.parametrize("flag", ["--pulse-rate", "--mu", "--eta", "--y0"])
-    def test_non_finite_rejected(self, capsys, flag):
+    @pytest.mark.parametrize("flag,match", [
+        ("--pulse-rate", "pulse rate must be finite and >= 0 Hz, got nan"),
+        ("--mu", "mean photon number must be finite and >= 0, got nan"),
+        ("--eta", "channel transmission must be in [0, 1], got nan"),
+        ("--y0", "vacuum yield must be in [0, 1], got nan"),
+    ], ids=["--pulse-rate", "--mu", "--eta", "--y0"])
+    def test_non_finite_rejected(self, capsys, flag, match):
         values = {"--pulse-rate": "1e6", "--mu": "0.1", "--eta": "0.5", "--y0": "0"}
         values[flag] = "nan"
         argv = ["rate"] + [x for item in values.items() for x in item]
-        assert_rejected(argv, capsys, f"{flag}: nan must be a finite number")
+        assert_rejected(argv, capsys, f"{flag}: {match}")
+
+    def test_subnormal_rate_is_not_zero(self, capsys):
+        # 400 / rate overflows to inf, but the rate itself is positive
+        code, out, _err = run(["rate", "--pulse-rate", "1e-320", "--mu", "1", "--eta", "1"],
+                              capsys)
+        assert code == 0
+        assert out.splitlines()[0].startswith("expected detection rate: 6.3")
+        assert "zero rate" not in out
 
     def test_rate(self, capsys):
         code, out, _err = run(["rate", "--pulse-rate", "1e6", "--mu", "0.1", "--eta", "0.01",

@@ -285,6 +285,24 @@ class TestConfigLimits:
         totals = counts.sum(axis=(1, 2))
         assert np.all(np.isfinite(totals)) and np.all(totals > montecarlo.MAX_DETECTIONS)
 
+    @pytest.mark.parametrize("field,value", [("n_detected", 3), ("signal_fidelity", 0.4),
+                                             ("background_mean", math.nan)])
+    def test_trial_config_error_names_its_field(self, field, value):
+        params = dict(direction=D.FORWARD, n_detected=400, signal_fidelity=0.95)
+        params[field] = value
+        with pytest.raises(pa.ConfigError) as caught:
+            pa.TrialConfig(**params)
+        assert caught.value.field == field
+
+    @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number",
+                                       "channel_transmission", "vacuum_yield"])
+    def test_detection_rate_error_names_its_field(self, field):
+        params = dict(pulse_rate_hz=1e6, mean_photon_number=0.1, channel_transmission=0.5)
+        params[field] = math.nan
+        with pytest.raises(pa.ConfigError) as caught:
+            pa.DetectionRateParams(**params)
+        assert caught.value.field == field
+
     @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_detection_rate_params_rejected(self, field, value):

@@ -33,7 +33,6 @@ from .compensation import (
 from .montecarlo import (
     BackgroundStudyCell,
     BackgroundStudyResult,
-    DetectionRateParams,
     FitResult,
     SweepCell,
     SweepResult,

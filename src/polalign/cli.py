@@ -16,9 +16,14 @@ replays a sweep.  Angles are reported in degrees here (hardware
 convention) and stored in radians everywhere inside the library.
 
 Bad input exits with code 2 and a message naming the flag, manifest key or
-file at fault.  This module checks types and shapes; ``TrialConfig`` and
-``DetectionRateParams`` check ranges, and their ``ConfigError`` names the
-field.  ``_SWEEP_FIELDS`` is the one description of a sweep row.
+file at fault.  This module checks the types and shapes of flags, manifests
+and files.  Every range is checked once, by the library code that uses the
+value: ``TrialConfig`` (N, F_S, background), ``run_sweep`` (samples, master
+seed), ``classify`` (confidence) and ``expected_detection_rate`` (rate
+inputs); counts are checked by ``CountMatrix``.  A range error is a
+``ConfigError`` whose ``field`` ``main`` maps to its flag, or under
+``simulate --from-manifest`` to its manifest key, through ``_FIELD_KEYS``.
+``_SWEEP_FIELDS`` is the one description of a sweep row.
 """
 
 from __future__ import annotations
@@ -36,13 +41,7 @@ import numpy as np
 from . import __version__
 from .compensation import optimize
 from .errors import ConfigError, FitError, InsufficientCountsError, PolalignError, SchemaError
-from .montecarlo import (
-    DetectionRateParams,
-    SweepCell,
-    expected_detection_rate,
-    fit_power_law,
-    run_sweep,
-)
+from .montecarlo import SweepCell, expected_detection_rate, fit_power_law, run_sweep
 from .polarization import BB84_LABELS
 from .tomography import (
     COLUMN_LABELS,
@@ -364,8 +363,8 @@ def _is_number(x) -> bool:
     return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
 
 
-def _simulate_error(parser, manifest: str | None, key: str, message):
-    """Exit 2 naming the simulate flag, or the key of ``manifest``, at fault."""
+def _config_error(parser, manifest: str | None, key: str, message):
+    """Exit 2 naming the flag of ``key``, or the key itself in ``manifest``."""
     if manifest is None:
         parser.error(f"--{key.replace('_', '-')}: {message}")
     parser.error(f"--from-manifest: {manifest}: {key}: {message}")
@@ -375,10 +374,10 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
     """Check the types of a simulate configuration from flags or from ``manifest``.
 
     Any problem exits through ``parser.error``, naming the flag or the
-    manifest key at fault.  The ranges of N, F_S and the background are
-    :class:`TrialConfig`'s to check.
+    manifest key at fault.  Every range, samples and seed included, is
+    the library's to check.
     """
-    fail = functools.partial(_simulate_error, parser, manifest)
+    fail = functools.partial(_config_error, parser, manifest)
     unknown = sorted(set(config) - set(_SIMULATE_KEYS))
     if unknown:
         parser.error(f"--from-manifest: {manifest}: unknown keys {unknown}")
@@ -398,10 +397,9 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
                 fail(key, f"{x!r} is not a valid {label}")
     if not isinstance(config["bg_subtract"], bool):
         fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
-    if not _is_int(config["samples"]) or config["samples"] < 1:
-        fail("samples", f"{config['samples']!r} must be an integer >= 1")
-    if not _is_int(config["seed"]) or config["seed"] < 0:
-        fail("seed", f"{config['seed']!r} must be an integer >= 0")
+    for key in ("samples", "seed"):
+        if not _is_int(config[key]):
+            fail(key, f"{config[key]!r} must be an integer")
     if config["format"] not in ("csv", "json"):
         fail("format", f"{config['format']!r} must be 'csv' or 'json'")
     if not isinstance(config["out"], str) or not config["out"]:
@@ -448,10 +446,6 @@ def _simulate_config_from_args(parser, args) -> dict:
     return _check_simulate_config(parser, config)
 
 
-#: simulate keys of the TrialConfig fields whose ranges it checks
-_GRID_KEYS = {"n_detected": "n", "signal_fidelity": "fs", "background_mean": "bg"}
-
-
 def cmd_simulate(parser, args) -> int:
     config = _simulate_config_from_args(parser, args)
     out = config["out"]
@@ -464,20 +458,16 @@ def cmd_simulate(parser, args) -> int:
     if created:
         os.remove(out)
     started = time.monotonic()
-    try:
-        sweep = run_sweep(
-            directions=[Direction(config["direction"])],
-            n_values=config["n"],
-            fs_values=config["fs"],
-            background_means=config["bg"],
-            subtract_background=config["bg_subtract"],
-            samples=config["samples"],
-            master_seed=config["seed"],
-            jobs=args.jobs,
-        )
-    except ConfigError as exc:
-        # run_sweep builds every cell's TrialConfig before any trial runs
-        _simulate_error(parser, args.from_manifest, _GRID_KEYS[exc.field], exc)
+    sweep = run_sweep(
+        directions=[Direction(config["direction"])],
+        n_values=config["n"],
+        fs_values=config["fs"],
+        background_means=config["bg"],
+        subtract_background=config["bg_subtract"],
+        samples=config["samples"],
+        master_seed=config["seed"],
+        jobs=args.jobs,
+    )
     _write_sweep(out, sweep.cells, config["format"])
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -574,15 +564,7 @@ def cmd_align(parser, args) -> int:
 
 
 def cmd_timing_check(parser, args) -> int:
-    if not 0.0 < args.confidence < 1.0:
-        parser.error(f"--confidence: {args.confidence} must be in (0, 1)")
-    cm = load_count_file(args.counts)
-    rows = ROW_LABELS[cm.direction]
-    cols = COLUMN_LABELS[cm.direction]
-    row_idx = [rows.index(lab) for lab in BB84_LABELS]
-    col_idx = [cols.index(lab) for lab in BB84_LABELS]
-    linear = cm.counts[np.ix_(row_idx, col_idx)]
-    verdict = classify(linear, confidence=args.confidence)
+    verdict = classify(load_count_file(args.counts), confidence=args.confidence)
     if args.format == "json":
         payload = {
             "verdict": verdict.status.value,
@@ -609,11 +591,6 @@ def cmd_timing_check(parser, args) -> int:
     return 0
 
 
-#: rate flags of the DetectionRateParams fields, which check their own ranges
-_RATE_FLAGS = {"pulse_rate_hz": "--pulse-rate", "mean_photon_number": "--mu",
-               "channel_transmission": "--eta", "vacuum_yield": "--y0"}
-
-
 def cmd_rate(parser, args) -> int:
     if (args.loss_db is None) == (args.eta is None):
         parser.error("specify exactly one of --loss-db or --eta")
@@ -622,16 +599,7 @@ def cmd_rate(parser, args) -> int:
         if not 0.0 <= args.loss_db < math.inf:
             parser.error(f"--loss-db: {args.loss_db} must be finite and >= 0")
         eta = 10.0 ** (-args.loss_db / 10.0)
-    try:
-        params = DetectionRateParams(
-            pulse_rate_hz=args.pulse_rate,
-            mean_photon_number=args.mu,
-            channel_transmission=eta,
-            vacuum_yield=args.y0,
-        )
-    except ConfigError as exc:
-        parser.error(f"{_RATE_FLAGS[exc.field]}: {exc}")
-    rate = expected_detection_rate(params)
+    rate = expected_detection_rate(args.pulse_rate, args.mu, eta, args.y0)
     # a subnormal rate is positive, but 400 / rate overflows to inf
     seconds_400 = 400.0 / rate if rate > 0 else math.inf
     if args.format == "json":
@@ -650,11 +618,24 @@ def cmd_rate(parser, args) -> int:
     return 0
 
 
+#: the key of each ``ConfigError`` field: a simulate manifest stores the value under
+#: it, and the flag is ``--`` and the key with ``-`` for ``_``
+_FIELD_KEYS = {
+    "n_detected": "n", "signal_fidelity": "fs", "background_mean": "bg",
+    "samples": "samples", "master_seed": "seed", "confidence": "confidence",
+    "pulse_rate_hz": "pulse_rate", "mean_photon_number": "mu",
+    "channel_transmission": "eta", "vacuum_yield": "y0",
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
+    except ConfigError as exc:
+        # raised before any output is written
+        _config_error(parser, getattr(args, "from_manifest", None), _FIELD_KEYS[exc.field], exc)
     except (SchemaError, FitError, InsufficientCountsError) as exc:
         # a fit or a reconstruction fails only on what its input file holds: bad input
         print(f"error: {exc}", file=sys.stderr)
@@ -669,7 +650,3 @@ def main(argv=None) -> int:
     except PolalignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

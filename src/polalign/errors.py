@@ -15,15 +15,11 @@ class InsufficientCountsError(PolalignError):
     basis : str or None
         Name of the measurement basis ("Z", "X", "Y") that has no counts,
         when the failure is basis-specific.
-    where : str or None
-        Human-readable location of the offending data (e.g. an input-state
-        row or an outcome column).
     """
 
-    def __init__(self, message: str, *, basis: str | None = None, where: str | None = None):
+    def __init__(self, message: str, *, basis: str | None = None):
         super().__init__(message)
         self.basis = basis
-        self.where = where
 
 
 class FitError(PolalignError):

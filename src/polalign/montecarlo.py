@@ -154,36 +154,6 @@ class BackgroundStudyResult:
     cells: tuple[BackgroundStudyCell, ...]
 
 
-@dataclass(frozen=True)
-class DetectionRateParams:
-    """Weak-coherent-pulse link budget for the detection-rate estimate."""
-
-    pulse_rate_hz: float
-    mean_photon_number: float
-    channel_transmission: float
-    vacuum_yield: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.pulse_rate_hz < math.inf:
-            raise ConfigError(
-                f"pulse rate must be finite and >= 0 Hz, got {self.pulse_rate_hz!r}",
-                field="pulse_rate_hz",
-            )
-        if not 0.0 <= self.mean_photon_number < math.inf:
-            raise ConfigError(
-                f"mean photon number must be finite and >= 0, got {self.mean_photon_number!r}",
-                field="mean_photon_number",
-            )
-        if not 0.0 <= self.channel_transmission <= 1.0:
-            raise ConfigError(
-                f"channel transmission must be in [0, 1], got {self.channel_transmission!r}",
-                field="channel_transmission",
-            )
-        if not 0.0 <= self.vacuum_yield <= 1.0:
-            raise ConfigError(f"vacuum yield must be in [0, 1], got {self.vacuum_yield!r}",
-                              field="vacuum_yield")
-
-
 def expected_probabilities(
     entries: np.ndarray, direction: Direction, signal_fidelity: float
 ) -> np.ndarray:
@@ -349,7 +319,9 @@ def _run_cells(
     its place in the block, never on the worker that runs it.
     """
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise ConfigError(f"samples must be >= 1, got {samples}", field="samples")
+    if master_seed < 0:  # SeedSequence would refuse it only inside a worker
+        raise ConfigError(f"master seed must be >= 0, got {master_seed}", field="master_seed")
     if not cells:
         raise ValueError("empty sweep grid")
     starts = range(0, samples, _BLOCK_SIZE)
@@ -530,13 +502,34 @@ def fit_power_law(cells) -> FitResult:
     )
 
 
-def expected_detection_rate(p: DetectionRateParams) -> float:
+def expected_detection_rate(
+    pulse_rate_hz: float,
+    mean_photon_number: float,
+    channel_transmission: float,
+    vacuum_yield: float = 0.0,
+) -> float:
     """Expected weak-coherent-pulse detection rate in Hz.
 
     rate = R * (1 - (1 - Y0) * exp(-eta * mu)); with zero vacuum yield and
-    a lossy channel this is approximately R * eta * mu.
+    a lossy channel this is approximately R * eta * mu.  An argument out of
+    range raises :class:`ConfigError` naming it.
     """
-    return p.pulse_rate_hz * (
-        1.0
-        - (1.0 - p.vacuum_yield) * math.exp(-p.channel_transmission * p.mean_photon_number)
+    if not 0.0 <= pulse_rate_hz < math.inf:
+        raise ConfigError(f"pulse rate must be finite and >= 0 Hz, got {pulse_rate_hz!r}",
+                          field="pulse_rate_hz")
+    if not 0.0 <= mean_photon_number < math.inf:
+        raise ConfigError(
+            f"mean photon number must be finite and >= 0, got {mean_photon_number!r}",
+            field="mean_photon_number",
+        )
+    if not 0.0 <= channel_transmission <= 1.0:
+        raise ConfigError(
+            f"channel transmission must be in [0, 1], got {channel_transmission!r}",
+            field="channel_transmission",
+        )
+    if not 0.0 <= vacuum_yield <= 1.0:
+        raise ConfigError(f"vacuum yield must be in [0, 1], got {vacuum_yield!r}",
+                          field="vacuum_yield")
+    return pulse_rate_hz * (
+        1.0 - (1.0 - vacuum_yield) * math.exp(-channel_transmission * mean_photon_number)
     )

@@ -28,8 +28,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InsufficientCountsError
+from .errors import ConfigError, InsufficientCountsError
 from .polarization import BB84_LABELS
+from .tomography import CountMatrix
 
 #: conditional frequency of every cell under broken timing
 TIMING_FREQUENCY = 0.25
@@ -76,9 +77,12 @@ def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[flo
     return lo, hi
 
 
-def classify(counts, confidence: float = 0.99) -> AlignmentVerdict:
+def classify(cm: CountMatrix, confidence: float = 0.99) -> AlignmentVerdict:
     """Decide between broken timing and a rotated polarization frame.
 
+    Reads the linear-basis block of ``cm``: in the canonical label order
+    H, V, D, A come first on both axes, so it is ``cm.counts[:4, :4]`` in
+    either direction, and ``cm`` checked the counts when it was built.
     Scans the per-row conditional frequencies d_nm / (row n total) — row
     totals span both analyzer bases, so the basis-choice factor is already
     in the frequency — and tests the maximizing cell with a two-sided
@@ -90,20 +94,14 @@ def classify(counts, confidence: float = 0.99) -> AlignmentVerdict:
     largest of them, so its interval is taken at 1 - (1 - confidence)/16
     (Bonferroni).  The reported ``ci_low``/``ci_high`` are that interval.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 linear-basis count matrix, got shape {c.shape}")
-    if np.any(c < 0) or not np.all(np.isfinite(c)):
-        raise ValueError("counts must be finite and nonnegative")
+    if not 0.0 < confidence < 1.0:  # NaN fails both
+        raise ConfigError(f"confidence must be in (0, 1), got {confidence!r}",
+                          field="confidence")
+    c = cm.counts[:4, :4]
     row_totals = c.sum(axis=1)
     for i, total in enumerate(row_totals):
         if total <= 0:
-            raise InsufficientCountsError(
-                f"no detections for input state {BB84_LABELS[i]}",
-                where=f"input row {BB84_LABELS[i]}",
-            )
+            raise InsufficientCountsError(f"no detections for input state {BB84_LABELS[i]}")
 
     freq = c / row_totals[:, None]
     flat_index = int(np.argmax(freq))

@@ -294,9 +294,7 @@ def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
             stokes.append(_mle_stokes(row, allow_empty))
         except InsufficientCountsError as exc:
             where = ("input row" if direction is Direction.FORWARD else "outcome column")
-            raise InsufficientCountsError(
-                f"{exc} [{where} {label}]", basis=exc.basis, where=f"{where} {label}"
-            ) from None
+            raise InsufficientCountsError(f"{exc} [{where} {label}]", basis=exc.basis) from None
     return ReconstructionSet(direction, stokes)
 
 

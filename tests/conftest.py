@@ -28,6 +28,12 @@ def exact_count_matrix(
     return CountMatrix(direction, p * total)
 
 
+def linear_count_matrix(counts) -> CountMatrix:
+    """Forward counts whose linear-basis block is the 4x4 ``counts``; R and L columns zero."""
+    padded = np.pad(np.asarray(counts, dtype=float), ((0, 0), (0, 2)))
+    return CountMatrix(Direction.FORWARD, padded)
+
+
 def haar_channel(rng) -> ChannelUnitary:
     """One Haar-random channel: a size-1 draw, validated."""
     return ChannelUnitary(haar_random_unitary(rng, 1)[0])

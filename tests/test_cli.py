@@ -14,6 +14,8 @@ from polalign.tomography import Direction
 from conftest import exact_count_matrix, haar_channel
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+#: a child interpreter tests the tree on PYTHONPATH, as this one does; this checkout if unset
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.environ.get("PYTHONPATH") or SRC)
 
 SWEEP_ROWS = [
     "forward,400,1,0,false,10,0,0.004,0.003",
@@ -217,12 +219,13 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "change,match",
         [
-            (dict(samples=-3), "samples: -3 must be an integer >= 1"),
+            (dict(samples=-3), "samples: samples must be >= 1, got -3"),
             (dict(samples=None), "samples: missing"),
             (dict(n=[400, "x"]), "n: 'x' is not a valid integer"),
             (dict(fs=[1.5]), "fs: signal fidelity must be in [0.5, 1], got 1.5"),
             (dict(direction="sideways"), "direction: 'sideways'"),
             (dict(sample=3), "unknown keys ['sample']"),
+            (dict(seed=-1), "seed: master seed must be >= 0, got -1"),
         ],
     )
     def test_bad_manifest_rejected(self, tmp_path, capsys, change, match):
@@ -233,6 +236,7 @@ class TestSimulate:
         config = {k: v for k, v in config.items() if v is not None}
         path = write_json(tmp_path / "m.json", {"config": config})
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys, match)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_budget_above_int64_rejected(self, tmp_path, capsys):
         argv = ["simulate", "--direction", "forward", "--n", "100000000000000000000",
@@ -247,6 +251,8 @@ class TestSimulate:
          "--n: reversed trials need at least 6 detections"),
         (["--fs", "nan"], "--fs: signal fidelity must be in [0.5, 1], got nan"),
         (["--bg", "-1"], "--bg: background mean must be in [0, 9.22337e+18], got -1.0"),
+        (["--samples", "0"], "--samples: samples must be >= 1, got 0"),
+        (["--seed", "-1"], "--seed: master seed must be >= 0, got -1"),
     ])
     def test_grid_out_of_range_rejected_without_output(self, tmp_path, capsys, flags, match):
         out = tmp_path / "s.csv"
@@ -513,6 +519,15 @@ class TestCountFiles:
         assert code == 0
         assert "99.9% family-wise interval" in out
 
+    @pytest.mark.parametrize("confidence", ["1", "nan"])
+    def test_timing_check_confidence_out_of_range_rejected(self, tmp_path, capsys, count_file,
+                                                           confidence):
+        out = tmp_path / "verdict.txt"
+        assert_rejected(["timing-check", "--counts", str(count_file), "--confidence", confidence,
+                         "--out", str(out)], capsys,
+                        f"--confidence: confidence must be in (0, 1), got {float(confidence)!r}")
+        assert not out.exists()
+
 
 class TestMissingFiles:
     @pytest.mark.parametrize("argv", [["align", "--counts"], ["timing-check", "--counts"],
@@ -532,12 +547,10 @@ class TestMissingFiles:
 
 class TestModuleEntryPoint:
     def test_python_m_polalign(self):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         done = subprocess.run(
             [sys.executable, "-m", "polalign", "rate", "--pulse-rate", "1e6", "--mu", "0.5",
              "--eta", "0.1"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=CHILD_ENV, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("expected detection rate:")
@@ -560,9 +573,7 @@ for argv in (
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
@@ -587,6 +598,17 @@ class TestRate:
         assert code == 0
         assert out.splitlines()[0].startswith("expected detection rate: 6.3")
         assert "zero rate" not in out
+
+    @pytest.mark.parametrize("pulse_rate,positive", [("1e-320", True), ("0", False)])
+    def test_json_tells_zero_rate_from_positive(self, capsys, pulse_rate, positive):
+        # JSON has no inf: null is its one spelling of "no finite time", and
+        # rate_hz beside it tells a subnormal rate from a zero one
+        code, out, _err = run(["rate", "--pulse-rate", pulse_rate, "--mu", "1", "--eta", "1",
+                               "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rate_hz"] > 0 if positive else payload["rate_hz"] == 0
+        assert payload["seconds_to_400_detections"] is None
 
     def test_rate(self, capsys):
         code, out, _err = run(["rate", "--pulse-rate", "1e6", "--mu", "0.1", "--eta", "0.01",

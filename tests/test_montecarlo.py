@@ -257,6 +257,20 @@ class TestGridChecks:
         with pytest.raises(ValueError, match=match):
             getattr(pa, entry)(**grid)
 
+    @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
+    @pytest.mark.parametrize("field,samples,master_seed", [("samples", 0, 1),
+                                                           ("master_seed", 3, -1)])
+    def test_config_error_names_its_field_before_any_pool(self, monkeypatch, entry, field,
+                                                          samples, master_seed):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95, 1.0],
+                    background_means=[20.0], samples=samples, master_seed=master_seed, jobs=2)
+        with pytest.raises(pa.ConfigError) as caught:
+            getattr(pa, entry)(**grid)
+        assert caught.value.field == field
+        assert _RecordingPool.max_workers == []
+
 
 class TestConfigLimits:
     @pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, 1e19, 1e300,
@@ -300,7 +314,7 @@ class TestConfigLimits:
         params = dict(pulse_rate_hz=1e6, mean_photon_number=0.1, channel_transmission=0.5)
         params[field] = math.nan
         with pytest.raises(pa.ConfigError) as caught:
-            pa.DetectionRateParams(**params)
+            pa.expected_detection_rate(**params)
         assert caught.value.field == field
 
     @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number"])
@@ -309,7 +323,7 @@ class TestConfigLimits:
         params = dict(pulse_rate_hz=1e6, mean_photon_number=0.1, channel_transmission=0.5)
         params[field] = value
         with pytest.raises(ValueError, match="must be finite and >= 0"):
-            pa.DetectionRateParams(**params)
+            pa.expected_detection_rate(**params)
 
 
 class TestExpectedProbabilities:

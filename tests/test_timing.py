@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from polalign.errors import InsufficientCountsError
+from polalign.errors import ConfigError, InsufficientCountsError
 from polalign.timing import (
     POLARIZATION_BOUND,
     TIMING_FREQUENCY,
@@ -12,8 +12,9 @@ from polalign.timing import (
     classify,
     wilson_interval,
 )
+from polalign.tomography import COUNT_SHAPE, CountMatrix, Direction
 
-from conftest import haar_channel
+from conftest import haar_channel, linear_count_matrix
 from oracles import aligned_max_probability, timing_counts, worst_case_unitary
 
 
@@ -54,25 +55,25 @@ class TestWilsonInterval:
 
 class TestClassify:
     def test_timing_misaligned(self):
-        verdict = classify(np.full((4, 4), 1000.0))
+        verdict = classify(linear_count_matrix(np.full((4, 4), 1000.0)))
         assert verdict.status is AlignmentStatus.TIMING_MISALIGNED
         assert verdict.max_conditional_frequency == pytest.approx(0.25)
 
     def test_polarization_frame_misaligned(self):
         # identity channel: H -> H with probability 1/2 (basis choice)
         counts = timing_counts(np.eye(2), 4000, np.random.default_rng(1))
-        verdict = classify(counts)
+        verdict = classify(linear_count_matrix(counts))
         assert verdict.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED
         assert verdict.input_label == verdict.outcome_label
 
     def test_inconclusive_on_few_counts(self):
-        verdict = classify(np.ones((4, 4)))
+        verdict = classify(linear_count_matrix(np.ones((4, 4))))
         assert verdict.status is AlignmentStatus.INCONCLUSIVE
         assert verdict.total_counts == 16
 
     def test_interval_is_family_wise(self):
         counts = np.array([[30, 20, 10, 7], [15, 15, 15, 15], [9, 9, 9, 9], [5, 6, 7, 8]], float)
-        verdict = classify(counts, confidence=0.95)
+        verdict = classify(linear_count_matrix(counts), confidence=0.95)
         ref = binomtest(30, 67).proportion_ci(confidence_level=1 - 0.05 / 16, method="wilson")
         assert (verdict.ci_low, verdict.ci_high) == pytest.approx((ref.low, ref.high), abs=1e-14)
         assert verdict.confidence == 0.95
@@ -82,20 +83,24 @@ class TestClassify:
         counts = np.ones((4, 4))
         counts[2] = 0.0
         with pytest.raises(InsufficientCountsError, match="D"):
-            classify(counts)
+            classify(linear_count_matrix(counts))
 
-    @pytest.mark.parametrize(
-        "counts,confidence,match",
-        [
-            (np.ones((4, 6)), 0.99, "4x4"),
-            (-np.ones((4, 4)), 0.99, "nonnegative"),
-            (np.ones((4, 4)), 1.0, "confidence"),
-            (np.ones((4, 4)), math.nan, "confidence"),
-        ],
-    )
-    def test_invalid_input_rejected(self, counts, confidence, match):
-        with pytest.raises(ValueError, match=match):
-            classify(counts, confidence=confidence)
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan])
+    def test_invalid_input_rejected(self, confidence):
+        with pytest.raises(ConfigError, match="confidence must be in") as caught:
+            classify(linear_count_matrix(np.ones((4, 4))), confidence=confidence)
+        assert caught.value.field == "confidence"
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_reads_the_linear_block(self, direction):
+        # H, V, D, A lead both label orders, so the linear block is the
+        # top-left 4x4 in either direction
+        rng = np.random.default_rng(5)
+        linear = timing_counts(haar_channel(rng).entries, 267, rng)
+        counts = np.zeros(COUNT_SHAPE[direction])
+        counts[:4, :4] = linear
+        counts[4:, :] = counts[:, 4:] = 50.0
+        assert classify(CountMatrix(direction, counts)) == classify(linear_count_matrix(linear))
 
     def test_broken_timing_rarely_named_polarization(self):
         # 267 linear-basis events is what a forward count file at N=400
@@ -107,8 +112,9 @@ class TestClassify:
         trials = 1000
         for _ in range(trials):
             u = haar_channel(rng).entries
-            broken = classify(timing_counts(u, 267, rng, timing_aligned=False))
-            intact = classify(timing_counts(u, 267, rng))
+            broken = classify(linear_count_matrix(timing_counts(u, 267, rng,
+                                                                timing_aligned=False)))
+            intact = classify(linear_count_matrix(timing_counts(u, 267, rng)))
             wrong += broken.status is AlignmentStatus.POLARIZATION_FRAME_MISALIGNED
             intact_wrong += intact.status is AlignmentStatus.TIMING_MISALIGNED
         assert wrong <= 0.02 * trials

@@ -19,10 +19,11 @@ Bad input exits with code 2 and a message naming the flag, manifest key or
 file at fault.  This module checks the types and shapes of flags, manifests
 and files.  Every range is checked once, by the library code that uses the
 value: ``TrialConfig`` (N, F_S, background), ``run_sweep`` (samples, master
-seed), ``classify`` (confidence) and ``expected_detection_rate`` (rate
+seed, jobs), ``classify`` (confidence) and ``expected_detection_rate`` (rate
 inputs); counts are checked by ``CountMatrix``.  A range error is a
 ``ConfigError`` whose ``field`` ``main`` maps to its flag, or under
-``simulate --from-manifest`` to its manifest key, through ``_FIELD_KEYS``.
+``simulate --from-manifest`` to its manifest key when the manifest holds
+it, through ``_FIELD_KEYS``.
 ``_SWEEP_FIELDS`` is the one description of a sweep row.
 """
 
@@ -408,8 +409,6 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
 
 
 def _simulate_config_from_args(parser, args) -> dict:
-    if args.jobs < 1:
-        parser.error(f"--jobs: {args.jobs} must be >= 1")
     if args.from_manifest:
         given = [f"--{key.replace('_', '-')}" for key in _SIMULATE_KEYS
                  if key != "out" and getattr(args, key) is not None]
@@ -622,7 +621,7 @@ def cmd_rate(parser, args) -> int:
 #: it, and the flag is ``--`` and the key with ``-`` for ``_``
 _FIELD_KEYS = {
     "n_detected": "n", "signal_fidelity": "fs", "background_mean": "bg",
-    "samples": "samples", "master_seed": "seed", "confidence": "confidence",
+    "samples": "samples", "master_seed": "seed", "jobs": "jobs", "confidence": "confidence",
     "pulse_rate_hz": "pulse_rate", "mean_photon_number": "mu",
     "channel_transmission": "eta", "vacuum_yield": "y0",
 }
@@ -634,8 +633,11 @@ def main(argv=None) -> int:
     try:
         return args.handler(parser, args)
     except ConfigError as exc:
-        # raised before any output is written
-        _config_error(parser, getattr(args, "from_manifest", None), _FIELD_KEYS[exc.field], exc)
+        # raised before any output is written; a value no manifest holds, such
+        # as --jobs, is named by its flag beside a manifest too
+        key = _FIELD_KEYS[exc.field]
+        manifest = getattr(args, "from_manifest", None) if key in _SIMULATE_KEYS else None
+        _config_error(parser, manifest, key, exc)
     except (SchemaError, FitError, InsufficientCountsError) as exc:
         # a fit or a reconstruction fails only on what its input file holds: bad input
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -322,14 +321,19 @@ def _run_cells(
         raise ConfigError(f"samples must be >= 1, got {samples}", field="samples")
     if master_seed < 0:  # SeedSequence would refuse it only inside a worker
         raise ConfigError(f"master seed must be >= 0, got {master_seed}", field="master_seed")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}", field="jobs")
     if not cells:
         raise ValueError("empty sweep grid")
     starts = range(0, samples, _BLOCK_SIZE)
     tasks = [(master_seed, cfg, arms, start, min(start + _BLOCK_SIZE, samples))
              for cfg in cells for start in starts]
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         blocks = [_block(task) for task in tasks]
     else:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork-started pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             blocks = list(pool.map(_block, tasks))

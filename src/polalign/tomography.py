@@ -14,8 +14,12 @@ ball, the maximum lies on the sphere.  There, for a given Lagrange
 multiplier, each component is the middle root of a depressed cubic, taken
 from the trigonometric formula; one pass over the three axes gives the
 point and its derivative for that multiplier, and only the multiplier
-itself is found by a one-dimensional Newton search.  Counts are checked
-once, where they enter: a :class:`CountMatrix` on construction.
+itself is found by a one-dimensional Newton search.  That search starts
+where at most three trig-free Newton steps on the full Lagrange system,
+taken from the inversion scaled onto the sphere, predict the multiplier;
+it keeps its bracket on [0, total] and its bisection fallbacks, so a poor
+prediction costs evaluations, never the root.  Counts are checked once,
+where they enter: a :class:`CountMatrix` on construction.
 """
 
 from __future__ import annotations
@@ -139,47 +143,10 @@ def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
             (n_r - n_l) / y if y > 0.0 else 0.0]
 
 
-def _decreasing_root(f, lo: float, hi: float, x: float) -> tuple[float, float]:
-    """Root in [lo, hi] of a strictly decreasing function, and the slope there.
+def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]:
+    """One axis of the sphere maximum at multiplier ``lam``, and its lam-derivative.
 
-    ``f(x)`` returns (value, slope), with the value positive below the root
-    and negative above it; ``x`` is the starting point.  Newton steps are
-    kept inside a bracket that shrinks to each evaluated point.  Bisection
-    replaces a step that would leave the bracket, a step left undefined by
-    a zero slope, and a step that crosses back over the root without
-    halving the step before it (Newton oscillating about a kink).  Every
-    step moves toward the root, so in exact arithmetic a value that keeps
-    its sign also shrinks.  The search ends at the last evaluated point
-    once one does not (rounding noise), or once the step falls below the
-    float resolution of the starting bracket.
-    """
-    resolution = sys.float_info.epsilon * (hi - lo)
-    previous_step, previous_value = hi - lo, 0.0
-    while True:
-        value, slope = f(x)
-        if value == 0.0 or (value * previous_value > 0.0 and abs(value) >= abs(previous_value)):
-            return x, slope
-        if value > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = -value / slope if slope < 0.0 else math.inf
-        crossed = value * previous_value < 0.0
-        if abs(step) > resolution and (not lo < x + step < hi
-                                       or (crossed and 2.0 * abs(step) > previous_step)):
-            step = 0.5 * (lo + hi) - x
-        if abs(step) <= resolution:
-            return x, slope
-        previous_step, previous_value = abs(step), value
-        x += step
-
-
-def _axis_roots(pairs, lam: float) -> tuple[list[float], list[float]]:
-    """Each axis of the sphere maximum at multiplier ``lam``, and its lam-derivative.
-
-    ``pairs`` holds the (n+, n-) totals of the three bases, and all three
-    axes are evaluated in one pass.  An empty pair keeps its component at 0.
-    Otherwise the component maximizes the concave
+    The pair (n+, n-) is not empty.  The component maximizes the concave
     n+ log(1+s) + n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1 while one
     outcome is empty and lam <= n+/2 (n-/2).  Otherwise it is the root in
     (-1, 1) of the stationarity condition n+/(1+s) - n-/(1-s) = lam s, which
@@ -195,66 +162,140 @@ def _axis_roots(pairs, lam: float) -> tuple[list[float], list[float]]:
     spurious root, restores them.  The derivative is s / (d/ds of that
     condition).
     """
-    roots, slopes = [], []
-    for n_plus, n_minus in pairs:
-        if n_plus + n_minus == 0.0:
-            s, ds = 0.0, 0.0
-        elif n_minus == 0.0 and lam <= n_plus / 2.0:
-            s, ds = 1.0, 0.0
-        elif n_plus == 0.0 and lam <= n_minus / 2.0:
-            s, ds = -1.0, 0.0
-        else:
-            n = n_plus + n_minus
-            d = n_plus - n_minus
-            if lam == 0.0:
-                s = d / n
-            else:
-                r = math.sqrt(3.0 * lam / (lam + n))
-                x = 1.5 * d * r / (lam + n)
-                s = 2.0 / r * math.sin(
-                    math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
-                if not -1.0 < s < 1.0:
-                    # rounding next to the spurious root; the step below divides by 1 -+ s
-                    s = math.copysign(_BELOW_ONE, s)
-            up, down = 1.0 + s, 1.0 - s
-            curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
-            s -= (n_plus / up - n_minus / down - lam * s) / curvature
-            ds = s / curvature
-        roots.append(s)
-        slopes.append(ds)
-    return roots, slopes
+    if n_minus == 0.0 and lam <= n_plus / 2.0:
+        return 1.0, 0.0
+    if n_plus == 0.0 and lam <= n_minus / 2.0:
+        return -1.0, 0.0
+    n = n_plus + n_minus
+    d = n_plus - n_minus
+    if lam == 0.0:
+        s = d / n
+    else:
+        r = math.sqrt(3.0 * lam / (lam + n))
+        x = 1.5 * d * r / (lam + n)
+        s = 2.0 / r * math.sin(math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
+        if not -1.0 < s < 1.0:
+            # rounding next to the spurious root; the step below divides by 1 -+ s
+            s = math.copysign(_BELOW_ONE, s)
+    up, down = 1.0 + s, 1.0 - s
+    curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
+    s -= (n_plus / up - n_minus / down - lam * s) / curvature
+    return s, s / curvature
 
 
-def _sphere_stokes(n) -> list[float]:
-    """Likelihood maximum on the Bloch sphere for totals whose inversion lies outside it.
+def _predicted_multiplier(n, s0) -> float:
+    """The Lagrange multiplier after at most three Newton steps on the full Lagrange system.
+
+    ``n`` holds the six outcome totals and ``s0`` their linear inversion,
+    outside the ball.  The steps start from s = s0/|s0| and
+    mu = sum_k s_k g_k(s_k), where g_k(s) = n+/(1 + s) - n-/(1 - s) with a
+    term of a zero count dropped.  Each step solves the linearization of
+    F_k = g_k(s_k) - mu s_k = 0 and (|s|^2 - 1)/2 = 0 for (s, mu).  Its
+    Jacobian is diagonal in s, J_k = dF_k/ds_k, so with w_k = s_k/J_k the
+    step is dmu = ((1 - |s|^2)/2 + sum w_k F_k) / sum w_k s_k and
+    ds_k = (s_k dmu - F_k)/J_k, with no trigonometry; an empty axis stays
+    at 0.  The steps stop, keeping the last accepted mu, at a J_k or a
+    sum w_k s_k that is not negative (NaN included), or before a step that
+    would leave the domain of the log-likelihood: s_k >= 1 with n- > 0, or
+    s_k <= -1 with n+ > 0.
+    """
+    p0, m0, p1, m1, p2, m2 = n
+    x0, x1, x2 = s0
+    radius = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    x0, x1, x2 = x0 / radius, x1 / radius, x2 / radius
+    mu = 0.0
+    for step in range(3):
+        u0, v0, u1, v1, u2, v2 = 1.0 + x0, 1.0 - x0, 1.0 + x1, 1.0 - x1, 1.0 + x2, 1.0 - x2
+        a0, b0 = (p0 / u0 if p0 else 0.0), (m0 / v0 if m0 else 0.0)
+        a1, b1 = (p1 / u1 if p1 else 0.0), (m1 / v1 if m1 else 0.0)
+        a2, b2 = (p2 / u2 if p2 else 0.0), (m2 / v2 if m2 else 0.0)
+        if step == 0:  # the start, from the terms of the first step
+            mu = x0 * (a0 - b0) + x1 * (a1 - b1) + x2 * (a2 - b2)
+        f0, f1, f2 = a0 - b0 - mu * x0, a1 - b1 - mu * x1, a2 - b2 - mu * x2
+        j0 = -(a0 / u0 if p0 else 0.0) - (b0 / v0 if m0 else 0.0) - mu
+        j1 = -(a1 / u1 if p1 else 0.0) - (b1 / v1 if m1 else 0.0) - mu
+        j2 = -(a2 / u2 if p2 else 0.0) - (b2 / v2 if m2 else 0.0) - mu
+        if not (j0 < 0.0 and j1 < 0.0 and j2 < 0.0):
+            return mu
+        w0, w1, w2 = x0 / j0, x1 / j1, x2 / j2
+        schur = w0 * x0 + w1 * x1 + w2 * x2
+        if not schur < 0.0:
+            return mu
+        delta = (0.5 * (1.0 - x0 * x0 - x1 * x1 - x2 * x2) + w0 * f0 + w1 * f1 + w2 * f2) / schur
+        y0, y1, y2 = (x0 + (x0 * delta - f0) / j0, x1 + (x1 * delta - f1) / j1,
+                      x2 + (x2 * delta - f2) / j2)
+        if ((y0 >= 1.0 and m0) or (y0 <= -1.0 and p0) or (y1 >= 1.0 and m1)
+                or (y1 <= -1.0 and p1) or (y2 >= 1.0 and m2) or (y2 <= -1.0 and p2)):
+            return mu
+        x0, x1, x2, mu = y0, y1, y2, mu + delta
+    return mu
+
+
+def _sphere_stokes(n, s0) -> list[float]:
+    """Likelihood maximum on the Bloch sphere for totals whose inversion ``s0`` lies outside it.
 
     On |s| = 1 the stationarity condition per axis is
-    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam one
-    pass of :func:`_axis_roots` gives every component s_k(lam) in closed
-    form, with its derivative; an empty pair keeps its component at 0.
-    |s(lam)| falls from |s| > 1 at lam = 0 to below 1 at lam = total, so
-    lam is the root of |s(lam)|^2 - 1 there, found by Newton with those
-    derivatives.
-    """
-    pairs = ((n[0], n[1]), (n[2], n[3]), (n[4], n[5]))
-    s = None
+    n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam,
+    :func:`_axis_root` gives each component s_k(lam) in closed form, with its
+    derivative; an empty pair keeps its component at 0.  |s(lam)| falls from
+    |s| > 1 at lam = 0 to below 1 at lam = total, so lam is the root of the
+    decreasing |s(lam)|^2 - 1 there, found by Newton with those derivatives.
+    The Newton steps are kept inside a bracket that shrinks to each evaluated
+    point.  Bisection replaces a step that would leave the bracket, a step
+    left undefined by a zero slope, and a step that crosses back over the
+    root without halving the step before it (Newton oscillating about a
+    kink).  Every step moves toward the root, so in exact arithmetic a value
+    that keeps its sign also shrinks.  The search ends at the last evaluated
+    point once one does not (rounding noise), or once the step falls below
+    the float resolution of the bracket [0, total].
 
-    def excess(lam):
-        nonlocal s
-        s, ds = _axis_roots(pairs, lam)
-        (s0, s1, s2), (d0, d1, d2) = s, ds
-        slope = 2.0 * s0 * d0 + 2.0 * s1 * d1 + 2.0 * s2 * d2
+    The search starts from :func:`_predicted_multiplier` when that lies
+    inside the bracket, else from 0.  The start only decides where the
+    first Newton step is taken: the bracket, the fallbacks and the stopping
+    tests hold from any start inside [0, total], so a poor prediction costs
+    evaluations, never the root.  A good one, the common case, leaves one or
+    two evaluations per row instead of about five from lam = 0.
+    """
+    axes = [axis for axis in ((0, n[0], n[1]), (1, n[2], n[3]), (2, n[4], n[5]))
+            if axis[1] + axis[2] > 0.0]
+    total = sum(n)
+    lam = _predicted_multiplier(n, s0)
+    if not 0.0 < lam < total:
+        lam = 0.0
+    lo, hi = 0.0, total
+    resolution = sys.float_info.epsilon * total
+    previous_step, previous_value = total, 0.0
+    s = [0.0, 0.0, 0.0]
+    while True:
+        slope = 0.0
+        for k, n_plus, n_minus in axes:
+            s[k], ds = _axis_root(n_plus, n_minus, lam)
+            slope += 2.0 * s[k] * ds
         # |s|^2 - 1 with 1 - s^2 of the largest component taken as a product:
         # summed directly, 1 absorbs components below 1e-8, whose slope then
         # lacks its value and leaves Newton creeping along a plateau
-        a0, a1, a2 = abs(s0), abs(s1), abs(s2)
+        a0, a1, a2 = abs(s[0]), abs(s[1]), abs(s[2])
         if a0 >= a1 and a0 >= a2:
-            return a1 * a1 + a2 * a2 - (1.0 - a0) * (1.0 + a0), slope
-        if a1 >= a2:
-            return a0 * a0 + a2 * a2 - (1.0 - a1) * (1.0 + a1), slope
-        return a0 * a0 + a1 * a1 - (1.0 - a2) * (1.0 + a2), slope
-
-    _decreasing_root(excess, 0.0, sum(n), 0.0)
+            value = a1 * a1 + a2 * a2 - (1.0 - a0) * (1.0 + a0)
+        elif a1 >= a2:
+            value = a0 * a0 + a2 * a2 - (1.0 - a1) * (1.0 + a1)
+        else:
+            value = a0 * a0 + a1 * a1 - (1.0 - a2) * (1.0 + a2)
+        if value == 0.0 or (value * previous_value > 0.0 and abs(value) >= abs(previous_value)):
+            break
+        if value > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        step = -value / slope if slope < 0.0 else math.inf
+        crossed = value * previous_value < 0.0
+        if abs(step) > resolution and (not lo < lam + step < hi
+                                       or (crossed and 2.0 * abs(step) > previous_step)):
+            step = 0.5 * (lo + hi) - lam
+        if abs(step) <= resolution:
+            break
+        previous_step, previous_value = abs(step), value
+        lam += step
     radius = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
     return [x / radius for x in s]
 
@@ -282,7 +323,7 @@ def _mle_stokes(n, allow_empty: bool) -> list[float]:
         )
     s = _stokes_estimates(n, allow_empty=allow_empty)
     if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
-        s = _sphere_stokes(n)
+        s = _sphere_stokes(n, s)
     return s
 
 

@@ -202,8 +202,18 @@ class TestSimulate:
         assert not fresh.exists()
 
     def test_jobs_zero_rejected(self, tmp_path, capsys):
-        argv = self.ARGS + ["--jobs", "0", "--out", str(tmp_path / "s.csv")]
-        assert_rejected(argv, capsys, "--jobs: 0 must be >= 1")
+        # the library's range check, named by its flag with or without a manifest
+        out = tmp_path / "s.csv"
+        assert_rejected(self.ARGS + ["--jobs", "0", "--out", str(out)], capsys,
+                        "--jobs: jobs must be >= 1, got 0")
+        assert not out.exists()
+        config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
+                  "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
+                  "out": str(out)}
+        path = write_json(tmp_path / "m.json", {"config": config})
+        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "0"], capsys,
+                        "--jobs: jobs must be >= 1, got 0")
+        assert not out.exists()
 
     def test_manifest_replays(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
@@ -572,6 +582,25 @@ for argv in (
     assert main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_import_and_align_never_load_multiprocessing(self, count_file):
+        # the process pool is imported only by a sweep that runs one
+        script = f"""
+import runpy
+import sys
+import polalign
+pool = [name for name in sys.modules if name.split(".")[0] == "multiprocessing"]
+sys.argv = ["polalign", "align", "--counts", {str(count_file)!r}]
+try:
+    runpy.run_module("polalign", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+pool += [name for name in sys.modules if name.split(".")[0] == "multiprocessing"]
+assert not pool, pool
 """
         done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
                               text=True, timeout=120)

@@ -240,7 +240,7 @@ class _RecordingPool:
 
 class TestProcessPool:
     def test_workers_capped_at_blocks(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "max_workers", [])
         pa.run_sweep(["forward"], [400], [0.95, 1.0], samples=3, master_seed=1, jobs=5000)
         assert _RecordingPool.max_workers == [2]
@@ -262,13 +262,26 @@ class TestGridChecks:
                                                            ("master_seed", 3, -1)])
     def test_config_error_names_its_field_before_any_pool(self, monkeypatch, entry, field,
                                                           samples, master_seed):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "max_workers", [])
         grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95, 1.0],
                     background_means=[20.0], samples=samples, master_seed=master_seed, jobs=2)
         with pytest.raises(pa.ConfigError) as caught:
             getattr(pa, entry)(**grid)
         assert caught.value.field == field
+        assert _RecordingPool.max_workers == []
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_block(self, monkeypatch, entry, jobs):
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        monkeypatch.setattr(montecarlo, "_block", None)  # a block that ran would raise TypeError
+        grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95, 1.0],
+                    background_means=[20.0], samples=3, master_seed=1, jobs=jobs)
+        with pytest.raises(pa.ConfigError, match=f"jobs must be >= 1, got {jobs}") as caught:
+            getattr(pa, entry)(**grid)
+        assert caught.value.field == "jobs"
         assert _RecordingPool.max_workers == []
 
 

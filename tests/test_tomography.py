@@ -1,12 +1,15 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import polalign as pa
+from polalign import tomography
 from polalign.errors import InsufficientCountsError
-from polalign.tomography import _axis_roots, _mle_stokes, _stokes_estimates
+from polalign.montecarlo import TrialConfig, generate_counts
+from polalign.tomography import _axis_root, _mle_stokes, _stokes_estimates
 
 import oracles
 from conftest import exact_count_matrix, haar_channel, haar_state, trace_distance
@@ -284,18 +287,6 @@ def _stationarity_residual(n_plus, n_minus, lam, s):
     return n_plus / (1.0 + s) - n_minus / (1.0 - s) - lam * s
 
 
-def _axis_root(n_plus, n_minus, lam):
-    """(s, ds/dlam) of one axis from the three-axis pass, the same at each of its positions."""
-    results = set()
-    for k in range(3):
-        pairs = [(5.0, 2.0), (0.0, 9.0), (4.0, 4.0)]
-        pairs[k] = (n_plus, n_minus)
-        s, ds = _axis_roots(pairs, lam)
-        results.add((s[k], ds[k]))
-    assert len(results) == 1
-    return results.pop()
-
-
 class TestAxisRoot:
     LAM_FRACTIONS = np.logspace(-12, 4, 161)
 
@@ -340,10 +331,141 @@ class TestAxisRoot:
                 assert abs(_axis_root(n_plus, 0.0, lam)[0] - exact) <= 5e-16
                 assert abs(_axis_root(0.0, n_plus, lam)[0] + exact) <= 5e-16
 
-    def test_empty_pair_held_at_zero(self):
-        for lam in (0.0, 1e-9, 1.0, 1e6):
-            s, ds = _axis_roots([(3.0, 1.0), (0.0, 0.0), (0.0, 5.0)], lam)
-            assert (s[1], ds[1]) == (0.0, 0.0)
+    def test_empty_pair_held_at_zero(self, monkeypatch):
+        # the multiplier search never evaluates an empty pair: its component stays 0
+        evaluated = []
+
+        def recorded(n_plus, n_minus, lam):
+            evaluated.append((n_plus, n_minus))
+            return _axis_root(n_plus, n_minus, lam)
+
+        monkeypatch.setattr(tomography, "_axis_root", recorded)
+        for counts in ([3.0, 1.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 7.5, 0.25, 6.0, 0.0],
+                       [300.0, 0.0, 0.0, 0.0, 50.5, 49.5]):
+            s = mle_reconstruct(counts, allow_empty_basis=True)
+            empty = [k for k in range(3) if counts[2 * k] + counts[2 * k + 1] == 0.0]
+            assert [s[k] for k in empty] == [0.0]
+        assert evaluated and (0.0, 0.0) not in evaluated
+
+
+def _reference_grid_rows(seed: int) -> list[list[float]]:
+    """The count rows a reconstruction sees in one drawn block of each reference cell.
+
+    The cells are both directions, N in {400, 6400} and F_S in {1, 0.95};
+    a reversed matrix contributes its outcome columns.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for direction, n, fs in product(D, (400, 6400), (1.0, 0.95)):
+        channels = pa.haar_random_unitary(rng, 250)
+        counts = generate_counts(channels, TrialConfig(direction, n, fs), rng).astype(float)
+        if direction is D.REVERSED:
+            counts = counts.transpose(0, 2, 1)
+        rows.extend(counts.reshape(-1, 6).tolist())
+    return rows
+
+
+def _outside_ball(counts, allow_empty: bool = False) -> bool:
+    s = _stokes_estimates(counts, allow_empty=allow_empty)
+    return s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0
+
+
+@pytest.fixture(scope="module")
+def reference_boundary_rows():
+    rows = [row for row in _reference_grid_rows(2019) if _outside_ball(row)]
+    assert len(rows) > 2000
+    return rows
+
+
+#: (counts, allow_empty, sphere point from the search started at lam = 0): an
+#: empty outcome whose root sits just past the clamp lam = n/2, counts near
+#: 2**53, pinned and faint axes, and empty pairs
+HARD_ROWS = [
+    ([300.0, 0.0, 51.0, 49.0, 50.0, 50.0], False, [0.9999679988735237, 0.008000076804669817, 0.0]),
+    ([0.0, 300.0, 50.0, 50.0, 49.0, 51.0], False,
+     [-0.9999679988735237, 0.0, -0.008000076804669817]),
+    ([400.0, 0.0, 200.5, 199.5, 200.0, 200.0], False,
+     [0.9999986111095036, 0.0016666670524699818, 0.0]),
+    ([37.0, 0.0, 10.0, 9.0, 5.0, 5.0], False, [0.9996443187814478, 0.026669006880184986, 0.0]),
+    ([16.75, 0.0, 0.25, 0.2, 0.3, 0.3], False, [0.9999839494216645, 0.00566576553080312, 0.0]),
+    ([1e4, 0.0, 5001.0, 4999.0, 5000.0, 5000.0], False,
+     [0.9999999911111112, 0.0001333333335308011, 0.0]),
+    ([300.0, 0.0, 0.0, 0.0, 50.5, 49.5], True, [0.9999919999295989, 0.0, 0.004000009600145899]),
+    ([3.0, 0.0, 2.0, 1.0, 1.0, 1.0], False, [0.9747790114189543, 0.22317230763938053, 0.0]),
+    ([2.0**53, 2.0**40, 2.0**52, 2.0**48, 2.0**50, 2.0**50], False,
+     [0.883157633821777, 0.4690763198268702, 0.0]),
+    ([2.0**53 - 1, 1.0, 2.0**53 - 3, 3.0, 2.0**20, 2.0**20 + 5], False,
+     [0.7071067811865476, 0.7071067811865475, -6.700788706400153e-16]),
+    ([1.0, 2.0**53, 2.0**52, 2.0**52 + 2, 2.0**51, 1.0], False,
+     [-0.9403124237432848, -9.264986314810141e-17, 0.34031242374328485]),
+    ([2.0**53, 0.0, 2.0**52 + 2.0**30, 2.0**52 - 2.0**30, 2.0**52, 2.0**52], False,
+     [0.9999999999999873, 1.589457193887051e-07, 0.0]),
+    ([1e-9, 1e-6, 0.0, 300.0, 1e-12, 0.0], False,
+     [-6.6599999555556e-09, -1.0, 6.666666666666622e-15]),
+    ([100.0, 0.0, 100.0, 0.0, 100.0, 0.0], False,
+     [0.5773502691896258, 0.5773502691896258, 0.5773502691896258]),
+    ([100.0, 0.0, 0.0, 100.0, 1.0, 1.0], False, [0.7071067811865476, -0.7071067811865476, 0.0]),
+    ([0.0, 50.0, 50.0, 0.0, 0.0, 0.0], True, [-0.7071067811865476, 0.7071067811865476, 0.0]),
+    ([7.5, 0.5, 6.25, 0.75, 0.0, 0.0], True, [0.7686526397546658, 0.6396664125918947, 0.0]),
+    ([30.0, 0.0, 23.0, 24.0, 24.0, 6.0], False,
+     [0.9137110070859228, -0.015587827527251413, 0.40606553062653555]),
+    ([399.0, 1.0, 1.0, 0.0, 0.0, 1.0], False,
+     [0.9946617974537483, 0.07296543252142955, -0.07296543252142955]),
+    ([5e-13, 0.0, 200.0, 0.0, 100.0, 100.0], False, [4.999999999999975e-15, 1.0, 0.0]),
+    ([2.0, 1e-300, 2.0, 0.0, 2.0, 0.0], False,
+     [0.5773502691896257, 0.5773502691896257, 0.5773502691896257]),
+]
+
+
+class TestSphereSolver:
+    def test_kkt_conditions_on_reference_and_fractional_rows(self, reference_boundary_rows):
+        # on the sphere every axis with both outcomes meets
+        # n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with one common lam
+        rng = np.random.default_rng(7)
+        fractional = []
+        while len(fractional) < 500:
+            # a pure state's counts less a mean background, clipped at 0;
+            # every other row loses a whole basis pair
+            v = rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            bg = rng.choice([0.5, 2.5, 10.0])
+            n = rng.multinomial(int(rng.choice([30, 100, 400])),
+                                (1.0 + np.repeat(v, 2) * [1, -1, 1, -1, 1, -1]) / 6.0)
+            n = np.clip(n + rng.poisson(bg, 6) - bg, 0.0, None)
+            if len(fractional) % 2:
+                n[2 * rng.integers(3) + np.arange(2)] = 0.0
+            if n.sum() >= 6 and _outside_ball(n.tolist(), allow_empty=True):
+                fractional.append(n.tolist())
+        rows = ([(row, False) for row in reference_boundary_rows]
+                + [(row, True) for row in fractional])
+        for counts, allow_empty in rows:
+            s = mle_reconstruct(counts, allow_empty_basis=allow_empty)
+            assert abs(math.sqrt(s @ s) - 1.0) <= 1e-15
+            lams = [(counts[2 * k] / (1.0 + s[k]) - counts[2 * k + 1] / (1.0 - s[k])) / s[k]
+                    for k in range(3) if counts[2 * k] > 0.0 and counts[2 * k + 1] > 0.0
+                    and s[k] != 0.0]
+            if lams:
+                assert max(lams) - min(lams) <= 1e-9 * max(lams), counts
+
+    def test_few_multiplier_evaluations_per_boundary_row(self, monkeypatch,
+                                                         reference_boundary_rows):
+        # one evaluation is one _axis_root call per non-empty axis; started at
+        # lam = 0 the search needs about 5.3 per row on this grid
+        calls = [0]
+
+        def counted(n_plus, n_minus, lam):
+            calls[0] += 1
+            return _axis_root(n_plus, n_minus, lam)
+
+        monkeypatch.setattr(tomography, "_axis_root", counted)
+        for counts in reference_boundary_rows:
+            mle_reconstruct(counts)
+        assert calls[0] / (3 * len(reference_boundary_rows)) <= 2.5
+
+    @pytest.mark.parametrize("counts,allow_empty,expected", HARD_ROWS)
+    def test_hard_rows_keep_their_sphere_point(self, counts, allow_empty, expected):
+        s = mle_reconstruct(counts, allow_empty_basis=allow_empty)
+        np.testing.assert_allclose(s, expected, rtol=0, atol=1e-14)
 
 
 class TestReconstructForward:

@@ -37,12 +37,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .compensation import optimize
 from .errors import ConfigError, FitError, InsufficientCountsError, PolalignError, SchemaError
-from .montecarlo import SweepCell, expected_detection_rate, fit_power_law, run_sweep
+from .montecarlo import SweepCell, cpu_count, expected_detection_rate, fit_power_law, run_sweep
 from .polarization import BB84_LABELS
 from .tomography import (
     COLUMN_LABELS,
@@ -114,7 +112,6 @@ def load_count_file(path) -> CountMatrix:
     counts = payload.get("counts")
     _require(isinstance(counts, list) and len(counts) == n_rows,
              f"{path}: counts must have {n_rows} rows for direction {direction.value}")
-    matrix = np.zeros((n_rows, n_cols))
     for i, row in enumerate(counts):
         _require(isinstance(row, list) and len(row) == n_cols,
                  f"{path}: counts row {i} must have {n_cols} entries")
@@ -125,13 +122,11 @@ def load_count_file(path) -> CountMatrix:
                 raise SchemaError(f"{path}: counts[{i}][{j}] = {x!r} is not a nonnegative integer")
             if x > _MAX_COUNT:
                 raise SchemaError(f"{path}: counts[{i}][{j}] is above 2**53, the largest count")
-            matrix[i, j] = float(x)
-
-    # reindex to canonical label order
-    row_order = [rows.index(lab) for lab in ROW_LABELS[direction]]
-    col_order = [cols.index(lab) for lab in COLUMN_LABELS[direction]]
     _require(isinstance(payload.get("metadata", {}), dict), f"{path}: metadata must be an object")
-    return CountMatrix(direction, matrix[np.ix_(row_order, col_order)])
+    # in canonical label order; every count is exact as a float
+    col_order = [cols.index(lab) for lab in COLUMN_LABELS[direction]]
+    return CountMatrix(direction, [[counts[rows.index(lab)][j] for j in col_order]
+                                   for lab in ROW_LABELS[direction]])
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +277,6 @@ def _parse_list(parser, text, flag, converter, label):
     return values
 
 
-def _default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``polalign`` argument parser, built once per process."""
@@ -305,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="subtract the mean background")
     sim.add_argument("--samples", type=int, help="Monte Carlo samples per grid cell")
     sim.add_argument("--seed", type=int, help="master seed (nonnegative integer)")
-    sim.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
+    sim.add_argument("--jobs", type=int, default=cpu_count(),
+                     help="worker processes, at most one per CPU")
     sim.add_argument("--format", choices=["csv", "json"], help="default csv")
     sim.add_argument("--out", help="output file path")
     sim.add_argument("--from-manifest", help="re-run the configuration stored in a manifest; "

@@ -17,12 +17,12 @@ master seed, the cell coordinates and the block index.  The block then
 draws a full block of trials in one pass, each draw one array call: the
 Haar channels from one ``random((_BLOCK_SIZE, 4))``, the signal counts
 from one multinomial over the block's cell probabilities, and with
-background the per-detector Poisson counts and their row shares.  Only
-then are its trials scored, one by one, so a trial's draws depend on its
-cell, its block and its place in the block, never on how many of the
-block's trials the cell runs or on the worker that runs it.  A cell's
-first k trials are the same for any sample count of at least k, and
-results are bit-identical for any worker count.
+background one Poisson count per cell.  Only then are its trials scored,
+one by one, so a trial's draws depend on its cell, its block and its
+place in the block, never on how many of the block's trials the cell
+runs or on the worker that runs it.  A cell's first k trials are the
+same for any sample count of at least k, and results are bit-identical
+for any worker count.
 
 Mean-background subtraction is a deterministic step on a drawn count
 matrix, not part of the draw or the seed: one trial scores every
@@ -34,6 +34,7 @@ pairs share their channel and counts by construction.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -212,20 +213,19 @@ def generate_counts(
     have the shape of :func:`expected_probabilities`.  Signal: one
     multinomial call allocates ``n_detected`` events over the (input,
     basis, outcome) cells of every channel.  Background: one Poisson call
-    draws every detector column of every channel, then one multinomial
-    call spreads each column uniformly over the input rows (background is
-    uncorrelated with the preparation).  With background the counts are
-    floats.  Nothing is subtracted here: :func:`run_trial` subtracts the
-    mean background from a drawn matrix in each arm that asks for it.
+    draws every cell of every channel at :func:`expected_background_per_cell`,
+    as a detector's Poisson count, spread uniformly over the input rows (it
+    is uncorrelated with the preparation), is one Poisson count per row.
+    With background the counts are floats.  Nothing is subtracted here:
+    :func:`run_trial` subtracts that mean in each arm that asks for it.
     """
     p = expected_probabilities(entries, cfg.direction, cfg.signal_fidelity)
     *batch, n_rows, n_cols = p.shape
     counts = rng.multinomial(cfg.n_detected, p.reshape(*batch, n_rows * n_cols)).reshape(p.shape)
     if cfg.background_mean > 0.0:
-        per_detector = rng.poisson(cfg.background_mean, size=(*batch, n_cols))
-        shares = rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows))
+        background = rng.poisson(expected_background_per_cell(cfg), size=p.shape)
         # summed as floats, where int64 could overflow
-        counts = np.add(counts, np.swapaxes(shares, -1, -2), dtype=float)
+        counts = np.add(counts, background, dtype=float)
     return counts
 
 
@@ -257,6 +257,11 @@ def run_trial(
         result = optimize(reconstruct(cm))
         qbers.append(residual_qber(u, result.angles, cfg.direction))
     return tuple(qbers)
+
+
+def cpu_count() -> int:
+    """The machine's CPU count, at least 1: the default and the cap of a sweep's workers."""
+    return max(1, os.cpu_count() or 1)
 
 
 def _float_bits(x: float) -> int:
@@ -328,14 +333,15 @@ def _run_cells(
     starts = range(0, samples, _BLOCK_SIZE)
     tasks = [(master_seed, cfg, arms, start, min(start + _BLOCK_SIZE, samples))
              for cfg in cells for start in starts]
-    if jobs == 1 or len(tasks) <= 1:
+    # a fork-started pool starts all its workers at the first submit
+    workers = min(jobs, len(tasks), cpu_count())
+    if workers == 1:
         blocks = [_block(task) for task in tasks]
     else:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork-started pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block, tasks))
     per_cell = len(starts)
     return [list(chain.from_iterable(blocks[i:i + per_cell]))

@@ -6,20 +6,20 @@ The forward orientation reconstructs the four received BB84 states from a
 four receiver outcomes of a 6x4 matrix and reconstructs, per outcome, the
 effective pre-channel state the channel maps onto that outcome.
 
-Reconstruction is maximum-likelihood, in closed form.  For one qubit the
-six-outcome likelihood is a product of three binomials, one per basis,
-each in one Stokes component.  So inside the Bloch ball the maximum is the
-linear inversion s_k = (n+ - n-)/(n+ + n-); when that lies outside the
-ball, the maximum lies on the sphere.  There, for a given Lagrange
-multiplier, each component is the middle root of a depressed cubic, taken
-from the trigonometric formula; one pass over the three axes gives the
-point and its derivative for that multiplier, and only the multiplier
-itself is found by a one-dimensional Newton search.  That search starts
-where at most three trig-free Newton steps on the full Lagrange system,
-taken from the inversion scaled onto the sphere, predict the multiplier;
-it keeps its bracket on [0, total] and its bisection fallbacks, so a poor
-prediction costs evaluations, never the root.  Counts are checked once,
-where they enter: a :class:`CountMatrix` on construction.
+Reconstruction is maximum-likelihood.  For one qubit the six-outcome
+likelihood is a product of three binomials, one per basis, each in one
+Stokes component.  So inside the Bloch ball the maximum is, in closed
+form, the linear inversion s_k = (n+ - n-)/(n+ + n-); when that lies
+outside the ball, the maximum lies on the sphere.  There, for a given
+Lagrange multiplier, each component is the middle root of a depressed
+cubic, taken from the trigonometric formula; one pass over the three
+axes gives the point and its derivative for that multiplier, and the
+multiplier itself is found by a bracketed Newton search.  That search
+starts where at most three trig-free Newton steps on the full Lagrange
+system, taken from the inversion scaled onto the sphere, predict the
+multiplier; it keeps its bracket on [0, total] and its bisection
+fallbacks, so a poor prediction costs evaluations, never the root.
+Counts are checked once, where they enter: a :class:`CountMatrix`.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 
 import polalign as pa
 from polalign import cli
-from polalign.tomography import Direction
+from polalign.tomography import COLUMN_LABELS, ROW_LABELS, Direction
 
 from conftest import exact_count_matrix, haar_channel
 
@@ -64,15 +64,18 @@ def write_json_with_long_int(path, payload, marker):
     return str(path)
 
 
+def count_payload(direction: Direction) -> dict:
+    """A count file's contents: rounded noiseless counts of one Haar channel, canonical labels."""
+    u = haar_channel(np.random.default_rng(3))
+    counts = np.round(exact_count_matrix(u, direction).counts).astype(int)
+    return {"schema_version": 1, "direction": direction.value,
+            "row_labels": list(ROW_LABELS[direction]),
+            "column_labels": list(COLUMN_LABELS[direction]), "counts": counts.tolist()}
+
+
 @pytest.fixture
 def count_file(tmp_path):
-    u = haar_channel(np.random.default_rng(3))
-    counts = np.round(exact_count_matrix(u, Direction.FORWARD).counts).astype(int)
-    write_json(tmp_path / "counts.json", {
-        "schema_version": 1, "direction": "forward",
-        "row_labels": list(pa.BB84_LABELS), "column_labels": list(pa.ALL_LABELS),
-        "counts": counts.tolist(),
-    })
+    write_json(tmp_path / "counts.json", count_payload(Direction.FORWARD))
     return tmp_path / "counts.json"
 
 
@@ -94,6 +97,32 @@ class TestFit:
                                  capsys)
         assert out.splitlines()[:-1] == plain.splitlines()[:-1]
         assert plain.splitlines()[-1] == "cells used: 4 (all cells)"
+
+    def test_json_output(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "s.csv", SWEEP_ROWS)
+        code, out, _err = run(["fit", "--in", path, "--format", "json"], capsys)
+        assert code == 0
+        fit = pa.fit_power_law(cli.read_sweep_file(path))
+        assert json.loads(out) == {"alpha": fit.alpha, "beta": fit.beta, "gamma": fit.gamma,
+                                   "r_squared": fit.r_squared, "cells_used": 4,
+                                   "selection": "all cells"}
+
+    @pytest.mark.parametrize("content,match", [
+        (b"direction,n\n\xff\xfe\n", "not UTF-8 text"),
+        (b"direction,n\nforward,400\n", "missing sweep CSV header"),
+        (b"\n\n", "missing sweep CSV header"),
+    ])
+    def test_unreadable_sweep_file_rejected(self, tmp_path, capsys, content, match):
+        path = tmp_path / "s.csv"
+        path.write_bytes(content)
+        assert_rejected(["fit", "--in", str(path)], capsys, match)
+
+    @pytest.mark.parametrize("n,match", [(400.0, "bad n 400.0"), (True, "bad n True")])
+    def test_json_n_not_an_integer_rejected(self, tmp_path, capsys, n, match):
+        cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
+        cells[1]["n"] = n
+        path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
+        assert_rejected(["fit", "--in", path], capsys, f"cell 1: {match}")
 
     def test_json_missing_key(self, tmp_path, capsys):
         cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
@@ -215,6 +244,42 @@ class TestSimulate:
                         "--jobs: jobs must be >= 1, got 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dropped", ["--direction", "--samples", "--out"])
+    def test_missing_flag_rejected(self, tmp_path, capsys, dropped):
+        argv = self.ARGS + ["--jobs", "1", "--out", str(tmp_path / "s.csv")]
+        i = argv.index(dropped)
+        del argv[i:i + 2]
+        assert_rejected(argv, capsys, f"missing required flags: {dropped}")
+
+    @pytest.mark.parametrize("n,match", [("4x", "--n: '4x' is not a valid integer"),
+                                         (",", "--n: expected at least one integer")])
+    def test_bad_list_rejected(self, tmp_path, capsys, n, match):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--direction", "forward", "--n", n, "--fs", "0.95",
+                "--samples", "1", "--seed", "1", "--jobs", "1", "--out", str(out)]
+        assert_rejected(argv, capsys, match)
+        assert not out.exists()
+
+    def test_empty_list_entries_skipped(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--direction", "forward", "--n", "400,,1600", "--fs", "0.95",
+                "--samples", "1", "--seed", "1", "--jobs", "1", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["n"] == [400, 1600]
+        assert [c.n_detected for c in cli.read_sweep_file(str(out))] == [400, 1600]
+
+    def test_failed_cell_aborts_without_output(self, tmp_path, capsys):
+        # ten detections leave some basis of some input empty in every trial
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--direction", "forward", "--n", "10", "--fs", "0.95",
+                "--samples", "300", "--seed", "1", "--jobs", "1", "--out", str(out)]
+        code, _out, err = run(argv, capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "300/300 trials failed, above the 1% tolerance" in err
+        assert os.listdir(tmp_path) == []
+
     def test_manifest_replays(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         argv = ["simulate", "--direction", "reversed", "--n", "400", "--fs", "0.95",
@@ -236,6 +301,13 @@ class TestSimulate:
             (dict(direction="sideways"), "direction: 'sideways'"),
             (dict(sample=3), "unknown keys ['sample']"),
             (dict(seed=-1), "seed: master seed must be >= 0, got -1"),
+            (dict(n=400), "n: expected a non-empty list, got 400"),
+            (dict(fs=[]), "fs: expected a non-empty list, got []"),
+            (dict(bg_subtract="yes"), "bg_subtract: 'yes' must be true or false"),
+            (dict(samples=2.5), "samples: 2.5 must be an integer"),
+            (dict(seed="1"), "seed: '1' must be an integer"),
+            (dict(format="xml"), "format: 'xml' must be 'csv' or 'json'"),
+            (dict(out=""), "out: '' must be a file path"),
         ],
     )
     def test_bad_manifest_rejected(self, tmp_path, capsys, change, match):
@@ -447,6 +519,58 @@ class TestCountFiles:
         again = cli.load_count_file(reordered)
         np.testing.assert_array_equal(again.counts, cm.counts)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_shuffled_labels_and_float_counts_load_canonically(self, tmp_path, direction):
+        payload = count_payload(direction)
+        canonical = np.array(payload["counts"], dtype=float)
+        rng = np.random.default_rng(4)
+        rows = rng.permutation(len(payload["row_labels"]))
+        cols = rng.permutation(len(payload["column_labels"]))
+        payload["row_labels"] = [payload["row_labels"][i] for i in rows]
+        payload["column_labels"] = [payload["column_labels"][j] for j in cols]
+        # a count may be written as an integral float
+        payload["counts"] = [[float(canonical[i, j]) if (i + j) % 2 else int(canonical[i, j])
+                              for j in cols] for i in rows]
+        cm = cli.load_count_file(write_json(tmp_path / "s.json", payload))
+        assert cm.direction is direction
+        assert cm.counts.dtype == float
+        np.testing.assert_array_equal(cm.counts, canonical)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_align_and_timing_check_either_direction(self, tmp_path, capsys, direction, fmt):
+        path = write_json(tmp_path / "c.json", count_payload(direction))
+        code, out, _err = run(["align", "--counts", path, "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "json":
+            result = json.loads(out)
+            assert result["direction"] == direction.value
+            assert result["predicted_qber"] < 1e-3
+        else:
+            assert out.splitlines()[0] == f"direction: {direction.value}"
+        code, out, _err = run(["timing-check", "--counts", path, "--format", fmt], capsys)
+        assert code == 0
+        verdict = json.loads(out)["verdict"] if fmt == "json" else out.split()[1]
+        assert verdict == "polarization_frame_misaligned"
+
+    @pytest.mark.parametrize("direction", [None, "sideways", "Forward"])
+    def test_bad_direction_rejected(self, tmp_path, capsys, count_file, direction):
+        payload = json.loads(count_file.read_text())
+        payload["direction"] = direction
+        path = write_json(tmp_path / "bad.json", payload)
+        assert_rejected(["align", "--counts", path], capsys,
+                        f"direction must be 'forward' or 'reversed', got {direction!r}")
+
+    @pytest.mark.parametrize("command", ["align", "timing-check"])
+    @pytest.mark.parametrize("value", [-1, 2.5, True, False, "3", None, math.inf])
+    def test_count_not_a_nonnegative_integer_rejected(self, tmp_path, capsys, count_file,
+                                                      command, value):
+        payload = json.loads(count_file.read_text())
+        payload["counts"][1][2] = value
+        path = write_json(tmp_path / "bad.json", payload)
+        assert_rejected([command, "--counts", path], capsys,
+                        f"counts[1][2] = {value!r} is not a nonnegative integer")
+
     @pytest.mark.parametrize("metadata", [[], 0, "", False, None, 5, "lab"])
     def test_metadata_must_be_an_object(self, tmp_path, capsys, count_file, metadata):
         payload = json.loads(count_file.read_text())
@@ -620,6 +744,22 @@ class TestRate:
         argv = ["rate"] + [x for item in values.items() for x in item]
         assert_rejected(argv, capsys, f"{flag}: {match}")
 
+    @pytest.mark.parametrize("flags,match", [
+        (["--loss-db", "-1"], "--loss-db: -1.0 must be finite and >= 0"),
+        (["--loss-db", "inf"], "--loss-db: inf must be finite and >= 0"),
+        (["--loss-db", "nan"], "--loss-db: nan must be finite and >= 0"),
+        (["--loss-db", "20", "--eta", "0.1"], "specify exactly one of --loss-db or --eta"),
+        ([], "specify exactly one of --loss-db or --eta"),
+    ])
+    def test_channel_loss_rejected(self, capsys, flags, match):
+        assert_rejected(["rate", "--pulse-rate", "1e8", "--mu", "0.5", *flags], capsys, match)
+
+    def test_zero_rate_never_reaches_400(self, capsys):
+        code, out, _err = run(["rate", "--pulse-rate", "0", "--mu", "1", "--eta", "1"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["expected detection rate: 0 Hz",
+                                    "time to 400 detections: never (zero rate)"]
+
     def test_subnormal_rate_is_not_zero(self, capsys):
         # 400 / rate overflows to inf, but the rate itself is positive
         code, out, _err = run(["rate", "--pulse-rate", "1e-320", "--mu", "1", "--eta", "1"],
@@ -644,3 +784,11 @@ class TestRate:
                                "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["rate_hz"] == pytest.approx(1e6 * (1 - math.exp(-1e-3)))
+
+    def test_loss_db_sets_eta(self, capsys):
+        code, out, _err = run(["rate", "--pulse-rate", "1e6", "--mu", "0.1", "--loss-db", "20",
+                               "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["eta"] == pytest.approx(0.01, rel=1e-15)
+        assert payload["rate_hz"] == pytest.approx(1e6 * (1 - math.exp(-1e-3)))

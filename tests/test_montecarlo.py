@@ -112,6 +112,7 @@ class TestBackgroundStudy:
     def test_jobs_invariant(self, monkeypatch):
         # blocks of 16 split each 40-trial arm into three, the last one short
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
+        monkeypatch.setattr(montecarlo, "cpu_count", lambda: 2)  # a pool on any host
         grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95],
                     background_means=[20.0, 100.0], samples=40, master_seed=5)
         serial = pa.background_study(**grid, jobs=1)
@@ -242,9 +243,20 @@ class TestProcessPool:
     def test_workers_capped_at_blocks(self, monkeypatch):
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        monkeypatch.setattr(montecarlo, "cpu_count", lambda: 8)
         pa.run_sweep(["forward"], [400], [0.95, 1.0], samples=3, master_seed=1, jobs=5000)
         assert _RecordingPool.max_workers == [2]
 
+    @pytest.mark.parametrize("cpus,max_workers", [(3, [3]), (1, [])])
+    def test_workers_capped_at_cpus(self, monkeypatch, cpus, max_workers):
+        # eight one-block cells; a single CPU runs them serially, with no pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        monkeypatch.setattr(montecarlo, "cpu_count", lambda: cpus)
+        sweep = pa.run_sweep(["forward", "reversed"], [400, 800], [0.95, 1.0], samples=3,
+                             master_seed=1, jobs=5000)
+        assert len(sweep.cells) == 8
+        assert _RecordingPool.max_workers == max_workers
 
 class TestGridChecks:
     @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
@@ -283,6 +295,15 @@ class TestGridChecks:
             getattr(pa, entry)(**grid)
         assert caught.value.field == "jobs"
         assert _RecordingPool.max_workers == []
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
+    def test_cell_with_too_many_failures_aborts(self, entry):
+        # ten detections leave some basis of some input empty in every trial
+        grid = dict(directions=["forward"], n_values=[10], fs_values=[0.95],
+                    background_means=[0.0], samples=300, master_seed=1)
+        with pytest.raises(pa.SweepError, match=r"n=10, fs=0.95, bg=0.0\): 300/300 trials "
+                                                r"failed, above the 1% tolerance"):
+            getattr(pa, entry)(**grid)
 
 
 class TestConfigLimits:
@@ -414,15 +435,16 @@ class TestGoldenStream:
         ("reversed", 6400, 0.95, 0, 0.0003071792005999496, 0.00022611118763849757),
     ]
     STUDY = [
-        # (direction, bg, failures, mean plain, std plain, mean subtracted, std subtracted)
-        ("forward", 20.0, 0, 0.010046149248071984, 0.006781809369725063,
-         0.010205324881230812, 0.007027311432436325),
-        ("forward", 100.0, 0, 0.017096121831027142, 0.011330117940078375,
-         0.017541915970181857, 0.013328127438353633),
-        ("reversed", 20.0, 0, 0.0076426377825322325, 0.006479478710047734,
-         0.008133401569571472, 0.006634268090586633),
-        ("reversed", 100.0, 0, 0.010520900929892048, 0.007572659665792124,
-         0.011355822395169479, 0.007008301464999222),
+        # (direction, bg, failures, mean plain, std plain, mean subtracted, std subtracted);
+        # recorded with the background drawn as one Poisson count per cell
+        ("forward", 20.0, 0, 0.008406031877609027, 0.005985247488001888,
+         0.008421070677660642, 0.006348483002704204),
+        ("forward", 100.0, 0, 0.02195963250238952, 0.019177585130835114,
+         0.021866035753109744, 0.017859525249063524),
+        ("reversed", 20.0, 0, 0.008190776956842305, 0.00716309775419718,
+         0.008656175309891323, 0.007902437795264849),
+        ("reversed", 100.0, 0, 0.010794443042116983, 0.009366915674196423,
+         0.011617842704090409, 0.010903944953383924),
     ]
 
     def test_sweep_and_study_reproduce(self):
@@ -516,6 +538,7 @@ class TestSeeds:
     def test_sweep_jobs_invariant(self, monkeypatch):
         # blocks of 16 split each 40-trial cell into three, the last one short
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
+        monkeypatch.setattr(montecarlo, "cpu_count", lambda: 2)  # a pool on any host
         grid = dict(directions=["forward", "reversed"], n_values=[400], fs_values=[0.95, 1.0],
                     samples=40, master_seed=5, background_means=[0.0, 20.0])
         serial = pa.run_sweep(**grid, jobs=1)
@@ -554,9 +577,9 @@ class TestGenerateCounts:
     @pytest.mark.parametrize("background", [20.0, 100.0])
     def test_background_matches_per_column_draws(self, direction, background):
         # the draws written out: one multinomial over every channel's cells,
-        # then one Poisson per detector column of every channel and one
-        # row-share multinomial per column, summed as floats; the generator
-        # ends in the same state
+        # then one Poisson count per cell of every channel, at a detector's
+        # mean over the rows, summed as floats; the generator ends in the
+        # same state
         size = 50
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
         channels = pa.haar_random_unitary(np.random.default_rng(8), size)
@@ -568,10 +591,8 @@ class TestGenerateCounts:
         p = montecarlo.expected_probabilities(channels, direction, cfg.signal_fidelity)
         n_rows, n_cols = p.shape[1:]
         counts = rng.multinomial(cfg.n_detected, p.reshape(size, -1)).reshape(p.shape)
-        per_detector = rng.poisson(background, size=(size, n_cols))
-        shares = rng.multinomial(per_detector, np.full(n_rows, 1.0 / n_rows))
-        assert shares.shape == (size, n_cols, n_rows)
-        counts = counts + shares.transpose(0, 2, 1).astype(float)
+        noise = rng.poisson(background / n_rows, size=(size, n_rows, n_cols))
+        counts = counts + noise.astype(float)
         assert drawn.dtype == float
         assert drawn.shape == (size, n_rows, n_cols)
         assert np.array_equal(drawn, counts)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ class TestTypeInvariants:
     def test_unitary_enforced(self):
         with pytest.raises(ValueError, match="unitary"):
             pa.ChannelUnitary(np.array([[1.0, 0.0], [0.0, 1.1]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3), (2, 3), (1, 2, 2)])
+    def test_channel_unitary_shape_enforced(self, shape):
+        entries = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"must be 2x2, got shape {shape}")):
+            pa.ChannelUnitary(entries)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("index", [0, 1])

@@ -12,7 +12,6 @@ independent reference physics the tests compare against lives in
 from .polarization import (
     ALL_LABELS,
     BB84_LABELS,
-    ChannelUnitary,
     WavePlateAngles,
     haar_random_unitary,
     reduce_angle,
@@ -44,6 +43,7 @@ from .montecarlo import (
     generate_counts,
     run_sweep,
     run_trial,
+    stokes_axes,
 )
 from .timing import (
     AlignmentStatus,

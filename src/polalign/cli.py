@@ -175,29 +175,39 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    # a JSON integer can be past float range
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
+
+
 #: accepted spellings of bg_subtract: CSV text or a JSON boolean
 _FLAGS = {"true": True, "false": False, True: True, False: False}
 
 
-#: the one description of a sweep row, in column order: key -> (SweepCell field, parser);
-#: the fields parsed as floats are written at nine significant digits
+#: the one description of a sweep row, in column order: key -> (SweepCell field, parser,
+#: JSON type check); a JSON value must pass the check before the parser sees it, a CSV
+#: value is text; the fields parsed as floats are written at nine significant digits
 _SWEEP_FIELDS = {
-    "direction": ("direction", Direction),
-    "n": ("n_detected", _integer),
-    "fs": ("signal_fidelity", _finite),
-    "bg_mean": ("background_mean", _finite),
-    "bg_subtract": ("subtract_background", _FLAGS.__getitem__),
-    "samples": ("samples", _integer),
-    "failures": ("failures", _integer),
-    "mean_qber": ("mean_qber", _finite),
-    "std_qber": ("std_qber", _optional_finite),
+    "direction": ("direction", Direction, lambda x: isinstance(x, str)),
+    "n": ("n_detected", _integer, _is_int),
+    "fs": ("signal_fidelity", _finite, _is_number),
+    "bg_mean": ("background_mean", _finite, _is_number),
+    "bg_subtract": ("subtract_background", _FLAGS.__getitem__, lambda x: isinstance(x, bool)),
+    "samples": ("samples", _integer, _is_int),
+    "failures": ("failures", _integer, _is_int),
+    "mean_qber": ("mean_qber", _finite, _is_number),
+    "std_qber": ("std_qber", _optional_finite, lambda x: x is None or _is_number(x)),
 }
 SWEEP_CSV_HEADER = ",".join(_SWEEP_FIELDS)
 
 
 def _cell_record(cell: SweepCell) -> dict:
     record = {}
-    for key, (name, parse) in _SWEEP_FIELDS.items():
+    for key, (name, parse, _) in _SWEEP_FIELDS.items():
         value = getattr(cell, name)
         if parse in (_finite, _optional_finite):
             value = _json_float(value)
@@ -215,12 +225,14 @@ def _write_sweep(path, cells, fmt: str):
     _write_text(path, text + "\n")
 
 
-def _sweep_cell(path, where: str, record) -> SweepCell:
+def _sweep_cell(path, where: str, record, from_json: bool) -> SweepCell:
     _require(isinstance(record, dict), f"{path}: {where} must be an object")
     fields = {}
-    for key, (name, convert) in _SWEEP_FIELDS.items():
+    for key, (name, convert, json_type) in _SWEEP_FIELDS.items():
         _require(key in record, f"{path}: {where} has no {key!r}")
         try:
+            if from_json and not json_type(record[key]):
+                raise TypeError(key)
             fields[name] = convert(record[key])
         except (KeyError, TypeError, ValueError):
             raise SchemaError(f"{path}: {where}: bad {key} {record[key]!r}") from None
@@ -244,7 +256,7 @@ def read_sweep_file(path) -> list[SweepCell]:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
         _require(isinstance(payload, dict) and isinstance(payload.get("cells"), list),
                  f"{path}: expected an object with a 'cells' list")
-        return [_sweep_cell(path, f"cell {i}", r) for i, r in enumerate(payload["cells"])]
+        return [_sweep_cell(path, f"cell {i}", r, True) for i, r in enumerate(payload["cells"])]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SWEEP_CSV_HEADER:
         raise SchemaError(f"{path}: missing sweep CSV header")
@@ -254,7 +266,7 @@ def read_sweep_file(path) -> list[SweepCell]:
         parts = ln.split(",")
         if len(parts) != len(keys):
             raise SchemaError(f"{path}: malformed sweep row {ln!r}")
-        cells.append(_sweep_cell(path, f"line {i}", dict(zip(keys, parts))))
+        cells.append(_sweep_cell(path, f"line {i}", dict(zip(keys, parts)), False))
     return cells
 
 
@@ -345,15 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: keys of a simulate configuration, as stored in its manifest
 _SIMULATE_KEYS = ("direction", "n", "fs", "bg", "bg_subtract", "samples", "seed", "format", "out")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    # a JSON integer can be past float range
-    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _config_error(parser, manifest: str | None, key: str, message):

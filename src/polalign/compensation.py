@@ -11,18 +11,20 @@ Either way the optimum satisfies V ~ U+ up to phase.  Away from it the
 order matters: the signal states see V U forward and U V reversed, and
 :func:`residual_qber` scores the product of its direction.
 
-On Stokes vectors V acts as a rotation R in SO(3), and the summed fidelity
-is 2 + tr(R B)/2 with B = sum_n s_n t_n^T over reconstructions s_n and
-targets t_n (R^T in the reversed orientation).  Maximizing it is Wahba's
-problem (Wahba, SIAM Rev. 7, 409 (1965); Kabsch, Acta Cryst. A32, 922
-(1976)).  The targets lie in the S1-S2 plane, so B = [a b 0] with
-a = s_H - s_V and b = s_D - s_A has rank <= 2, and the optimal R is its
-planar polar factor: rows x = unit(a + b x n), y = n x x and n, the unit
-normal of a and b.  The maximum is h = |a + b x n| = sigma1 + sigma2, the
-sum of B's singular values, with sigma1 sigma2 = |a x b|.  The plate
-angles follow from R in closed form: a quarter plate at theta is a +pi/2
-rotation and a half plate a pi rotation, both about (cos 2 theta,
-sin 2 theta, 0).  The per-trial path is scalar arithmetic throughout.
+Everything here is real Stokes arithmetic.  On Stokes vectors V acts as a
+rotation R_V in SO(3), and the summed fidelity is 2 + tr(R B)/2 with
+B = sum_n s_n t_n^T over reconstructions s_n and targets t_n, where
+R = R_V forward and R_V^T reversed.  Maximizing it is Wahba's problem
+(Wahba, SIAM Rev. 7, 409 (1965); Kabsch, Acta Cryst. A32, 922 (1976)).
+The targets lie in the S1-S2 plane, so B = [a b 0] with a = s_H - s_V and
+b = s_D - s_A has rank <= 2, and the optimal R is its planar polar factor:
+rows x = unit(a + b x n), y = n x x and n, the unit normal of a and b.  The
+maximum is h = |a + b x n| = sigma1 + sigma2, the sum of B's singular
+values, with sigma1 sigma2 = |a x b|.  The plate angles follow from R_V in
+closed form: a quarter plate at theta is a +pi/2 rotation and a half plate
+a pi rotation, both about (cos 2 theta, sin 2 theta, 0).  The score needs
+no angles: it is read from R_V and the channel's Stokes axes.  The
+per-trial path is scalar arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polarization import ChannelUnitary, WavePlateAngles, _matmul2, _plate_stack
+from .polarization import WavePlateAngles
 from .tomography import Direction, ReconstructionSet
 
 #: below this tilt of R's third row from the S3 axis, theta1 is free
@@ -39,9 +41,14 @@ _POLE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class CompensationResult:
-    """Plate angles and the QBER they predict against the reconstructions."""
+    """Plate angles, their Stokes rotation and the QBER they predict against the reconstructions.
+
+    ``rotation`` holds the rows of R_V, the rotation the plates apply to
+    Stokes vectors, as nested tuples.
+    """
 
     angles: WavePlateAngles
+    rotation: tuple
     predicted_qber: float
     # constant 1 and True, as the optimum is closed form; kept only
     # because the benchmark's per-layer trace reads them
@@ -160,8 +167,9 @@ def optimize(
 
     The optimum is exact: the Wahba rotation and, of its four plate
     settings, the one with the least total travel from ``previous_angles``
-    (zeros when absent).  ``predicted_qber`` is one minus a quarter of the
-    summed fidelity at that optimum, 2 + h/2 with h = tr(R B).
+    (zeros when absent), and the rotation R_V they apply.
+    ``predicted_qber`` is one minus a quarter of the summed fidelity at
+    that optimum, 2 + h/2 with h = tr(R B).
     """
     reference = previous_angles.as_tuple() if previous_angles is not None else (0.0, 0.0, 0.0)
     rows, h = _wahba_rotation(*_wahba_columns(recon))
@@ -172,26 +180,31 @@ def optimize(
     if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
     predicted = min(1.0, max(0.0, predicted))
-    return CompensationResult(angles, predicted, 1, True)
+    return CompensationResult(angles, rows, predicted, 1, True)
 
 
-def residual_qber(
-    true_channel: ChannelUnitary, angles: WavePlateAngles, direction: Direction
-) -> float:
+def residual_qber(axes, rotation, direction: Direction) -> float:
     """Error ratio of ideal signal states after channel plus compensation.
 
-    1 - (1/4) sum_n |<psi_n| W |psi_n>|^2 over the BB84 states, with
-    W = V(theta) U forward (plates after the channel) and W = U V(theta)
-    reversed (plates before it); zero exactly when V undoes U up to a
-    phase, independent of any source depolarization.  Clamped at 0, where
-    an exact compensation can round the sum of overlaps above 4.
+    The Stokes rotation of the compensated channel is M = R_V R_U forward
+    (plates after the channel) and M = R_U R_V reversed (plates before
+    it).  A BB84 state of Stokes vector t keeps the fidelity (1 + t.M t)/2,
+    so the QBER over H, V, D and A is 1/2 - (M_00 + M_11)/4: zero exactly
+    when R_V undoes R_U, independent of any source depolarization.
+    ``axes`` are the channel's two Stokes axes (``montecarlo.stokes_axes``):
+    the columns R_U e1 and R_U e2 forward, the rows 0 and 1 of R_U
+    reversed.  ``rotation`` holds the rows of R_V
+    (:attr:`CompensationResult.rotation`).
+    Clamped at 0, where an exact compensation can round the trace above 2.
     """
     if type(direction) is not Direction:
         direction = Direction(direction)
-    v = _plate_stack(angles)
-    u = true_channel.entries.ravel().tolist()
-    w00, w01, w10, w11 = _matmul2(v, u) if direction is Direction.FORWARD else _matmul2(u, v)
-    # |<psi|W|psi>|^2 summed over H, V, D and A
-    overlaps = (abs(w00) ** 2 + abs(w11) ** 2 + abs((w00 + w01 + w10 + w11) / 2.0) ** 2
-                + abs((w00 - w01 - w10 + w11) / 2.0) ** 2)
-    return max(0.0, 1.0 - overlaps / 4.0)
+    (p0, p1, p2), (q0, q1, q2) = axes
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    if direction is Direction.FORWARD:
+        # rows 0 and 1 of R_V against the columns R_U e1 and R_U e2
+        trace = r00 * p0 + r01 * p1 + r02 * p2 + r10 * q0 + r11 * q1 + r12 * q2
+    else:
+        # rows 0 and 1 of R_U against the columns 0 and 1 of R_V
+        trace = p0 * r00 + p1 * r10 + p2 * r20 + q0 * r01 + q1 * r11 + q2 * r21
+    return max(0.0, 0.5 - trace / 4.0)

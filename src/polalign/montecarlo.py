@@ -4,8 +4,11 @@ Each trial takes a Haar-random channel, simulates photon counting with a
 finite detection budget, intrinsic signal fidelity and optional Poissonian
 detector background, runs the tomography + compensation pipeline, and
 scores the residual QBER of ideal signal states through the compensated
-channel.  Sweeps aggregate trials over a (direction, N, F_S, background)
-grid and fit the mean residual QBER to the power law
+channel.  Past the Haar draw a channel is its two Stokes axes
+(:func:`stokes_axes`): the count probabilities are read from them, and the
+score compares them with the compensation's Stokes rotation, so no trial
+builds a Jones matrix.  Sweeps aggregate trials over a (direction, N, F_S,
+background) grid and fit the mean residual QBER to the power law
 
     E(F_S, N) = alpha * (2 F_S - 1)^beta * N^gamma
 
@@ -15,12 +18,13 @@ Determinism: each cell runs in blocks of ``_BLOCK_SIZE`` trials.  A
 block's generator is seeded through NumPy's ``SeedSequence`` from the
 master seed, the cell coordinates and the block index.  The block then
 draws a full block of trials in one pass, each draw one array call: the
-Haar channels from one ``random((_BLOCK_SIZE, 4))``, the signal counts
-from one multinomial over the block's cell probabilities, and with
-background one Poisson count per cell.  Only then are its trials scored,
-one by one, so a trial's draws depend on its cell, its block and its
-place in the block, never on how many of the block's trials the cell
-runs or on the worker that runs it.  A cell's first k trials are the
+Haar channels from one ``random((_BLOCK_SIZE, 4))``, then, from their
+Stokes axes computed once for the block, the signal counts from one
+multinomial over the block's cell probabilities, and with background one
+Poisson count per cell.  Only then are its trials scored, one by one, so
+a trial's draws depend on its cell, its block and its place in the block,
+never on how many of the block's trials the cell runs or on the worker
+that runs it.  A cell's first k trials are the
 same for any sample count of at least k, and results are bit-identical
 for any worker count.
 
@@ -44,8 +48,9 @@ import numpy as np
 
 from .compensation import optimize, residual_qber
 from .errors import ConfigError, FitError, InsufficientCountsError, SweepError
-from .polarization import ChannelUnitary, haar_random_unitary
+from .polarization import haar_random_unitary
 from .tomography import (
+    ROW_LABELS,
     CountMatrix,
     Direction,
     reconstruct_forward,
@@ -87,10 +92,12 @@ class TrialConfig:
                 f"signal fidelity must be in [0.5, 1], got {self.signal_fidelity!r}",
                 field="signal_fidelity",
             )
-        if not 0.0 <= self.background_mean <= MAX_BACKGROUND_MEAN:  # NaN fails both
+        # the sampler draws each cell at the mean over the input rows
+        if not 0.0 <= expected_background_per_cell(self) <= MAX_BACKGROUND_MEAN:  # NaN fails
+            largest = MAX_BACKGROUND_MEAN * len(ROW_LABELS[self.direction])
             raise ConfigError(
-                f"background mean must be in [0, {MAX_BACKGROUND_MEAN:g}], "
-                f"got {self.background_mean!r}", field="background_mean"
+                f"background mean must be in [0, {largest:g}] for {self.direction.value} "
+                f"trials, got {self.background_mean!r}", field="background_mean"
             )
 
 
@@ -154,23 +161,14 @@ class BackgroundStudyResult:
     cells: tuple[BackgroundStudyCell, ...]
 
 
-def expected_probabilities(
-    entries: np.ndarray, direction: Direction, signal_fidelity: float
-) -> np.ndarray:
-    """Exact per-event cell probabilities of the counting model, per channel.
+def stokes_axes(entries: np.ndarray, direction: Direction) -> np.ndarray:
+    """The two Stokes axes of each channel that its counts and its score read, shape (..., 2, 3).
 
-    ``entries`` holds 2x2 channel unitaries with shape (..., 2, 2); the
-    result has shape (..., 4, 6) forward and (..., 6, 4) reversed.  Entry
-    (n, m) is the probability that a single detection lands in input row n
-    and outcome column m: uniform input choice, uniform basis choice
-    (three bases forward, two reversed), Born-rule outcome within the
-    basis for the depolarized post-channel state.  Each matrix sums to one.
-
-    Both directions have 12 (input, basis) pairs, and each input and
-    outcome is a signed Stokes axis, so with R the Stokes rotation of U
-    every entry is (1 +- (2 F_S - 1) R_kj)/24: outcome axis k, input axis j.
-    Forward reads the columns R e1 and R e2 (inputs H/V and D/A), reversed
-    the rows 0 and 1 (outcomes H/V and D/A).  With U = [[a, b], [c, d]]:
+    ``entries`` holds 2x2 channel unitaries with shape (..., 2, 2), and R
+    is the rotation each applies to Stokes vectors.  Forward gives the
+    columns R e1 and R e2 (the images of the H/V and D/A inputs), reversed
+    the rows 0 and 1 (the preimages of the H/V and D/A outcomes).  With
+    U = [[a, b], [c, d]]:
 
         R e1 = (|a|^2 - |b|^2, Re(a c* - b d*), -Im(a c* - b d*))
         R e2 = (Re(a b* - c d*), Re(a d* + b c*), -Im(a d* + b c*))
@@ -184,34 +182,56 @@ def expected_probabilities(
     ab = a * b.conj() - c * d.conj()
     ad = a * d.conj() + b * c.conj()
     r00 = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
-    forward = direction is Direction.FORWARD
-    if forward:
+    if direction is Direction.FORWARD:
         axes = (r00, ac.real, -ac.imag, ab.real, ad.real, -ad.imag)
     else:
         r12 = (a * d.conj() - b * c.conj()).imag
         axes = (r00, ab.real, ab.imag, ac.real, ad.real, r12)
-    x = (2.0 * signal_fidelity - 1.0) * np.stack(axes, axis=-1).reshape(*batch, 2, 3)
+    return np.stack(axes, axis=-1).reshape(*batch, 2, 3)
+
+
+def expected_probabilities(
+    axes: np.ndarray, direction: Direction, signal_fidelity: float
+) -> np.ndarray:
+    """Exact per-event cell probabilities of the counting model, per channel.
+
+    ``axes`` holds each channel's :func:`stokes_axes` for ``direction``,
+    shape (..., 2, 3); the result has shape (..., 4, 6) forward and
+    (..., 6, 4) reversed.  Entry (n, m) is the probability that a single
+    detection lands in input row n and outcome column m: uniform input
+    choice, uniform basis choice (three bases forward, two reversed),
+    Born-rule outcome within the basis for the depolarized post-channel
+    state.  Each matrix sums to one.
+
+    Both directions have 12 (input, basis) pairs, and each input and
+    outcome is a signed Stokes axis, so with R the Stokes rotation of the
+    channel every entry is (1 +- (2 F_S - 1) R_kj)/24: outcome axis k,
+    input axis j.  Forward reads the columns R e1 and R e2 (inputs H/V and
+    D/A), reversed the rows 0 and 1 (outcomes H/V and D/A).
+    """
+    axes = np.asarray(axes, dtype=float)
+    batch = axes.shape[:-2]
+    x = (2.0 * signal_fidelity - 1.0) * axes
     # the (+, -) outcomes (inputs) of each of the three axes, interleaved;
     # the opposite input (outcome) of the axis swaps each pair
     plus = np.stack(((1.0 + x) / 24.0, (1.0 - x) / 24.0), axis=-1)
     p = np.stack((plus, plus[..., ::-1]), axis=-3).reshape(*batch, 4, 6)
-    return p if forward else np.swapaxes(p, -1, -2)
+    return p if direction is Direction.FORWARD else np.swapaxes(p, -1, -2)
 
 
 def expected_background_per_cell(cfg: TrialConfig) -> float:
     """Mean background counts landing in each (row, column) cell."""
-    n_rows = 4 if cfg.direction is Direction.FORWARD else 6
-    return cfg.background_mean / n_rows
+    return cfg.background_mean / len(ROW_LABELS[cfg.direction])
 
 
 def generate_counts(
-    entries: np.ndarray, cfg: TrialConfig, rng: np.random.Generator
+    axes: np.ndarray, cfg: TrialConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Stochastic count matrices, as the detectors record them, one per channel.
 
-    ``entries`` holds channel unitaries with shape (..., 2, 2); the counts
-    have the shape of :func:`expected_probabilities`.  Signal: one
-    multinomial call allocates ``n_detected`` events over the (input,
+    ``axes`` holds each channel's :func:`stokes_axes`, shape (..., 2, 3);
+    the counts have the shape of :func:`expected_probabilities`.  Signal:
+    one multinomial call allocates ``n_detected`` events over the (input,
     basis, outcome) cells of every channel.  Background: one Poisson call
     draws every cell of every channel at :func:`expected_background_per_cell`,
     as a detector's Poisson count, spread uniformly over the input rows (it
@@ -219,7 +239,7 @@ def generate_counts(
     With background the counts are floats.  Nothing is subtracted here:
     :func:`run_trial` subtracts that mean in each arm that asks for it.
     """
-    p = expected_probabilities(entries, cfg.direction, cfg.signal_fidelity)
+    p = expected_probabilities(axes, cfg.direction, cfg.signal_fidelity)
     *batch, n_rows, n_cols = p.shape
     counts = rng.multinomial(cfg.n_detected, p.reshape(*batch, n_rows * n_cols)).reshape(p.shape)
     if cfg.background_mean > 0.0:
@@ -230,20 +250,19 @@ def generate_counts(
 
 
 def run_trial(
-    cfg: TrialConfig, channel: np.ndarray, counts: np.ndarray, arms: tuple[bool, ...]
+    cfg: TrialConfig, axes, counts: np.ndarray, arms: tuple[bool, ...]
 ) -> tuple[float, ...]:
     """One end-to-end protocol trial on a drawn channel; the residual QBER of each arm.
 
-    ``channel`` is the trial's 2x2 Haar draw and ``counts`` the count
-    matrix drawn through it.  Each entry of ``arms`` is a subtraction
-    flag: that arm reconstructs from the drawn counts, with the mean
-    background subtracted where the flag is set (a no-op without
-    background), optimizes the compensation and scores it against the
-    true channel.  Every arm scores the same draw.  Tomography errors
+    ``axes`` are the :func:`stokes_axes` of the trial's Haar draw, a 2x3
+    nested sequence, and ``counts`` the count matrix drawn through it.
+    Each entry of ``arms`` is a subtraction flag: that arm reconstructs
+    from the drawn counts, with the mean background subtracted where the
+    flag is set (a no-op without background), optimizes the compensation
+    and scores its Stokes rotation against the true channel's axes.  Every arm scores the same draw.  Tomography errors
     propagate (a trial fails if any arm does): sweeps record them as
     failed trials rather than dropping them silently.
     """
-    u = ChannelUnitary(channel)
     drawn = CountMatrix(cfg.direction, counts)
     reconstruct = (reconstruct_forward if cfg.direction is Direction.FORWARD
                    else reconstruct_reversed)
@@ -255,7 +274,7 @@ def run_trial(
             subtracted = np.maximum(drawn.counts - expected_background_per_cell(cfg), 0.0)
             cm = CountMatrix(cfg.direction, subtracted, background_subtracted=True)
         result = optimize(reconstruct(cm))
-        qbers.append(residual_qber(u, result.angles, cfg.direction))
+        qbers.append(residual_qber(axes, result.rotation, cfg.direction))
     return tuple(qbers)
 
 
@@ -302,12 +321,14 @@ def _block(args):
                                          cfg.signal_fidelity, cfg.background_mean)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(coordinates, spawn_key=(start // _BLOCK_SIZE,))))
-    channels = haar_random_unitary(rng, _BLOCK_SIZE)
-    counts = generate_counts(channels, cfg, rng)
+    axes = stokes_axes(haar_random_unitary(rng, _BLOCK_SIZE), cfg.direction)
+    counts = generate_counts(axes, cfg, rng)
+    # as Python floats, for the scalar score
+    axes = axes.tolist()
     values = []
     for i in range(stop - start):
         try:
-            values.append(run_trial(cfg, channels[i], counts[i], arms))
+            values.append(run_trial(cfg, axes[i], counts[i], arms))
         except InsufficientCountsError:
             values.append(None)
     return values

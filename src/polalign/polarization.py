@@ -1,9 +1,11 @@
-"""Channel unitaries and wave-plate settings: the polarization algebra the program runs.
+"""Channel draws and wave-plate settings: the polarization conventions the program runs.
 
-Channels and the quarter-half-quarter stack are 2x2 unitaries on Jones
-vectors in the {|H>, |V>} basis; the only randomness is the Haar draw of
-channels, through an explicitly passed numpy Generator.  The tests' reference
-physics (tests/oracles.py) is written from the conventions below.
+The program is Stokes-only.  A channel is drawn once as a Haar-random 2x2
+unitary, through an explicitly passed numpy Generator, and from then on is
+described by its rotation R of Stokes vectors; the plates are set and the
+compensation is scored on rotations too.  The only Jones plate algebra is
+the tests' reference physics (tests/oracles.py), written from the
+conventions below.
 
 Conventions (fixed once, used everywhere):
 
@@ -11,9 +13,12 @@ Conventions (fixed once, used everywhere):
   R=(1,i)/sqrt2, L=(1,-i)/sqrt2.
 * A wave plate whose fast axis is rotated by theta from horizontal acts as
   R(theta) @ diag(1, e^{i delta}) @ R(-theta), with R the standard 2D
-  rotation matrix and delta the retardance (pi/2 quarter, pi half).
-  Global phases are never normalized away; all comparisons are
-  phase-insensitive.
+  rotation matrix and delta the retardance (pi/2 quarter, pi half).  On
+  Stokes vectors that is a rotation by delta about (cos 2 theta,
+  sin 2 theta, 0).  The stack V(theta) = Q(theta3) H(theta2) Q(theta1)
+  acts with the first quarter plate first; ``compensation._plate_settings``
+  encodes it.  Global phases are never normalized away; all comparisons
+  are phase-insensitive.
 * Stokes components are ordered (S1, S2, S3) = (H-V, D-A, R-L) expectation
   values, i.e. ``rho = (I + S1*sz + S2*sx + S3*sy) / 2``.
 """
@@ -24,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-ATOL = 1e-12
 
 BB84_LABELS = ("H", "V", "D", "A")
 ALL_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -52,28 +55,6 @@ def reduce_angle(theta: float) -> float:
     return reduced
 
 
-@dataclass(frozen=True)
-class ChannelUnitary:
-    """2x2 unitary: the lumped rotation of the quantum channel."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"channel unitary must be 2x2, got shape {m.shape}")
-        a, b, c, d = m.ravel().tolist()
-        # columns must be orthonormal: entries of U+U compared to I, each
-        # test written so that NaN fails it
-        col0 = abs(a) ** 2 + abs(c) ** 2
-        col1 = abs(b) ** 2 + abs(d) ** 2
-        cross = a.conjugate() * b + c.conjugate() * d
-        if not (abs(col0 - 1.0) <= ATOL and abs(col1 - 1.0) <= ATOL and abs(cross) <= ATOL):
-            raise ValueError("matrix is not unitary within 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
 @dataclass(frozen=True, init=False)
 class WavePlateAngles:
     """Physical rotation angles (radians) of the quarter-half-quarter stack.
@@ -92,33 +73,6 @@ class WavePlateAngles:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
-
-
-def _plate_entries(theta: float, retardance_phase: complex) -> tuple:
-    """R(theta) @ diag(1, e) @ R(-theta), expanded, as row-major scalars."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    e = retardance_phase
-    off = c * s * (1.0 - e)
-    return (c * c + e * s * s, off, off, s * s + e * c * c)
-
-
-def _plate_stack(angles: WavePlateAngles) -> tuple:
-    """Jones matrix of the quarter-half-quarter stack as row-major scalars, unchecked.
-
-    V(theta) = Q(theta3) @ H(theta2) @ Q(theta1): the first quarter plate
-    acts first.  The stack reaches every SU(2) element up to global phase,
-    so three plate rotations suffice to undo any channel unitary.
-    """
-    q3_h2 = _matmul2(_plate_entries(angles.theta3, 1.0j), _plate_entries(angles.theta2, -1.0))
-    return _matmul2(q3_h2, _plate_entries(angles.theta1, 1.0j))
-
-
-def _matmul2(x, y) -> tuple:
-    """Product of two 2x2 matrices held as row-major scalar 4-tuples."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return (x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3)
 
 
 def haar_random_unitary(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from polalign import ChannelUnitary, CountMatrix, Direction, haar_random_unitary
-from polalign.montecarlo import TrialConfig, expected_probabilities, generate_counts
+from polalign import CountMatrix, Direction, haar_random_unitary, residual_qber
+from polalign.montecarlo import TrialConfig, expected_probabilities, generate_counts, stokes_axes
 
+import oracles
 from oracles import KETS
 
 
@@ -17,14 +18,16 @@ def default_jobs() -> int:
 
 
 def exact_count_matrix(
-    u: ChannelUnitary, direction: Direction, signal_fidelity: float = 1.0, total: float = 1e4
+    u: np.ndarray, direction: Direction, signal_fidelity: float = 1.0, total: float = 1e4
 ) -> CountMatrix:
-    """Noiseless counts: exactly proportional to the model probabilities.
+    """Noiseless counts through the 2x2 channel ``u``: exactly proportional to the model
+    probabilities.
 
     Only count fractions matter to the reconstruction; ``total`` matters
     only to callers that round the counts to integers.
     """
-    p = expected_probabilities(u.entries, direction, signal_fidelity)
+    p = expected_probabilities(stokes_axes(oracles.unitary(u), direction), direction,
+                               signal_fidelity)
     return CountMatrix(direction, p * total)
 
 
@@ -34,14 +37,20 @@ def linear_count_matrix(counts) -> CountMatrix:
     return CountMatrix(Direction.FORWARD, padded)
 
 
-def haar_channel(rng) -> ChannelUnitary:
-    """One Haar-random channel: a size-1 draw, validated."""
-    return ChannelUnitary(haar_random_unitary(rng, 1)[0])
+def haar_channel(rng) -> np.ndarray:
+    """One Haar-random channel: a size-1 draw, checked unitary and read-only."""
+    return oracles.unitary(haar_random_unitary(rng, 1)[0])
 
 
-def drawn_count_matrix(u: ChannelUnitary, cfg: TrialConfig, rng) -> CountMatrix:
-    """The count matrix of one trial of ``cfg``, drawn through channel ``u``."""
-    return CountMatrix(cfg.direction, generate_counts(u.entries, cfg, rng))
+def drawn_count_matrix(u: np.ndarray, cfg: TrialConfig, rng) -> CountMatrix:
+    """The count matrix of one trial of ``cfg``, drawn through the 2x2 channel ``u``."""
+    axes = stokes_axes(oracles.unitary(u), cfg.direction)
+    return CountMatrix(cfg.direction, generate_counts(axes, cfg, rng))
+
+
+def stokes_qber(u: np.ndarray, rotation, direction: Direction) -> float:
+    """The program's residual QBER of the channel ``u`` compensated by the Stokes ``rotation``."""
+    return residual_qber(stokes_axes(oracles.unitary(u), direction), rotation, direction)
 
 
 def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -51,7 +60,7 @@ def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 def haar_state(rng, label: str = "H") -> np.ndarray:
     """A Haar-random pure state: the image of a canonical ket under a Haar channel."""
-    return haar_channel(rng).entries @ KETS[label]
+    return haar_channel(rng) @ KETS[label]
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

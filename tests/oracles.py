@@ -3,9 +3,11 @@
 Written from the conventions of ``polalign.polarization``: the six kets,
 a wave plate at theta of retardance delta as R(theta) diag(1, e^{i delta})
 R(-theta), and Stokes components (S1, S2, S3) = (<sz>, <sx>, <sy>).
-Nothing here imports the program's plate or product code, so an error
-there cannot cancel against the oracle it is checked with.  States are
-checked where they are built, so a non-physical one fails loudly.
+The program has no Jones plate algebra: it sets and scores the plates on
+Stokes rotations, so the plates and their products here are the only
+Jones form, and an error in the program cannot cancel against the oracle
+it is checked with.  States and channels are checked where they are
+built, so a non-physical one fails loudly.
 """
 
 import cmath
@@ -56,6 +58,22 @@ def density(entries) -> np.ndarray:
         raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
     rho.setflags(write=False)
     return rho
+
+
+def unitary(entries) -> np.ndarray:
+    """A read-only copy of a 2x2 matrix, checked to be unitary within ATOL."""
+    u = np.array(entries, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"channel unitary must be 2x2, got shape {u.shape}")
+    a, b, c, d = u.ravel().tolist()
+    # the entries of U+U against I, each test written so that NaN fails it
+    col0 = abs(a) ** 2 + abs(c) ** 2
+    col1 = abs(b) ** 2 + abs(d) ** 2
+    cross = a.conjugate() * b + c.conjugate() * d
+    if not (abs(col0 - 1.0) <= ATOL and abs(col1 - 1.0) <= ATOL and abs(cross) <= ATOL):
+        raise ValueError("matrix is not unitary within 1e-12")
+    u.setflags(write=False)
+    return u
 
 
 def projector(psi) -> np.ndarray:
@@ -113,32 +131,54 @@ def haar_unitary(u: float, alpha: float, beta: float, gamma: float) -> np.ndarra
     return np.array([[phase * a, phase * b], [-phase * b.conjugate(), phase * a.conjugate()]])
 
 
-def _plate(theta: float, delta: float) -> tuple:
-    """Wave plate of retardance delta, fast axis at theta: R(theta) diag(1, e^{i delta})
-    R(-theta) multiplied out, as row-major scalars."""
+#: retardance phases e^{i delta} of a quarter (delta = pi/2) and a half (delta = pi) plate
+QUARTER_PHASE = cmath.exp(1j * math.pi / 2.0)
+HALF_PHASE = cmath.exp(1j * math.pi)
+
+
+def _plate(theta: float, e: complex) -> tuple:
+    """Wave plate of retardance phase e = e^{i delta}, fast axis at theta:
+    R(theta) diag(1, e) R(-theta) multiplied out, as row-major scalars."""
     c, s = math.cos(theta), math.sin(theta)
-    e = cmath.exp(1j * delta)
     off = c * s * (1.0 - e)
     return (c * c + e * s * s, off, off, s * s + e * c * c)
 
 
 def _product(x, y) -> tuple:
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3)
 
 
 def quarter(theta: float) -> np.ndarray:
-    return np.array(_plate(theta, math.pi / 2.0)).reshape(2, 2)
+    return np.array(_plate(theta, QUARTER_PHASE)).reshape(2, 2)
 
 
 def half(theta: float) -> np.ndarray:
-    return np.array(_plate(theta, math.pi)).reshape(2, 2)
+    return np.array(_plate(theta, HALF_PHASE)).reshape(2, 2)
+
+
+def stack_entries(theta1: float, theta2: float, theta3: float) -> tuple:
+    """Q(theta3) H(theta2) Q(theta1), the first plate acting first, as row-major scalars."""
+    q3_h2 = _product(_plate(theta3, QUARTER_PHASE), _plate(theta2, HALF_PHASE))
+    return _product(q3_h2, _plate(theta1, QUARTER_PHASE))
 
 
 def stack(theta1: float, theta2: float, theta3: float) -> np.ndarray:
-    """Q(theta3) H(theta2) Q(theta1), the first plate acting first; in scalars, for speed."""
-    q3_h2 = _product(_plate(theta3, math.pi / 2.0), _plate(theta2, math.pi))
-    return np.array(_product(q3_h2, _plate(theta1, math.pi / 2.0))).reshape(2, 2)
+    """Q(theta3) H(theta2) Q(theta1) as a 2x2 array."""
+    return np.array(stack_entries(theta1, theta2, theta3)).reshape(2, 2)
+
+
+def jones_qber(u, angles, direction) -> float:
+    """Residual QBER of the BB84 states through channel ``u`` and the plates at ``angles``.
+
+    1 - (1/4) sum_n |<psi_n| W |psi_n>|^2 with W = V U forward (plates
+    after the channel) and W = U V reversed (plates before it), V the
+    stack at the three ``angles``; ``direction`` is "forward" or "reversed".
+    """
+    v = stack(*angles)
+    w = v @ u if direction == "forward" else u @ v
+    return 1.0 - sum(overlap(KETS[label], w @ KETS[label]) for label in BB84) / 4.0
 
 
 def linear_inversion(counts) -> np.ndarray:

@@ -47,6 +47,19 @@ def write_csv(path, rows):
     return str(path)
 
 
+def json_cell(row: str) -> dict:
+    """A CSV sweep row as a JSON record of real JSON values: numbers, booleans, null."""
+    def value(text):
+        if text == "":
+            return None
+        try:
+            return json.loads(text)
+        except ValueError:  # the direction, a bare word
+            return text
+
+    return dict(zip(cli.SWEEP_CSV_HEADER.split(","), map(value, row.split(","))))
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -119,19 +132,30 @@ class TestFit:
 
     @pytest.mark.parametrize("n,match", [(400.0, "bad n 400.0"), (True, "bad n True")])
     def test_json_n_not_an_integer_rejected(self, tmp_path, capsys, n, match):
-        cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
+        cells = [json_cell(row) for row in SWEEP_ROWS]
         cells[1]["n"] = n
         path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
         assert_rejected(["fit", "--in", path], capsys, f"cell 1: {match}")
 
+    @pytest.mark.parametrize("key,text", [
+        ("n", "400"), ("fs", "1"), ("bg_mean", "0"), ("bg_subtract", "false"),
+        ("samples", "10"), ("failures", "0"), ("mean_qber", "0.001"), ("std_qber", "0.001"),
+    ])
+    def test_json_string_for_a_value_rejected(self, tmp_path, capsys, key, text):
+        # JSON values are read by their JSON type: the CSV spelling as a string fails
+        cells = [json_cell(row) for row in SWEEP_ROWS]
+        cells[1][key] = text
+        path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
+        assert_rejected(["fit", "--in", path], capsys, f"cell 1: bad {key} {text!r}")
+
     def test_json_missing_key(self, tmp_path, capsys):
-        cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
+        cells = [json_cell(row) for row in SWEEP_ROWS]
         del cells[1]["mean_qber"]
         path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
         assert_rejected(["fit", "--in", path], capsys, "no 'mean_qber'")
 
     def test_json_integer_past_digit_limit_rejected(self, tmp_path, capsys):
-        cells = [dict(zip(cli.SWEEP_CSV_HEADER.split(","), row.split(","))) for row in SWEEP_ROWS]
+        cells = [json_cell(row) for row in SWEEP_ROWS]
         cells[1]["n"] = 987654321
         path = write_json_with_long_int(tmp_path / "s.json", {"schema_version": 1,
                                                                "cells": cells}, 987654321)
@@ -165,8 +189,7 @@ class TestFit:
         if form == "csv":
             path = write_csv(tmp_path / "s.csv", rows)
         else:
-            keys = cli.SWEEP_CSV_HEADER.split(",")
-            cells = [dict(zip(keys, r.split(","))) for r in rows]
+            cells = [json_cell(r) for r in rows]
             path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
         assert_rejected(["fit", "--in", path], capsys, match)
 
@@ -332,7 +355,8 @@ class TestSimulate:
         (["--direction", "reversed", "--n", "5"],
          "--n: reversed trials need at least 6 detections"),
         (["--fs", "nan"], "--fs: signal fidelity must be in [0.5, 1], got nan"),
-        (["--bg", "-1"], "--bg: background mean must be in [0, 9.22337e+18], got -1.0"),
+        (["--bg", "-1"],
+         "--bg: background mean must be in [0, 3.68935e+19] for forward trials, got -1.0"),
         (["--samples", "0"], "--samples: samples must be >= 1, got 0"),
         (["--seed", "-1"], "--seed: master seed must be >= 0, got -1"),
     ])
@@ -345,21 +369,22 @@ class TestSimulate:
         unwritable = str(tmp_path / "no-such-dir" / "s.csv")
         assert_rejected(argv + ["--out", unwritable], capsys, f"cannot open {unwritable}")
 
-    @pytest.mark.parametrize("bg", ["1e19", "1e300"])
+    @pytest.mark.parametrize("bg", ["1e20", "1e300"])
     def test_background_above_sampler_limit_rejected(self, tmp_path, capsys, bg):
         argv = ["simulate", "--direction", "forward", "--n", "400", "--fs", "0.95",
                 "--bg", bg, "--samples", "1", "--seed", "1", "--jobs", "1",
                 "--out", str(tmp_path / "s.csv")]
-        assert_rejected(argv, capsys,
-                        f"--bg: background mean must be in [0, 9.22337e+18], got {float(bg)!r}")
+        assert_rejected(argv, capsys, "--bg: background mean must be in [0, 3.68935e+19] "
+                                      f"for forward trials, got {float(bg)!r}")
 
     def test_manifest_background_above_sampler_limit_rejected(self, tmp_path, capsys):
-        config = {"direction": "reversed", "n": [400], "fs": [0.95], "bg": [1e19],
+        config = {"direction": "reversed", "n": [400], "fs": [0.95], "bg": [1e20],
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
         path = write_json(tmp_path / "m.json", {"config": config})
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
-                        "bg: background mean must be in [0, 9.22337e+18], got 1e+19")
+                        "bg: background mean must be in [0, 5.53402e+19] for reversed trials, "
+                        "got 1e+20")
 
     @pytest.mark.parametrize("key", ["fs", "bg"])
     def test_manifest_number_past_float_range_rejected(self, tmp_path, capsys, key):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from polalign import montecarlo
 from polalign.errors import FitError, InsufficientCountsError
 
 from conftest import default_jobs
+import oracles
 from oracles import KETS
 
 D = pa.Direction
@@ -139,8 +141,8 @@ class TestBackgroundStudy:
         def arm(subtract):
             # one block: its trials score the block's draws in order, the
             # dropped pair included
-            channels, counts = block_draws(seed, cfg, 0)
-            values = [pa.run_trial(cfg, channels[i], counts[i], (subtract,))[0]
+            _channels, axes, counts = block_draws(seed, cfg, 0)
+            values = [pa.run_trial(cfg, axes[i], counts[i], (subtract,))[0]
                       for i in range(samples)]
             del values[dropped]
             return values
@@ -171,7 +173,7 @@ class TestBackgroundStudy:
         assert len(study.cells) == 4
         assert len(calls["haar_random_unitary"]) == len(calls["generate_counts"]) == 4 * 2
         assert all(size == 4 for _rng, size in calls["haar_random_unitary"])
-        assert all(entries.shape == (4, 2, 2) for entries, _cfg, _rng in calls["generate_counts"])
+        assert all(axes.shape == (4, 2, 3) for axes, _cfg, _rng in calls["generate_counts"])
         assert len(calls["run_trial"]) == 4 * 7
         assert all(arms == (False, True) for *_, arms in calls["run_trial"])
 
@@ -185,10 +187,12 @@ def block_rng(seed, cfg, block):
 
 
 def block_draws(seed, cfg, block):
-    """The channels and counts of a full block of a sweep cell, by its definition."""
+    """The channels, their Stokes axes and the counts of a full block of a sweep cell,
+    by its definition."""
     rng = block_rng(seed, cfg, block)
     channels = pa.haar_random_unitary(rng, montecarlo._BLOCK_SIZE)
-    return channels, pa.generate_counts(channels, cfg, rng)
+    axes = pa.stokes_axes(channels, cfg.direction)
+    return channels, axes, pa.generate_counts(axes, cfg, rng)
 
 
 class TestRunTrial:
@@ -198,27 +202,50 @@ class TestRunTrial:
         # both arms from one call equal the two single-arm calls on the
         # same drawn channel and counts, bit for bit
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
-        channels, counts = block_draws(4, cfg, 0)
+        _channels, axes, counts = block_draws(4, cfg, 0)
         for t in range(20):
-            both = pa.run_trial(cfg, channels[t], counts[t], (False, True))
-            plain, = pa.run_trial(cfg, channels[t], counts[t], (False,))
-            subtracted, = pa.run_trial(cfg, channels[t], counts[t], (True,))
+            both = pa.run_trial(cfg, axes[t], counts[t], (False, True))
+            plain, = pa.run_trial(cfg, axes[t], counts[t], (False,))
+            subtracted, = pa.run_trial(cfg, axes[t], counts[t], (True,))
             assert both == (plain, subtracted)
-            assert pa.run_trial(cfg, channels[t], counts[t], (True, False)) == (
+            assert pa.run_trial(cfg, axes[t], counts[t], (True, False)) == (
                 subtracted, plain)
             if background == 0.0:
                 assert plain == subtracted
 
     def test_drawn_values_validated(self):
-        # the trial builds a checked channel and count matrix from its draw
+        # the trial builds a checked count matrix from its draw
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
-        channels, counts = block_draws(4, cfg, 0)
-        with pytest.raises(ValueError, match="not unitary"):
-            pa.run_trial(cfg, 2.0 * channels[0], counts[0], (False,))
+        _channels, axes, counts = block_draws(4, cfg, 0)
         with pytest.raises(ValueError, match="shape"):
-            pa.run_trial(cfg, channels[0], counts[0].T, (False,))
+            pa.run_trial(cfg, axes[0], counts[0].T, (False,))
         with pytest.raises(ValueError, match="nonnegative"):
-            pa.run_trial(cfg, channels[0], -counts[0], (False,))
+            pa.run_trial(cfg, axes[0], -counts[0], (False,))
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("n", [400, 6400])
+    @pytest.mark.parametrize("fs", [0.95, 1.0])
+    @pytest.mark.parametrize("background", [0.0, 20.0])
+    def test_stokes_score_matches_jones_oracle(self, monkeypatch, direction, n, fs, background):
+        # every arm of every trial of a drawn block: the program's score of
+        # optimize's rotation against the channel's Stokes axes equals the
+        # oracle's Jones score of optimize's plate angles on the drawn channel
+        cfg = pa.TrialConfig(direction, n, fs, background_mean=background)
+        channels, axes, counts = block_draws(11, cfg, 0)
+        results = []
+
+        def record(recon, original=montecarlo.optimize):
+            results.append(original(recon))
+            return results[-1]
+
+        monkeypatch.setattr(montecarlo, "optimize", record)
+        for u, trial_axes, trial_counts in zip(channels, axes.tolist(), counts):
+            results.clear()
+            qbers = pa.run_trial(cfg, trial_axes, trial_counts, (False, True))
+            assert len(results) == len(qbers) == 2
+            for qber, result in zip(qbers, results):
+                jones = oracles.jones_qber(oracles.unitary(u), result.angles.as_tuple(), direction)
+                assert abs(qber - jones) <= 1e-12
 
 
 class _RecordingPool:
@@ -307,9 +334,7 @@ class TestGridChecks:
 
 
 class TestConfigLimits:
-    @pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, 1e19, 1e300,
-                                            math.nextafter(montecarlo.MAX_BACKGROUND_MEAN,
-                                                           math.inf)])
+    @pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, 1e20, 1e300])
     def test_background_the_sampler_cannot_draw_rejected(self, background):
         with pytest.raises(ValueError, match="background mean must be in"):
             pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=background)
@@ -325,13 +350,19 @@ class TestConfigLimits:
 
     @pytest.mark.parametrize("direction", list(D))
     def test_largest_supported_values_draw(self, direction):
-        # the limits are what NumPy's multinomial and Poisson samplers accept
+        # the limits are what NumPy's multinomial and Poisson samplers accept;
+        # the Poisson sampler draws each cell at the background over the rows
+        rows = 4 if direction is D.FORWARD else 6
+        largest = rows * montecarlo.MAX_BACKGROUND_MEAN
         cfg = pa.TrialConfig(direction, montecarlo.MAX_DETECTIONS, 0.95,
-                             background_mean=montecarlo.MAX_BACKGROUND_MEAN)
+                             background_mean=largest)
         rng = np.random.default_rng(1)
-        counts = montecarlo.generate_counts(pa.haar_random_unitary(rng, 3), cfg, rng)
+        axes = pa.stokes_axes(pa.haar_random_unitary(rng, 3), direction)
+        counts = montecarlo.generate_counts(axes, cfg, rng)
         totals = counts.sum(axis=(1, 2))
         assert np.all(np.isfinite(totals)) and np.all(totals > montecarlo.MAX_DETECTIONS)
+        with pytest.raises(ValueError, match=re.escape(f"background mean must be in [0, {largest:g}]")):
+            pa.TrialConfig(direction, 400, 0.95, background_mean=math.nextafter(largest, math.inf))
 
     @pytest.mark.parametrize("field,value", [("n_detected", 3), ("signal_fidelity", 0.4),
                                              ("background_mean", math.nan)])
@@ -370,14 +401,17 @@ class TestExpectedProbabilities:
         six = np.column_stack([KETS[lab] for lab in "HVDARL"])
         inputs, outcomes, n_bases = (bb84, six, 3) if direction is D.FORWARD else (six, bb84, 2)
         draws = pa.haar_random_unitary(np.random.default_rng(21), 1000)
-        batch = montecarlo.expected_probabilities(draws, direction, fs)
-        for u, p in zip(draws, batch):
+        axes = pa.stokes_axes(draws, direction)
+        batch = montecarlo.expected_probabilities(axes, direction, fs)
+        for u, u_axes, p in zip(draws, axes, batch):
             overlap = np.abs(outcomes.conj().T @ (u @ inputs)) ** 2
             born = ((2.0 * fs - 1.0) * overlap + (1.0 - fs)).T / (inputs.shape[1] * n_bases)
             assert p.shape == born.shape
             np.testing.assert_allclose(p, born, rtol=0.0, atol=1e-15)
             # one channel's entries give that channel's matrix
-            assert np.array_equal(montecarlo.expected_probabilities(u, direction, fs), p)
+            assert np.array_equal(montecarlo.expected_probabilities(u_axes, direction, fs), p)
+            # and the batch's axes are each channel's own
+            assert np.array_equal(pa.stokes_axes(u, direction), u_axes)
 
 
 class TestAsymptoticOracle:
@@ -503,12 +537,12 @@ class TestSeeds:
     @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("start", [0, 2**32 - 2])
     def test_block_seeds_match_definition(self, monkeypatch, master_seed, start):
-        # trial i of a block scores row i of the block's channels and counts:
+        # trial i of a block scores row i of the block's Stokes axes and counts:
         # a full block drawn from PCG64 seeded with the block's SeedSequence
         drawn = []
 
-        def record(cfg, channel, counts, arms):
-            drawn.append((channel, counts))
+        def record(cfg, axes, counts, arms):
+            drawn.append((axes, counts))
             return (0.0,)
 
         monkeypatch.setattr(montecarlo, "run_trial", record)
@@ -517,10 +551,10 @@ class TestSeeds:
             cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
             drawn.clear()
             montecarlo._block((master_seed, cfg, (False,), start, start + 4))
-            channels, counts = block_draws(master_seed, cfg, block)
+            _channels, axes, counts = block_draws(master_seed, cfg, block)
             assert len(drawn) == 4
-            for t, (channel, trial_counts) in enumerate(drawn):
-                assert np.array_equal(channel, channels[t]), (cfg, t)
+            for t, (trial_axes, trial_counts) in enumerate(drawn):
+                assert np.array_equal(trial_axes, axes[t]), (cfg, t)
                 assert np.array_equal(trial_counts, counts[t]), (cfg, t)
 
     def test_cell_prefix_independent_of_samples(self, monkeypatch):
@@ -582,13 +616,13 @@ class TestGenerateCounts:
         # same state
         size = 50
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
-        channels = pa.haar_random_unitary(np.random.default_rng(8), size)
+        axes = pa.stokes_axes(pa.haar_random_unitary(np.random.default_rng(8), size), direction)
         rng = np.random.default_rng(9)
-        drawn = montecarlo.generate_counts(channels, cfg, rng)
+        drawn = montecarlo.generate_counts(axes, cfg, rng)
         after = rng.random()
 
         rng = np.random.default_rng(9)
-        p = montecarlo.expected_probabilities(channels, direction, cfg.signal_fidelity)
+        p = montecarlo.expected_probabilities(axes, direction, cfg.signal_fidelity)
         n_rows, n_cols = p.shape[1:]
         counts = rng.multinomial(cfg.n_detected, p.reshape(size, -1)).reshape(p.shape)
         noise = rng.poisson(background / n_rows, size=(size, n_rows, n_cols))
@@ -603,11 +637,11 @@ class TestGenerateCounts:
         # without background, row k of a batch is the multinomial of channel
         # k alone, drawn in order from the same stream
         cfg = pa.TrialConfig(direction, 400, 0.95)
-        channels = pa.haar_random_unitary(np.random.default_rng(8), 20)
-        batch = montecarlo.generate_counts(channels, cfg, np.random.default_rng(9))
+        axes = pa.stokes_axes(pa.haar_random_unitary(np.random.default_rng(8), 20), direction)
+        batch = montecarlo.generate_counts(axes, cfg, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        for u, counts in zip(channels, batch):
-            one = montecarlo.generate_counts(u, cfg, rng)
+        for u_axes, counts in zip(axes, batch):
+            one = montecarlo.generate_counts(u_axes, cfg, rng)
             assert one.shape == counts.shape
             assert np.array_equal(one, counts)
             assert one.sum() == cfg.n_detected

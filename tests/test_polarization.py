@@ -7,10 +7,10 @@ from scipy.stats import kstest
 
 import polalign as pa
 from polalign.compensation import _plate_settings
-from polalign.montecarlo import expected_probabilities
+from polalign.montecarlo import expected_probabilities, stokes_axes
 
 import oracles
-from conftest import haar_channel, haar_state, operator_fidelity
+from conftest import haar_channel, haar_state, operator_fidelity, stokes_qber
 from oracles import KETS
 
 SQ2 = math.sqrt(0.5)
@@ -61,13 +61,13 @@ class TestTypeInvariants:
 
     def test_unitary_enforced(self):
         with pytest.raises(ValueError, match="unitary"):
-            pa.ChannelUnitary(np.array([[1.0, 0.0], [0.0, 1.1]]))
+            oracles.unitary(np.array([[1.0, 0.0], [0.0, 1.1]]))
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3), (2, 3), (1, 2, 2)])
     def test_channel_unitary_shape_enforced(self, shape):
         entries = np.zeros(shape, dtype=complex)
         with pytest.raises(ValueError, match=re.escape(f"must be 2x2, got shape {shape}")):
-            pa.ChannelUnitary(entries)
+            oracles.unitary(entries)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("index", [0, 1])
@@ -91,7 +91,7 @@ class TestTypeInvariants:
         entries = np.eye(2, dtype=complex)
         entries[index] = bad
         with pytest.raises(ValueError, match="unitary"):
-            pa.ChannelUnitary(entries)
+            oracles.unitary(entries)
 
     def test_wave_plate_angles_reduced(self):
         angles = pa.WavePlateAngles(-0.25, math.pi + 0.5, 7.0)
@@ -127,9 +127,9 @@ class TestTypeInvariants:
 
     def test_channel_unitary_copies_caller_array(self):
         entries = np.eye(2, dtype=complex)
-        u = pa.ChannelUnitary(entries)
+        u = oracles.unitary(entries)
         entries[0, 0] = 5.0
-        assert u.entries[0, 0] == 1.0
+        assert u[0, 0] == 1.0
 
 
 class TestFidelities:
@@ -173,7 +173,7 @@ class TestFidelities:
     def test_simultaneous_rotation_invariance(self, rng):
         # F(U phi, U rho U+) = F(phi, rho)
         for _ in range(50):
-            u = haar_channel(rng).entries
+            u = haar_channel(rng)
             phi = haar_state(rng, "D")
             rho = oracles.depolarize(haar_state(rng), rng.uniform(0.5, 1.0))
             rotated_rho = oracles.density(u @ rho @ u.conj().T)
@@ -211,7 +211,7 @@ class TestDepolarize:
 
 def born_row(u: np.ndarray, label: str) -> np.ndarray:
     """The program's forward cell probabilities of input ``label`` through channel ``u``."""
-    p = expected_probabilities(u, pa.Direction.FORWARD, 1.0)
+    p = expected_probabilities(stokes_axes(u, pa.Direction.FORWARD), pa.Direction.FORWARD, 1.0)
     return p[pa.BB84_LABELS.index(label)]
 
 
@@ -305,8 +305,8 @@ class TestCompensationUnitary:
         assert operator_fidelity(np.eye(2), v) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary_for_random_angles(self, rng):
-        # the oracle's stack is the unitary product of its plates, and it is
-        # the program's: the program's plates at the same angles undo its adjoint
+        # the oracle's stack is the unitary product of its plates, and its
+        # Stokes rotation undoes its adjoint in the program's score
         for _ in range(50):
             angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
             t1, t2, t3 = angles.as_tuple()
@@ -314,14 +314,15 @@ class TestCompensationUnitary:
             product = oracles.quarter(t3) @ oracles.half(t2) @ oracles.quarter(t1)
             np.testing.assert_allclose(v, product, atol=1e-12)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-            channel = pa.ChannelUnitary(v.conj().T)
+            rotation = oracles.stokes_rotation(v).tolist()
             for direction in pa.Direction:
-                assert pa.residual_qber(channel, angles, direction) < 1e-12
+                assert stokes_qber(v.conj().T, rotation, direction) < 1e-12
+                assert oracles.jones_qber(v.conj().T, angles.as_tuple(), direction) < 1e-12
 
     def test_surjective_onto_su2(self, rng):
         # 200 Haar targets, each reached by all four closed-form settings
         for _ in range(200):
-            target = haar_channel(rng).entries
+            target = haar_channel(rng)
             fidelities = _analytic_stack_fidelities(target)
             assert len(fidelities) == 4
             assert min(fidelities) >= 1.0 - 1e-12
@@ -329,7 +330,7 @@ class TestCompensationUnitary:
     def test_surjectivity_grid_oracle(self, rng):
         # independent multiscale grid search corroborates the closed form
         for _ in range(3):
-            target = haar_channel(rng).entries
+            target = haar_channel(rng)
             analytic = min(_analytic_stack_fidelities(target))
             grid = _grid_refined_stack_fidelity(target)
             assert analytic >= 1.0 - 1e-12
@@ -346,7 +347,7 @@ def overlap_samples():
 class TestHaarSampling:
     def test_every_draw_unitary(self, rng):
         for _ in range(200):
-            u = haar_channel(rng).entries
+            u = haar_channel(rng)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     # the entries of draws from default_rng([11, k]), k = 0..4, as hex floats
@@ -378,7 +379,7 @@ class TestHaarSampling:
         # does, and a change of arithmetic there changes the last bits
         for k, expected in enumerate(self.PINNED):
             u = haar_channel(np.random.default_rng([11, k]))
-            got = [(z.real.hex(), z.imag.hex()) for z in u.entries.ravel().tolist()]
+            got = [(z.real.hex(), z.imag.hex()) for z in u.ravel().tolist()]
             assert got == expected
 
     def test_batch_rows_follow_scalar_formula(self):

@@ -25,7 +25,7 @@ class TestBound:
         )
 
     def test_bound_holds_over_haar_draws(self, rng):
-        lowest = min(aligned_max_probability(haar_channel(rng).entries)
+        lowest = min(aligned_max_probability(haar_channel(rng))
                      for _ in range(10_000))
         assert lowest >= POLARIZATION_BOUND - 1e-12
         # the bound is approached, not just respected
@@ -96,7 +96,7 @@ class TestClassify:
         # H, V, D, A lead both label orders, so the linear block is the
         # top-left 4x4 in either direction
         rng = np.random.default_rng(5)
-        linear = timing_counts(haar_channel(rng).entries, 267, rng)
+        linear = timing_counts(haar_channel(rng), 267, rng)
         counts = np.zeros(COUNT_SHAPE[direction])
         counts[:4, :4] = linear
         counts[4:, :] = counts[:, 4:] = 50.0
@@ -111,7 +111,7 @@ class TestClassify:
         wrong = intact_wrong = 0
         trials = 1000
         for _ in range(trials):
-            u = haar_channel(rng).entries
+            u = haar_channel(rng)
             broken = classify(linear_count_matrix(timing_counts(u, 267, rng,
                                                                 timing_aligned=False)))
             intact = classify(linear_count_matrix(timing_counts(u, 267, rng)))

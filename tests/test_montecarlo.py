@@ -334,10 +334,14 @@ class TestGridChecks:
 
 
 class TestConfigLimits:
-    @pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, 1e20, 1e300])
+    @pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, 1e19, 1e300,
+                                            math.nextafter(montecarlo.MAX_BACKGROUND_MEAN,
+                                                           math.inf)])
     def test_background_the_sampler_cannot_draw_rejected(self, background):
+        # background is the mean the sampler would draw in each cell; the
+        # forward trial spreads its background over 4 rows, exactly
         with pytest.raises(ValueError, match="background mean must be in"):
-            pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=background)
+            pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=4 * background)
 
     def test_budget_above_int64_rejected(self):
         with pytest.raises(ValueError, match="above the largest supported budget"):

@@ -12,8 +12,11 @@ Subcommands:
 All randomness is seeded; rerunning any command with identical flags
 produces byte-identical output files at any ``--jobs`` value, and
 ``simulate --from-manifest`` (with only ``--out`` and ``--jobs`` besides)
-replays a sweep.  Angles are reported in degrees here (hardware
-convention) and stored in radians everywhere inside the library.
+replays a sweep.  ``simulate`` no longer subtracts the mean background:
+its manifests store ``bg_subtract`` as false and refuse true, and sweep
+files keep the column, so old rows with true still fit.  Angles are
+reported in degrees here (hardware convention) and stored in radians
+everywhere inside the library.
 
 Bad input exits with code 2 and a message naming the flag, manifest key or
 file at fault.  This module checks the types and shapes of flags, manifests
@@ -57,6 +60,7 @@ COUNT_FILE_SCHEMA_VERSION = 1
 #: the largest count that a float holds exactly
 _MAX_COUNT = 2**53
 MANIFEST_SCHEMA_VERSION = 1
+SWEEP_SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +70,11 @@ MANIFEST_SCHEMA_VERSION = 1
 def _require(condition: bool, message: str):
     if not condition:
         raise SchemaError(message)
+
+
+def _require_schema_version(path, payload: dict, version: int):
+    found = payload.get("schema_version")
+    _require(_is_int(found) and found == version, f"{path}: unsupported schema_version {found!r}")
 
 
 def load_count_file(path) -> CountMatrix:
@@ -80,10 +89,7 @@ def load_count_file(path) -> CountMatrix:
     except ValueError as exc:  # undecodable bytes, bad syntax, an int past 4300 digits
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _require(isinstance(payload, dict), f"{path}: top level must be an object")
-    _require(
-        payload.get("schema_version") == COUNT_FILE_SCHEMA_VERSION,
-        f"{path}: unsupported schema_version {payload.get('schema_version')!r}",
-    )
+    _require_schema_version(path, payload, COUNT_FILE_SCHEMA_VERSION)
     try:
         direction = Direction(payload.get("direction"))
     except ValueError:
@@ -219,7 +225,7 @@ def _write_sweep(path, cells, fmt: str):
     """``cells`` as a sweep file: JSON records, or CSV lines of the same values."""
     records = [_cell_record(c) for c in cells]
     if fmt == "json":
-        text = json.dumps({"schema_version": 1, "cells": records}, indent=1)
+        text = json.dumps({"schema_version": SWEEP_SCHEMA_VERSION, "cells": records}, indent=1)
     else:
         text = "\n".join([SWEEP_CSV_HEADER] + [",".join(map(_fmt, r.values())) for r in records])
     _write_text(path, text + "\n")
@@ -256,6 +262,7 @@ def read_sweep_file(path) -> list[SweepCell]:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
         _require(isinstance(payload, dict) and isinstance(payload.get("cells"), list),
                  f"{path}: expected an object with a 'cells' list")
+        _require_schema_version(path, payload, SWEEP_SCHEMA_VERSION)
         return [_sweep_cell(path, f"cell {i}", r, True) for i, r in enumerate(payload["cells"])]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SWEEP_CSV_HEADER:
@@ -304,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", help="comma-separated detected-photon budgets, e.g. 400,1600")
     sim.add_argument("--fs", help="comma-separated signal fidelities in [0.5, 1]")
     sim.add_argument("--bg", help="comma-separated mean background counts per detector, default 0")
-    sim.add_argument("--bg-subtract", action="store_true", default=None,
-                     help="subtract the mean background")
     sim.add_argument("--samples", type=int, help="Monte Carlo samples per grid cell")
     sim.add_argument("--seed", type=int, help="master seed (nonnegative integer)")
     sim.add_argument("--jobs", type=int, default=cpu_count(),
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 
 
-#: keys of a simulate configuration, as stored in its manifest
+#: keys of a simulate configuration, as stored in its manifest; bg_subtract is always false
 _SIMULATE_KEYS = ("direction", "n", "fs", "bg", "bg_subtract", "samples", "seed", "format", "out")
 
 
@@ -393,6 +398,8 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
                 fail(key, f"{x!r} is not a valid {label}")
     if not isinstance(config["bg_subtract"], bool):
         fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
+    if config["bg_subtract"]:
+        fail("bg_subtract", "true, but mean-background subtraction was removed from simulate")
     for key in ("samples", "seed"):
         if not _is_int(config[key]):
             fail(key, f"{config[key]!r} must be an integer")
@@ -406,7 +413,7 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
 def _simulate_config_from_args(parser, args) -> dict:
     if args.from_manifest:
         given = [f"--{key.replace('_', '-')}" for key in _SIMULATE_KEYS
-                 if key != "out" and getattr(args, key) is not None]
+                 if key not in ("bg_subtract", "out") and getattr(args, key) is not None]
         if given:
             parser.error(f"--from-manifest: cannot be given with {', '.join(given)}; "
                          "only --out and --jobs combine with it")
@@ -418,6 +425,7 @@ def _simulate_config_from_args(parser, args) -> dict:
         config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):
             parser.error(f"--from-manifest: {args.from_manifest} has no config block")
+        _require_schema_version(args.from_manifest, manifest, MANIFEST_SCHEMA_VERSION)
         if args.out:
             config = dict(config, out=args.out)
         return _check_simulate_config(parser, config, args.from_manifest)
@@ -431,7 +439,7 @@ def _simulate_config_from_args(parser, args) -> dict:
         "n": _parse_list(parser, args.n, "--n", int, "integer"),
         "fs": _parse_list(parser, args.fs, "--fs", float, "number"),
         "bg": _parse_list(parser, "0" if args.bg is None else args.bg, "--bg", float, "number"),
-        "bg_subtract": bool(args.bg_subtract),
+        "bg_subtract": False,
         "samples": args.samples,
         "seed": args.seed,
         "format": args.format or "csv",
@@ -457,7 +465,6 @@ def cmd_simulate(parser, args) -> int:
         n_values=config["n"],
         fs_values=config["fs"],
         background_means=config["bg"],
-        subtract_background=config["bg_subtract"],
         samples=config["samples"],
         master_seed=config["seed"],
         jobs=args.jobs,

@@ -28,11 +28,10 @@ that runs it.  A cell's first k trials are the
 same for any sample count of at least k, and results are bit-identical
 for any worker count.
 
-Mean-background subtraction is a deterministic step on a drawn count
-matrix, not part of the draw or the seed: one trial scores every
-requested arm (without and/or with subtraction) from its one draw.  A
-paired background study is the sweep engine asked for both arms, so its
-pairs share their channel and counts by construction.
+A sweep scores the drawn counts as the detectors record them, background
+and all.  Only :func:`background_study` subtracts the mean background:
+once per block, a deterministic step on the drawn counts that is no part
+of the draw or the seed, so each of its pairs scores one draw twice.
 """
 
 from __future__ import annotations
@@ -236,8 +235,7 @@ def generate_counts(
     draws every cell of every channel at :func:`expected_background_per_cell`,
     as a detector's Poisson count, spread uniformly over the input rows (it
     is uncorrelated with the preparation), is one Poisson count per row.
-    With background the counts are floats.  Nothing is subtracted here:
-    :func:`run_trial` subtracts that mean in each arm that asks for it.
+    With background the counts are floats.  Nothing is subtracted here.
     """
     p = expected_probabilities(axes, cfg.direction, cfg.signal_fidelity)
     *batch, n_rows, n_cols = p.shape
@@ -249,33 +247,17 @@ def generate_counts(
     return counts
 
 
-def run_trial(
-    cfg: TrialConfig, axes, counts: np.ndarray, arms: tuple[bool, ...]
-) -> tuple[float, ...]:
-    """One end-to-end protocol trial on a drawn channel; the residual QBER of each arm.
+def run_trial(cm: CountMatrix, axes) -> float:
+    """One end-to-end protocol trial: the residual QBER of the compensation found from ``cm``.
 
-    ``axes`` are the :func:`stokes_axes` of the trial's Haar draw, a 2x3
-    nested sequence, and ``counts`` the count matrix drawn through it.
-    Each entry of ``arms`` is a subtraction flag: that arm reconstructs
-    from the drawn counts, with the mean background subtracted where the
-    flag is set (a no-op without background), optimizes the compensation
-    and scores its Stokes rotation against the true channel's axes.  Every arm scores the same draw.  Tomography errors
-    propagate (a trial fails if any arm does): sweeps record them as
-    failed trials rather than dropping them silently.
+    ``cm`` holds counts drawn through a channel whose :func:`stokes_axes`
+    are ``axes``, a 2x3 nested sequence; the compensation's Stokes rotation
+    is scored against them.  Tomography errors propagate: sweeps record
+    them as failed trials rather than dropping them silently.
     """
-    drawn = CountMatrix(cfg.direction, counts)
-    reconstruct = (reconstruct_forward if cfg.direction is Direction.FORWARD
+    reconstruct = (reconstruct_forward if cm.direction is Direction.FORWARD
                    else reconstruct_reversed)
-    qbers = []
-    for subtract in arms:
-        cm = drawn
-        if subtract and cfg.background_mean > 0.0:
-            # the pre-calibrated mean per cell, clipped so no count goes negative
-            subtracted = np.maximum(drawn.counts - expected_background_per_cell(cfg), 0.0)
-            cm = CountMatrix(cfg.direction, subtracted, background_subtracted=True)
-        result = optimize(reconstruct(cm))
-        qbers.append(residual_qber(axes, result.rotation, cfg.direction))
-    return tuple(qbers)
+    return residual_qber(axes, optimize(reconstruct(cm)).rotation, cm.direction)
 
 
 def cpu_count() -> int:
@@ -310,34 +292,42 @@ def _cell_configs(directions, n_values, fs_values, background_means):
 
 
 def _block(args):
-    """Per-arm residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed.
+    """Residual QBER of trials ``start``..``stop - 1`` of one cell; None where one failed.
 
     Draws the channels and counts of a full block whatever ``stop`` is, so
     a trial's draws do not depend on the cell's sample count, and scores
-    the first ``stop - start`` of them.
+    the first ``stop - start`` of them.  With ``subtract`` a trial is a pair
+    from its one draw: the drawn counts, then those less the mean
+    background per cell.  A pair that fails in either arm is None, so at
+    background 0 the arms agree: the subtracted arm's tolerance of an empty
+    basis pair acts only where the raw arm has failed.
     """
-    master_seed, cfg, arms, start, stop = args
+    master_seed, cfg, subtract, start, stop = args
     coordinates = _cell_seed_coordinates(master_seed, cfg.direction, cfg.n_detected,
                                          cfg.signal_fidelity, cfg.background_mean)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(coordinates, spawn_key=(start // _BLOCK_SIZE,))))
     axes = stokes_axes(haar_random_unitary(rng, _BLOCK_SIZE), cfg.direction)
     counts = generate_counts(axes, cfg, rng)
+    # the pre-calibrated mean per cell, clipped so no count goes negative
+    subtracted = np.maximum(counts - expected_background_per_cell(cfg), 0.0) if subtract else None
     # as Python floats, for the scalar score
     axes = axes.tolist()
     values = []
     for i in range(stop - start):
         try:
-            values.append(run_trial(cfg, axes[i], counts[i], arms))
+            qber = run_trial(CountMatrix(cfg.direction, counts[i]), axes[i])
+            if subtract:
+                qber = (qber, run_trial(CountMatrix(cfg.direction, subtracted[i],
+                                                    background_subtracted=True), axes[i]))
         except InsufficientCountsError:
-            values.append(None)
+            qber = None
+        values.append(qber)
     return values
 
 
-def _run_cells(
-    cells, arms, samples: int, master_seed: int, jobs: int
-) -> list[list[tuple[float, ...] | None]]:
-    """Every cell's per-arm residual QBER per trial, in trial order, None for a failed trial.
+def _run_cells(cells, subtract: bool, samples: int, master_seed: int, jobs: int) -> list[list]:
+    """Every cell's :func:`_block` values per trial, in trial order, None for a failed trial.
 
     Each cell runs in blocks of ``_BLOCK_SIZE`` trials, spread over ``jobs``
     worker processes; a trial's draws depend only on its cell, its block and
@@ -352,7 +342,7 @@ def _run_cells(
     if not cells:
         raise ValueError("empty sweep grid")
     starts = range(0, samples, _BLOCK_SIZE)
-    tasks = [(master_seed, cfg, arms, start, min(start + _BLOCK_SIZE, samples))
+    tasks = [(master_seed, cfg, subtract, start, min(start + _BLOCK_SIZE, samples))
              for cfg in cells for start in starts]
     # a fork-started pool starts all its workers at the first submit
     workers = min(jobs, len(tasks), cpu_count())
@@ -393,22 +383,20 @@ def run_sweep(
     samples: int,
     master_seed: int,
     background_means=(0.0,),
-    subtract_background: bool = False,
     jobs: int = 1,
 ) -> SweepResult:
     """Mean and standard deviation of the residual QBER over a grid.
 
-    Cell order is the cartesian product (direction, N, F_S, background) in
-    the order given.  Failed trials are excluded from the moments but
-    counted; a cell aborts the sweep if more than 1% of its trials fail,
-    since at realistic N any failure indicates a modeling bug.
+    Each trial scores its drawn counts, background included; nothing is
+    subtracted.  Cell order is the cartesian product (direction, N, F_S,
+    background) in the order given.  Failed trials are excluded from the
+    moments but counted; a cell aborts the sweep if more than 1% of its
+    trials fail, since at realistic N any failure indicates a modeling bug.
     """
     cells = _cell_configs(directions, n_values, fs_values, background_means)
-    subtract_background = bool(subtract_background)
     out = []
-    for cfg, trials in zip(cells, _run_cells(cells, (subtract_background,), samples,
-                                             master_seed, jobs)):
-        values = [qbers[0] for qbers in trials if qbers is not None]
+    for cfg, trials in zip(cells, _run_cells(cells, False, samples, master_seed, jobs)):
+        values = [qber for qber in trials if qber is not None]
         failures = samples - len(values)
         _check_failures(cfg, failures, samples)
         mean, std = _moments(values)
@@ -418,7 +406,7 @@ def run_sweep(
                 n_detected=cfg.n_detected,
                 signal_fidelity=cfg.signal_fidelity,
                 background_mean=cfg.background_mean,
-                subtract_background=subtract_background,
+                subtract_background=False,
                 samples=samples,
                 failures=failures,
                 mean_qber=mean,
@@ -440,15 +428,17 @@ def background_study(
     """Paired with/without-subtraction comparison on shared random draws.
 
     Each trial draws its channel, signal and background counts once and
-    scores both arms from that draw: without subtraction, and with the
-    mean background subtracted.  Only the subtraction step differs, so the
-    reported delta isolates the subtraction strategy itself, and each arm
-    equals :func:`run_sweep` run with that flag.  A pair failing in either
-    arm is excluded from both.
+    scores both arms from that draw: the counts as drawn, the arm
+    :func:`run_sweep` scores, and the counts less the mean background per
+    cell, clipped at 0.  The delta thus isolates the subtraction itself.  A
+    pair failing in either arm is excluded from both.  This is the only
+    place that subtracts; it stays as the evidence that subtraction does
+    not help against isotropic background, and because the benchmark's
+    background workload runs it.
     """
     cells = _cell_configs(directions, n_values, fs_values, background_means)
     out = []
-    for cfg, trials in zip(cells, _run_cells(cells, (False, True), samples, master_seed, jobs)):
+    for cfg, trials in zip(cells, _run_cells(cells, True, samples, master_seed, jobs)):
         pairs = [qbers for qbers in trials if qbers is not None]
         failures = samples - len(pairs)
         _check_failures(cfg, failures, samples)

@@ -65,6 +65,11 @@ def write_json(path, payload):
     return str(path)
 
 
+def write_manifest(path, config):
+    """A simulate manifest holding ``config``, in the v1 format."""
+    return write_json(path, {"schema_version": 1, "config": config})
+
+
 def write_json_with_long_int(path, payload, marker):
     """``payload`` as JSON with the number ``marker`` spelt as a 5001-digit integer.
 
@@ -160,6 +165,29 @@ class TestFit:
         path = write_json_with_long_int(tmp_path / "s.json", {"schema_version": 1,
                                                                "cells": cells}, 987654321)
         assert_rejected(["fit", "--in", path], capsys, "not valid JSON")
+
+    @pytest.mark.parametrize("version", [99, True, 1.0, None])
+    def test_json_schema_version_checked(self, tmp_path, capsys, version):
+        payload = {"cells": [json_cell(row) for row in SWEEP_ROWS]}
+        if version is not None:
+            payload["schema_version"] = version
+        path = write_json(tmp_path / "s.json", payload)
+        assert_rejected(["fit", "--in", path], capsys,
+                        f"{path}: unsupported schema_version {version!r}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_with_subtraction_still_fit(self, tmp_path, capsys, fmt):
+        # sweeps run with subtraction before it was removed from simulate
+        rows = [row.replace(",false,", ",true,") for row in SWEEP_ROWS]
+        if fmt == "csv":
+            path = write_csv(tmp_path / "s.csv", rows)
+        else:
+            path = write_json(tmp_path / "s.json",
+                              {"schema_version": 1, "cells": [json_cell(r) for r in rows]})
+        assert all(c.subtract_background for c in cli.read_sweep_file(path))
+        code, out, _err = run(["fit", "--in", path], capsys)
+        assert code == 0
+        assert "cells used: 4 (all cells)" in out
 
     def test_json_without_cells(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", {"schema_version": 1})
@@ -262,7 +290,7 @@ class TestSimulate:
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(out)}
-        path = write_json(tmp_path / "m.json", {"config": config})
+        path = write_manifest(tmp_path / "m.json", config)
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "0"], capsys,
                         "--jobs: jobs must be >= 1, got 0")
         assert not out.exists()
@@ -339,7 +367,7 @@ class TestSimulate:
                   "out": str(tmp_path / "s.csv")}
         config.update(change)
         config = {k: v for k, v in config.items() if v is not None}
-        path = write_json(tmp_path / "m.json", {"config": config})
+        path = write_manifest(tmp_path / "m.json", config)
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys, match)
         assert not (tmp_path / "s.csv").exists()
 
@@ -381,7 +409,7 @@ class TestSimulate:
         config = {"direction": "reversed", "n": [400], "fs": [0.95], "bg": [1e20],
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
-        path = write_json(tmp_path / "m.json", {"config": config})
+        path = write_manifest(tmp_path / "m.json", config)
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
                         "bg: background mean must be in [0, 5.53402e+19] for reversed trials, "
                         "got 1e+20")
@@ -392,7 +420,7 @@ class TestSimulate:
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
         config[key] = [10**400]
-        path = write_json(tmp_path / "m.json", {"config": config})
+        path = write_manifest(tmp_path / "m.json", config)
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
                         f"{key}: 1{'0' * 400} is not a valid number")
 
@@ -400,7 +428,8 @@ class TestSimulate:
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
                   "bg_subtract": False, "samples": 987654321, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
-        path = write_json_with_long_int(tmp_path / "m.json", {"config": config}, 987654321)
+        path = write_json_with_long_int(tmp_path / "m.json",
+                                        {"schema_version": 1, "config": config}, 987654321)
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
                         "--from-manifest: cannot read")
 
@@ -412,18 +441,53 @@ class TestSimulate:
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
-        path = write_json(tmp_path / "m.json", {"config": config})
+        path = write_manifest(tmp_path / "m.json", config)
         out = tmp_path / "b.csv"
         code, _out, err = run(["simulate", "--from-manifest", path, "--jobs", "1", *flags,
                                "--out", str(out)], capsys)
         assert code == 2
-        _, _, named = err.partition("--from-manifest: cannot be given with ")
-        assert all(flag in named for flag in flags if flag.startswith("--"))
+        if flags == ["--bg-subtract"]:  # removed: argparse refuses it as an unknown flag
+            assert "unrecognized arguments: --bg-subtract" in err
+        else:
+            _, _, named = err.partition("--from-manifest: cannot be given with ")
+            assert all(flag in named for flag in flags if flag.startswith("--"))
         assert not out.exists()
 
     def test_manifest_without_config(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [1, 2])
         assert_rejected(["simulate", "--from-manifest", path], capsys, "no config block")
+
+    def test_bg_subtract_flag_removed(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert_rejected(self.ARGS + ["--bg", "20", "--bg-subtract", "--out", str(out)], capsys,
+                        "unrecognized arguments: --bg-subtract")
+        assert not out.exists()
+
+    def test_manifest_with_subtraction_rejected(self, tmp_path, capsys):
+        # the manifests of sweeps run with subtraction name the key and exit 2
+        out = tmp_path / "s.csv"
+        config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [20.0],
+                  "bg_subtract": True, "samples": 3, "seed": 1, "format": "csv",
+                  "out": str(out)}
+        path = write_manifest(tmp_path / "m.json", config)
+        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
+                        f"--from-manifest: {path}: bg_subtract: true, but mean-background "
+                        "subtraction was removed from simulate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
+    def test_manifest_schema_version_checked(self, tmp_path, capsys, version):
+        out = tmp_path / "s.csv"
+        config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
+                  "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
+                  "out": str(out)}
+        payload = {"config": config}
+        if version is not None:
+            payload["schema_version"] = version
+        path = write_json(tmp_path / "m.json", payload)
+        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
+                        f"{path}: unsupported schema_version {version!r}")
+        assert not out.exists()
 
 
 #: hand-built cells: non-integral F_S and background, subtraction, no std, a large N
@@ -602,6 +666,15 @@ class TestCountFiles:
         payload["metadata"] = metadata
         path = write_json(tmp_path / "meta.json", payload)
         assert_rejected(["align", "--counts", path], capsys, "metadata must be an object")
+
+    @pytest.mark.parametrize("version", [True, 2, 1.0, "1", None])
+    @pytest.mark.parametrize("command", ["align", "timing-check"])
+    def test_schema_version_checked(self, tmp_path, capsys, version, command):
+        payload = count_payload(Direction.FORWARD)
+        payload["schema_version"] = version
+        path = write_json(tmp_path / "c.json", payload)
+        assert_rejected([command, "--counts", path], capsys,
+                        f"{path}: unsupported schema_version {version!r}")
 
     def test_metadata_object_accepted(self, tmp_path, capsys, count_file):
         payload = json.loads(count_file.read_text())

@@ -96,20 +96,35 @@ class TestFitPowerLaw:
 
 class TestBackgroundStudy:
     def test_arms_equal_plain_sweeps(self):
-        # block seeds leave out the subtraction flag, so each arm replays
-        # the sweep run with that flag, draw for draw
+        # block seeds leave out the subtraction flag, so the first arm replays
+        # the plain sweep, and the second scores the same draws less the mean
+        # background per cell, draw for draw
         grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95],
                     background_means=[20.0], samples=40, master_seed=11)
         study = pa.background_study(**grid).cells[0]
-        plain = pa.run_sweep(**grid, subtract_background=False).cells[0]
-        subtracted = pa.run_sweep(**grid, subtract_background=True).cells[0]
-        assert study.failures == plain.failures == subtracted.failures == 0
+        plain = pa.run_sweep(**grid).cells[0]
+        cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
+        _channels, axes, counts = block_draws(11, cfg, 0)
+        subtracted = [pa.run_trial(subtracted_matrix(cfg, counts[t]), axes[t].tolist())
+                      for t in range(40)]
+        assert study.failures == plain.failures == 0
         assert study.mean_with_background == plain.mean_qber
         assert study.std_with_background == plain.std_qber
-        assert study.mean_subtracted == subtracted.mean_qber
-        assert study.std_subtracted == subtracted.std_qber
+        assert (study.mean_subtracted, study.std_subtracted) == montecarlo._moments(subtracted)
         assert study.delta == study.mean_subtracted - study.mean_with_background
         assert math.isfinite(study.std_delta)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_no_op_without_background(self, direction):
+        # at background 0 the subtracted arm scores the drawn counts again
+        study = pa.background_study([direction], [400], [0.95, 1.0], [0.0], samples=40,
+                                    master_seed=4)
+        plain = pa.run_sweep([direction], [400], [0.95, 1.0], samples=40, master_seed=4)
+        for cell, sweep_cell in zip(study.cells, plain.cells, strict=True):
+            assert cell.failures == sweep_cell.failures == 0
+            assert cell.mean_subtracted == cell.mean_with_background == sweep_cell.mean_qber
+            assert cell.std_subtracted == cell.std_with_background == sweep_cell.std_qber
+            assert cell.delta == cell.std_delta == 0.0
 
     def test_jobs_invariant(self, monkeypatch):
         # blocks of 16 split each 40-trial arm into three, the last one short
@@ -138,17 +153,16 @@ class TestBackgroundStudy:
                                     master_seed=seed).cells[0]
         monkeypatch.undo()
 
-        def arm(subtract):
+        def arm(matrix):
             # one block: its trials score the block's draws in order, the
             # dropped pair included
             _channels, axes, counts = block_draws(seed, cfg, 0)
-            values = [pa.run_trial(cfg, axes[i], counts[i], (subtract,))[0]
-                      for i in range(samples)]
+            values = [pa.run_trial(matrix(counts[i]), axes[i].tolist()) for i in range(samples)]
             del values[dropped]
             return values
 
-        with_bg = arm(False)
-        subtracted = arm(True)
+        with_bg = arm(lambda counts: pa.CountMatrix(cfg.direction, counts))
+        subtracted = arm(lambda counts: subtracted_matrix(cfg, counts))
         assert study.samples == samples
         assert study.failures == 1
         assert study.mean_with_background == pytest.approx(np.mean(with_bg), rel=1e-12)
@@ -156,7 +170,8 @@ class TestBackgroundStudy:
 
     def test_one_draw_per_pair(self, monkeypatch):
         # blocks of 4: each block draws its channels and counts in one call
-        # each, and both arms of a pair score one trial of that draw
+        # each, and both arms of a pair score one trial of that draw, the
+        # raw counts first
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 4)
         calls = {"generate_counts": [], "haar_random_unitary": [], "run_trial": []}
 
@@ -174,8 +189,12 @@ class TestBackgroundStudy:
         assert len(calls["haar_random_unitary"]) == len(calls["generate_counts"]) == 4 * 2
         assert all(size == 4 for _rng, size in calls["haar_random_unitary"])
         assert all(axes.shape == (4, 2, 3) for axes, _cfg, _rng in calls["generate_counts"])
-        assert len(calls["run_trial"]) == 4 * 7
-        assert all(arms == (False, True) for *_, arms in calls["run_trial"])
+        trials = calls["run_trial"]
+        assert len(trials) == 2 * 4 * 7
+        for (raw, raw_axes), (subtracted, subtracted_axes) in zip(trials[::2], trials[1::2]):
+            assert not raw.background_subtracted and subtracted.background_subtracted
+            assert subtracted_axes is raw_axes
+            assert np.all(subtracted.counts <= raw.counts)
 
 
 def block_rng(seed, cfg, block):
@@ -184,6 +203,14 @@ def block_rng(seed, cfg, block):
         seed, cfg.direction, cfg.n_detected, cfg.signal_fidelity, cfg.background_mean)
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(coordinates, spawn_key=(block,))))
+
+
+def subtracted_matrix(cfg, counts):
+    """The count matrix of the subtracted arm: ``counts`` less the mean background per cell,
+    clipped at 0."""
+    return pa.CountMatrix(
+        cfg.direction, np.maximum(counts - montecarlo.expected_background_per_cell(cfg), 0.0),
+        background_subtracted=True)
 
 
 def block_draws(seed, cfg, block):
@@ -199,35 +226,33 @@ class TestRunTrial:
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("background", [0.0, 20.0])
     def test_arms_share_one_draw(self, direction, background):
-        # both arms from one call equal the two single-arm calls on the
-        # same drawn channel and counts, bit for bit
+        # a subtracting block's pairs equal the two trials scored on the same
+        # drawn channel and counts, raw and less the mean background, bit for bit
         cfg = pa.TrialConfig(direction, 400, 0.95, background_mean=background)
         _channels, axes, counts = block_draws(4, cfg, 0)
-        for t in range(20):
-            both = pa.run_trial(cfg, axes[t], counts[t], (False, True))
-            plain, = pa.run_trial(cfg, axes[t], counts[t], (False,))
-            subtracted, = pa.run_trial(cfg, axes[t], counts[t], (True,))
-            assert both == (plain, subtracted)
-            assert pa.run_trial(cfg, axes[t], counts[t], (True, False)) == (
-                subtracted, plain)
-            if background == 0.0:
-                assert plain == subtracted
+        pairs = montecarlo._block((4, cfg, True, 0, 20))
+        assert montecarlo._block((4, cfg, False, 0, 20)) == [pair[0] for pair in pairs]
+        for t, pair in enumerate(pairs):
+            plain = pa.run_trial(pa.CountMatrix(direction, counts[t]), axes[t].tolist())
+            subtracted = pa.run_trial(subtracted_matrix(cfg, counts[t]), axes[t].tolist())
+            assert pair == (plain, subtracted)
 
-    def test_drawn_values_validated(self):
-        # the trial builds a checked count matrix from its draw
+    def test_drawn_values_validated(self, monkeypatch):
+        # a block builds a checked count matrix from each trial's draw
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
-        _channels, axes, counts = block_draws(4, cfg, 0)
-        with pytest.raises(ValueError, match="shape"):
-            pa.run_trial(cfg, axes[0], counts[0].T, (False,))
-        with pytest.raises(ValueError, match="nonnegative"):
-            pa.run_trial(cfg, axes[0], -counts[0], (False,))
+        drawn = montecarlo.generate_counts
+        for bad, match in [(lambda c: np.swapaxes(c, 1, 2), "shape"),
+                           (np.negative, "nonnegative")]:
+            monkeypatch.setattr(montecarlo, "generate_counts", lambda *args: bad(drawn(*args)))
+            with pytest.raises(ValueError, match=match):
+                montecarlo._block((4, cfg, False, 0, 1))
 
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("n", [400, 6400])
     @pytest.mark.parametrize("fs", [0.95, 1.0])
     @pytest.mark.parametrize("background", [0.0, 20.0])
     def test_stokes_score_matches_jones_oracle(self, monkeypatch, direction, n, fs, background):
-        # every arm of every trial of a drawn block: the program's score of
+        # both arms of every trial of a drawn block: the program's score of
         # optimize's rotation against the channel's Stokes axes equals the
         # oracle's Jones score of optimize's plate angles on the drawn channel
         cfg = pa.TrialConfig(direction, n, fs, background_mean=background)
@@ -241,8 +266,9 @@ class TestRunTrial:
         monkeypatch.setattr(montecarlo, "optimize", record)
         for u, trial_axes, trial_counts in zip(channels, axes.tolist(), counts):
             results.clear()
-            qbers = pa.run_trial(cfg, trial_axes, trial_counts, (False, True))
-            assert len(results) == len(qbers) == 2
+            qbers = [pa.run_trial(pa.CountMatrix(direction, trial_counts), trial_axes),
+                     pa.run_trial(subtracted_matrix(cfg, trial_counts), trial_axes)]
+            assert len(results) == 2
             for qber, result in zip(qbers, results):
                 jones = oracles.jones_qber(oracles.unitary(u), result.angles.as_tuple(), direction)
                 assert abs(qber - jones) <= 1e-12
@@ -523,7 +549,7 @@ class TestSeeds:
                                               ((D.REVERSED, 6400, 1.0, 20.0), 750),
                                               ((D.FORWARD, 400, 0.95, -0.0), 250)]:
             cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
-            montecarlo._block((7, cfg, (False,), start, start + 1))
+            montecarlo._block((7, cfg, False, start, start + 1))
         assert seeds == [
             ([7, 0, 400, 4606732058837280358, 0], (0,)),
             ([7, 1, 6400, 4607182418800017408, 4626322717216342016], (3,)),
@@ -545,16 +571,16 @@ class TestSeeds:
         # a full block drawn from PCG64 seeded with the block's SeedSequence
         drawn = []
 
-        def record(cfg, axes, counts, arms):
-            drawn.append((axes, counts))
-            return (0.0,)
+        def record(cm, axes):
+            drawn.append((axes, cm.counts))
+            return 0.0
 
         monkeypatch.setattr(montecarlo, "run_trial", record)
         block = start // montecarlo._BLOCK_SIZE
         for direction, n, fs, bg in self.CELLS:
             cfg = pa.TrialConfig(direction, n, fs, background_mean=bg)
             drawn.clear()
-            montecarlo._block((master_seed, cfg, (False,), start, start + 4))
+            montecarlo._block((master_seed, cfg, False, start, start + 4))
             _channels, axes, counts = block_draws(master_seed, cfg, block)
             assert len(drawn) == 4
             for t, (trial_axes, trial_counts) in enumerate(drawn):
@@ -567,11 +593,11 @@ class TestSeeds:
         # block boundaries, because each block draws all of its trials
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95, background_mean=20.0)
-        full = montecarlo._run_cells([cfg], (False,), 40, 7, 1)[0]
+        full = montecarlo._run_cells([cfg], False, 40, 7, 1)[0]
         assert None not in full
         assert full[16:32] != full[:16]  # each block has a stream of its own
         for k in (1, 15, 16, 17, 33):
-            assert montecarlo._run_cells([cfg], (False,), k, 7, 1)[0] == full[:k], k
+            assert montecarlo._run_cells([cfg], False, k, 7, 1)[0] == full[:k], k
 
     def test_sweep_jobs_invariant(self, monkeypatch):
         # blocks of 16 split each 40-trial cell into three, the last one short
@@ -590,7 +616,7 @@ class TestSeeds:
         monkeypatch.setattr(montecarlo, "_BLOCK_SIZE", 16)
         cfg = pa.TrialConfig(direction, 400, 0.95)
         name = "reconstruct_" + direction.value
-        clean = montecarlo._run_cells([cfg], (False,), 20, 3, 1)[0]
+        clean = montecarlo._run_cells([cfg], False, 20, 3, 1)[0]
         calls = []
 
         def reconstruct(cm, original=getattr(montecarlo, name)):
@@ -600,14 +626,14 @@ class TestSeeds:
             return original(cm)
 
         monkeypatch.setattr(montecarlo, name, reconstruct)
-        failed = montecarlo._run_cells([cfg], (False,), 20, 3, 1)[0]
+        failed = montecarlo._run_cells([cfg], False, 20, 3, 1)[0]
         assert None not in clean
         assert failed == clean[:5] + [None] + clean[6:]
 
     def test_negative_master_seed_rejected(self):
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
         with pytest.raises(ValueError, match="non-negative"):
-            montecarlo._block((-1, cfg, (False,), 0, 1))
+            montecarlo._block((-1, cfg, False, 0, 1))
 
 
 class TestGenerateCounts:

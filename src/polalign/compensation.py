@@ -22,7 +22,14 @@ rows x = unit(a + b x n), y = n x x and n, the unit normal of a and b.  The
 maximum is h = |a + b x n| = sigma1 + sigma2, the sum of B's singular
 values, with sigma1 sigma2 = |a x b|.  The plate angles follow from R_V in
 closed form: a quarter plate at theta is a +pi/2 rotation and a half plate
-a pi rotation, both about (cos 2 theta, sin 2 theta, 0).  The score needs
+a pi rotation, both about (cos 2 theta, sin 2 theta, 0).  A rotation has
+two such settings up to the half plate's period pi/2, and the second
+follows from the first: turning a quarter plate by pi/2 turns its axis by
+pi, which makes it the inverse rotation, so Q(theta3 + pi/2) H Q(theta1 +
+pi/2) = Q3^-1 H Q1^-1 equals Q3 H2 Q1 exactly when H = Q3^2 H2 Q1^2, and
+Q^2 is the half plate at the same angle.  Two pi rotations about
+equatorial axes compose to a turn about S3, so H(theta3) H(theta2)
+H(theta1) is the half plate at theta1 + theta3 - theta2.  The score needs
 no angles: it is read from R_V and the channel's Stokes axes.  The
 per-trial path is scalar arithmetic throughout.
 """
@@ -102,33 +109,38 @@ def _plate_settings(rotation, reference) -> list[tuple[float, float, float]]:
     theta1 when R keeps the pole in place), then theta3, and leaves the half
     plate fixed up to pi/2.  Each quarter plate follows from its equatorial
     direction without further trigonometry, the half plate from the first
-    row of Q3^T R Q1^T by dot products.
+    row of Q3^T R Q1^T by dot products.  The pair at phi + pi follows from
+    the pair at phi with no trigonometry at all, as the module docstring
+    says.  The settings come as two pairs of the same quarter plates, whose
+    half plates differ by pi/2 within a pair.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
     if math.hypot(r20, r21) <= _POLE_TOLERANCE:
-        phi0 = 2.0 * reference[0] + math.pi / 2.0
+        phi = 2.0 * reference[0] + math.pi / 2.0
     else:
-        phi0 = math.atan2(-r20, r21)
-    settings = []
-    for phi in (phi0, phi0 + math.pi):
-        # u = (cos phi, sin phi, 0) and the angle psi of R u on the equator
-        x, y = math.cos(phi), math.sin(phi)
-        psi = math.atan2(r10 * x + r11 * y, r00 * x + r01 * y)
-        c1, s1 = y, -x
-        c3, s3 = math.sin(psi), -math.cos(psi)
-        # first column of Q3 taken through R, then against the rows of Q1
-        q0, q1, q2 = c3 * c3, c3 * s3, -s3
-        v0 = q0 * r00 + q1 * r10 + q2 * r20
-        v1 = q0 * r01 + q1 * r11 + q2 * r21
-        v2 = q0 * r02 + q1 * r12 + q2 * r22
-        m00 = v0 * c1 * c1 + v1 * c1 * s1 + v2 * s1
-        m01 = v0 * c1 * s1 + v1 * s1 * s1 - v2 * c1
-        theta1 = (phi - math.pi / 2.0) / 2.0
-        theta2 = math.atan2(m01, m00) / 4.0
-        theta3 = (psi - math.pi / 2.0) / 2.0
-        settings.append((theta1, theta2, theta3))
-        settings.append((theta1, theta2 + math.pi / 2.0, theta3))
-    return settings
+        phi = math.atan2(-r20, r21)
+    # u = (cos phi, sin phi, 0) and the angle psi of R u on the equator
+    x, y = math.cos(phi), math.sin(phi)
+    psi = math.atan2(r10 * x + r11 * y, r00 * x + r01 * y)
+    c1, s1 = y, -x
+    c3, s3 = math.sin(psi), -math.cos(psi)
+    # first column of Q3 taken through R, then against the rows of Q1
+    q0, q1, q2 = c3 * c3, c3 * s3, -s3
+    v0 = q0 * r00 + q1 * r10 + q2 * r20
+    v1 = q0 * r01 + q1 * r11 + q2 * r21
+    v2 = q0 * r02 + q1 * r12 + q2 * r22
+    m00 = v0 * c1 * c1 + v1 * c1 * s1 + v2 * s1
+    m01 = v0 * c1 * s1 + v1 * s1 * s1 - v2 * c1
+    theta1 = (phi - math.pi / 2.0) / 2.0
+    theta2 = math.atan2(m01, m00) / 4.0
+    theta3 = (psi - math.pi / 2.0) / 2.0
+    # phi + pi turns both quarter plates by pi/2, which inverts them, so the
+    # half plate becomes H(theta3) H(theta2) H(theta1) = H(theta1 + theta3 - theta2)
+    theta2_inverted = theta1 + theta3 - theta2
+    quarter = math.pi / 2.0
+    return [(theta1, theta2, theta3), (theta1, theta2 + quarter, theta3),
+            (theta1 + quarter, theta2_inverted, theta3 + quarter),
+            (theta1 + quarter, theta2_inverted + quarter, theta3 + quarter)]
 
 
 def wrapped_angle_distance(a: float, b: float) -> float:
@@ -141,20 +153,22 @@ def _least_travel(settings, reference) -> tuple[float, float, float]:
     """The first of ``settings`` with the least plate travel from ``reference``.
 
     Travel is the sum of the three plates' :func:`wrapped_angle_distance`.
-    The settings come in pairs whose half plates differ by pi/2, and a half
-    plate at distance d from the reference puts its partner at pi/2 - d,
-    so each pair costs three distances, not six.  Where the two half plates
-    are equally far to within rounding, that difference can pick the other
-    one of the pair: both give the same rotation and the same travel.
+    ``settings`` are the four of :func:`_plate_settings`: two pairs whose
+    half plates differ by pi/2, the second pair's quarter plates turned by
+    pi/2 from the first's.  A plate at distance d from the reference puts
+    one turned by pi/2 at pi/2 - d, so the four settings cost four
+    distances, not twelve.  Where two half plates of a pair are equally far
+    to within rounding, that difference can pick the other one of the
+    pair: both give the same rotation and the same travel.
     """
     r1, r2, r3 = reference
+    t1, _, t3 = settings[0]
+    d1, d3 = wrapped_angle_distance(t1, r1), wrapped_angle_distance(t3, r3)
     best, least = None, math.inf
-    for k in (0, 2):
-        t1, t2, t3 = settings[k]
-        d1, d2, d3 = (wrapped_angle_distance(t1, r1), wrapped_angle_distance(t2, r2),
-                      wrapped_angle_distance(t3, r3))
+    for k, quarters in ((0, d1 + d3), (2, math.pi - d1 - d3)):
+        d2 = wrapped_angle_distance(settings[k][1], r2)
         flipped = math.pi / 2.0 - d2
-        travel, pick = (d1 + d2 + d3, k) if d2 <= flipped else (d1 + flipped + d3, k + 1)
+        travel, pick = (quarters + d2, k) if d2 <= flipped else (quarters + flipped, k + 1)
         if travel < least:
             best, least = settings[pick], travel
     return best

@@ -10,15 +10,20 @@ Reconstruction is maximum-likelihood.  For one qubit the six-outcome
 likelihood is a product of three binomials, one per basis, each in one
 Stokes component.  So inside the Bloch ball the maximum is, in closed
 form, the linear inversion s_k = (n+ - n-)/(n+ + n-); when that lies
-outside the ball, the maximum lies on the sphere.  There, for a given
-Lagrange multiplier, each component is the middle root of a depressed
-cubic, taken from the trigonometric formula; one pass over the three
-axes gives the point and its derivative for that multiplier, and the
-multiplier itself is found by a bracketed Newton search.  That search
-starts where at most three trig-free Newton steps on the full Lagrange
-system, taken from the inversion scaled onto the sphere, predict the
-multiplier; it keeps its bracket on [0, total] and its bisection
-fallbacks, so a poor prediction costs evaluations, never the root.
+outside the ball, the maximum lies on the sphere.  There Newton on the
+full Lagrange system, stationarity of each component and |s| = 1, runs
+from the inversion scaled onto the sphere; no trigonometry is needed.  Its
+end point, once a step is below rounding with a positive multiplier, is a
+KKT point of a concave likelihood on a convex set, hence the maximum
+(Rehacek et al., PRA 75, 042108 (2007)).  Rows it cannot certify, kinks
+where an empty outcome pins a component at +-1 and low-count rows that
+six steps do not settle, fall back to a search on the multiplier alone: for a given multiplier each component is
+the middle root of a depressed cubic, taken from the trigonometric
+formula, and one pass over the three axes gives the point and its
+derivative; the multiplier is found by a bracketed Newton search started
+from the Newton's last multiplier.  The search keeps its bracket on
+[0, total] and its bisection fallbacks, so a poor start costs
+evaluations, never the root.
 Counts are checked once, where they enter: a :class:`CountMatrix`.
 """
 
@@ -38,6 +43,8 @@ from .polarization import ALL_LABELS, BASIS_NAMES, BB84_LABELS
 _MIN_TOTAL_COUNTS = 6
 #: the largest float below 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+#: the Newton step in s below which the sphere point is taken as converged: 8 ulp of 1
+_STEP_ULPS = 8.0 * sys.float_info.epsilon
 
 
 class Direction(str, enum.Enum):
@@ -183,56 +190,80 @@ def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]
     return s, s / curvature
 
 
-def _predicted_multiplier(n, s0) -> float:
-    """The Lagrange multiplier after at most three Newton steps on the full Lagrange system.
+def _newton_sphere(n, s0) -> tuple[list[float] | None, float]:
+    """The sphere maximum by Newton on the full Lagrange system, when it is certified.
 
     ``n`` holds the six outcome totals and ``s0`` their linear inversion,
     outside the ball.  The steps start from s = s0/|s0| and
-    mu = sum_k s_k g_k(s_k), where g_k(s) = n+/(1 + s) - n-/(1 - s) with a
-    term of a zero count dropped.  Each step solves the linearization of
+    mu = sum_k s_k g_k(s_k), where g_k(s) = n+/(1 + s) - n-/(1 - s), whose
+    term of a zero count is 0.  Each step solves the linearization of
     F_k = g_k(s_k) - mu s_k = 0 and (|s|^2 - 1)/2 = 0 for (s, mu).  Its
     Jacobian is diagonal in s, J_k = dF_k/ds_k, so with w_k = s_k/J_k the
     step is dmu = ((1 - |s|^2)/2 + sum w_k F_k) / sum w_k s_k and
-    ds_k = (s_k dmu - F_k)/J_k, with no trigonometry; an empty axis stays
-    at 0.  The steps stop, keeping the last accepted mu, at a J_k or a
-    sum w_k s_k that is not negative (NaN included), or before a step that
-    would leave the domain of the log-likelihood: s_k >= 1 with n- > 0, or
-    s_k <= -1 with n+ > 0.
+    ds_k = w_k dmu - F_k/J_k, with no trigonometry; an empty axis stays
+    at 0.  Every step checks that each J_k and sum w_k s_k is negative (NaN
+    fails) and that the step stays in the domain of the log-likelihood:
+    not s_k >= 1 with n- > 0, nor s_k <= -1 with n+ > 0.
+
+    Once a step moves no component by more than 8 ulp of 1 and mu > 0, the
+    point is stationary on the sphere with a positive multiplier: a KKT
+    point of the concave log-likelihood on the convex ball, whose
+    unconstrained maximum ``s0`` lies outside it.  So it is the global
+    maximum, returned normalized with its mu.  A failed check, a component
+    at exactly +-1 (a zero denominator), or six steps without such a step
+    return (None, mu) with the last accepted mu.  Kinks where an empty
+    outcome pins s_k at +-1 have no stationary point and end there.
     """
     p0, m0, p1, m1, p2, m2 = n
     x0, x1, x2 = s0
     radius = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     x0, x1, x2 = x0 / radius, x1 / radius, x2 / radius
+    # the domain's open ends, at -1 where n+ > 0 and at +1 where n- > 0
+    inf = math.inf
+    bottom0, bottom1, bottom2 = ((-1.0 if p0 else -inf), (-1.0 if p1 else -inf),
+                                 (-1.0 if p2 else -inf))
+    top0, top1, top2 = (1.0 if m0 else inf), (1.0 if m1 else inf), (1.0 if m2 else inf)
+    tol = _STEP_ULPS
     mu = 0.0
-    for step in range(3):
-        u0, v0, u1, v1, u2, v2 = 1.0 + x0, 1.0 - x0, 1.0 + x1, 1.0 - x1, 1.0 + x2, 1.0 - x2
-        a0, b0 = (p0 / u0 if p0 else 0.0), (m0 / v0 if m0 else 0.0)
-        a1, b1 = (p1 / u1 if p1 else 0.0), (m1 / v1 if m1 else 0.0)
-        a2, b2 = (p2 / u2 if p2 else 0.0), (m2 / v2 if m2 else 0.0)
-        if step == 0:  # the start, from the terms of the first step
-            mu = x0 * (a0 - b0) + x1 * (a1 - b1) + x2 * (a2 - b2)
-        f0, f1, f2 = a0 - b0 - mu * x0, a1 - b1 - mu * x1, a2 - b2 - mu * x2
-        j0 = -(a0 / u0 if p0 else 0.0) - (b0 / v0 if m0 else 0.0) - mu
-        j1 = -(a1 / u1 if p1 else 0.0) - (b1 / v1 if m1 else 0.0) - mu
-        j2 = -(a2 / u2 if p2 else 0.0) - (b2 / v2 if m2 else 0.0) - mu
-        if not (j0 < 0.0 and j1 < 0.0 and j2 < 0.0):
-            return mu
-        w0, w1, w2 = x0 / j0, x1 / j1, x2 / j2
-        schur = w0 * x0 + w1 * x1 + w2 * x2
-        if not schur < 0.0:
-            return mu
-        delta = (0.5 * (1.0 - x0 * x0 - x1 * x1 - x2 * x2) + w0 * f0 + w1 * f1 + w2 * f2) / schur
-        y0, y1, y2 = (x0 + (x0 * delta - f0) / j0, x1 + (x1 * delta - f1) / j1,
-                      x2 + (x2 * delta - f2) / j2)
-        if ((y0 >= 1.0 and m0) or (y0 <= -1.0 and p0) or (y1 >= 1.0 and m1)
-                or (y1 <= -1.0 and p1) or (y2 >= 1.0 and m2) or (y2 <= -1.0 and p2)):
-            return mu
-        x0, x1, x2, mu = y0, y1, y2, mu + delta
-    return mu
+    try:
+        for step in range(6):
+            u0, v0, u1, v1, u2, v2 = 1.0 + x0, 1.0 - x0, 1.0 + x1, 1.0 - x1, 1.0 + x2, 1.0 - x2
+            # a zero count's term is 0 unless its denominator is, which
+            # only a pinned s_k reaches: that row goes to the search
+            a0, b0, a1, b1, a2, b2 = p0 / u0, m0 / v0, p1 / u1, m1 / v1, p2 / u2, m2 / v2
+            if step == 0:  # the start, from the terms of the first step
+                mu = x0 * (a0 - b0) + x1 * (a1 - b1) + x2 * (a2 - b2)
+            f0, f1, f2 = a0 - b0 - mu * x0, a1 - b1 - mu * x1, a2 - b2 - mu * x2
+            j0 = -a0 / u0 - b0 / v0 - mu
+            j1 = -a1 / u1 - b1 / v1 - mu
+            j2 = -a2 / u2 - b2 / v2 - mu
+            if not (j0 < 0.0 and j1 < 0.0 and j2 < 0.0):
+                return None, mu
+            w0, w1, w2 = x0 / j0, x1 / j1, x2 / j2
+            schur = w0 * x0 + w1 * x1 + w2 * x2
+            if not schur < 0.0:
+                return None, mu
+            delta = (0.5 * (1.0 - x0 * x0 - x1 * x1 - x2 * x2)
+                     + w0 * f0 + w1 * f1 + w2 * f2) / schur
+            d0, d1, d2 = w0 * delta - f0 / j0, w1 * delta - f1 / j1, w2 * delta - f2 / j2
+            x0, x1, x2 = x0 + d0, x1 + d1, x2 + d2
+            if not (bottom0 < x0 < top0 and bottom1 < x1 < top1 and bottom2 < x2 < top2):
+                return None, mu
+            mu += delta
+            if -tol <= d0 <= tol and -tol <= d1 <= tol and -tol <= d2 <= tol and mu > 0.0:
+                radius = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+                return [x0 / radius, x1 / radius, x2 / radius], mu
+    except ZeroDivisionError:
+        pass
+    return None, mu
 
 
 def _sphere_stokes(n, s0) -> list[float]:
     """Likelihood maximum on the Bloch sphere for totals whose inversion ``s0`` lies outside it.
+
+    The point :func:`_newton_sphere` certifies, when it certifies one, as
+    on every raw row of the reference grid.  Otherwise a search on the
+    multiplier alone.
 
     On |s| = 1 the stationarity condition per axis is
     n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam,
@@ -249,17 +280,18 @@ def _sphere_stokes(n, s0) -> list[float]:
     point once one does not (rounding noise), or once the step falls below
     the float resolution of the bracket [0, total].
 
-    The search starts from :func:`_predicted_multiplier` when that lies
+    The search starts from the Newton's last multiplier when that lies
     inside the bracket, else from 0.  The start only decides where the
     first Newton step is taken: the bracket, the fallbacks and the stopping
-    tests hold from any start inside [0, total], so a poor prediction costs
-    evaluations, never the root.  A good one, the common case, leaves one or
-    two evaluations per row instead of about five from lam = 0.
+    tests hold from any start inside [0, total], so a poor start costs
+    evaluations, never the root.
     """
+    point, lam = _newton_sphere(n, s0)
+    if point is not None:
+        return point
     axes = [axis for axis in ((0, n[0], n[1]), (1, n[2], n[3]), (2, n[4], n[5]))
             if axis[1] + axis[2] > 0.0]
     total = sum(n)
-    lam = _predicted_multiplier(n, s0)
     if not 0.0 < lam < total:
         lam = 0.0
     lo, hi = 0.0, total

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 import polalign as pa
 from polalign.compensation import (
+    _POLE_TOLERANCE,
     _least_travel,
     _plate_settings,
     _wahba_rotation,
@@ -349,6 +350,45 @@ class TestMonotoneImprovement:
                 assert lo <= hi + 5e-4
 
 
+class TestPlateSettings:
+    @staticmethod
+    def assert_realised(rotation, reference):
+        settings = _plate_settings(rotation, reference)
+        assert len(settings) == 4
+        for setting in settings:
+            realised = oracles.stokes_rotation(oracles.stack(*setting))
+            np.testing.assert_allclose(realised, rotation, rtol=0, atol=1e-12)
+
+    def test_every_setting_realises_haar_rotations(self):
+        # the second pair is derived from the first, not solved for: all
+        # four settings must still give the rotation through the Jones plates
+        rng = np.random.default_rng(1976)
+        for k in range(1000):
+            rotation = oracles.stokes_rotation(oracles.haar_unitary(*rng.random(4)))
+            reference = (0.0, 0.0, 0.0) if k % 4 == 0 else tuple(rng.uniform(0.0, math.pi, 3))
+            self.assert_realised(tuple(map(tuple, rotation)), reference)
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-13, 0.9 * _POLE_TOLERANCE])
+    def test_every_setting_realises_pole_rotations(self, tilt):
+        # R keeps the S3 pole (or sends it to the other pole) to within the
+        # tolerance, so theta1 comes from the reference
+        rng = np.random.default_rng(1977)
+        for _ in range(100):
+            alpha = rng.uniform(0.0, 2.0 * math.pi)
+            turn = oracles.stokes_rotation(oracles.unitary(
+                [[math.cos(alpha / 2), -math.sin(alpha / 2)],
+                 [math.sin(alpha / 2), math.cos(alpha / 2)]]))
+            tilted = oracles.stokes_rotation(oracles.unitary(
+                [[math.cos(tilt / 2), -1j * math.sin(tilt / 2)],
+                 [-1j * math.sin(tilt / 2), math.cos(tilt / 2)]]))
+            half = oracles.half(rng.uniform(0.0, math.pi))
+            for flip in (np.eye(3), oracles.stokes_rotation(half)):
+                rotation = tilted @ flip @ turn
+                assert math.hypot(rotation[2, 0], rotation[2, 1]) <= _POLE_TOLERANCE
+                reference = tuple(rng.uniform(0.0, math.pi, 3))
+                self.assert_realised(tuple(map(tuple, rotation)), reference)
+
+
 class TestWrappedDistance:
     def test_symmetric_short_path(self):
         assert wrapped_angle_distance(0.1, math.pi - 0.1) == pytest.approx(0.2, abs=1e-12)
@@ -378,17 +418,24 @@ class TestLeastTravel:
 
     def test_ties_at_quarter_pi_keep_the_first(self):
         # half plates at +-pi/4 from the reference are exactly as far from
-        # it as their partners, so each pair ties within; a second pair
-        # equal to the first ties across pairs too: min keeps the first
+        # it as their partners, so each pair ties within and keeps its
+        # first; quarter plates at 0 or pi/2 a quarter of pi from the
+        # reference cost both pairs pi/2 exactly, so the pairs tie across
+        # too, and min keeps the first pair
         rng = np.random.default_rng(9)
         q = math.pi / 4.0
-        for _ in range(2000):
-            t1, t3, u1, u3, r1, r3 = rng.uniform(0.0, math.pi, 6)
+        for k in range(2000):
+            if k % 2:
+                t1, t3, r1, r3 = rng.uniform(0.0, math.pi, 4)
+            else:
+                t1, t3 = rng.choice([0.0, 2.0 * q], size=2)
+                r1, r3 = rng.choice([q, 3.0 * q], size=2)
             t2, u2 = rng.choice([q, -q], size=2)
             reference = (r1, 0.0, r3)
-            for second in ((u1, u2, u3), (t1, t2, t3)):
-                settings = [(t1, t2, t3), (t1, t2 + 2.0 * q, t3),
-                            second, (second[0], second[1] + 2.0 * q, second[2])]
-                chosen = _least_travel(settings, reference)
-                assert chosen is self.four_way(settings, reference)
-            assert chosen is settings[0]
+            s1, s3 = t1 + 2.0 * q, t3 + 2.0 * q
+            settings = [(t1, t2, t3), (t1, t2 + 2.0 * q, t3), (s1, u2, s3), (s1, u2 + 2.0 * q, s3)]
+            chosen = _least_travel(settings, reference)
+            assert chosen is self.four_way(settings, reference)
+            assert chosen is settings[0] or chosen is settings[2]
+            if k % 2 == 0:
+                assert chosen is settings[0]

@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -332,7 +333,10 @@ class TestAxisRoot:
                 assert abs(_axis_root(0.0, n_plus, lam)[0] + exact) <= 5e-16
 
     def test_empty_pair_held_at_zero(self, monkeypatch):
-        # the multiplier search never evaluates an empty pair: its component stays 0
+        # an empty pair's component is exactly 0, from the Newton and from the
+        # multiplier search, which never evaluates the empty pair
+        rows = ([3.0, 1.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 7.5, 0.25, 6.0, 0.0],
+                [300.0, 0.0, 0.0, 0.0, 50.5, 49.5])
         evaluated = []
 
         def recorded(n_plus, n_minus, lam):
@@ -340,11 +344,12 @@ class TestAxisRoot:
             return _axis_root(n_plus, n_minus, lam)
 
         monkeypatch.setattr(tomography, "_axis_root", recorded)
-        for counts in ([3.0, 1.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 7.5, 0.25, 6.0, 0.0],
-                       [300.0, 0.0, 0.0, 0.0, 50.5, 49.5]):
-            s = mle_reconstruct(counts, allow_empty_basis=True)
-            empty = [k for k in range(3) if counts[2 * k] + counts[2 * k + 1] == 0.0]
-            assert [s[k] for k in empty] == [0.0]
+        for newton in (tomography._newton_sphere, lambda n, s0: (None, 0.0)):
+            monkeypatch.setattr(tomography, "_newton_sphere", newton)
+            for counts in rows:
+                s = mle_reconstruct(counts, allow_empty_basis=True)
+                empty = [k for k in range(3) if counts[2 * k] + counts[2 * k + 1] == 0.0]
+                assert [s[k] for k in empty] == [0.0]
         assert evaluated and (0.0, 0.0) not in evaluated
 
 
@@ -417,6 +422,40 @@ HARD_ROWS = [
 ]
 
 
+#: fractional allow-empty rows whose sphere point lies at a multiplier far below the total
+MPMATH_ROWS = [[16.98, 8.28, 0.0, 0.0, 0.0, 0.0096], [91.5, 274.4, 0.218, 0.0, 0.0, 0.0]]
+
+
+def _fifty_digit_sphere_point(counts):
+    """The sphere maximum of six totals to 50 digits, independent of the program's solvers.
+
+    Each component is the root in (-1, 1) of the rational stationarity
+    condition n+/(1 + s) - n-/(1 - s) = lam s, or +-1 while one outcome is
+    empty and lam <= n+/2 (n-/2), or 0 for an empty pair; lam is the root of
+    |s(lam)|^2 - 1 on [0, total].  Both roots are bracketed.
+    """
+    with mpmath.workdps(50):
+        n = [mpmath.mpf(x) for x in counts]
+        edge = 1 - mpmath.mpf(10) ** -45
+
+        def component(n_plus, n_minus, lam):
+            if n_plus + n_minus == 0:
+                return mpmath.mpf(0)
+            if n_minus == 0 and lam <= n_plus / 2:
+                return mpmath.mpf(1)
+            if n_plus == 0 and lam <= n_minus / 2:
+                return mpmath.mpf(-1)
+            return mpmath.findroot(lambda s: n_plus / (1 + s) - n_minus / (1 - s) - lam * s,
+                                   (-edge, edge), solver="anderson")
+
+        def point(lam):
+            return [component(n[2 * k], n[2 * k + 1], lam) for k in range(3)]
+
+        lam = mpmath.findroot(lambda lam: sum(x * x for x in point(lam)) - 1, (0, sum(n)),
+                              solver="anderson")
+        return point(lam)
+
+
 class TestSphereSolver:
     def test_kkt_conditions_on_reference_and_fractional_rows(self, reference_boundary_rows):
         # on the sphere every axis with both outcomes meets
@@ -449,8 +488,9 @@ class TestSphereSolver:
 
     def test_few_multiplier_evaluations_per_boundary_row(self, monkeypatch,
                                                          reference_boundary_rows):
-        # one evaluation is one _axis_root call per non-empty axis; started at
-        # lam = 0 the search needs about 5.3 per row on this grid
+        # one evaluation is one _axis_root call per non-empty axis; a row the
+        # Newton certifies needs none, and started at lam = 0 the search
+        # needs about 5.3 per row on this grid
         calls = [0]
 
         def counted(n_plus, n_minus, lam):
@@ -461,6 +501,62 @@ class TestSphereSolver:
         for counts in reference_boundary_rows:
             mle_reconstruct(counts)
         assert calls[0] / (3 * len(reference_boundary_rows)) <= 2.5
+
+    def test_newton_point_is_the_search_point(self, monkeypatch, reference_boundary_rows):
+        # the certified Newton point against the multiplier search, forced to
+        # run from lam = 0 on every row
+        points = [tomography._newton_sphere(row, _stokes_estimates(row, allow_empty=False))[0]
+                  for row in reference_boundary_rows]
+        certified = [(row, point) for row, point in zip(reference_boundary_rows, points)
+                     if point is not None]
+        assert len(certified) >= 0.95 * len(reference_boundary_rows)
+        for row, point in certified[:50]:
+            assert mle_reconstruct(row).tolist() == point
+        monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: (None, 0.0))
+        for row, point in certified:
+            np.testing.assert_allclose(point, mle_reconstruct(row), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("counts", MPMATH_ROWS)
+    def test_fractional_rows_against_fifty_digits(self, counts):
+        # allow-empty rows whose root lam lies far below the total, where
+        # s(lam) is steep: the search, whose resolution in lam is set by the
+        # total, ended 1.5e-13 from the first row's maximum.  The Newton
+        # certifies both
+        s0 = _stokes_estimates(counts, allow_empty=True)
+        assert tomography._newton_sphere(counts, s0)[0] is not None
+        expected = [float(x) for x in _fifty_digit_sphere_point(counts)]
+        np.testing.assert_allclose(mle_reconstruct(counts, allow_empty_basis=True), expected,
+                                   rtol=0, atol=1e-15)
+
+    def test_kink_row_falls_back_from_the_newton_multiplier(self, monkeypatch):
+        # the root sits at the X axis's kink lam = 100, where the other axes
+        # add under 1e-28 to |s|^2: no stationary point, so the Newton
+        # cannot certify it.  Its last multiplier lies just below the kink,
+        # where the slope is about 1e-31, and the search bisects from there;
+        # from lam = 0 it takes 4.  Over the uncertified rows of the
+        # reference grid with background the Newton's multiplier is the
+        # better start in total, so this row keeps its count
+        counts = [5e-13, 0.0, 200.0, 0.0, 100.0, 100.0]
+        s0 = _stokes_estimates(counts, allow_empty=False)
+        assert tomography._newton_sphere(counts, s0)[0] is None
+        calls = [0]
+
+        def counted(n_plus, n_minus, lam):
+            calls[0] += 1
+            return _axis_root(n_plus, n_minus, lam)
+
+        monkeypatch.setattr(tomography, "_axis_root", counted)
+        assert mle_reconstruct(counts).tolist() == [4.999999999999975e-15, 1.0, 0.0]
+        assert calls[0] == 3 * 38
+
+    @pytest.mark.parametrize("counts", [[0.0, 100.0, 50.0, 50.0 + 1e-7, 50.0, 50.0],
+                                        [100.0, 0.0, 50.0, 50.0 - 1e-7, 50.0, 50.0]])
+    def test_start_on_a_pinned_pole_goes_to_the_search(self, counts):
+        # s0 = (+-1, 1e-9, 0) scales onto the sphere as itself, so the
+        # Newton would divide the empty outcome's 0 by 1 -+ s = 0
+        s0 = _stokes_estimates(counts, allow_empty=False)
+        assert tomography._newton_sphere(counts, s0) == (None, 0.0)
+        np.testing.assert_array_equal(mle_reconstruct(counts), s0)
 
     @pytest.mark.parametrize("counts,allow_empty,expected", HARD_ROWS)
     def test_hard_rows_keep_their_sphere_point(self, counts, allow_empty, expected):

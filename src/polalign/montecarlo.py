@@ -37,6 +37,7 @@ of the draw or the seed, so each of its pairs scores one draw twice.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import sys
@@ -65,9 +66,20 @@ MAX_BACKGROUND_MEAN = float(MAX_DETECTIONS - 10.0 * math.sqrt(MAX_DETECTIONS))
 _BLOCK_SIZE = 250
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as a Python int if it is an integer, else :class:`ConfigError` on ``field``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{field} must be an integer, got {value!r}", field=field) from None
+
+
 @dataclass(frozen=True)
 class TrialConfig:
-    """One Monte Carlo trial: direction, detection budget, noise model."""
+    """One Monte Carlo trial: direction, detection budget, noise model.
+
+    ``n_detected`` must be an integer, a NumPy integer being stored as an int.
+    """
 
     direction: Direction
     n_detected: int
@@ -75,6 +87,7 @@ class TrialConfig:
     background_mean: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_detected", _integer(self.n_detected, "n_detected"))
         minimum = 4 if self.direction is Direction.FORWARD else 6
         if self.n_detected < minimum:
             raise ConfigError(
@@ -273,7 +286,7 @@ def _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
                            background_mean) -> list[int]:
     """The seed entropy of a cell, before the block index: float coordinates as their bits."""
     dir_code = 0 if direction is Direction.FORWARD else 1
-    return [int(master_seed), dir_code, int(n_detected), _float_bits(signal_fidelity),
+    return [master_seed, dir_code, n_detected, _float_bits(signal_fidelity),
             _float_bits(background_mean)]
 
 
@@ -283,7 +296,7 @@ def _cell_configs(directions, n_values, fs_values, background_means):
         cells.append(
             TrialConfig(
                 direction=Direction(direction),
-                n_detected=int(n),
+                n_detected=n,
                 signal_fidelity=float(fs),
                 background_mean=float(bg),
             )
@@ -333,6 +346,9 @@ def _run_cells(cells, subtract: bool, samples: int, master_seed: int, jobs: int)
     worker processes; a trial's draws depend only on its cell, its block and
     its place in the block, never on the worker that runs it.
     """
+    samples = _integer(samples, "samples")
+    master_seed = _integer(master_seed, "master_seed")
+    jobs = _integer(jobs, "jobs")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}", field="samples")
     if master_seed < 0:  # SeedSequence would refuse it only inside a worker

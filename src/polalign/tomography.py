@@ -15,15 +15,12 @@ full Lagrange system, stationarity of each component and |s| = 1, runs
 from the inversion scaled onto the sphere; no trigonometry is needed.  Its
 end point, once a step is below rounding with a positive multiplier, is a
 KKT point of a concave likelihood on a convex set, hence the maximum
-(Rehacek et al., PRA 75, 042108 (2007)).  Rows it cannot certify, kinks
-where an empty outcome pins a component at +-1 and low-count rows that
-six steps do not settle, fall back to a search on the multiplier alone: for a given multiplier each component is
-the middle root of a depressed cubic, taken from the trigonometric
-formula, and one pass over the three axes gives the point and its
-derivative; the multiplier is found by a bracketed Newton search started
-from the Newton's last multiplier.  The search keeps its bracket on
-[0, total] and its bisection fallbacks, so a poor start costs
-evaluations, never the root.
+(Rehacek et al., PRA 75, 042108 (2007)).  What it leaves uncertified are
+kinks, where an empty outcome pins a component at +-1, and rare
+fractional rows made by background subtraction.  Those fall back to a
+bisection on the multiplier alone: for a given multiplier each component
+is the middle root of a depressed cubic, taken from the trigonometric
+formula, and |s|^2 - 1 falls as the multiplier grows over [0, total].
 Counts are checked once, where they enter: a :class:`CountMatrix`.
 """
 
@@ -150,8 +147,8 @@ def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
             (n_r - n_l) / y if y > 0.0 else 0.0]
 
 
-def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]:
-    """One axis of the sphere maximum at multiplier ``lam``, and its lam-derivative.
+def _axis_root(n_plus: float, n_minus: float, lam: float) -> float:
+    """One axis of the sphere maximum at multiplier ``lam``.
 
     The pair (n+, n-) is not empty.  The component maximizes the concave
     n+ log(1+s) + n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1 while one
@@ -166,13 +163,12 @@ def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]
     With an empty outcome the cubic also has the spurious root +-1, which the
     middle root meets at lam = n+/2 (n-/2), where the formula loses half its
     digits.  One Newton step on the rational condition, which lacks the
-    spurious root, restores them.  The derivative is s / (d/ds of that
-    condition).
+    spurious root, restores them.
     """
     if n_minus == 0.0 and lam <= n_plus / 2.0:
-        return 1.0, 0.0
+        return 1.0
     if n_plus == 0.0 and lam <= n_minus / 2.0:
-        return -1.0, 0.0
+        return -1.0
     n = n_plus + n_minus
     d = n_plus - n_minus
     if lam == 0.0:
@@ -186,11 +182,10 @@ def _axis_root(n_plus: float, n_minus: float, lam: float) -> tuple[float, float]
             s = math.copysign(_BELOW_ONE, s)
     up, down = 1.0 + s, 1.0 - s
     curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
-    s -= (n_plus / up - n_minus / down - lam * s) / curvature
-    return s, s / curvature
+    return s - (n_plus / up - n_minus / down - lam * s) / curvature
 
 
-def _newton_sphere(n, s0) -> tuple[list[float] | None, float]:
+def _newton_sphere(n, s0) -> list[float] | None:
     """The sphere maximum by Newton on the full Lagrange system, when it is certified.
 
     ``n`` holds the six outcome totals and ``s0`` their linear inversion,
@@ -209,10 +204,11 @@ def _newton_sphere(n, s0) -> tuple[list[float] | None, float]:
     point is stationary on the sphere with a positive multiplier: a KKT
     point of the concave log-likelihood on the convex ball, whose
     unconstrained maximum ``s0`` lies outside it.  So it is the global
-    maximum, returned normalized with its mu.  A failed check, a component
-    at exactly +-1 (a zero denominator), or six steps without such a step
-    return (None, mu) with the last accepted mu.  Kinks where an empty
-    outcome pins s_k at +-1 have no stationary point and end there.
+    maximum, returned normalized.  A failed check, a component at exactly
+    +-1 (a zero denominator), or eight steps without such a step return
+    None.  The first step from s0/|s0| can overshoot on low counts, and
+    the eighth settles those rows.  Kinks where an empty outcome pins s_k
+    at +-1 have no stationary point and end uncertified.
     """
     p0, m0, p1, m1, p2, m2 = n
     x0, x1, x2 = s0
@@ -224,12 +220,11 @@ def _newton_sphere(n, s0) -> tuple[list[float] | None, float]:
                                  (-1.0 if p2 else -inf))
     top0, top1, top2 = (1.0 if m0 else inf), (1.0 if m1 else inf), (1.0 if m2 else inf)
     tol = _STEP_ULPS
-    mu = 0.0
     try:
-        for step in range(6):
+        for step in range(8):
             u0, v0, u1, v1, u2, v2 = 1.0 + x0, 1.0 - x0, 1.0 + x1, 1.0 - x1, 1.0 + x2, 1.0 - x2
             # a zero count's term is 0 unless its denominator is, which
-            # only a pinned s_k reaches: that row goes to the search
+            # only a pinned s_k reaches: that row goes to the bisection
             a0, b0, a1, b1, a2, b2 = p0 / u0, m0 / v0, p1 / u1, m1 / v1, p2 / u2, m2 / v2
             if step == 0:  # the start, from the terms of the first step
                 mu = x0 * (a0 - b0) + x1 * (a1 - b1) + x2 * (a2 - b2)
@@ -238,74 +233,56 @@ def _newton_sphere(n, s0) -> tuple[list[float] | None, float]:
             j1 = -a1 / u1 - b1 / v1 - mu
             j2 = -a2 / u2 - b2 / v2 - mu
             if not (j0 < 0.0 and j1 < 0.0 and j2 < 0.0):
-                return None, mu
+                return None
             w0, w1, w2 = x0 / j0, x1 / j1, x2 / j2
             schur = w0 * x0 + w1 * x1 + w2 * x2
             if not schur < 0.0:
-                return None, mu
+                return None
             delta = (0.5 * (1.0 - x0 * x0 - x1 * x1 - x2 * x2)
                      + w0 * f0 + w1 * f1 + w2 * f2) / schur
             d0, d1, d2 = w0 * delta - f0 / j0, w1 * delta - f1 / j1, w2 * delta - f2 / j2
             x0, x1, x2 = x0 + d0, x1 + d1, x2 + d2
             if not (bottom0 < x0 < top0 and bottom1 < x1 < top1 and bottom2 < x2 < top2):
-                return None, mu
+                return None
             mu += delta
             if -tol <= d0 <= tol and -tol <= d1 <= tol and -tol <= d2 <= tol and mu > 0.0:
                 radius = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-                return [x0 / radius, x1 / radius, x2 / radius], mu
+                return [x0 / radius, x1 / radius, x2 / radius]
     except ZeroDivisionError:
         pass
-    return None, mu
+    return None
 
 
 def _sphere_stokes(n, s0) -> list[float]:
     """Likelihood maximum on the Bloch sphere for totals whose inversion ``s0`` lies outside it.
 
-    The point :func:`_newton_sphere` certifies, when it certifies one, as
-    on every raw row of the reference grid.  Otherwise a search on the
-    multiplier alone.
+    The point :func:`_newton_sphere` certifies, when it certifies one.
+    Otherwise a bisection on the multiplier alone.
 
     On |s| = 1 the stationarity condition per axis is
     n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam,
-    :func:`_axis_root` gives each component s_k(lam) in closed form, with its
-    derivative; an empty pair keeps its component at 0.  |s(lam)| falls from
-    |s| > 1 at lam = 0 to below 1 at lam = total, so lam is the root of the
-    decreasing |s(lam)|^2 - 1 there, found by Newton with those derivatives.
-    The Newton steps are kept inside a bracket that shrinks to each evaluated
-    point.  Bisection replaces a step that would leave the bracket, a step
-    left undefined by a zero slope, and a step that crosses back over the
-    root without halving the step before it (Newton oscillating about a
-    kink).  Every step moves toward the root, so in exact arithmetic a value
-    that keeps its sign also shrinks.  The search ends at the last evaluated
-    point once one does not (rounding noise), or once the step falls below
-    the float resolution of the bracket [0, total].
-
-    The search starts from the Newton's last multiplier when that lies
-    inside the bracket, else from 0.  The start only decides where the
-    first Newton step is taken: the bracket, the fallbacks and the stopping
-    tests hold from any start inside [0, total], so a poor start costs
-    evaluations, never the root.
+    :func:`_axis_root` gives each component s_k(lam) in closed form; an
+    empty pair keeps its component at 0.  |s(lam)| falls from |s| > 1 at
+    lam = 0 to below 1 at lam = total, so lam is the root of the decreasing
+    |s(lam)|^2 - 1 there.  The bisection halves [0, total] 52 times, to
+    eps * total, the float resolution of the total, on every row, and
+    returns the last midpoint's point scaled onto the sphere.  Halving on
+    to adjacent floats would drive a root near 0 into underflow.
     """
-    point, lam = _newton_sphere(n, s0)
+    point = _newton_sphere(n, s0)
     if point is not None:
         return point
     axes = [axis for axis in ((0, n[0], n[1]), (1, n[2], n[3]), (2, n[4], n[5]))
             if axis[1] + axis[2] > 0.0]
-    total = sum(n)
-    if not 0.0 < lam < total:
-        lam = 0.0
-    lo, hi = 0.0, total
-    resolution = sys.float_info.epsilon * total
-    previous_step, previous_value = total, 0.0
+    lo, hi = 0.0, sum(n)
     s = [0.0, 0.0, 0.0]
-    while True:
-        slope = 0.0
+    for _ in range(sys.float_info.mant_dig - 1):
+        lam = 0.5 * (lo + hi)
         for k, n_plus, n_minus in axes:
-            s[k], ds = _axis_root(n_plus, n_minus, lam)
-            slope += 2.0 * s[k] * ds
+            s[k] = _axis_root(n_plus, n_minus, lam)
         # |s|^2 - 1 with 1 - s^2 of the largest component taken as a product:
-        # summed directly, 1 absorbs components below 1e-8, whose slope then
-        # lacks its value and leaves Newton creeping along a plateau
+        # summed directly, 1 absorbs components below 1e-8, and beside an
+        # axis pinned at +-1 their squares alone decide the sign
         a0, a1, a2 = abs(s[0]), abs(s[1]), abs(s[2])
         if a0 >= a1 and a0 >= a2:
             value = a1 * a1 + a2 * a2 - (1.0 - a0) * (1.0 + a0)
@@ -313,21 +290,10 @@ def _sphere_stokes(n, s0) -> list[float]:
             value = a0 * a0 + a2 * a2 - (1.0 - a1) * (1.0 + a1)
         else:
             value = a0 * a0 + a1 * a1 - (1.0 - a2) * (1.0 + a2)
-        if value == 0.0 or (value * previous_value > 0.0 and abs(value) >= abs(previous_value)):
-            break
         if value > 0.0:
             lo = lam
         else:
             hi = lam
-        step = -value / slope if slope < 0.0 else math.inf
-        crossed = value * previous_value < 0.0
-        if abs(step) > resolution and (not lo < lam + step < hi
-                                       or (crossed and 2.0 * abs(step) > previous_step)):
-            step = 0.5 * (lo + hi) - lam
-        if abs(step) <= resolution:
-            break
-        previous_step, previous_value = abs(step), value
-        lam += step
     radius = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
     return [x / radius for x in s]
 

@@ -350,6 +350,20 @@ class TestGridChecks:
         assert _RecordingPool.max_workers == []
 
     @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
+    @pytest.mark.parametrize("field,value", [("n_detected", dict(n_values=[400.5])),
+                                             ("master_seed", dict(master_seed=1.5)),
+                                             ("jobs", dict(jobs=1.5)),
+                                             ("samples", dict(samples=2.7))])
+    def test_non_integer_rejected_before_any_block(self, monkeypatch, entry, field, value):
+        # int() would run 400.5 detections as 400 and seed 1.5 as seed 1
+        monkeypatch.setattr(montecarlo, "_block", None)  # a block that ran would raise TypeError
+        grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95],
+                    background_means=[20.0], samples=3, master_seed=1, jobs=1)
+        with pytest.raises(pa.ConfigError, match="must be an integer, got ") as caught:
+            getattr(pa, entry)(**{**grid, **value})
+        assert caught.value.field == field
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
     def test_cell_with_too_many_failures_aborts(self, entry):
         # ten detections leave some basis of some input empty in every trial
         grid = dict(directions=["forward"], n_values=[10], fs_values=[0.95],

@@ -19,14 +19,16 @@ reported in degrees here (hardware convention) and stored in radians
 everywhere inside the library.
 
 Bad input exits with code 2 and a message naming the flag, manifest key or
-file at fault.  This module checks the types and shapes of flags, manifests
-and files.  Every range is checked once, by the library code that uses the
-value: ``TrialConfig`` (N, F_S, background), ``run_sweep`` (samples, master
-seed, jobs), ``classify`` (confidence) and ``expected_detection_rate`` (rate
-inputs); counts are checked by ``CountMatrix``.  A range error is a
-``ConfigError`` whose ``field`` ``main`` maps to its flag, or under
-``simulate --from-manifest`` to its manifest key when the manifest holds
-it, through ``_FIELD_KEYS``.
+file at fault.  This module checks the types and shapes of files, and of a
+simulate configuration only its keys, its lists and the values the library
+never sees (``bg_subtract``, ``format``, ``out``).  Every value the library
+uses is checked once, type and range, by the library code that uses it:
+``TrialConfig`` (direction, N, F_S, background), ``run_sweep`` (a non-empty
+grid, samples, master seed, jobs), ``classify`` (confidence) and
+``expected_detection_rate`` (rate inputs); counts are checked by
+``CountMatrix``.  Such an error is a ``ConfigError`` whose ``field`` ``main``
+maps to its flag, or under ``simulate --from-manifest`` to its manifest key
+when the manifest holds it, through ``_FIELD_KEYS``.
 ``_SWEEP_FIELDS`` is the one description of a sweep row.
 """
 
@@ -175,12 +177,6 @@ def _optional_finite(value):
     return None if value in (None, "") else _finite(value)
 
 
-def _integer(value) -> int:
-    if isinstance(value, (bool, float)):
-        raise ValueError("not an integer")
-    return int(value)
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -199,12 +195,12 @@ _FLAGS = {"true": True, "false": False, True: True, False: False}
 #: value is text; the fields parsed as floats are written at nine significant digits
 _SWEEP_FIELDS = {
     "direction": ("direction", Direction, lambda x: isinstance(x, str)),
-    "n": ("n_detected", _integer, _is_int),
+    "n": ("n_detected", int, _is_int),
     "fs": ("signal_fidelity", _finite, _is_number),
     "bg_mean": ("background_mean", _finite, _is_number),
     "bg_subtract": ("subtract_background", _FLAGS.__getitem__, lambda x: isinstance(x, bool)),
-    "samples": ("samples", _integer, _is_int),
-    "failures": ("failures", _integer, _is_int),
+    "samples": ("samples", int, _is_int),
+    "failures": ("failures", int, _is_int),
     "mean_qber": ("mean_qber", _finite, _is_number),
     "std_qber": ("std_qber", _optional_finite, lambda x: x is None or _is_number(x)),
 }
@@ -372,11 +368,12 @@ def _config_error(parser, manifest: str | None, key: str, message):
 
 
 def _check_simulate_config(parser, config: dict, manifest: str | None = None) -> dict:
-    """Check the types of a simulate configuration from flags or from ``manifest``.
+    """Check the shape of a simulate configuration from flags or from ``manifest``.
 
     Any problem exits through ``parser.error``, naming the flag or the
-    manifest key at fault.  Every range, samples and seed included, is
-    the library's to check.
+    manifest key at fault.  The direction, samples, seed and what the grid
+    lists hold, empty lists and every value's type and range, are the
+    library's to check.
     """
     fail = functools.partial(_config_error, parser, manifest)
     unknown = sorted(set(config) - set(_SIMULATE_KEYS))
@@ -385,24 +382,13 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
     for key in _SIMULATE_KEYS:
         if key not in config:
             fail(key, "missing")
-    direction = config["direction"]
-    if direction not in ("forward", "reversed"):
-        fail("direction", f"{direction!r} must be 'forward' or 'reversed'")
-    for key, is_valid, label in (("n", _is_int, "integer"), ("fs", _is_number, "number"),
-                                 ("bg", _is_number, "number")):
-        values = config[key]
-        if not isinstance(values, list) or not values:
-            fail(key, f"expected a non-empty list, got {values!r}")
-        for x in values:
-            if not is_valid(x):
-                fail(key, f"{x!r} is not a valid {label}")
+    for key in ("n", "fs", "bg"):
+        if not isinstance(config[key], list):
+            fail(key, f"expected a non-empty list, got {config[key]!r}")
     if not isinstance(config["bg_subtract"], bool):
         fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
     if config["bg_subtract"]:
         fail("bg_subtract", "true, but mean-background subtraction was removed from simulate")
-    for key in ("samples", "seed"):
-        if not _is_int(config[key]):
-            fail(key, f"{config[key]!r} must be an integer")
     if config["format"] not in ("csv", "json"):
         fail("format", f"{config['format']!r} must be 'csv' or 'json'")
     if not isinstance(config["out"], str) or not config["out"]:
@@ -461,7 +447,7 @@ def cmd_simulate(parser, args) -> int:
         os.remove(out)
     started = time.monotonic()
     sweep = run_sweep(
-        directions=[Direction(config["direction"])],
+        directions=[config["direction"]],
         n_values=config["n"],
         fs_values=config["fs"],
         background_means=config["bg"],
@@ -622,7 +608,7 @@ def cmd_rate(parser, args) -> int:
 #: the key of each ``ConfigError`` field: a simulate manifest stores the value under
 #: it, and the flag is ``--`` and the key with ``-`` for ``_``
 _FIELD_KEYS = {
-    "n_detected": "n", "signal_fidelity": "fs", "background_mean": "bg",
+    "direction": "direction", "n_detected": "n", "signal_fidelity": "fs", "background_mean": "bg",
     "samples": "samples", "master_seed": "seed", "jobs": "jobs", "confidence": "confidence",
     "pulse_rate_hz": "pulse_rate", "mean_photon_number": "mu",
     "channel_transmission": "eta", "vacuum_yield": "y0",

@@ -37,11 +37,12 @@ of the draw or the seed, so each of its pairs scores one draw twice.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, product
 
 import numpy as np
@@ -67,18 +68,41 @@ _BLOCK_SIZE = 250
 
 
 def _integer(value, field: str) -> int:
-    """``value`` as a Python int if it is an integer, else :class:`ConfigError` on ``field``."""
+    """``value`` as an int if it is an integer but no bool, else a :class:`ConfigError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
+
+
+def _real(value, field: str) -> float:
+    """``value`` as a float if it is a real number but no bool, else a :class:`ConfigError`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            pass
+    raise ConfigError(f"{field} must be a real number in float range, got {value!r}", field=field)
+
+
+def _direction(value, field: str) -> Direction:
     try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{field} must be an integer, got {value!r}", field=field) from None
+        return Direction(value)
+    except ValueError:
+        raise ConfigError(f"{field} must be 'forward' or 'reversed', got {value!r}",
+                          field=field) from None
 
 
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte Carlo trial: direction, detection budget, noise model.
 
-    ``n_detected`` must be an integer, a NumPy integer being stored as an int.
+    Each field is checked and stored as its type: a :class:`Direction` from
+    its value, an int from any integer, floats from any real number in float
+    range; a bool is no number, and a bad value is a :class:`ConfigError`
+    on its field.
     """
 
     direction: Direction
@@ -87,7 +111,9 @@ class TrialConfig:
     background_mean: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_detected", _integer(self.n_detected, "n_detected"))
+        for name, check in (("direction", _direction), ("n_detected", _integer),
+                            ("signal_fidelity", _real), ("background_mean", _real)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         minimum = 4 if self.direction is Direction.FORWARD else 6
         if self.n_detected < minimum:
             raise ConfigError(
@@ -290,18 +316,14 @@ def _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
             _float_bits(background_mean)]
 
 
-def _cell_configs(directions, n_values, fs_values, background_means):
-    cells = []
-    for direction, n, fs, bg in product(directions, n_values, fs_values, background_means):
-        cells.append(
-            TrialConfig(
-                direction=Direction(direction),
-                n_detected=n,
-                signal_fidelity=float(fs),
-                background_mean=float(bg),
-            )
-        )
-    return cells
+def _cell_configs(directions, n_values, fs_values, background_means) -> list[TrialConfig]:
+    """Every grid cell's checked :class:`TrialConfig`, in (direction, N, F_S, background) order."""
+    grid = [tuple(values) for values in (directions, n_values, fs_values, background_means)]
+    for field, values in zip(("direction", "n_detected", "signal_fidelity", "background_mean"),
+                             grid):
+        if not values:
+            raise ConfigError(f"empty sweep grid: no {field} values", field=field)
+    return [TrialConfig(*cell) for cell in product(*grid)]
 
 
 def _block(args):
@@ -339,13 +361,21 @@ def _block(args):
     return values
 
 
-def _run_cells(cells, subtract: bool, samples: int, master_seed: int, jobs: int) -> list[list]:
-    """Every cell's :func:`_block` values per trial, in trial order, None for a failed trial.
+def _run_cells(grid, subtract: bool, samples, master_seed, jobs) -> list[tuple[dict, list]]:
+    """Each cell's shared fields and its surviving :func:`_block` values, in trial order.
+
+    ``grid`` is the (directions, n_values, fs_values, background_means) of a
+    sweep; every input is checked before any block runs.  The shared fields
+    are the :class:`SweepCell` and :class:`BackgroundStudyCell` fields of the
+    cell's coordinates, ``samples`` (an int) and ``failures``: failed trials
+    are counted, not kept, and more than 1% of a cell's trials failing aborts
+    the sweep, since at realistic N any failure indicates a modeling bug.
 
     Each cell runs in blocks of ``_BLOCK_SIZE`` trials, spread over ``jobs``
     worker processes; a trial's draws depend only on its cell, its block and
     its place in the block, never on the worker that runs it.
     """
+    cells = _cell_configs(*grid)
     samples = _integer(samples, "samples")
     master_seed = _integer(master_seed, "master_seed")
     jobs = _integer(jobs, "jobs")
@@ -355,8 +385,6 @@ def _run_cells(cells, subtract: bool, samples: int, master_seed: int, jobs: int)
         raise ConfigError(f"master seed must be >= 0, got {master_seed}", field="master_seed")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}", field="jobs")
-    if not cells:
-        raise ValueError("empty sweep grid")
     starts = range(0, samples, _BLOCK_SIZE)
     tasks = [(master_seed, cfg, subtract, start, min(start + _BLOCK_SIZE, samples))
              for cfg in cells for start in starts]
@@ -370,9 +398,20 @@ def _run_cells(cells, subtract: bool, samples: int, master_seed: int, jobs: int)
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block, tasks))
-    per_cell = len(starts)
-    return [list(chain.from_iterable(blocks[i:i + per_cell]))
-            for i in range(0, len(blocks), per_cell)]
+    out = []
+    for i, cfg in enumerate(cells):
+        trials = chain.from_iterable(blocks[i * len(starts):(i + 1) * len(starts)])
+        values = [value for value in trials if value is not None]
+        failures = samples - len(values)
+        if failures > MAX_FAILURE_FRACTION * samples:
+            raise SweepError(
+                f"cell (direction={cfg.direction.value}, n={cfg.n_detected}, "
+                f"fs={cfg.signal_fidelity}, bg={cfg.background_mean}): "
+                f"{failures}/{samples} trials failed, above the "
+                f"{MAX_FAILURE_FRACTION:.0%} tolerance"
+            )
+        out.append(({**asdict(cfg), "samples": samples, "failures": failures}, values))
+    return out
 
 
 def _moments(values) -> tuple[float, float | None]:
@@ -380,16 +419,6 @@ def _moments(values) -> tuple[float, float | None]:
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size >= 2 else None
     return mean, std
-
-
-def _check_failures(cfg: TrialConfig, failures: int, samples: int):
-    if failures > MAX_FAILURE_FRACTION * samples:
-        raise SweepError(
-            f"cell (direction={cfg.direction.value}, n={cfg.n_detected}, "
-            f"fs={cfg.signal_fidelity}, bg={cfg.background_mean}): "
-            f"{failures}/{samples} trials failed, above the "
-            f"{MAX_FAILURE_FRACTION:.0%} tolerance"
-        )
 
 
 def run_sweep(
@@ -406,30 +435,15 @@ def run_sweep(
     Each trial scores its drawn counts, background included; nothing is
     subtracted.  Cell order is the cartesian product (direction, N, F_S,
     background) in the order given.  Failed trials are excluded from the
-    moments but counted; a cell aborts the sweep if more than 1% of its
-    trials fail, since at realistic N any failure indicates a modeling bug.
+    moments but counted, and more than 1% of a cell's trials failing aborts
+    the sweep (:func:`_run_cells`).
     """
-    cells = _cell_configs(directions, n_values, fs_values, background_means)
-    out = []
-    for cfg, trials in zip(cells, _run_cells(cells, False, samples, master_seed, jobs)):
-        values = [qber for qber in trials if qber is not None]
-        failures = samples - len(values)
-        _check_failures(cfg, failures, samples)
+    grid = (directions, n_values, fs_values, background_means)
+    cells = []
+    for fields, values in _run_cells(grid, False, samples, master_seed, jobs):
         mean, std = _moments(values)
-        out.append(
-            SweepCell(
-                direction=cfg.direction,
-                n_detected=cfg.n_detected,
-                signal_fidelity=cfg.signal_fidelity,
-                background_mean=cfg.background_mean,
-                subtract_background=False,
-                samples=samples,
-                failures=failures,
-                mean_qber=mean,
-                std_qber=std,
-            )
-        )
-    return SweepResult(cells=tuple(out))
+        cells.append(SweepCell(**fields, subtract_background=False, mean_qber=mean, std_qber=std))
+    return SweepResult(cells=tuple(cells))
 
 
 def background_study(
@@ -452,34 +466,23 @@ def background_study(
     not help against isotropic background, and because the benchmark's
     background workload runs it.
     """
-    cells = _cell_configs(directions, n_values, fs_values, background_means)
-    out = []
-    for cfg, trials in zip(cells, _run_cells(cells, True, samples, master_seed, jobs)):
-        pairs = [qbers for qbers in trials if qbers is not None]
-        failures = samples - len(pairs)
-        _check_failures(cfg, failures, samples)
+    grid = (directions, n_values, fs_values, background_means)
+    cells = []
+    for fields, pairs in _run_cells(grid, True, samples, master_seed, jobs):
         with_bg, subtracted = zip(*pairs)
         mean_bg, std_bg = _moments(with_bg)
-        mean_bgs, std_bgs = _moments(subtracted)
-        diffs = np.asarray(subtracted) - np.asarray(with_bg)
-        _, std_delta = _moments(diffs)
-        out.append(
-            BackgroundStudyCell(
-                direction=cfg.direction,
-                n_detected=cfg.n_detected,
-                signal_fidelity=cfg.signal_fidelity,
-                background_mean=cfg.background_mean,
-                samples=samples,
-                failures=failures,
-                mean_with_background=mean_bg,
-                std_with_background=std_bg,
-                mean_subtracted=mean_bgs,
-                std_subtracted=std_bgs,
-                delta=mean_bgs - mean_bg,
-                std_delta=std_delta,
-            )
-        )
-    return BackgroundStudyResult(cells=tuple(out))
+        mean_sub, std_sub = _moments(subtracted)
+        _, std_delta = _moments(np.asarray(subtracted) - np.asarray(with_bg))
+        cells.append(BackgroundStudyCell(
+            **fields,
+            mean_with_background=mean_bg,
+            std_with_background=std_bg,
+            mean_subtracted=mean_sub,
+            std_subtracted=std_sub,
+            delta=mean_sub - mean_bg,
+            std_delta=std_delta,
+        ))
+    return BackgroundStudyResult(cells=tuple(cells))
 
 
 def fit_power_law(cells) -> FitResult:

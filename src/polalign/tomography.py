@@ -42,6 +42,11 @@ _MIN_TOTAL_COUNTS = 6
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 #: the Newton step in s below which the sphere point is taken as converged: 8 ulp of 1
 _STEP_ULPS = 8.0 * sys.float_info.epsilon
+#: halvings of the sphere MLE's multiplier bracket [0, total], to total * 2**-64: just
+#: past an outcome's kink, far below the total, s(lam) is steep, and a bracket of
+#: eps * total (52 halvings) leaves the point up to 8e-14 off.  Halving on to adjacent
+#: floats would drive a root near 0 into underflow
+_HALVINGS = 64
 
 
 class Direction(str, enum.Enum):
@@ -66,7 +71,8 @@ class CountMatrix:
     entries are stored as nonnegative floats.  ``background_subtracted``
     records that a matrix went through mean-background subtraction, which
     also tells the reconstruction to tolerate basis pairs whose counts were
-    entirely clipped away.
+    entirely clipped away.  The direction is stored as a :class:`Direction`,
+    given as one or as its value.
     """
 
     direction: Direction
@@ -74,6 +80,8 @@ class CountMatrix:
     background_subtracted: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.direction, Direction):  # the per-trial path passes the enum
+            object.__setattr__(self, "direction", Direction(self.direction))
         c = np.array(self.counts, dtype=float)
         expected = COUNT_SHAPE[self.direction]
         if c.shape != expected:
@@ -264,10 +272,9 @@ def _sphere_stokes(n, s0) -> list[float]:
     :func:`_axis_root` gives each component s_k(lam) in closed form; an
     empty pair keeps its component at 0.  |s(lam)| falls from |s| > 1 at
     lam = 0 to below 1 at lam = total, so lam is the root of the decreasing
-    |s(lam)|^2 - 1 there.  The bisection halves [0, total] 52 times, to
-    eps * total, the float resolution of the total, on every row, and
-    returns the last midpoint's point scaled onto the sphere.  Halving on
-    to adjacent floats would drive a root near 0 into underflow.
+    |s(lam)|^2 - 1 there.  The bisection halves [0, total] ``_HALVINGS``
+    times on every row and returns the last midpoint's point scaled onto
+    the sphere.
     """
     point = _newton_sphere(n, s0)
     if point is not None:
@@ -276,7 +283,7 @@ def _sphere_stokes(n, s0) -> list[float]:
             if axis[1] + axis[2] > 0.0]
     lo, hi = 0.0, sum(n)
     s = [0.0, 0.0, 0.0]
-    for _ in range(sys.float_info.mant_dig - 1):
+    for _ in range(_HALVINGS):
         lam = 0.5 * (lo + hi)
         for k, n_plus, n_minus in axes:
             s[k] = _axis_root(n_plus, n_minus, lam)

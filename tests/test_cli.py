@@ -347,21 +347,25 @@ class TestSimulate:
         [
             (dict(samples=-3), "samples: samples must be >= 1, got -3"),
             (dict(samples=None), "samples: missing"),
-            (dict(n=[400, "x"]), "n: 'x' is not a valid integer"),
+            (dict(n=[400, "x"]), "n: n_detected must be an integer, got 'x'"),
             (dict(fs=[1.5]), "fs: signal fidelity must be in [0.5, 1], got 1.5"),
-            (dict(direction="sideways"), "direction: 'sideways'"),
+            (dict(direction="sideways"),
+             "direction: direction must be 'forward' or 'reversed', got 'sideways'"),
             (dict(sample=3), "unknown keys ['sample']"),
             (dict(seed=-1), "seed: master seed must be >= 0, got -1"),
             (dict(n=400), "n: expected a non-empty list, got 400"),
-            (dict(fs=[]), "fs: expected a non-empty list, got []"),
+            (dict(fs=[]), "fs: empty sweep grid: no signal_fidelity values"),
             (dict(bg_subtract="yes"), "bg_subtract: 'yes' must be true or false"),
-            (dict(samples=2.5), "samples: 2.5 must be an integer"),
-            (dict(seed="1"), "seed: '1' must be an integer"),
+            (dict(samples=2.5), "samples: samples must be an integer, got 2.5"),
+            (dict(seed="1"), "seed: master_seed must be an integer, got '1'"),
             (dict(format="xml"), "format: 'xml' must be 'csv' or 'json'"),
             (dict(out=""), "out: '' must be a file path"),
         ],
     )
     def test_bad_manifest_rejected(self, tmp_path, capsys, change, match):
+        # the keys, the lists and the values the library never sees are this
+        # module's to check; every other value goes to the library, which
+        # names it by its field, mapped here to its key
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
@@ -416,13 +420,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key", ["fs", "bg"])
     def test_manifest_number_past_float_range_rejected(self, tmp_path, capsys, key):
+        name = {"fs": "signal_fidelity", "bg": "background_mean"}[key]
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],
                   "bg_subtract": False, "samples": 3, "seed": 1, "format": "csv",
                   "out": str(tmp_path / "s.csv")}
         config[key] = [10**400]
         path = write_manifest(tmp_path / "m.json", config)
         assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
-                        f"{key}: 1{'0' * 400} is not a valid number")
+                        f"{key}: {name} must be a real number in float range, got 1{'0' * 400}")
 
     def test_manifest_integer_past_digit_limit_rejected(self, tmp_path, capsys):
         config = {"direction": "forward", "n": [400], "fs": [0.95], "bg": [0.0],

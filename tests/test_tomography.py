@@ -89,6 +89,18 @@ class TestCountMatrix:
         assert cm.counts[0, 0] == 1.0
         assert not cm.counts.flags.writeable
 
+    @pytest.mark.parametrize("direction", list(D))
+    def test_direction_given_by_its_value(self, direction):
+        # the value is stored as the Direction, so the reconstruction, which
+        # tests the direction by identity, runs as it does on the enum
+        counts = exact_count_matrix(haar_channel(np.random.default_rng(5)), direction).counts
+        by_value = pa.CountMatrix(direction.value, counts)
+        assert by_value.direction is direction
+        reconstruct = pa.reconstruct_forward if direction is D.FORWARD else pa.reconstruct_reversed
+        assert reconstruct(by_value) == reconstruct(pa.CountMatrix(direction, counts))
+        with pytest.raises(ValueError, match="'sideways' is not a valid Direction"):
+            pa.CountMatrix("sideways", counts)
+
 
 class TestLinearInversion:
     def test_pure_h(self):
@@ -500,7 +512,7 @@ class TestSphereSolver:
     def test_few_multiplier_evaluations_per_boundary_row(self, axis_root_calls,
                                                          reference_boundary_rows):
         # one evaluation is one _axis_root call per non-empty axis; a row the
-        # Newton certifies needs none, and the bisection takes 52 on any row
+        # Newton certifies needs none, and the bisection takes 64 on any row
         for counts in reference_boundary_rows:
             mle_reconstruct(counts)
         assert axis_root_calls[0] / (3 * len(reference_boundary_rows)) <= 2.5
@@ -522,9 +534,8 @@ class TestSphereSolver:
     @pytest.mark.parametrize("counts", MPMATH_ROWS)
     def test_fractional_rows_against_fifty_digits(self, counts):
         # allow-empty rows whose root lam lies far below the total, where
-        # s(lam) is steep: the bisection, whose resolution in lam is set by
-        # the total, ends 2.6e-14 and 7.7e-14 from their maxima.  The Newton
-        # certifies both
+        # s(lam) is steep.  The Newton certifies both; the bisection's
+        # accuracy on them is pinned with the fallback rows below
         s0 = _stokes_estimates(counts, allow_empty=True)
         assert tomography._newton_sphere(counts, s0) is not None
         expected = [float(x) for x in _fifty_digit_sphere_point(counts)]
@@ -532,20 +543,25 @@ class TestSphereSolver:
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("counts", [[5e-13, 0.0, 200.0, 0.0, 100.0, 100.0]]
-                             + UNCERTIFIED_ROWS)
-    def test_fallback_rows_bisect_to_fifty_digits(self, axis_root_calls, counts):
-        # every row the Newton leaves costs the same 52 halvings of
-        # [0, total], one _axis_root call per axis each.  The first row's
-        # root sits at the X axis's kink lam = 100, where the other axes add
-        # under 1e-28 to |s|^2, so it has no stationary point.  The bisection
-        # stops at eps * total in lam, which just past an outcome's kink,
-        # where s(lam) is steep, is worth up to 2e-15 in s
+                             + UNCERTIFIED_ROWS + MPMATH_ROWS)
+    def test_fallback_rows_bisect_to_fifty_digits(self, monkeypatch, axis_root_calls, counts):
+        # every row the Newton leaves costs the same 64 halvings of
+        # [0, total], one _axis_root call per non-empty axis each; the
+        # MPMATH_ROWS, which the Newton certifies, are forced through them.
+        # The first row's root sits at the X axis's kink lam = 100, where the
+        # other axes add under 1e-28 to |s|^2, so it has no stationary point.
+        # Just past an outcome's kink, or far below the total, s(lam) is
+        # steep: a bracket of eps * total in lam (52 halvings) would leave these
+        # rows up to 7.7e-14 off, and total * 2**-64 leaves them within 2e-16
         s0 = _stokes_estimates(counts, allow_empty=True)
-        assert tomography._newton_sphere(counts, s0) is None
+        certified = tomography._newton_sphere(counts, s0) is not None
+        assert certified == (counts in MPMATH_ROWS)
+        monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: None)
         s = mle_reconstruct(counts, allow_empty_basis=True)
-        assert axis_root_calls[0] == 3 * 52
+        axes = sum(counts[k] + counts[k + 1] > 0.0 for k in (0, 2, 4))
+        assert axis_root_calls[0] == 64 * axes
         expected = [float(x) for x in _fifty_digit_sphere_point(counts)]
-        np.testing.assert_allclose(s, expected, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(s, expected, rtol=0, atol=2e-16)
 
     def test_newton_certifies_low_count_integer_rows(self, axis_root_calls):
         # pure states at N from 6 to 80: the first step from s0/|s0| can

@@ -30,8 +30,10 @@ pi/2) = Q3^-1 H Q1^-1 equals Q3 H2 Q1 exactly when H = Q3^2 H2 Q1^2, and
 Q^2 is the half plate at the same angle.  Two pi rotations about
 equatorial axes compose to a turn about S3, so H(theta3) H(theta2)
 H(theta1) is the half plate at theta1 + theta3 - theta2.  The score needs
-no angles: it is read from R_V and the channel's Stokes axes.  The
-per-trial path is scalar arithmetic throughout.
+no angles: it is read from R_V and the channel's Stokes axes, so a sweep's
+per-trial path asks :func:`optimize` for the rotation alone
+(``plates=False``) and picks no plate setting; ``align`` does.  That path
+is scalar arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ class CompensationResult:
     """Plate angles, their Stokes rotation and the QBER they predict against the reconstructions.
 
     ``rotation`` holds the rows of R_V, the rotation the plates apply to
-    Stokes vectors, as nested tuples.
+    Stokes vectors, as nested tuples.  ``angles`` is None when
+    :func:`optimize` was asked for no plates (``plates=False``).
     """
 
-    angles: WavePlateAngles
+    angles: WavePlateAngles | None
     rotation: tuple
     predicted_qber: float
     # constant 1 and True, as the optimum is closed form; kept only
@@ -175,7 +178,8 @@ def _least_travel(settings, reference) -> tuple[float, float, float]:
 
 
 def optimize(
-    recon: ReconstructionSet, previous_angles: WavePlateAngles | None = None
+    recon: ReconstructionSet, previous_angles: WavePlateAngles | None = None, *,
+    plates: bool = True,
 ) -> CompensationResult:
     """The plate setting that maximizes the summed fidelity to the BB84 targets.
 
@@ -183,13 +187,19 @@ def optimize(
     settings, the one with the least total travel from ``previous_angles``
     (zeros when absent), and the rotation R_V they apply.
     ``predicted_qber`` is one minus a quarter of the summed fidelity at
-    that optimum, 2 + h/2 with h = tr(R B).
+    that optimum, 2 + h/2 with h = tr(R B).  With ``plates=False`` no plate
+    setting is chosen, ``previous_angles`` goes unused and ``angles`` is
+    None; the rotation and the prediction are the same to the bit.  A sweep
+    scores the rotation alone.
     """
-    reference = previous_angles.as_tuple() if previous_angles is not None else (0.0, 0.0, 0.0)
     rows, h = _wahba_rotation(*_wahba_columns(recon))
     if recon.direction is Direction.REVERSED:
         rows = tuple(zip(*rows))
-    angles = WavePlateAngles(*_least_travel(_plate_settings(rows, reference), reference))
+    angles = None
+    if plates:
+        reference = (previous_angles.as_tuple() if previous_angles is not None
+                     else (0.0, 0.0, 0.0))
+        angles = WavePlateAngles(*_least_travel(_plate_settings(rows, reference), reference))
     predicted = 1.0 + (-2.0 - 0.5 * h) / 4.0
     if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")

@@ -26,7 +26,9 @@ a trial's draws depend on its cell, its block and its place in the block,
 never on how many of the block's trials the cell runs or on the worker
 that runs it.  A cell's first k trials are the
 same for any sample count of at least k, and results are bit-identical
-for any worker count.
+for any worker count.  The counts of the scored trials are checked once
+for the block (:meth:`CountMatrix.block`), and a trial scores the
+compensation's Stokes rotation without choosing plate angles.
 
 A sweep scores the drawn counts as the detectors record them, background
 and all.  Only :func:`background_study` subtracts the mean background:
@@ -291,12 +293,13 @@ def run_trial(cm: CountMatrix, axes) -> float:
 
     ``cm`` holds counts drawn through a channel whose :func:`stokes_axes`
     are ``axes``, a 2x3 nested sequence; the compensation's Stokes rotation
-    is scored against them.  Tomography errors propagate: sweeps record
-    them as failed trials rather than dropping them silently.
+    is scored against them, and no plate angles are chosen.  Tomography
+    errors propagate: sweeps record them as failed trials rather than
+    dropping them silently.
     """
     reconstruct = (reconstruct_forward if cm.direction is Direction.FORWARD
                    else reconstruct_reversed)
-    return residual_qber(axes, optimize(reconstruct(cm)).rotation, cm.direction)
+    return residual_qber(axes, optimize(reconstruct(cm), plates=False).rotation, cm.direction)
 
 
 def cpu_count() -> int:
@@ -331,11 +334,12 @@ def _block(args):
 
     Draws the channels and counts of a full block whatever ``stop`` is, so
     a trial's draws do not depend on the cell's sample count, and scores
-    the first ``stop - start`` of them.  With ``subtract`` a trial is a pair
-    from its one draw: the drawn counts, then those less the mean
-    background per cell.  A pair that fails in either arm is None, so at
-    background 0 the arms agree: the subtracted arm's tolerance of an empty
-    basis pair acts only where the raw arm has failed.
+    the first ``stop - start`` of them.  Their counts alone are checked,
+    once for the block (:meth:`CountMatrix.block`).  With ``subtract`` a
+    trial is a pair from its one draw: the drawn counts, then those less
+    the mean background per cell.  A pair that fails in either arm is None,
+    so at background 0 the arms agree: the subtracted arm's tolerance of an
+    empty basis pair acts only where the raw arm has failed.
     """
     master_seed, cfg, subtract, start, stop = args
     coordinates = _cell_seed_coordinates(master_seed, cfg.direction, cfg.n_detected,
@@ -344,17 +348,21 @@ def _block(args):
         np.random.SeedSequence(coordinates, spawn_key=(start // _BLOCK_SIZE,))))
     axes = stokes_axes(haar_random_unitary(rng, _BLOCK_SIZE), cfg.direction)
     counts = generate_counts(axes, cfg, rng)
-    # the pre-calibrated mean per cell, clipped so no count goes negative
-    subtracted = np.maximum(counts - expected_background_per_cell(cfg), 0.0) if subtract else None
+    counts = counts[:stop - start]
+    matrices = CountMatrix.block(cfg.direction, counts)
+    if subtract:
+        # the pre-calibrated mean per cell, clipped so no count goes negative
+        subtracted = CountMatrix.block(
+            cfg.direction, np.maximum(counts - expected_background_per_cell(cfg), 0.0),
+            background_subtracted=True)
     # as Python floats, for the scalar score
-    axes = axes.tolist()
+    axes = axes[:stop - start].tolist()
     values = []
-    for i in range(stop - start):
+    for i, cm in enumerate(matrices):
         try:
-            qber = run_trial(CountMatrix(cfg.direction, counts[i]), axes[i])
+            qber = run_trial(cm, axes[i])
             if subtract:
-                qber = (qber, run_trial(CountMatrix(cfg.direction, subtracted[i],
-                                                    background_subtracted=True), axes[i]))
+                qber = (qber, run_trial(subtracted[i], axes[i]))
         except InsufficientCountsError:
             qber = None
         values.append(qber)

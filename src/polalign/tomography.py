@@ -21,7 +21,9 @@ fractional rows made by background subtraction.  Those fall back to a
 bisection on the multiplier alone: for a given multiplier each component
 is the middle root of a depressed cubic, taken from the trigonometric
 formula, and |s|^2 - 1 falls as the multiplier grows over [0, total].
-Counts are checked once, where they enter: a :class:`CountMatrix`.
+Counts are checked once, where they enter: a :class:`CountMatrix` checks
+one matrix, such as a count file's, and :meth:`CountMatrix.block` a whole
+stack of a sweep block's draws in one pass.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ ROW_LABELS = {Direction.FORWARD: BB84_LABELS, Direction.REVERSED: ALL_LABELS}
 COLUMN_LABELS = {Direction.FORWARD: ALL_LABELS, Direction.REVERSED: BB84_LABELS}
 
 
+def _check_counts(c: np.ndarray) -> None:
+    """Refuse a float count array with an entry that is negative or not finite."""
+    # NaN propagates through both reductions and fails both comparisons
+    if not (0.0 <= np.minimum.reduce(c, None) and np.maximum.reduce(c, None) < math.inf):
+        raise ValueError("counts must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class CountMatrix:
     """Detection counts indexed by input state (rows) and outcome (columns).
@@ -80,7 +89,7 @@ class CountMatrix:
     background_subtracted: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.direction, Direction):  # the per-trial path passes the enum
+        if not isinstance(self.direction, Direction):
             object.__setattr__(self, "direction", Direction(self.direction))
         c = np.array(self.counts, dtype=float)
         expected = COUNT_SHAPE[self.direction]
@@ -88,11 +97,37 @@ class CountMatrix:
             raise ValueError(
                 f"{self.direction.value} counts must have shape {expected}, got {c.shape}"
             )
-        # NaN propagates through both reductions and fails both comparisons
-        if not (0.0 <= np.minimum.reduce(c, None) and np.maximum.reduce(c, None) < math.inf):
-            raise ValueError("counts must be finite and nonnegative")
+        _check_counts(c)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
+
+    @classmethod
+    def block(cls, direction, counts, background_subtracted: bool = False) -> list[CountMatrix]:
+        """One matrix per row of ``counts``, a (B, rows, columns) stack, checked once for all.
+
+        The stack is converted to float and checked as the constructor
+        checks one matrix, with its messages: the trailing shape, then
+        finite, nonnegative entries.  Each matrix holds a read-only view of
+        its row, so a sweep block pays the check once, not per trial.
+        """
+        direction = Direction(direction)
+        c = np.array(counts, dtype=float)
+        expected = COUNT_SHAPE[direction]
+        if c.shape[1:] != expected:
+            raise ValueError(
+                f"{direction.value} counts must have shape {expected}, got {c.shape[1:]}"
+            )
+        _check_counts(c)
+        c.setflags(write=False)
+        matrices = []
+        for row in c:
+            # checked above, so the constructor is skipped: a frozen
+            # instance takes its fields through its dict
+            cm = object.__new__(cls)
+            cm.__dict__.update(direction=direction, counts=row,
+                               background_subtracted=background_subtracted)
+            matrices.append(cm)
+        return matrices
 
     @property
     def total(self) -> float:

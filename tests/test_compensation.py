@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 import polalign as pa
+from polalign import compensation
 from polalign.compensation import (
     _POLE_TOLERANCE,
     _least_travel,
@@ -182,6 +183,30 @@ class TestOptimize:
                 if tilt == 0.0:
                     reference = 0.0 if previous is None else prev.theta1
                     assert wrapped_angle_distance(result.angles.theta1, reference) < 1e-12
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_no_plates_same_rotation_and_prediction(self, direction):
+        # plates=False skips the plate setting and changes nothing else, bit for bit
+        cfg = pa.TrialConfig(direction, 400, 0.95)
+        rng = np.random.default_rng(1981)
+        reconstruct = (pa.reconstruct_forward if direction is Direction.FORWARD
+                       else pa.reconstruct_reversed)
+        for _ in range(200):
+            recon = reconstruct(drawn_count_matrix(haar_channel(rng), cfg, rng))
+            full, bare = pa.optimize(recon), pa.optimize(recon, plates=False)
+            assert bare.angles is None and full.angles is not None
+            assert bare.rotation == full.rotation
+            assert bare.predicted_qber == full.predicted_qber
+
+    @pytest.mark.parametrize("plates", [True, False])
+    @pytest.mark.parametrize("h", [math.nan, 5.0])
+    def test_prediction_outside_range_refused(self, monkeypatch, plates, h):
+        # a rotation maximum h outside [0, 4] (here planted) is refused with
+        # or without plates
+        monkeypatch.setattr(compensation, "_wahba_rotation",
+                            lambda a, b: (IDENTITY_ROTATION, h))
+        with pytest.raises(ValueError, match="escaped"):
+            pa.optimize(exact_reconstruction(np.eye(2)), plates=plates)
 
     def test_prediction_invariant_to_previous(self, rng):
         # the reference only picks among settings of one rotation

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import polalign as pa
-from polalign import montecarlo
+from polalign import compensation, montecarlo
 from polalign.errors import FitError, InsufficientCountsError
 
 from conftest import default_jobs
@@ -237,15 +237,38 @@ class TestRunTrial:
             subtracted = pa.run_trial(subtracted_matrix(cfg, counts[t]), axes[t].tolist())
             assert pair == (plain, subtracted)
 
-    def test_drawn_values_validated(self, monkeypatch):
-        # a block builds a checked count matrix from each trial's draw
+    @staticmethod
+    def planted(value, trial):
+        """Drawn counts with ``value`` in one cell of trial ``trial``."""
+        def plant(counts):
+            counts = counts.astype(float)
+            counts[trial, 1, 2] = value
+            return counts
+        return plant
+
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_drawn_values_validated(self, monkeypatch, subtract):
+        # a block checks the counts of the trials it scores, once for the block
         cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
         drawn = montecarlo.generate_counts
         for bad, match in [(lambda c: np.swapaxes(c, 1, 2), "shape"),
-                           (np.negative, "nonnegative")]:
+                           (np.negative, "nonnegative"),
+                           (self.planted(math.nan, 0), "finite"),
+                           (self.planted(math.inf, 0), "finite")]:
             monkeypatch.setattr(montecarlo, "generate_counts", lambda *args: bad(drawn(*args)))
             with pytest.raises(ValueError, match=match):
-                montecarlo._block((4, cfg, False, 0, 1))
+                montecarlo._block((4, cfg, subtract, 0, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_unscored_trials_unchecked(self, monkeypatch, bad):
+        # a one-trial block scores only its first trial, so a bad value in
+        # the second, drawn but never scored, raises nothing
+        cfg = pa.TrialConfig(D.FORWARD, 400, 0.95)
+        scored = montecarlo._block((4, cfg, True, 0, 1))
+        drawn = montecarlo.generate_counts
+        plant = self.planted(bad, 1)
+        monkeypatch.setattr(montecarlo, "generate_counts", lambda *args: plant(drawn(*args)))
+        assert montecarlo._block((4, cfg, True, 0, 1)) == scored
 
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("n", [400, 6400])
@@ -255,23 +278,41 @@ class TestRunTrial:
         # both arms of every trial of a drawn block: the program's score of
         # optimize's rotation against the channel's Stokes axes equals the
         # oracle's Jones score of optimize's plate angles on the drawn channel
+        # (a trial picks no plates, so the oracle scores the plates that
+        # optimize picks from the same reconstruction)
         cfg = pa.TrialConfig(direction, n, fs, background_mean=background)
         channels, axes, counts = block_draws(11, cfg, 0)
-        results = []
+        recons = []
 
-        def record(recon, original=montecarlo.optimize):
-            results.append(original(recon))
-            return results[-1]
+        def record(recon, original=montecarlo.optimize, **kwargs):
+            recons.append(recon)
+            return original(recon, **kwargs)
 
         monkeypatch.setattr(montecarlo, "optimize", record)
         for u, trial_axes, trial_counts in zip(channels, axes.tolist(), counts):
-            results.clear()
+            recons.clear()
             qbers = [pa.run_trial(pa.CountMatrix(direction, trial_counts), trial_axes),
                      pa.run_trial(subtracted_matrix(cfg, trial_counts), trial_axes)]
-            assert len(results) == 2
-            for qber, result in zip(qbers, results):
-                jones = oracles.jones_qber(oracles.unitary(u), result.angles.as_tuple(), direction)
+            assert len(recons) == 2
+            for qber, recon in zip(qbers, recons):
+                angles = pa.optimize(recon).angles.as_tuple()
+                jones = oracles.jones_qber(oracles.unitary(u), angles, direction)
                 assert abs(qber - jones) <= 1e-12
+
+    def test_sweeps_pick_no_plates(self, monkeypatch):
+        # a sweep scores the rotation alone: with no plate setting to be had,
+        # both entry points run and return the same cells
+        grid = (list(D), [400], [0.95, 1.0])
+        sweep = pa.run_sweep(*grid, samples=30, master_seed=2, background_means=[0.0, 20.0])
+        study = pa.background_study(*grid, [20.0], samples=30, master_seed=2)
+
+        def refuse(*args):
+            raise AssertionError("a sweep chose plate angles")
+
+        monkeypatch.setattr(compensation, "_plate_settings", refuse)
+        assert pa.run_sweep(*grid, samples=30, master_seed=2,
+                            background_means=[0.0, 20.0]) == sweep
+        assert pa.background_study(*grid, [20.0], samples=30, master_seed=2) == study
 
 
 class _RecordingPool:

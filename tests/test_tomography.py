@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -100,6 +101,68 @@ class TestCountMatrix:
         assert reconstruct(by_value) == reconstruct(pa.CountMatrix(direction, counts))
         with pytest.raises(ValueError, match="'sideways' is not a valid Direction"):
             pa.CountMatrix("sideways", counts)
+
+
+class TestCountMatrixBlock:
+    """One check for a stack of count matrices, as a sweep block draws them."""
+
+    @staticmethod
+    def stack(direction, subtracted):
+        shape = (5, *tomography.COUNT_SHAPE[direction])
+        counts = np.random.default_rng(8).integers(0, 40, size=shape)
+        # subtraction leaves fractional counts, some clipped to 0
+        return np.maximum(counts - 3.3, 0.0) if subtracted else counts
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("subtracted", [False, True])
+    def test_each_row_equals_the_checked_matrix(self, direction, subtracted):
+        counts = self.stack(direction, subtracted)
+        matrices = pa.CountMatrix.block(direction.value, counts, background_subtracted=subtracted)
+        assert len(matrices) == len(counts)
+        reconstruct = pa.reconstruct_forward if direction is D.FORWARD else pa.reconstruct_reversed
+        for cm, row in zip(matrices, counts):
+            checked = pa.CountMatrix(direction, row, background_subtracted=subtracted)
+            assert type(cm) is pa.CountMatrix
+            assert cm.direction is checked.direction is direction
+            assert cm.counts.dtype == checked.counts.dtype == np.float64
+            assert np.array_equal(cm.counts, checked.counts)
+            assert cm.background_subtracted is subtracted
+            assert cm.total == checked.total
+            assert reconstruct(cm) == reconstruct(checked)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_each_matrix_read_only(self, direction):
+        counts = self.stack(direction, True)
+        matrices = pa.CountMatrix.block(direction, counts)
+        counts[0, 0, 0] = 99.0  # the caller's array stays its own
+        for cm in matrices:
+            assert not cm.counts.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cm.counts[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cm.counts = np.zeros(cm.counts.shape)
+        assert matrices[0].counts[0, 0] != 99.0
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_wrong_trailing_shape_rejected_as_the_constructor_does(self, direction):
+        counts = np.swapaxes(self.stack(direction, False), 1, 2)
+        with pytest.raises(ValueError, match="shape") as one:
+            pa.CountMatrix(direction, counts[0])
+        with pytest.raises(ValueError) as block:
+            pa.CountMatrix.block(direction, counts)
+        assert str(block.value) == str(one.value)
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("trial", [0, 2, 4])
+    def test_bad_count_rejected_as_the_constructor_does(self, direction, bad, trial):
+        counts = self.stack(direction, True)
+        counts[trial, 1, 2] = bad
+        with pytest.raises(ValueError, match="counts must be finite and nonnegative") as one:
+            pa.CountMatrix(direction, counts[trial])
+        with pytest.raises(ValueError) as block:
+            pa.CountMatrix.block(direction, counts)
+        assert str(block.value) == str(one.value)
 
 
 class TestLinearInversion:

@@ -33,7 +33,10 @@ H(theta1) is the half plate at theta1 + theta3 - theta2.  The score needs
 no angles: it is read from R_V and the channel's Stokes axes, so a sweep's
 per-trial path asks :func:`optimize` for the rotation alone
 (``plates=False``) and picks no plate setting; ``align`` does.  That path
-is scalar arithmetic throughout.
+is scalar arithmetic throughout: :func:`optimize` reads a and b straight
+from the reconstruction's rows, and builds its :class:`CompensationResult`
+as the tomography module builds its checked results, by filling the frozen
+instance's dict in one step.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .polarization import WavePlateAngles
-from .tomography import Direction, ReconstructionSet
+from .tomography import Direction, ReconstructionSet, _assemble
 
 #: below this tilt of R's third row from the S3 axis, theta1 is free
 _POLE_TOLERANCE = 1e-12
@@ -64,12 +67,6 @@ class CompensationResult:
     # because the benchmark's per-layer trace reads them
     evaluations_used: int
     converged: bool
-
-
-def _wahba_columns(recon: ReconstructionSet) -> tuple[tuple, tuple]:
-    """The columns a = s_H - s_V and b = s_D - s_A of B = [a b 0]."""
-    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.rows
-    return (h0 - v0, h1 - v1, h2 - v2), (d0 - a0, d1 - a1, d2 - a2)
 
 
 def _wahba_rotation(a, b) -> tuple[tuple, float]:
@@ -192,9 +189,12 @@ def optimize(
     None; the rotation and the prediction are the same to the bit.  A sweep
     scores the rotation alone.
     """
-    rows, h = _wahba_rotation(*_wahba_columns(recon))
+    # B = [a b 0] with a = s_H - s_V and b = s_D - s_A
+    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.rows
+    rows, h = _wahba_rotation((h0 - v0, h1 - v1, h2 - v2), (d0 - a0, d1 - a1, d2 - a2))
     if recon.direction is Direction.REVERSED:
-        rows = tuple(zip(*rows))
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+        rows = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
     angles = None
     if plates:
         reference = (previous_angles.as_tuple() if previous_angles is not None
@@ -204,7 +204,8 @@ def optimize(
     if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
     predicted = min(1.0, max(0.0, predicted))
-    return CompensationResult(angles, rows, predicted, 1, True)
+    return _assemble(CompensationResult, angles=angles, rotation=rows, predicted_qber=predicted,
+                     evaluations_used=1, converged=True)
 
 
 def residual_qber(axes, rotation, direction: Direction) -> float:

@@ -23,7 +23,13 @@ is the middle root of a depressed cubic, taken from the trigonometric
 formula, and |s|^2 - 1 falls as the multiplier grows over [0, total].
 Counts are checked once, where they enter: a :class:`CountMatrix` checks
 one matrix, such as a count file's, and :meth:`CountMatrix.block` a whole
-stack of a sweep block's draws in one pass.
+stack of a sweep block's draws in one pass.  A :class:`ReconstructionSet`
+is checked with one comparison per row, |s|^2 <= 1 + 1e-12, which also
+refuses components that are not finite; only a refused set is searched for
+the fault to name.  What the module builds from values it has checked
+itself, a block's matrices and each reconstruction's set, runs the check
+and then fills the frozen instance's dict in one step, without the
+dataclass constructor (:func:`_assemble`).
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from .polarization import ALL_LABELS, BASIS_NAMES, BB84_LABELS
 _MIN_TOTAL_COUNTS = 6
 #: the largest float below 1
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+#: the largest |s|^2 of a reconstructed state: the Bloch ball plus 1e-12 of rounding
+_BALL = 1.0 + 1e-12
 #: the Newton step in s below which the sphere point is taken as converged: 8 ulp of 1
 _STEP_ULPS = 8.0 * sys.float_info.epsilon
 #: halvings of the sphere MLE's multiplier bracket [0, total], to total * 2**-64: just
@@ -71,7 +79,20 @@ def _check_counts(c: np.ndarray) -> None:
         raise ValueError("counts must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+def _assemble(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, already checked.
+
+    For results the program builds from its own checked values: the
+    generated constructor's per-field ``object.__setattr__`` is skipped and
+    the instance dict filled in one step, in field order, so the instance
+    equals, and pickles as, the one the constructor builds.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Detection counts indexed by input state (rows) and outcome (columns).
 
@@ -81,7 +102,8 @@ class CountMatrix:
     records that a matrix went through mean-background subtraction, which
     also tells the reconstruction to tolerate basis pairs whose counts were
     entirely clipped away.  The direction is stored as a :class:`Direction`,
-    given as one or as its value.
+    given as one or as its value.  Two matrices are equal when their
+    direction, ``background_subtracted`` and count values are.
     """
 
     direction: Direction
@@ -101,6 +123,17 @@ class CountMatrix:
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
+    def __eq__(self, other):
+        if type(other) is not CountMatrix:
+            return NotImplemented
+        return (self.direction is other.direction
+                and self.background_subtracted == other.background_subtracted
+                and np.array_equal(self.counts, other.counts))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((self.direction, self.background_subtracted, (self.counts + 0.0).tobytes()))
+
     @classmethod
     def block(cls, direction, counts, background_subtracted: bool = False) -> list[CountMatrix]:
         """One matrix per row of ``counts``, a (B, rows, columns) stack, checked once for all.
@@ -108,26 +141,28 @@ class CountMatrix:
         The stack is converted to float and checked as the constructor
         checks one matrix, with its messages: the trailing shape, then
         finite, nonnegative entries.  Each matrix holds a read-only view of
-        its row, so a sweep block pays the check once, not per trial.
+        its row, so a sweep block pays the check once, not per trial.  An
+        empty stack gives no matrices.
         """
         direction = Direction(direction)
         c = np.array(counts, dtype=float)
         expected = COUNT_SHAPE[direction]
+        if c.ndim != 3:
+            raise ValueError(
+                f"{direction.value} counts must be a (B, {expected[0]}, {expected[1]}) stack "
+                f"of count matrices, got shape {c.shape}"
+            )
         if c.shape[1:] != expected:
             raise ValueError(
                 f"{direction.value} counts must have shape {expected}, got {c.shape[1:]}"
             )
+        if not len(c):
+            return []
         _check_counts(c)
         c.setflags(write=False)
-        matrices = []
-        for row in c:
-            # checked above, so the constructor is skipped: a frozen
-            # instance takes its fields through its dict
-            cm = object.__new__(cls)
-            cm.__dict__.update(direction=direction, counts=row,
-                               background_subtracted=background_subtracted)
-            matrices.append(cm)
-        return matrices
+        # checked above, so the constructor is skipped
+        return [_assemble(cls, direction=direction, counts=row,
+                          background_subtracted=background_subtracted) for row in c]
 
     @property
     def total(self) -> float:
@@ -157,17 +192,32 @@ class ReconstructionSet:
             raise ValueError(
                 "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers"
             ) from None
-        # 0 * x is NaN exactly when x is NaN or infinite, and never overflows
-        (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = rows
-        if (0.0 * h0 + 0.0 * h1 + 0.0 * h2 + 0.0 * v0 + 0.0 * v1 + 0.0 * v2
-                + 0.0 * d0 + 0.0 * d1 + 0.0 * d2 + 0.0 * a0 + 0.0 * a1 + 0.0 * a2) != 0.0:
-            raise ValueError(f"Stokes components must be finite, got {rows}")
-        for label, (s1, s2, s3) in zip(BB84_LABELS, rows):
-            if s1 * s1 + s2 * s2 + s3 * s3 > 1.0 + 1e-12:
-                raise ValueError(
-                    f"Stokes row {label} {(s1, s2, s3)} lies outside the Bloch ball |s| <= 1"
-                )
+        _check_stokes_rows(rows)
         object.__setattr__(self, "rows", rows)
+
+
+def _check_stokes_rows(rows) -> None:
+    """Refuse four float (S1, S2, S3) rows unless each is finite and in the Bloch ball.
+
+    One comparison per row, s.s <= 1 + 1e-12, passes exactly the finite rows
+    in the ball: NaN fails it, and an infinite component, or a finite one
+    whose square overflows, makes s.s infinite or NaN.  Only a refused set
+    is searched for its first fault, non-finite components before rows
+    outside the ball, to name it.
+    """
+    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = rows
+    if (h0 * h0 + h1 * h1 + h2 * h2 <= _BALL and v0 * v0 + v1 * v1 + v2 * v2 <= _BALL
+            and d0 * d0 + d1 * d1 + d2 * d2 <= _BALL and a0 * a0 + a1 * a1 + a2 * a2 <= _BALL):
+        return
+    # 0 * x is NaN exactly when x is NaN or infinite, and never overflows
+    if (0.0 * h0 + 0.0 * h1 + 0.0 * h2 + 0.0 * v0 + 0.0 * v1 + 0.0 * v2
+            + 0.0 * d0 + 0.0 * d1 + 0.0 * d2 + 0.0 * a0 + 0.0 * a1 + 0.0 * a2) != 0.0:
+        raise ValueError(f"Stokes components must be finite, got {rows}")
+    for label, (s1, s2, s3) in zip(BB84_LABELS, rows):
+        if s1 * s1 + s2 * s2 + s3 * s3 > _BALL:
+            raise ValueError(
+                f"Stokes row {label} {(s1, s2, s3)} lies outside the Bloch ball |s| <= 1"
+            )
 
 
 def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
@@ -177,15 +227,17 @@ def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
     the corresponding component is pinned at zero (no information).
     """
     n_h, n_v, n_d, n_a, n_r, n_l = n
-    pairs = (n_h + n_v, n_d + n_a, n_r + n_l)
-    if not allow_empty and 0.0 in pairs:
+    z, x, y = n_h + n_v, n_d + n_a, n_r + n_l
+    if z > 0.0 and x > 0.0 and y > 0.0:
+        return [(n_h - n_v) / z, (n_d - n_a) / x, (n_r - n_l) / y]
+    pairs = (z, x, y)
+    if not allow_empty:
         k = pairs.index(0.0)
         raise InsufficientCountsError(
             f"no counts in the {BASIS_NAMES[k]} basis "
             f"(outcomes {ALL_LABELS[2 * k]}/{ALL_LABELS[2 * k + 1]})",
             basis=BASIS_NAMES[k],
         )
-    z, x, y = pairs
     return [(n_h - n_v) / z if z > 0.0 else 0.0, (n_d - n_a) / x if x > 0.0 else 0.0,
             (n_r - n_l) / y if y > 0.0 else 0.0]
 
@@ -264,13 +316,15 @@ def _newton_sphere(n, s0) -> list[float] | None:
     top0, top1, top2 = (1.0 if m0 else inf), (1.0 if m1 else inf), (1.0 if m2 else inf)
     tol = _STEP_ULPS
     try:
-        for step in range(8):
-            u0, v0, u1, v1, u2, v2 = 1.0 + x0, 1.0 - x0, 1.0 + x1, 1.0 - x1, 1.0 + x2, 1.0 - x2
-            # a zero count's term is 0 unless its denominator is, which
-            # only a pinned s_k reaches: that row goes to the bisection
-            a0, b0, a1, b1, a2, b2 = p0 / u0, m0 / v0, p1 / u1, m1 / v1, p2 / u2, m2 / v2
-            if step == 0:  # the start, from the terms of the first step
-                mu = x0 * (a0 - b0) + x1 * (a1 - b1) + x2 * (a2 - b2)
+        # the terms at s, made before each step: a zero count's term is 0
+        # unless its denominator is, which only a pinned s_k reaches, and
+        # that row goes to the bisection
+        u0, u1, u2 = 1.0 + x0, 1.0 + x1, 1.0 + x2
+        v0, v1, v2 = 1.0 - x0, 1.0 - x1, 1.0 - x2
+        a0, a1, a2 = p0 / u0, p1 / u1, p2 / u2
+        b0, b1, b2 = m0 / v0, m1 / v1, m2 / v2
+        mu = x0 * (a0 - b0) + x1 * (a1 - b1) + x2 * (a2 - b2)
+        for _ in range(8):
             f0, f1, f2 = a0 - b0 - mu * x0, a1 - b1 - mu * x1, a2 - b2 - mu * x2
             j0 = -a0 / u0 - b0 / v0 - mu
             j1 = -a1 / u1 - b1 / v1 - mu
@@ -291,6 +345,10 @@ def _newton_sphere(n, s0) -> list[float] | None:
             if -tol <= d0 <= tol and -tol <= d1 <= tol and -tol <= d2 <= tol and mu > 0.0:
                 radius = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
                 return [x0 / radius, x1 / radius, x2 / radius]
+            u0, u1, u2 = 1.0 + x0, 1.0 + x1, 1.0 + x2
+            v0, v1, v2 = 1.0 - x0, 1.0 - x1, 1.0 - x2
+            a0, a1, a2 = p0 / u0, p1 / u1, p2 / u2
+            b0, b1, b2 = m0 / v0, m1 / v1, m2 / v2
     except ZeroDivisionError:
         pass
     return None
@@ -352,7 +410,8 @@ def _mle_stokes(n, allow_empty: bool) -> list[float]:
     # counts below the float-noise scale of the total carry no information;
     # zeroed, an outcome that background subtraction left at rounding noise
     # counts as empty
-    total = sum(n)
+    n0, n1, n2, n3, n4, n5 = n
+    total = n0 + n1 + n2 + n3 + n4 + n5
     tiny = total * 1e-15
     if min(n) <= tiny:
         n = [x if x > tiny else 0.0 for x in n]
@@ -372,11 +431,15 @@ def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
     stokes = []
     for label, row in zip(BB84_LABELS, rows.tolist()):
         try:
-            stokes.append(_mle_stokes(row, allow_empty))
+            s1, s2, s3 = _mle_stokes(row, allow_empty)
         except InsufficientCountsError as exc:
             where = ("input row" if direction is Direction.FORWARD else "outcome column")
             raise InsufficientCountsError(f"{exc} [{where} {label}]", basis=exc.basis) from None
-    return ReconstructionSet(direction, stokes)
+        stokes.append((s1, s2, s3))
+    stokes = tuple(stokes)
+    # the rows are Python floats already, so only the state check is left
+    _check_stokes_rows(stokes)
+    return _assemble(ReconstructionSet, direction=direction, rows=stokes)
 
 
 def reconstruct_forward(cm: CountMatrix) -> ReconstructionSet:

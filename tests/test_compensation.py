@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from itertools import product
 
 import numpy as np
@@ -9,12 +11,14 @@ import polalign as pa
 from polalign import compensation
 from polalign.compensation import (
     _POLE_TOLERANCE,
+    CompensationResult,
     _least_travel,
     _plate_settings,
     _wahba_rotation,
     wrapped_angle_distance,
 )
-from polalign.tomography import Direction, ReconstructionSet
+from polalign.montecarlo import TrialConfig, generate_counts, stokes_axes
+from polalign.tomography import CountMatrix, Direction, ReconstructionSet
 
 import oracles
 from conftest import (
@@ -65,6 +69,38 @@ def _fidelity_objective(recon: ReconstructionSet):
         return -total
 
     return objective
+
+
+class TestInternalResults:
+    """The results reconstruct_* and optimize build from their own checked values."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_equal_to_the_public_constructors(self, direction):
+        # they skip the constructors, so they must hold what the constructors
+        # would make of the same values, field for field and pickle for pickle
+        rng = np.random.default_rng(27)
+        reconstruct = (pa.reconstruct_forward if direction is Direction.FORWARD
+                       else pa.reconstruct_reversed)
+        for fs in (0.95, 1.0):
+            axes = stokes_axes(pa.haar_random_unitary(rng, 200), direction)
+            counts = generate_counts(axes, TrialConfig(direction, 400, fs), rng)
+            for cm in CountMatrix.block(direction, counts):
+                recon = reconstruct(cm)
+                public = ReconstructionSet(direction, np.array(recon.rows))
+                assert type(recon) is ReconstructionSet
+                assert recon == public
+                assert pickle.dumps(recon) == pickle.dumps(public)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    recon.rows = public.rows
+                for plates in (True, False):
+                    result = pa.optimize(recon, plates=plates)
+                    public = CompensationResult(result.angles, result.rotation,
+                                                result.predicted_qber, 1, True)
+                    assert type(result) is CompensationResult
+                    assert result == public
+                    assert pickle.dumps(result) == pickle.dumps(public)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        result.predicted_qber = 0.0
 
 
 class TestCost:

@@ -18,6 +18,8 @@ from conftest import exact_count_matrix, haar_channel, haar_state, stokes_qber, 
 from oracles import KETS
 
 D = pa.Direction
+#: the largest float whose square is at most 1 + 1e-12, the Bloch ball's rounding margin
+BALL_EDGE = 1.0000000000005
 
 
 def _outcome_probabilities(rho: np.ndarray, basis_weights=(1 / 3, 1 / 3, 1 / 3)) -> np.ndarray:
@@ -90,6 +92,26 @@ class TestCountMatrix:
         assert cm.counts[0, 0] == 1.0
         assert not cm.counts.flags.writeable
 
+    def test_equal_by_value(self):
+        counts = np.arange(24.0).reshape(4, 6)
+        cm = pa.CountMatrix(D.FORWARD, counts)
+        same = pa.CountMatrix("forward", counts.tolist())
+        signed = counts.copy()
+        signed[0, 0] = -0.0  # equal to 0.0 in value, so in hash as well
+        equal = [same, pa.CountMatrix(D.FORWARD, signed)]
+        unequal = [pa.CountMatrix(D.FORWARD, counts + 1.0),
+                   pa.CountMatrix(D.FORWARD, counts, background_subtracted=True),
+                   pa.CountMatrix(D.REVERSED, counts.T)]
+        for other in equal:
+            assert other == cm and not other != cm
+            assert hash(other) == hash(cm)
+        for other in unequal:
+            assert other != cm and not other == cm
+        assert (cm == counts.tolist()) is False
+        assert len({cm, *equal, *unequal}) == 1 + len(unequal)
+        assert all(other in {cm} for other in equal)
+        assert not any(other in {cm} for other in unequal)
+
     @pytest.mark.parametrize("direction", list(D))
     def test_direction_given_by_its_value(self, direction):
         # the value is stored as the Direction, so the reconstruction, which
@@ -151,6 +173,19 @@ class TestCountMatrixBlock:
         with pytest.raises(ValueError) as block:
             pa.CountMatrix.block(direction, counts)
         assert str(block.value) == str(one.value)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_empty_stack_gives_no_matrices(self, direction):
+        empty = np.zeros((0, *tomography.COUNT_SHAPE[direction]))
+        assert pa.CountMatrix.block(direction, empty) == []
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_single_matrix_rejected_as_no_stack(self, direction):
+        rows, columns = tomography.COUNT_SHAPE[direction]
+        with pytest.raises(ValueError, match=(
+                rf"{direction.value} counts must be a \(B, {rows}, {columns}\) stack of count "
+                rf"matrices, got shape \({rows}, {columns}\)$")):
+            pa.CountMatrix.block(direction, self.stack(direction, False)[0])
 
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
@@ -828,6 +863,8 @@ class TestReconstructionSet:
 
     @pytest.mark.parametrize("rows", [
         pytest.param([[1.2, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3], id="1.2"),
+        pytest.param([[0.0] * 3, [0.0] * 3, [math.nextafter(BALL_EDGE, 2.0), 0.0, 0.0],
+                      [0.0] * 3], id="past 1 + 1e-12"),
         pytest.param([[0.0] * 3, [0.0] * 3, [0.0] * 3, [0.0, 0.0, 1e300]], id="1e300"),
         pytest.param(np.full((4, 3), 1e308), id="1e308"),
     ])
@@ -847,6 +884,10 @@ class TestReconstructionSet:
         assert max(squares) > 1.0
         assert all(abs(q - 1.0) < 1e-12 for q in squares)
         assert pa.ReconstructionSet(D.FORWARD, recon.rows).rows == recon.rows
+        # the check's edge: a row whose |s|^2 rounds to 1 + 1e-12 itself
+        assert BALL_EDGE * BALL_EDGE == 1.0 + 1e-12
+        edge = [[0.0] * 3, [0.0] * 3, [BALL_EDGE, 0.0, 0.0], [0.0] * 3]
+        assert pa.ReconstructionSet(D.FORWARD, edge).rows[2] == (BALL_EDGE, 0.0, 0.0)
 
 
 class TestForwardReversedDuality:

@@ -93,10 +93,20 @@ def classify(cm: CountMatrix, confidence: float = 0.99) -> AlignmentVerdict:
     ``confidence`` is family-wise over the 16 cells: the tested cell is the
     largest of them, so its interval is taken at 1 - (1 - confidence)/16
     (Bonferroni).  The reported ``ci_low``/``ci_high`` are that interval.
+    A confidence so close to 1 that this level leaves no finite normal
+    quantile is refused like one outside (0, 1).
     """
     if not 0.0 < confidence < 1.0:  # NaN fails both
         raise ConfigError(f"confidence must be in (0, 1), got {confidence!r}",
                           field="confidence")
+    level = 1.0 - (1.0 - confidence) / _CELLS
+    # the interval's normal quantile is taken at 0.5 + 0.5 * level, which
+    # rounds to 1 once confidence is within about 2.6e-15 of 1
+    if not 0.5 + 0.5 * level < 1.0:
+        raise ConfigError(
+            f"confidence is too close to 1: the per-cell level 1 - (1 - confidence)/{_CELLS} "
+            f"has no finite normal quantile in double precision, got {confidence!r}",
+            field="confidence")
     c = cm.counts[:4, :4]
     row_totals = c.sum(axis=1)
     for i, total in enumerate(row_totals):
@@ -108,7 +118,7 @@ def classify(cm: CountMatrix, confidence: float = 0.99) -> AlignmentVerdict:
     row, col = divmod(flat_index, 4)
     successes = int(round(c[row, col]))
     row_total = int(round(row_totals[row]))
-    lo, hi = wilson_interval(successes, row_total, 1.0 - (1.0 - confidence) / _CELLS)
+    lo, hi = wilson_interval(successes, row_total, level)
 
     timing_plausible = lo <= TIMING_FREQUENCY <= hi
     polarization_plausible = hi >= POLARIZATION_BOUND

@@ -21,6 +21,14 @@ fractional rows made by background subtraction.  Those fall back to a
 bisection on the multiplier alone: for a given multiplier each component
 is the middle root of a depressed cubic, taken from the trigonometric
 formula, and |s|^2 - 1 falls as the multiplier grows over [0, total].
+A matrix's four rows are reconstructed in one loop (:func:`_reconstruct_rows`).
+A row whose total is at least 6 and whose six outcomes all exceed
+total * 1e-15, 94 % of a reference sweep's rows, gets its inversion and
+ball test inline, and the sphere solver when it lies outside the ball.
+Every other row, one with an empty or rounding-noise outcome or fewer
+than 6 counts, goes through the per-row fit (:func:`_mle_stokes`), which
+zeroes rounding-noise counts, holds an empty basis pair of a
+background-subtracted matrix at 0 and raises the errors that name the row.
 Counts are checked once, where they enter: a :class:`CountMatrix` checks
 one matrix, such as a count file's, and :meth:`CountMatrix.block` a whole
 stack of a sweep block's draws in one pass.  A :class:`ReconstructionSet`
@@ -406,6 +414,9 @@ def _mle_stokes(n, allow_empty: bool) -> list[float]:
     Rehacek et al., PRA 75, 042108 (2007)); zero counts need no smoothing.
     Raises :class:`InsufficientCountsError` when the total is below 6 or a
     basis pair is empty, unless ``allow_empty``, which holds that axis at 0.
+    :func:`_reconstruct_rows` takes these same steps inline and calls this
+    only for a row with an outcome at or below total * 1e-15 or a total
+    below 6.
     """
     # counts below the float-noise scale of the total carry no information;
     # zeroed, an outcome that background subtraction left at rounding noise
@@ -427,14 +438,34 @@ def _mle_stokes(n, allow_empty: bool) -> list[float]:
 
 
 def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
-    """MLE of each row of a count array, which its :class:`CountMatrix` has checked."""
+    """MLE of each row of a (4, 6) count array, which its :class:`CountMatrix` has checked.
+
+    The rows are read in one ``tolist()`` and reconstructed in one loop.  A
+    row whose total is at least 6 and whose six outcomes all exceed
+    total * 1e-15 takes :func:`_mle_stokes`'s steps inline: its total,
+    linear inversion and ball test, then :func:`_sphere_stokes` when it
+    lies outside the ball.  Such a row has no outcome to zero and no empty
+    basis pair, so it cannot fail.  Every other row goes through
+    :func:`_mle_stokes`, whose errors are raised naming the input row
+    (forward) or outcome column (reversed).
+    """
     stokes = []
     for label, row in zip(BB84_LABELS, rows.tolist()):
-        try:
-            s1, s2, s3 = _mle_stokes(row, allow_empty)
-        except InsufficientCountsError as exc:
-            where = ("input row" if direction is Direction.FORWARD else "outcome column")
-            raise InsufficientCountsError(f"{exc} [{where} {label}]", basis=exc.basis) from None
+        n0, n1, n2, n3, n4, n5 = row
+        total = n0 + n1 + n2 + n3 + n4 + n5
+        tiny = total * 1e-15
+        if (n0 > tiny and n1 > tiny and n2 > tiny and n3 > tiny and n4 > tiny and n5 > tiny
+                and total >= _MIN_TOTAL_COUNTS):
+            s1, s2, s3 = (n0 - n1) / (n0 + n1), (n2 - n3) / (n2 + n3), (n4 - n5) / (n4 + n5)
+            if s1 * s1 + s2 * s2 + s3 * s3 > 1.0:
+                s1, s2, s3 = _sphere_stokes(row, (s1, s2, s3))
+        else:
+            try:
+                s1, s2, s3 = _mle_stokes(row, allow_empty)
+            except InsufficientCountsError as exc:
+                where = ("input row" if direction is Direction.FORWARD else "outcome column")
+                raise InsufficientCountsError(f"{exc} [{where} {label}]",
+                                              basis=exc.basis) from None
         stokes.append((s1, s2, s3))
     stokes = tuple(stokes)
     # the rows are Python floats already, so only the state check is left

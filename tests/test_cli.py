@@ -756,13 +756,19 @@ class TestCountFiles:
         assert code == 0
         assert "99.9% family-wise interval" in out
 
-    @pytest.mark.parametrize("confidence", ["1", "nan"])
+    @pytest.mark.parametrize("confidence, message", [
+        ("1", "confidence must be in (0, 1), got 1.0"),
+        ("nan", "confidence must be in (0, 1), got nan"),
+        # below 1, but too close to it for the per-cell interval's normal quantile
+        ("0.999999999999999", "confidence is too close to 1: the per-cell level "
+         "1 - (1 - confidence)/16 has no finite normal quantile in double precision, "
+         "got 0.999999999999999"),
+    ], ids=["1", "nan", "0.999999999999999"])
     def test_timing_check_confidence_out_of_range_rejected(self, tmp_path, capsys, count_file,
-                                                           confidence):
+                                                           confidence, message):
         out = tmp_path / "verdict.txt"
         assert_rejected(["timing-check", "--counts", str(count_file), "--confidence", confidence,
-                         "--out", str(out)], capsys,
-                        f"--confidence: confidence must be in (0, 1), got {float(confidence)!r}")
+                         "--out", str(out)], capsys, f"--confidence: {message}")
         assert not out.exists()
 
 

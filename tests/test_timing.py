@@ -85,11 +85,25 @@ class TestClassify:
         with pytest.raises(InsufficientCountsError, match="D"):
             classify(linear_count_matrix(counts))
 
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan])
-    def test_invalid_input_rejected(self, confidence):
-        with pytest.raises(ConfigError, match="confidence must be in") as caught:
+    @pytest.mark.parametrize("confidence, message", [
+        (0.0, "confidence must be in"), (1.0, "confidence must be in"),
+        (math.nan, "confidence must be in"),
+        # below 1, but 1 - (1 - c)/16 leaves the Wilson quantile's argument at 1.0
+        (0.999999999999999, "confidence is too close to 1"),
+    ], ids=["0.0", "1.0", "nan", "0.999999999999999"])
+    def test_invalid_input_rejected(self, confidence, message):
+        with pytest.raises(ConfigError, match=message) as caught:
             classify(linear_count_matrix(np.ones((4, 4))), confidence=confidence)
         assert caught.value.field == "confidence"
+
+    def test_refusal_is_exactly_where_the_quantile_ends(self):
+        # the largest confidence with a finite per-cell quantile is accepted,
+        # and the next float up is refused
+        edge = 0.9999999999999973
+        counts = linear_count_matrix(np.full((4, 4), 10.0))
+        assert classify(counts, confidence=edge).confidence == edge
+        with pytest.raises(ConfigError, match="too close to 1"):
+            classify(counts, confidence=math.nextafter(edge, 1.0))
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_reads_the_linear_block(self, direction):

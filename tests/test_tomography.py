@@ -10,7 +10,12 @@ from scipy.optimize import minimize
 import polalign as pa
 from polalign import tomography
 from polalign.errors import InsufficientCountsError
-from polalign.montecarlo import TrialConfig, generate_counts, stokes_axes
+from polalign.montecarlo import (
+    TrialConfig,
+    expected_background_per_cell,
+    generate_counts,
+    stokes_axes,
+)
 from polalign.tomography import _axis_root, _mle_stokes, _stokes_estimates
 
 import oracles
@@ -833,6 +838,88 @@ class TestReconstructionSet:
                 np.testing.assert_allclose(s, expected, rtol=0, atol=1e-15)
                 boundary += abs(np.linalg.norm(s) - 1.0) < 1e-12
         assert boundary >= 5
+
+    def test_one_pass_rows_equal_the_per_row_mle(self, monkeypatch):
+        # a row with six outcomes above total * 1e-15 and a total of at least
+        # 6 is reconstructed inline, every other row by _mle_stokes; either
+        # way the set holds exactly _mle_stokes's vectors, or raises the first
+        # failing row's error with its input row or outcome column named
+        mle_stokes = tomography._mle_stokes
+        general = []
+
+        def counted(n, allow_empty):
+            general.append(n)
+            return mle_stokes(n, allow_empty)
+
+        monkeypatch.setattr(tomography, "_mle_stokes", counted)
+
+        def check(cm):
+            """Reconstruct ``cm`` against per-row :func:`_mle_stokes`; its rows on each path.
+
+            Returns the rows taken inline, the rows passed to _mle_stokes and
+            the error message, or None.
+            """
+            rows = cm.counts.tolist() if cm.direction is D.FORWARD else cm.counts.T.tolist()
+            expected, error = [], None
+            for label, row in zip(pa.BB84_LABELS, rows):
+                try:
+                    expected.append(tuple(mle_stokes(row, cm.background_subtracted)))
+                except InsufficientCountsError as exc:
+                    where = "input row" if cm.direction is D.FORWARD else "outcome column"
+                    error = f"{exc} [{where} {label}]"
+                    break
+            reconstruct = (pa.reconstruct_forward if cm.direction is D.FORWARD
+                           else pa.reconstruct_reversed)
+            general.clear()
+            if error is None:
+                assert reconstruct(cm).rows == tuple(expected)
+            else:
+                with pytest.raises(InsufficientCountsError) as caught:
+                    reconstruct(cm)
+                assert str(caught.value) == error
+            seen = len(expected) + (error is not None)
+            return seen - len(general), len(general), error
+
+        rng = np.random.default_rng(28)
+        inline = through_mle = failed = 0
+        for direction, n, fs in product(D, (6, 12, 400, 6400), (0.95, 1.0)):
+            for bg, subtract in ((0.0, False), (20.0, False), (20.0, True)):
+                cfg = TrialConfig(direction, n, fs, bg)
+                counts = generate_counts(stokes_axes(pa.haar_random_unitary(rng, 100), direction),
+                                         cfg, rng)
+                if subtract:
+                    counts = np.maximum(counts - expected_background_per_cell(cfg), 0.0)
+                for cm in pa.CountMatrix.block(direction, counts, background_subtracted=subtract):
+                    fast, slow, error = check(cm)
+                    inline += fast
+                    through_mle += slow
+                    failed += error is not None
+        assert inline > 0 and through_mle > 0 and failed > 0
+
+        # planted rows, put in row (forward) or column (reversed) A beside three
+        # inline rows: a zero outcome, an outcome at total * 1e-15 and one
+        # below it in each place, an outcome just above it and a row just
+        # outside the ball (both inline), and a total below 6 with no outcome
+        # empty
+        at_tiny = [30.0, 1e-13, 25.0, 20.0, 13.0, 12.0]
+        above_tiny = [30.0, 2e-13, 25.0, 20.0, 13.0, 12.0]
+        assert at_tiny[1] <= sum(at_tiny) * 1e-15 < above_tiny[1]
+        below_tiny = [[5e-14 if i == k else 20.0 + k for i in range(6)] for k in range(6)]
+        edge = [9.0, 1.0, 8.0, 2.0, 50001.0, 49999.0]
+        assert 1.0 < sum(x * x for x in _stokes_estimates(edge, allow_empty=False)) < 1.0 + 1e-9
+        planted = [([40.0, 0.0, 21.0, 19.0, 22.0, 18.0], 1), (at_tiny, 1),
+                   *[(row, 1) for row in below_tiny], (above_tiny, 0), (edge, 0),
+                   ([1.0, 1.0, 1.0, 1.0, 1.0, 0.5], 1)]
+        for direction, subtract in product(D, (False, True)):
+            where = "input row" if direction is D.FORWARD else "outcome column"
+            for row, general_rows in planted:
+                rows = np.full((4, 6), 25.0)
+                rows[3] = row
+                cm = pa.CountMatrix(direction, rows if direction is D.FORWARD else rows.T,
+                                    background_subtracted=subtract)
+                assert check(cm)[:2] == (4 - general_rows, general_rows)
+            assert check(cm)[2] == ("total counts 5.5 below the minimum 6 for a six-outcome "
+                                    f"fit [{where} A]")
 
     def test_read_only_array(self):
         # the rows are tuples, copied from the caller's array

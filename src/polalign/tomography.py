@@ -21,14 +21,14 @@ fractional rows made by background subtraction.  Those fall back to a
 bisection on the multiplier alone: for a given multiplier each component
 is the middle root of a depressed cubic, taken from the trigonometric
 formula, and |s|^2 - 1 falls as the multiplier grows over [0, total].
-A matrix's four rows are reconstructed in one loop (:func:`_reconstruct_rows`).
-A row whose total is at least 6 and whose six outcomes all exceed
-total * 1e-15, 94 % of a reference sweep's rows, gets its inversion and
-ball test inline, and the sphere solver when it lies outside the ball.
-Every other row, one with an empty or rounding-noise outcome or fewer
-than 6 counts, goes through the per-row fit (:func:`_mle_stokes`), which
-zeroes rounding-noise counts, holds an empty basis pair of a
-background-subtracted matrix at 0 and raises the errors that name the row.
+A matrix's four rows are fitted in one loop (:func:`_reconstruct_rows`),
+every row by the same steps: outcomes at or below total * 1e-15 zeroed as
+rounding noise, a total below 6 refused, an empty basis pair refused or,
+in a background-subtracted matrix, held at 0, then the inversion, its
+ball test and the sphere solver when it lies outside the ball.  A row
+whose six outcomes all exceed total * 1e-15, 94 % of a reference sweep's
+rows, skips the zeroing and the pair test, since it has nothing to zero
+and no empty pair.  Each error names the row it refuses.
 Counts are checked once, where they enter: a :class:`CountMatrix` checks
 one matrix, such as a count file's, and :meth:`CountMatrix.block` a whole
 stack of a sweep block's draws in one pass.  A :class:`ReconstructionSet`
@@ -78,6 +78,8 @@ class Direction(str, enum.Enum):
 COUNT_SHAPE = {Direction.FORWARD: (4, 6), Direction.REVERSED: (6, 4)}
 ROW_LABELS = {Direction.FORWARD: BB84_LABELS, Direction.REVERSED: ALL_LABELS}
 COLUMN_LABELS = {Direction.FORWARD: ALL_LABELS, Direction.REVERSED: BB84_LABELS}
+#: what a row of the fit is, named in its errors
+_ROW_NAME = {Direction.FORWARD: "input row", Direction.REVERSED: "outcome column"}
 
 
 def _check_counts(c: np.ndarray) -> None:
@@ -226,28 +228,6 @@ def _check_stokes_rows(rows) -> None:
             raise ValueError(
                 f"Stokes row {label} {(s1, s2, s3)} lies outside the Bloch ball |s| <= 1"
             )
-
-
-def _stokes_estimates(n, *, allow_empty: bool) -> list[float]:
-    """Per-axis Stokes estimates (n+ - n-)/(n+ + n-) of six checked outcome totals.
-
-    An empty basis pair is an error unless ``allow_empty``, in which case
-    the corresponding component is pinned at zero (no information).
-    """
-    n_h, n_v, n_d, n_a, n_r, n_l = n
-    z, x, y = n_h + n_v, n_d + n_a, n_r + n_l
-    if z > 0.0 and x > 0.0 and y > 0.0:
-        return [(n_h - n_v) / z, (n_d - n_a) / x, (n_r - n_l) / y]
-    pairs = (z, x, y)
-    if not allow_empty:
-        k = pairs.index(0.0)
-        raise InsufficientCountsError(
-            f"no counts in the {BASIS_NAMES[k]} basis "
-            f"(outcomes {ALL_LABELS[2 * k]}/{ALL_LABELS[2 * k + 1]})",
-            basis=BASIS_NAMES[k],
-        )
-    return [(n_h - n_v) / z if z > 0.0 else 0.0, (n_d - n_a) / x if x > 0.0 else 0.0,
-            (n_r - n_l) / y if y > 0.0 else 0.0]
 
 
 def _axis_root(n_plus: float, n_minus: float, lam: float) -> float:
@@ -406,66 +386,59 @@ def _sphere_stokes(n, s0) -> list[float]:
     return [x / radius for x in s]
 
 
-def _mle_stokes(n, allow_empty: bool) -> list[float]:
-    """Maximum-likelihood Stokes vector from six checked outcome totals (H,V,D,A,R,L).
-
-    The linear inversion when it lies in the Bloch ball, else the sphere
-    point of one Lagrange-multiplier root (Hradil, PRA 55, R1561 (1997);
-    Rehacek et al., PRA 75, 042108 (2007)); zero counts need no smoothing.
-    Raises :class:`InsufficientCountsError` when the total is below 6 or a
-    basis pair is empty, unless ``allow_empty``, which holds that axis at 0.
-    :func:`_reconstruct_rows` takes these same steps inline and calls this
-    only for a row with an outcome at or below total * 1e-15 or a total
-    below 6.
-    """
-    # counts below the float-noise scale of the total carry no information;
-    # zeroed, an outcome that background subtraction left at rounding noise
-    # counts as empty
-    n0, n1, n2, n3, n4, n5 = n
-    total = n0 + n1 + n2 + n3 + n4 + n5
-    tiny = total * 1e-15
-    if min(n) <= tiny:
-        n = [x if x > tiny else 0.0 for x in n]
-        total = sum(n)
-    if total < _MIN_TOTAL_COUNTS:
-        raise InsufficientCountsError(
-            f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a six-outcome fit"
-        )
-    s = _stokes_estimates(n, allow_empty=allow_empty)
-    if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
-        s = _sphere_stokes(n, s)
-    return s
-
-
 def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
     """MLE of each row of a (4, 6) count array, which its :class:`CountMatrix` has checked.
 
-    The rows are read in one ``tolist()`` and reconstructed in one loop.  A
-    row whose total is at least 6 and whose six outcomes all exceed
-    total * 1e-15 takes :func:`_mle_stokes`'s steps inline: its total,
-    linear inversion and ball test, then :func:`_sphere_stokes` when it
-    lies outside the ball.  Such a row has no outcome to zero and no empty
-    basis pair, so it cannot fail.  Every other row goes through
-    :func:`_mle_stokes`, whose errors are raised naming the input row
-    (forward) or outcome column (reversed).
+    The rows are read in one ``tolist()`` and fitted in one loop, each by the
+    same steps: its total; only when an outcome is at or below total * 1e-15,
+    those outcomes zeroed and the total taken again; a total below 6 refused;
+    an empty basis pair refused, or under ``allow_empty`` its component held
+    at 0; the linear inversion, and :func:`_sphere_stokes` when that lies
+    outside the Bloch ball (Hradil, PRA 55, R1561 (1997); Rehacek et al.,
+    PRA 75, 042108 (2007)).  Only a row with such an outcome can have an
+    empty pair, so the zeroing branch alone looks for one.  Each error names
+    the input row (forward) or outcome column (reversed); a row whose counts
+    sum past float range is refused with a ``ValueError``.
     """
     stokes = []
     for label, row in zip(BB84_LABELS, rows.tolist()):
         n0, n1, n2, n3, n4, n5 = row
         total = n0 + n1 + n2 + n3 + n4 + n5
         tiny = total * 1e-15
-        if (n0 > tiny and n1 > tiny and n2 > tiny and n3 > tiny and n4 > tiny and n5 > tiny
-                and total >= _MIN_TOTAL_COUNTS):
-            s1, s2, s3 = (n0 - n1) / (n0 + n1), (n2 - n3) / (n2 + n3), (n4 - n5) / (n4 + n5)
-            if s1 * s1 + s2 * s2 + s3 * s3 > 1.0:
-                s1, s2, s3 = _sphere_stokes(row, (s1, s2, s3))
-        else:
-            try:
-                s1, s2, s3 = _mle_stokes(row, allow_empty)
-            except InsufficientCountsError as exc:
-                where = ("input row" if direction is Direction.FORWARD else "outcome column")
-                raise InsufficientCountsError(f"{exc} [{where} {label}]",
-                                              basis=exc.basis) from None
+        if not (n0 > tiny and n1 > tiny and n2 > tiny and n3 > tiny and n4 > tiny and n5 > tiny):
+            # a total past float range would zero every outcome below
+            if tiny == math.inf:
+                raise ValueError(f"counts sum past float range [{_ROW_NAME[direction]} {label}]")
+            # counts below the float-noise scale of the total carry no
+            # information; zeroed, an outcome that background subtraction left
+            # at rounding noise counts as empty
+            row = [n if n > tiny else 0.0 for n in row]
+            n0, n1, n2, n3, n4, n5 = row
+            total = n0 + n1 + n2 + n3 + n4 + n5
+            pairs = (n0 + n1, n2 + n3, n4 + n5)
+            # a total below 6 is refused below, before any empty pair
+            if total >= _MIN_TOTAL_COUNTS and 0.0 in pairs:
+                k = pairs.index(0.0)
+                if not allow_empty:
+                    raise InsufficientCountsError(
+                        f"no counts in the {BASIS_NAMES[k]} basis (outcomes "
+                        f"{ALL_LABELS[2 * k]}/{ALL_LABELS[2 * k + 1]}) "
+                        f"[{_ROW_NAME[direction]} {label}]", basis=BASIS_NAMES[k])
+                # an empty pair's component is held at 0: the inversion below
+                # reads the pair as (1 - 1)/(1 + 1), the sphere solver the row
+                if not pairs[0]:
+                    n0 = n1 = 1.0
+                if not pairs[1]:
+                    n2 = n3 = 1.0
+                if not pairs[2]:
+                    n4 = n5 = 1.0
+        if total < _MIN_TOTAL_COUNTS:
+            raise InsufficientCountsError(
+                f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a "
+                f"six-outcome fit [{_ROW_NAME[direction]} {label}]")
+        s1, s2, s3 = (n0 - n1) / (n0 + n1), (n2 - n3) / (n2 + n3), (n4 - n5) / (n4 + n5)
+        if s1 * s1 + s2 * s2 + s3 * s3 > 1.0:
+            s1, s2, s3 = _sphere_stokes(row, (s1, s2, s3))
         stokes.append((s1, s2, s3))
     stokes = tuple(stokes)
     # the rows are Python floats already, so only the state check is left

@@ -12,11 +12,10 @@ from polalign import tomography
 from polalign.errors import InsufficientCountsError
 from polalign.montecarlo import (
     TrialConfig,
-    expected_background_per_cell,
     generate_counts,
     stokes_axes,
 )
-from polalign.tomography import _axis_root, _mle_stokes, _stokes_estimates
+from polalign.tomography import _axis_root
 
 import oracles
 from conftest import exact_count_matrix, haar_channel, haar_state, stokes_qber, trace_distance
@@ -36,19 +35,21 @@ def _outcome_probabilities(rho: np.ndarray, basis_weights=(1 / 3, 1 / 3, 1 / 3))
     return np.array(p)
 
 
-def _checked_row(counts) -> list[float]:
-    """Six outcome totals as the program takes them in: a row of a checked CountMatrix."""
-    return pa.CountMatrix(D.FORWARD, [counts] * 4).counts[0].tolist()
-
-
-def linear_inversion(counts) -> np.ndarray:
-    """The program's linear-inversion Stokes vector (n+ - n-)/(n+ + n-) of six totals."""
-    return np.array(_stokes_estimates(_checked_row(counts), allow_empty=False))
+def linear_inversion(n) -> list[float]:
+    """The linear inversion (n+ - n-)/(n+ + n-) of six totals, an empty pair at 0."""
+    return [(p - m) / (p + m) if p + m else 0.0 for p, m in zip(n[0::2], n[1::2])]
 
 
 def mle_reconstruct(counts, allow_empty_basis: bool = False) -> np.ndarray:
-    """The program's maximum-likelihood Stokes vector of six totals."""
-    return np.array(_mle_stokes(_checked_row(counts), allow_empty_basis))
+    """The program's maximum-likelihood Stokes vector of six totals.
+
+    They are row H of a forward matrix whose other rows hold one count per
+    outcome, a fit inside the ball.
+    """
+    rows = np.array([counts] * 4, dtype=float)
+    rows[1:] = 1.0
+    cm = pa.CountMatrix(D.FORWARD, rows, background_subtracted=allow_empty_basis)
+    return np.array(pa.reconstruct_forward(cm).rows[0])
 
 
 class TestCountMatrix:
@@ -210,13 +211,13 @@ class TestLinearInversion:
         counts = [100, 0, 50, 50, 50, 50]
         rho = oracles.linear_inversion(counts)
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(linear_inversion(counts), oracles.stokes(rho), atol=1e-12)
+        np.testing.assert_allclose(mle_reconstruct(counts), oracles.stokes(rho), atol=1e-12)
 
     def test_maximally_mixed(self):
         counts = [50, 50, 50, 50, 50, 50]
         rho = oracles.linear_inversion(counts)
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
-        np.testing.assert_allclose(linear_inversion(counts), oracles.stokes(rho), atol=1e-12)
+        np.testing.assert_allclose(mle_reconstruct(counts), oracles.stokes(rho), atol=1e-12)
 
     def test_two_axis_state(self):
         counts = [75, 25, 75, 25, 50, 50]
@@ -226,7 +227,7 @@ class TestLinearInversion:
         # cross-check: recompute the outcome probabilities the result implies
         probs = _outcome_probabilities(rho, basis_weights=(1, 1, 1))
         np.testing.assert_allclose(probs, [0.75, 0.25, 0.75, 0.25, 0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(linear_inversion(counts), [0.5, 0.5, 0.0], atol=1e-12)
+        np.testing.assert_allclose(mle_reconstruct(counts), [0.5, 0.5, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize(
         "counts,basis",
@@ -234,37 +235,37 @@ class TestLinearInversion:
             ([0, 0, 50, 50, 50, 50], "Z"),
             ([50, 50, 0, 0, 50, 50], "X"),
             ([50, 50, 50, 50, 0, 0], "Y"),
+            # an outcome at rounding noise is zeroed before the pair test
+            ([50, 50, 50, 50, 1e-14, 0], "Y"),
         ],
     )
     def test_empty_pair_names_basis(self, counts, basis):
         with pytest.raises(InsufficientCountsError) as err:
-            linear_inversion(counts)
+            mle_reconstruct(counts)
         assert err.value.basis == basis
 
     def test_can_be_nonphysical(self):
-        # noisy counts can push the Bloch vector outside the ball
+        # noisy counts can push the Bloch vector outside the ball; the fit
+        # then lies on its surface
         counts = [100, 0, 100, 0, 100, 0]
         assert np.linalg.eigvalsh(oracles.linear_inversion(counts)).min() < -1e-3
-        assert np.linalg.norm(linear_inversion(counts)) > 1.0 + 1e-3
+        assert np.linalg.norm(mle_reconstruct(counts)) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("estimator", [linear_inversion, mle_reconstruct])
-    def test_non_finite_or_negative_rejected(self, estimator, bad):
+    def test_non_finite_or_negative_rejected(self, bad):
         with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
-            estimator([bad, 1, 1, 1, 1, 1])
+            mle_reconstruct([bad, 1, 1, 1, 1, 1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("form", [list, tuple, np.array])
-    @pytest.mark.parametrize("estimator", [linear_inversion, mle_reconstruct])
-    def test_every_form_checked(self, estimator, form, bad):
+    def test_every_form_checked(self, form, bad):
         with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
-            estimator(form([1.0, 1.0, 1.0, 1.0, 1.0, bad]))
+            mle_reconstruct(form([1.0, 1.0, 1.0, 1.0, 1.0, bad]))
 
     @pytest.mark.parametrize("counts", [[1.0] * 5, [1.0] * 7, [[1.0] * 6], [[1.0] * 3] * 2])
-    @pytest.mark.parametrize("estimator", [linear_inversion, mle_reconstruct])
-    def test_other_shapes_rejected(self, estimator, counts):
+    def test_other_shapes_rejected(self, counts):
         with pytest.raises(ValueError, match="counts must have shape"):
-            estimator(counts)
+            mle_reconstruct(counts)
 
 
 class TestMLE:
@@ -475,8 +476,8 @@ def _reference_grid_rows(seed: int) -> list[list[float]]:
     return rows
 
 
-def _outside_ball(counts, allow_empty: bool = False) -> bool:
-    s = _stokes_estimates(counts, allow_empty=allow_empty)
+def _outside_ball(counts) -> bool:
+    s = linear_inversion(counts)
     return s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0
 
 
@@ -599,7 +600,7 @@ class TestSphereSolver:
             n = np.clip(n + rng.poisson(bg, 6) - bg, 0.0, None)
             if len(fractional) % 2:
                 n[2 * rng.integers(3) + np.arange(2)] = 0.0
-            if n.sum() >= 6 and _outside_ball(n.tolist(), allow_empty=True):
+            if n.sum() >= 6 and _outside_ball(n.tolist()):
                 fractional.append(n.tolist())
         rows = ([(row, False) for row in reference_boundary_rows]
                 + [(row, True) for row in fractional])
@@ -623,7 +624,7 @@ class TestSphereSolver:
     def test_newton_point_is_the_search_point(self, monkeypatch, reference_boundary_rows):
         # the certified Newton point against the bisection, forced to run on
         # every row
-        points = [tomography._newton_sphere(row, _stokes_estimates(row, allow_empty=False))
+        points = [tomography._newton_sphere(row, linear_inversion(row))
                   for row in reference_boundary_rows]
         certified = [(row, point) for row, point in zip(reference_boundary_rows, points)
                      if point is not None]
@@ -639,7 +640,7 @@ class TestSphereSolver:
         # allow-empty rows whose root lam lies far below the total, where
         # s(lam) is steep.  The Newton certifies both; the bisection's
         # accuracy on them is pinned with the fallback rows below
-        s0 = _stokes_estimates(counts, allow_empty=True)
+        s0 = linear_inversion(counts)
         assert tomography._newton_sphere(counts, s0) is not None
         expected = [float(x) for x in _fifty_digit_sphere_point(counts)]
         np.testing.assert_allclose(mle_reconstruct(counts, allow_empty_basis=True), expected,
@@ -656,7 +657,7 @@ class TestSphereSolver:
         # Just past an outcome's kink, or far below the total, s(lam) is
         # steep: a bracket of eps * total in lam (52 halvings) would leave these
         # rows up to 7.7e-14 off, and total * 2**-64 leaves them within 2e-16
-        s0 = _stokes_estimates(counts, allow_empty=True)
+        s0 = linear_inversion(counts)
         certified = tomography._newton_sphere(counts, s0) is not None
         assert certified == (counts in MPMATH_ROWS)
         monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: None)
@@ -675,7 +676,7 @@ class TestSphereSolver:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         p = (1.0 + np.repeat(v, 2, axis=1) * [1, -1, 1, -1, 1, -1]) / 6.0
         counts = rng.multinomial(rng.integers(6, 81, len(v)), p).astype(float).tolist()
-        rows = [row for row in counts if _outside_ball(row, allow_empty=True)]
+        rows = [row for row in counts if _outside_ball(row)]
         assert len(rows) > 10_000
         bisected = []
         for row in rows:
@@ -690,7 +691,7 @@ class TestSphereSolver:
     def test_start_on_a_pinned_pole_goes_to_the_search(self, counts):
         # s0 = (+-1, 1e-9, 0) scales onto the sphere as itself, so the
         # Newton would divide the empty outcome's 0 by 1 -+ s = 0
-        s0 = _stokes_estimates(counts, allow_empty=False)
+        s0 = linear_inversion(counts)
         assert tomography._newton_sphere(counts, s0) is None
         np.testing.assert_array_equal(mle_reconstruct(counts), s0)
 
@@ -839,87 +840,76 @@ class TestReconstructionSet:
                 boundary += abs(np.linalg.norm(s) - 1.0) < 1e-12
         assert boundary >= 5
 
-    def test_one_pass_rows_equal_the_per_row_mle(self, monkeypatch):
-        # a row with six outcomes above total * 1e-15 and a total of at least
-        # 6 is reconstructed inline, every other row by _mle_stokes; either
-        # way the set holds exactly _mle_stokes's vectors, or raises the first
-        # failing row's error with its input row or outcome column named
-        mle_stokes = tomography._mle_stokes
-        general = []
+    @staticmethod
+    def fit_with_row_d(direction, row, subtracted=False):
+        """Reconstruct a matrix whose row D is ``row``, 20 counts per outcome elsewhere.
 
-        def counted(n, allow_empty):
-            general.append(n)
-            return mle_stokes(n, allow_empty)
+        Row D is the input row D of a forward matrix, or the outcome column D
+        of a reversed one.
+        """
+        rows = np.full((4, 6), 20.0)
+        rows[2] = row
+        if direction is D.FORWARD:
+            return pa.reconstruct_forward(pa.CountMatrix(direction, rows, subtracted))
+        return pa.reconstruct_reversed(pa.CountMatrix(direction, rows.T, subtracted))
 
-        monkeypatch.setattr(tomography, "_mle_stokes", counted)
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("place", range(6))
+    def test_rounding_noise_outcome_fitted_as_zero(self, direction, place):
+        # the largest outcome at or below total * 1e-15, the total taken with
+        # it, is fitted as 0, and the next float up is kept.  Zeroed, the
+        # row's inversion is a pole, on the sphere; kept, it is a few ulp
+        # inside, so the two fits differ
+        def row(x):
+            return [x if i == place else 20.0 for i in range(6)]
 
-        def check(cm):
-            """Reconstruct ``cm`` against per-row :func:`_mle_stokes`; its rows on each path.
+        def rounding_noise(x):
+            n0, n1, n2, n3, n4, n5 = row(x)
+            return x <= (n0 + n1 + n2 + n3 + n4 + n5) * 1e-15
 
-            Returns the rows taken inline, the rows passed to _mle_stokes and
-            the error message, or None.
-            """
-            rows = cm.counts.tolist() if cm.direction is D.FORWARD else cm.counts.T.tolist()
-            expected, error = [], None
-            for label, row in zip(pa.BB84_LABELS, rows):
-                try:
-                    expected.append(tuple(mle_stokes(row, cm.background_subtracted)))
-                except InsufficientCountsError as exc:
-                    where = "input row" if cm.direction is D.FORWARD else "outcome column"
-                    error = f"{exc} [{where} {label}]"
-                    break
-            reconstruct = (pa.reconstruct_forward if cm.direction is D.FORWARD
-                           else pa.reconstruct_reversed)
-            general.clear()
-            if error is None:
-                assert reconstruct(cm).rows == tuple(expected)
-            else:
-                with pytest.raises(InsufficientCountsError) as caught:
-                    reconstruct(cm)
-                assert str(caught.value) == error
-            seen = len(expected) + (error is not None)
-            return seen - len(general), len(general), error
+        edge = 100.0 * 1e-15
+        while rounding_noise(math.nextafter(edge, math.inf)):
+            edge = math.nextafter(edge, math.inf)
+        while not rounding_noise(edge):
+            edge = math.nextafter(edge, 0.0)
+        above = math.nextafter(edge, math.inf)
+        zeroed = self.fit_with_row_d(direction, row(0.0))
+        pole = [0.0, 0.0, 0.0]
+        pole[place // 2] = -1.0 if place % 2 == 0 else 1.0
+        assert zeroed.rows[2] == tuple(pole)
+        assert self.fit_with_row_d(direction, row(edge)) == zeroed
+        assert self.fit_with_row_d(direction, row(above)) != zeroed
 
-        rng = np.random.default_rng(28)
-        inline = through_mle = failed = 0
-        for direction, n, fs in product(D, (6, 12, 400, 6400), (0.95, 1.0)):
-            for bg, subtract in ((0.0, False), (20.0, False), (20.0, True)):
-                cfg = TrialConfig(direction, n, fs, bg)
-                counts = generate_counts(stokes_axes(pa.haar_random_unitary(rng, 100), direction),
-                                         cfg, rng)
-                if subtract:
-                    counts = np.maximum(counts - expected_background_per_cell(cfg), 0.0)
-                for cm in pa.CountMatrix.block(direction, counts, background_subtracted=subtract):
-                    fast, slow, error = check(cm)
-                    inline += fast
-                    through_mle += slow
-                    failed += error is not None
-        assert inline > 0 and through_mle > 0 and failed > 0
-
-        # planted rows, put in row (forward) or column (reversed) A beside three
-        # inline rows: a zero outcome, an outcome at total * 1e-15 and one
-        # below it in each place, an outcome just above it and a row just
-        # outside the ball (both inline), and a total below 6 with no outcome
-        # empty
-        at_tiny = [30.0, 1e-13, 25.0, 20.0, 13.0, 12.0]
-        above_tiny = [30.0, 2e-13, 25.0, 20.0, 13.0, 12.0]
-        assert at_tiny[1] <= sum(at_tiny) * 1e-15 < above_tiny[1]
-        below_tiny = [[5e-14 if i == k else 20.0 + k for i in range(6)] for k in range(6)]
-        edge = [9.0, 1.0, 8.0, 2.0, 50001.0, 49999.0]
-        assert 1.0 < sum(x * x for x in _stokes_estimates(edge, allow_empty=False)) < 1.0 + 1e-9
-        planted = [([40.0, 0.0, 21.0, 19.0, 22.0, 18.0], 1), (at_tiny, 1),
-                   *[(row, 1) for row in below_tiny], (above_tiny, 0), (edge, 0),
-                   ([1.0, 1.0, 1.0, 1.0, 1.0, 0.5], 1)]
-        for direction, subtract in product(D, (False, True)):
-            where = "input row" if direction is D.FORWARD else "outcome column"
-            for row, general_rows in planted:
-                rows = np.full((4, 6), 25.0)
-                rows[3] = row
-                cm = pa.CountMatrix(direction, rows if direction is D.FORWARD else rows.T,
-                                    background_subtracted=subtract)
-                assert check(cm)[:2] == (4 - general_rows, general_rows)
-            assert check(cm)[2] == ("total counts 5.5 below the minimum 6 for a six-outcome "
-                                    f"fit [{where} A]")
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("row,subtracted,error,message,basis", [
+        pytest.param([1.0, 1.0, 1.0, 1.0, 1.0, 0.5], True, InsufficientCountsError,
+                     "total counts 5.5 below the minimum 6 for a six-outcome fit", None,
+                     id="total 5.5"),
+        # the total is refused before the empty pair
+        pytest.param([3.0, 2.0, 0.5, 0.0, 0.0, 0.0], False, InsufficientCountsError,
+                     "total counts 5.5 below the minimum 6 for a six-outcome fit", None,
+                     id="total 5.5 and empty pairs"),
+        # 6 only with an outcome at rounding noise, which is zeroed before the
+        # total is compared; the message rounds 6 - 4e-15 to 6
+        pytest.param([1.0, 1.0, 1.0, 1.0, 2.0 - 4e-15, 4e-15], False, InsufficientCountsError,
+                     "total counts 6 below the minimum 6 for a six-outcome fit", None,
+                     id="total 6 with rounding noise"),
+        pytest.param([20.0, 20.0, 20.0, 20.0, 0.0, 0.0], False, InsufficientCountsError,
+                     "no counts in the Y basis (outcomes R/L)", "Y", id="empty Y pair"),
+        # counts that CountMatrix accepts as finite but whose total is not
+        pytest.param([1e308] * 6, False, ValueError, "counts sum past float range", None,
+                     id="total overflows"),
+        pytest.param([1e308] * 6, True, ValueError, "counts sum past float range", None,
+                     id="total overflows, subtracted"),
+    ])
+    def test_refused_row_named(self, direction, row, subtracted, error, message, basis):
+        where = "input row" if direction is D.FORWARD else "outcome column"
+        with pytest.raises(error) as caught:
+            self.fit_with_row_d(direction, row, subtracted)
+        assert type(caught.value) is error
+        assert str(caught.value) == f"{message} [{where} D]"
+        if error is InsufficientCountsError:
+            assert caught.value.basis == basis
 
     def test_read_only_array(self):
         # the rows are tuples, copied from the caller's array

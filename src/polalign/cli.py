@@ -637,6 +637,10 @@ def main(argv=None) -> int:
         # a path given on the command line is bad input, like any other
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a sweep too large to hold, say; reported like an OSError without a file
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except PolalignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -149,31 +149,6 @@ def wrapped_angle_distance(a: float, b: float) -> float:
     return min(d, math.pi - d)
 
 
-def _least_travel(settings, reference) -> tuple[float, float, float]:
-    """The first of ``settings`` with the least plate travel from ``reference``.
-
-    Travel is the sum of the three plates' :func:`wrapped_angle_distance`.
-    ``settings`` are the four of :func:`_plate_settings`: two pairs whose
-    half plates differ by pi/2, the second pair's quarter plates turned by
-    pi/2 from the first's.  A plate at distance d from the reference puts
-    one turned by pi/2 at pi/2 - d, so the four settings cost four
-    distances, not twelve.  Where two half plates of a pair are equally far
-    to within rounding, that difference can pick the other one of the
-    pair: both give the same rotation and the same travel.
-    """
-    r1, r2, r3 = reference
-    t1, _, t3 = settings[0]
-    d1, d3 = wrapped_angle_distance(t1, r1), wrapped_angle_distance(t3, r3)
-    best, least = None, math.inf
-    for k, quarters in ((0, d1 + d3), (2, math.pi - d1 - d3)):
-        d2 = wrapped_angle_distance(settings[k][1], r2)
-        flipped = math.pi / 2.0 - d2
-        travel, pick = (quarters + d2, k) if d2 <= flipped else (quarters + flipped, k + 1)
-        if travel < least:
-            best, least = settings[pick], travel
-    return best
-
-
 def optimize(
     recon: ReconstructionSet, previous_angles: WavePlateAngles | None = None, *,
     plates: bool = True,
@@ -181,8 +156,9 @@ def optimize(
     """The plate setting that maximizes the summed fidelity to the BB84 targets.
 
     The optimum is exact: the Wahba rotation and, of its four plate
-    settings, the one with the least total travel from ``previous_angles``
-    (zeros when absent), and the rotation R_V they apply.
+    settings, the first with the least total travel from ``previous_angles``
+    (zeros when absent), travel being the three plates'
+    :func:`wrapped_angle_distance` summed, and the rotation R_V they apply.
     ``predicted_qber`` is one minus a quarter of the summed fidelity at
     that optimum, 2 + h/2 with h = tr(R B).  With ``plates=False`` no plate
     setting is chosen, ``previous_angles`` goes unused and ``angles`` is
@@ -197,9 +173,12 @@ def optimize(
         rows = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
     angles = None
     if plates:
-        reference = (previous_angles.as_tuple() if previous_angles is not None
-                     else (0.0, 0.0, 0.0))
-        angles = WavePlateAngles(*_least_travel(_plate_settings(rows, reference), reference))
+        r1, r2, r3 = reference = (previous_angles.as_tuple() if previous_angles is not None
+                                  else (0.0, 0.0, 0.0))
+        angles = WavePlateAngles(*min(
+            _plate_settings(rows, reference),
+            key=lambda s: (wrapped_angle_distance(s[0], r1) + wrapped_angle_distance(s[1], r2)
+                           + wrapped_angle_distance(s[2], r3))))
     predicted = 1.0 + (-2.0 - 0.5 * h) / 4.0
     if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")

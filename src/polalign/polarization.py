@@ -40,19 +40,14 @@ def reduce_angle(theta: float) -> float:
     """Reduce a physical plate rotation to [0, pi); idempotent.
 
     Wave plates are pi-periodic in physical rotation, so angles are stored
-    reduced.  The reduction maps already-reduced values to themselves
-    exactly.
+    reduced.  The result is the exact residue of theta modulo the float pi,
+    rounded once; already-reduced values map to themselves.
     """
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    if 0.0 <= theta < math.pi:
-        return theta
-    reduced = theta - math.floor(theta / math.pi) * math.pi
-    if reduced >= math.pi:
-        reduced -= math.pi
-    if reduced < 0.0:
-        reduced += math.pi
-    return reduced
+    reduced = theta % math.pi
+    # a tiny negative theta leaves pi minus itself, which can round up to pi
+    return reduced if reduced < math.pi else 0.0
 
 
 @dataclass(frozen=True, init=False)

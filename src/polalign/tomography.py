@@ -434,7 +434,7 @@ def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
                     n4 = n5 = 1.0
         if total < _MIN_TOTAL_COUNTS:
             raise InsufficientCountsError(
-                f"total counts {total:g} below the minimum {_MIN_TOTAL_COUNTS} for a "
+                f"total counts {total:.16g} below the minimum {_MIN_TOTAL_COUNTS} for a "
                 f"six-outcome fit [{_ROW_NAME[direction]} {label}]")
         s1, s2, s3 = (n0 - n1) / (n0 + n1), (n2 - n3) / (n2 + n3), (n4 - n5) / (n4 + n5)
         if s1 * s1 + s2 * s2 + s3 * s3 > 1.0:

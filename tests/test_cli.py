@@ -281,6 +281,19 @@ class TestSimulate:
         assert existing.read_text(encoding="utf-8") == "kept\n"
         assert not fresh.exists()
 
+    def test_out_of_memory_reported(self, tmp_path, capsys, monkeypatch):
+        # a sweep too large to hold (here planted) ends in a message, not a traceback
+        def no_memory(**_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_sweep", no_memory)
+        out = tmp_path / "s.csv"
+        code, _out, err = run(self.ARGS + ["--jobs", "1", "--out", str(out)], capsys)
+        assert code == 1
+        assert err == "error: out of memory\n"
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_zero_rejected(self, tmp_path, capsys):
         # the library's range check, named by its flag with or without a manifest
         out = tmp_path / "s.csv"

@@ -12,7 +12,6 @@ from polalign import compensation
 from polalign.compensation import (
     _POLE_TOLERANCE,
     CompensationResult,
-    _least_travel,
     _plate_settings,
     _wahba_rotation,
     wrapped_angle_distance,
@@ -460,43 +459,22 @@ class TestWrappedDistance:
 
 
 class TestLeastTravel:
-    @staticmethod
-    def four_way(settings, reference):
-        r1, r2, r3 = reference
-        return min(settings, key=lambda s: (wrapped_angle_distance(s[0], r1)
-                                            + wrapped_angle_distance(s[1], r2)
-                                            + wrapped_angle_distance(s[2], r3)))
-
-    def test_matches_four_way_min(self):
-        # the pairwise choice against every setting's travel summed directly,
-        # on the settings of random rotations from random references
+    def test_first_least_travel_setting(self):
+        # optimize's choice against every setting's travel summed in a plain
+        # loop, on random rotations from random previous angles
         rng = np.random.default_rng(8)
         for k in range(4000):
-            rows, _ = _wahba_rotation(tuple(rng.normal(size=3)), tuple(rng.normal(size=3)))
-            reference = (0.0, 0.0, 0.0) if k % 4 == 0 else tuple(rng.uniform(0.0, math.pi, 3))
-            settings = _plate_settings(rows, reference)
-            assert _least_travel(settings, reference) is self.four_way(settings, reference)
-
-    def test_ties_at_quarter_pi_keep_the_first(self):
-        # half plates at +-pi/4 from the reference are exactly as far from
-        # it as their partners, so each pair ties within and keeps its
-        # first; quarter plates at 0 or pi/2 a quarter of pi from the
-        # reference cost both pairs pi/2 exactly, so the pairs tie across
-        # too, and min keeps the first pair
-        rng = np.random.default_rng(9)
-        q = math.pi / 4.0
-        for k in range(2000):
-            if k % 2:
-                t1, t3, r1, r3 = rng.uniform(0.0, math.pi, 4)
-            else:
-                t1, t3 = rng.choice([0.0, 2.0 * q], size=2)
-                r1, r3 = rng.choice([q, 3.0 * q], size=2)
-            t2, u2 = rng.choice([q, -q], size=2)
-            reference = (r1, 0.0, r3)
-            s1, s3 = t1 + 2.0 * q, t3 + 2.0 * q
-            settings = [(t1, t2, t3), (t1, t2 + 2.0 * q, t3), (s1, u2, s3), (s1, u2 + 2.0 * q, s3)]
-            chosen = _least_travel(settings, reference)
-            assert chosen is self.four_way(settings, reference)
-            assert chosen is settings[0] or chosen is settings[2]
-            if k % 2 == 0:
-                assert chosen is settings[0]
+            a, b = rng.normal(size=3) / 8.0, rng.normal(size=3) / 8.0
+            direction = Direction.FORWARD if k % 2 else Direction.REVERSED
+            recon = ReconstructionSet(direction, np.array([a, -a, b, -b]))
+            previous = None if k % 4 == 0 else pa.WavePlateAngles(*rng.uniform(0.0, math.pi, 3))
+            result = pa.optimize(recon, previous_angles=previous)
+            r1, r2, r3 = reference = (0.0, 0.0, 0.0) if previous is None else previous.as_tuple()
+            best, least = None, math.inf
+            for setting in _plate_settings(result.rotation, reference):
+                travel = (wrapped_angle_distance(setting[0], r1)
+                          + wrapped_angle_distance(setting[1], r2)
+                          + wrapped_angle_distance(setting[2], r3))
+                if travel < least:
+                    best, least = setting, travel
+            assert result.angles == pa.WavePlateAngles(*best)

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,11 +99,17 @@ class TestTypeInvariants:
         for t in angles.as_tuple():
             assert 0.0 <= t < math.pi
 
-    def test_angle_reduction_idempotent_exact(self):
-        for x in (-12.3, -0.1, 0.0, 0.5, math.pi - 1e-9, 4.7, 1e8 + 0.3):
-            once = pa.reduce_angle(x)
-            assert pa.reduce_angle(once) == once
-            assert 0.0 <= once < math.pi
+    @pytest.mark.parametrize("x", [-12.3, -0.1, -1e-20, -0.0, 0.0, 0.5, math.pi - 1e-9, 4.7,
+                                   1e8 + 0.3, 1e3, -1e3, 1e8, -1e8, 1e300, -1e300])
+    def test_angle_reduction_idempotent_exact(self, x):
+        once = pa.reduce_angle(x)
+        assert pa.reduce_angle(once) == once
+        assert 0.0 <= once < math.pi
+        # the residue modulo the float pi, rounded once; a residue that
+        # rounds up to pi is 0
+        exact = float(Fraction(x) % Fraction(math.pi))
+        assert once == (0.0 if exact == math.pi else exact)
+        assert math.copysign(1.0, once) == 1.0
 
     def test_angles_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):

@@ -890,9 +890,10 @@ class TestReconstructionSet:
                      "total counts 5.5 below the minimum 6 for a six-outcome fit", None,
                      id="total 5.5 and empty pairs"),
         # 6 only with an outcome at rounding noise, which is zeroed before the
-        # total is compared; the message rounds 6 - 4e-15 to 6
+        # total is compared; the message prints enough digits to show it short of 6
         pytest.param([1.0, 1.0, 1.0, 1.0, 2.0 - 4e-15, 4e-15], False, InsufficientCountsError,
-                     "total counts 6 below the minimum 6 for a six-outcome fit", None,
+                     "total counts 5.999999999999996 below the minimum 6 for a six-outcome fit",
+                     None,
                      id="total 6 with rounding noise"),
         pytest.param([20.0, 20.0, 20.0, 20.0, 0.0, 0.0], False, InsufficientCountsError,
                      "no counts in the Y basis (outcomes R/L)", "Y", id="empty Y pair"),

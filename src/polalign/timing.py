@@ -60,12 +60,13 @@ class AlignmentVerdict:
     confidence: float
 
 
-def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
+def wilson_interval(successes: float, trials: float, confidence: float) -> tuple[float, float]:
     """Two-sided Wilson score interval for a binomial proportion.
 
     Newcombe's form, as in ``scipy.stats.binomtest(...).proportion_ci(
     method="wilson")``: the bound on the side of an observed 0 or 1 is
-    exactly 0 or 1.
+    exactly 0 or 1.  The counts may be fractional, as a background-subtracted
+    matrix's are; whole-number counts give the same bits as integers.
     """
     z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
     p = successes / trials
@@ -116,9 +117,7 @@ def classify(cm: CountMatrix, confidence: float = 0.99) -> AlignmentVerdict:
     freq = c / row_totals[:, None]
     flat_index = int(np.argmax(freq))
     row, col = divmod(flat_index, 4)
-    successes = int(round(c[row, col]))
-    row_total = int(round(row_totals[row]))
-    lo, hi = wilson_interval(successes, row_total, level)
+    lo, hi = wilson_interval(float(c[row, col]), float(row_totals[row]), level)
 
     timing_plausible = lo <= TIMING_FREQUENCY <= hi
     polarization_plausible = hi >= POLARIZATION_BOUND

@@ -22,22 +22,21 @@ bisection on the multiplier alone: for a given multiplier each component
 is the middle root of a depressed cubic, taken from the trigonometric
 formula, and |s|^2 - 1 falls as the multiplier grows over [0, total].
 A matrix's four rows are fitted in one loop (:func:`_reconstruct_rows`),
-every row by the same steps: outcomes at or below total * 1e-15 zeroed as
-rounding noise, a total below 6 refused, an empty basis pair refused or,
-in a background-subtracted matrix, held at 0, then the inversion, its
-ball test and the sphere solver when it lies outside the ball.  A row
-whose six outcomes all exceed total * 1e-15, 94 % of a reference sweep's
-rows, skips the zeroing and the pair test, since it has nothing to zero
-and no empty pair.  Each error names the row it refuses.
+every row by the same steps: a total below 6 refused, an empty basis pair
+refused or, in a background-subtracted matrix, held at 0, then the
+inversion, its ball test and the sphere solver when it lies outside the
+ball.  The counts are fitted as given, so an outcome is empty only when it
+is 0, at any total.  A row with no empty outcome, 94 % of a reference
+sweep's rows, skips the pair test.  Each error names the row it refuses.
 Counts are checked once, where they enter: a :class:`CountMatrix` checks
 one matrix, such as a count file's, and :meth:`CountMatrix.block` a whole
 stack of a sweep block's draws in one pass.  A :class:`ReconstructionSet`
-is checked with one comparison per row, |s|^2 <= 1 + 1e-12, which also
-refuses components that are not finite; only a refused set is searched for
-the fault to name.  What the module builds from values it has checked
-itself, a block's matrices and each reconstruction's set, runs the check
-and then fills the frozen instance's dict in one step, without the
-dataclass constructor (:func:`_assemble`).
+is checked only by its constructor: finite components, then |s|^2 <= 1 +
+1e-12 per row.  What the module builds from values it has checked itself,
+a block's matrices and each reconstruction's set, skips the dataclass
+constructor and fills the frozen instance's dict in one step
+(:func:`_assemble`): a fitted row has passed s.s <= 1 or is the sphere
+solver's normalized point.
 """
 
 from __future__ import annotations
@@ -185,7 +184,9 @@ class ReconstructionSet:
 
     ``rows`` holds them as four (S1, S2, S3) tuples of finite floats, given
     as any (4, 3) nested sequence or array.  Each row is a state, so it lies
-    in the Bloch ball: |s|^2 <= 1 up to 1e-12 of rounding.
+    in the Bloch ball: |s|^2 <= 1 up to 1e-12 of rounding.  The constructor
+    is the one check of a set: every component finite, then each row in the
+    ball; a reconstruction builds its set from fitted rows without it.
     """
 
     direction: Direction
@@ -193,56 +194,40 @@ class ReconstructionSet:
 
     def __post_init__(self):
         try:
-            (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = self.rows
-            rows = ((float(h0), float(h1), float(h2)), (float(v0), float(v1), float(v2)),
-                    (float(d0), float(d1), float(d2)), (float(a0), float(a1), float(a2)))
+            rows = tuple((float(s1), float(s2), float(s3)) for s1, s2, s3 in self.rows)
+            if len(rows) != 4:
+                raise ValueError
         except OverflowError:
             raise ValueError("Stokes components must be finite, not past float range") from None
         except (TypeError, ValueError):
             raise ValueError(
                 "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers"
             ) from None
-        _check_stokes_rows(rows)
+        if not all(math.isfinite(x) for row in rows for x in row):
+            raise ValueError(f"Stokes components must be finite, got {rows}")
+        for label, (s1, s2, s3) in zip(BB84_LABELS, rows):
+            # a finite component whose square overflows makes |s|^2 infinite
+            if s1 * s1 + s2 * s2 + s3 * s3 > _BALL:
+                raise ValueError(
+                    f"Stokes row {label} {(s1, s2, s3)} lies outside the Bloch ball |s| <= 1"
+                )
         object.__setattr__(self, "rows", rows)
 
 
-def _check_stokes_rows(rows) -> None:
-    """Refuse four float (S1, S2, S3) rows unless each is finite and in the Bloch ball.
-
-    One comparison per row, s.s <= 1 + 1e-12, passes exactly the finite rows
-    in the ball: NaN fails it, and an infinite component, or a finite one
-    whose square overflows, makes s.s infinite or NaN.  Only a refused set
-    is searched for its first fault, non-finite components before rows
-    outside the ball, to name it.
-    """
-    (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = rows
-    if (h0 * h0 + h1 * h1 + h2 * h2 <= _BALL and v0 * v0 + v1 * v1 + v2 * v2 <= _BALL
-            and d0 * d0 + d1 * d1 + d2 * d2 <= _BALL and a0 * a0 + a1 * a1 + a2 * a2 <= _BALL):
-        return
-    # 0 * x is NaN exactly when x is NaN or infinite, and never overflows
-    if (0.0 * h0 + 0.0 * h1 + 0.0 * h2 + 0.0 * v0 + 0.0 * v1 + 0.0 * v2
-            + 0.0 * d0 + 0.0 * d1 + 0.0 * d2 + 0.0 * a0 + 0.0 * a1 + 0.0 * a2) != 0.0:
-        raise ValueError(f"Stokes components must be finite, got {rows}")
-    for label, (s1, s2, s3) in zip(BB84_LABELS, rows):
-        if s1 * s1 + s2 * s2 + s3 * s3 > _BALL:
-            raise ValueError(
-                f"Stokes row {label} {(s1, s2, s3)} lies outside the Bloch ball |s| <= 1"
-            )
-
-
 def _axis_root(n_plus: float, n_minus: float, lam: float) -> float:
-    """One axis of the sphere maximum at multiplier ``lam``.
+    """One axis of the sphere maximum at multiplier ``lam`` > 0.
 
-    The pair (n+, n-) is not empty.  The component maximizes the concave
-    n+ log(1+s) + n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1 while one
-    outcome is empty and lam <= n+/2 (n-/2).  Otherwise it is the root in
-    (-1, 1) of the stationarity condition n+/(1+s) - n-/(1-s) = lam s, which
-    cleared of denominators is the depressed cubic lam s^3 - (lam + n) s + d = 0
-    with n = n+ + n- and d = n+ - n-.  The cubic is positive at -1 and
-    negative at +1, so that root is its middle one.  With
-    r = sqrt(3 lam/(lam + n)) and x = 3 d r/(2 (lam + n)), where |x| <= 1, the
-    trigonometric formula gives it as (2/r) sin(asin(x)/3), which is free of
-    cancellation and tends to d/n as lam -> 0; at lam = 0 it is d/n itself.
+    The pair (n+, n-) is not empty, and ``lam``, a midpoint of the bisection
+    on [0, total], is at least total * 2**-64.  The component maximizes the
+    concave n+ log(1+s) + n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1
+    while one outcome is empty and lam <= n+/2 (n-/2).  Otherwise it is the
+    root in (-1, 1) of the stationarity condition n+/(1+s) - n-/(1-s) = lam s,
+    which cleared of denominators is the depressed cubic
+    lam s^3 - (lam + n) s + d = 0 with n = n+ + n- and d = n+ - n-.  The
+    cubic is positive at -1 and negative at +1, so that root is its middle
+    one.  With r = sqrt(3 lam/(lam + n)) and x = 3 d r/(2 (lam + n)), where
+    |x| <= 1, the trigonometric formula gives it as (2/r) sin(asin(x)/3),
+    which is free of cancellation and tends to d/n as lam -> 0.
     With an empty outcome the cubic also has the spurious root +-1, which the
     middle root meets at lam = n+/2 (n-/2), where the formula loses half its
     digits.  One Newton step on the rational condition, which lacks the
@@ -254,15 +239,12 @@ def _axis_root(n_plus: float, n_minus: float, lam: float) -> float:
         return -1.0
     n = n_plus + n_minus
     d = n_plus - n_minus
-    if lam == 0.0:
-        s = d / n
-    else:
-        r = math.sqrt(3.0 * lam / (lam + n))
-        x = 1.5 * d * r / (lam + n)
-        s = 2.0 / r * math.sin(math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
-        if not -1.0 < s < 1.0:
-            # rounding next to the spurious root; the step below divides by 1 -+ s
-            s = math.copysign(_BELOW_ONE, s)
+    r = math.sqrt(3.0 * lam / (lam + n))
+    x = 1.5 * d * r / (lam + n)
+    s = 2.0 / r * math.sin(math.asin(x if -1.0 < x < 1.0 else math.copysign(1.0, x)) / 3.0)
+    if not -1.0 < s < 1.0:
+        # rounding next to the spurious root; the step below divides by 1 -+ s
+        s = math.copysign(_BELOW_ONE, s)
     up, down = 1.0 + s, 1.0 - s
     curvature = -n_plus / (up * up) - n_minus / (down * down) - lam
     return s - (n_plus / up - n_minus / down - lam * s) / curvature
@@ -390,31 +372,25 @@ def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
     """MLE of each row of a (4, 6) count array, which its :class:`CountMatrix` has checked.
 
     The rows are read in one ``tolist()`` and fitted in one loop, each by the
-    same steps: its total; only when an outcome is at or below total * 1e-15,
-    those outcomes zeroed and the total taken again; a total below 6 refused;
-    an empty basis pair refused, or under ``allow_empty`` its component held
-    at 0; the linear inversion, and :func:`_sphere_stokes` when that lies
-    outside the Bloch ball (Hradil, PRA 55, R1561 (1997); Rehacek et al.,
-    PRA 75, 042108 (2007)).  Only a row with such an outcome can have an
-    empty pair, so the zeroing branch alone looks for one.  Each error names
-    the input row (forward) or outcome column (reversed); a row whose counts
-    sum past float range is refused with a ``ValueError``.
+    same steps: its total; a total below 6 refused; an empty basis pair
+    refused, or under ``allow_empty`` its component held at 0; the linear
+    inversion, and :func:`_sphere_stokes` when that lies outside the Bloch
+    ball (Hradil, PRA 55, R1561 (1997); Rehacek et al., PRA 75, 042108
+    (2007)).  The counts are fitted as given: an outcome is empty only when
+    it is 0, at any total.  Only a row with an empty outcome can have an
+    empty pair, so only such a row looks for one.  Each error names the
+    input row (forward) or outcome column (reversed); a row whose counts sum
+    past float range is refused with a ``ValueError``.  Every fitted row has
+    passed s.s <= 1 or is the sphere solver's normalized point, so the set
+    is built without its constructor's check.
     """
     stokes = []
     for label, row in zip(BB84_LABELS, rows.tolist()):
         n0, n1, n2, n3, n4, n5 = row
         total = n0 + n1 + n2 + n3 + n4 + n5
-        tiny = total * 1e-15
-        if not (n0 > tiny and n1 > tiny and n2 > tiny and n3 > tiny and n4 > tiny and n5 > tiny):
-            # a total past float range would zero every outcome below
-            if tiny == math.inf:
+        if not (n0 and n1 and n2 and n3 and n4 and n5) or total == math.inf:
+            if total == math.inf:
                 raise ValueError(f"counts sum past float range [{_ROW_NAME[direction]} {label}]")
-            # counts below the float-noise scale of the total carry no
-            # information; zeroed, an outcome that background subtraction left
-            # at rounding noise counts as empty
-            row = [n if n > tiny else 0.0 for n in row]
-            n0, n1, n2, n3, n4, n5 = row
-            total = n0 + n1 + n2 + n3 + n4 + n5
             pairs = (n0 + n1, n2 + n3, n4 + n5)
             # a total below 6 is refused below, before any empty pair
             if total >= _MIN_TOTAL_COUNTS and 0.0 in pairs:
@@ -440,10 +416,7 @@ def _reconstruct_rows(rows, direction, allow_empty) -> ReconstructionSet:
         if s1 * s1 + s2 * s2 + s3 * s3 > 1.0:
             s1, s2, s3 = _sphere_stokes(row, (s1, s2, s3))
         stokes.append((s1, s2, s3))
-    stokes = tuple(stokes)
-    # the rows are Python floats already, so only the state check is left
-    _check_stokes_rows(stokes)
-    return _assemble(ReconstructionSet, direction=direction, rows=stokes)
+    return _assemble(ReconstructionSet, direction=direction, rows=tuple(stokes))
 
 
 def reconstruct_forward(cm: CountMatrix) -> ReconstructionSet:

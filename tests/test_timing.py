@@ -76,8 +76,25 @@ class TestClassify:
         verdict = classify(linear_count_matrix(counts), confidence=0.95)
         ref = binomtest(30, 67).proportion_ci(confidence_level=1 - 0.05 / 16, method="wilson")
         assert (verdict.ci_low, verdict.ci_high) == pytest.approx((ref.low, ref.high), abs=1e-14)
+        # whole-number counts, passed as floats, give the integer interval's bits
+        assert (verdict.ci_low, verdict.ci_high) == wilson_interval(30, 67, 1 - 0.05 / 16)
         assert verdict.confidence == 0.95
         assert (verdict.input_label, verdict.outcome_label) == ("H", "H")
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("row_d", [[0.3, 0.0, 0.0, 0.0], [2.5, 0.4, 0.0, 0.0]],
+                             ids=["0.3 of 0.3", "2.5 of 2.9"])
+    def test_fractional_counts_tested_as_given(self, row_d, direction):
+        # a fractional count is no rounded trial count: rounded, 0.3 of 0.3
+        # is 0 of 0, and 2.5 of 2.9 gets the interval of 2 of 3
+        counts = np.full(COUNT_SHAPE[direction], 10.0)
+        counts[2, :4] = row_d
+        verdict = classify(CountMatrix(direction, counts))
+        assert (verdict.input_label, verdict.outcome_label) == ("D", "H")
+        assert verdict.max_conditional_frequency == row_d[0] / sum(row_d)
+        expected = wilson_interval(row_d[0], sum(row_d), 1 - 0.01 / 16)
+        assert (verdict.ci_low, verdict.ci_high) == expected
+        assert verdict.ci_low < verdict.max_conditional_frequency <= verdict.ci_high
 
     def test_empty_row_rejected(self):
         counts = np.ones((4, 4))

@@ -235,8 +235,6 @@ class TestLinearInversion:
             ([0, 0, 50, 50, 50, 50], "Z"),
             ([50, 50, 0, 0, 50, 50], "X"),
             ([50, 50, 50, 50, 0, 0], "Y"),
-            # an outcome at rounding noise is zeroed before the pair test
-            ([50, 50, 50, 50, 1e-14, 0], "Y"),
         ],
     )
     def test_empty_pair_names_basis(self, counts, basis):
@@ -419,10 +417,29 @@ class TestAxisRoot:
         # |ds/dlam| <= |s|/n, so s(lam) stays within lam/n of d/n
         for n_plus, n_minus in AXIS_PAIRS:
             n, d = n_plus + n_minus, n_plus - n_minus
-            assert _axis_root(n_plus, n_minus, 0.0) == pytest.approx(d / n, abs=1e-15)
             for fraction in (1e-12, 1e-9, 1e-6, 1e-3):
                 s = _axis_root(n_plus, n_minus, fraction * n)
                 assert abs(s - d / n) <= fraction + 1e-15
+
+    def test_bisection_asks_for_no_zero_multiplier(self, monkeypatch):
+        # _axis_root has no lam = 0 case: the bisection's midpoints on
+        # [0, total] are at least total * 2**-64.  The last row's inversion
+        # lies a rounding step outside the ball, so its root is near lam = 0
+        rows = ([counts for counts, _, _ in HARD_ROWS] + UNCERTIFIED_ROWS + MPMATH_ROWS
+                + [[160.0, 39.99999999999999, 100.0, 100.0, 180.00000000000003,
+                    19.999999999999975]])
+        asked = []
+
+        def recorded(n_plus, n_minus, lam):
+            asked.append(lam / total)
+            return _axis_root(n_plus, n_minus, lam)
+
+        monkeypatch.setattr(tomography, "_axis_root", recorded)
+        monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: None)
+        for counts in rows:
+            total = sum(counts)
+            mle_reconstruct(counts, allow_empty_basis=True)
+        assert 2.0**-64 <= min(asked) <= 2.0**-50
 
     def test_empty_outcome_exact_above_clamp(self):
         # with n- = 0 the cubic is (s - 1)(lam s^2 + lam s - n+), so above
@@ -854,33 +871,6 @@ class TestReconstructionSet:
         return pa.reconstruct_reversed(pa.CountMatrix(direction, rows.T, subtracted))
 
     @pytest.mark.parametrize("direction", list(D))
-    @pytest.mark.parametrize("place", range(6))
-    def test_rounding_noise_outcome_fitted_as_zero(self, direction, place):
-        # the largest outcome at or below total * 1e-15, the total taken with
-        # it, is fitted as 0, and the next float up is kept.  Zeroed, the
-        # row's inversion is a pole, on the sphere; kept, it is a few ulp
-        # inside, so the two fits differ
-        def row(x):
-            return [x if i == place else 20.0 for i in range(6)]
-
-        def rounding_noise(x):
-            n0, n1, n2, n3, n4, n5 = row(x)
-            return x <= (n0 + n1 + n2 + n3 + n4 + n5) * 1e-15
-
-        edge = 100.0 * 1e-15
-        while rounding_noise(math.nextafter(edge, math.inf)):
-            edge = math.nextafter(edge, math.inf)
-        while not rounding_noise(edge):
-            edge = math.nextafter(edge, 0.0)
-        above = math.nextafter(edge, math.inf)
-        zeroed = self.fit_with_row_d(direction, row(0.0))
-        pole = [0.0, 0.0, 0.0]
-        pole[place // 2] = -1.0 if place % 2 == 0 else 1.0
-        assert zeroed.rows[2] == tuple(pole)
-        assert self.fit_with_row_d(direction, row(edge)) == zeroed
-        assert self.fit_with_row_d(direction, row(above)) != zeroed
-
-    @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("row,subtracted,error,message,basis", [
         pytest.param([1.0, 1.0, 1.0, 1.0, 1.0, 0.5], True, InsufficientCountsError,
                      "total counts 5.5 below the minimum 6 for a six-outcome fit", None,
@@ -889,12 +879,6 @@ class TestReconstructionSet:
         pytest.param([3.0, 2.0, 0.5, 0.0, 0.0, 0.0], False, InsufficientCountsError,
                      "total counts 5.5 below the minimum 6 for a six-outcome fit", None,
                      id="total 5.5 and empty pairs"),
-        # 6 only with an outcome at rounding noise, which is zeroed before the
-        # total is compared; the message prints enough digits to show it short of 6
-        pytest.param([1.0, 1.0, 1.0, 1.0, 2.0 - 4e-15, 4e-15], False, InsufficientCountsError,
-                     "total counts 5.999999999999996 below the minimum 6 for a six-outcome fit",
-                     None,
-                     id="total 6 with rounding noise"),
         pytest.param([20.0, 20.0, 20.0, 20.0, 0.0, 0.0], False, InsufficientCountsError,
                      "no counts in the Y basis (outcomes R/L)", "Y", id="empty Y pair"),
         # counts that CountMatrix accepts as finite but whose total is not
@@ -911,6 +895,52 @@ class TestReconstructionSet:
         assert str(caught.value) == f"{message} [{where} D]"
         if error is InsufficientCountsError:
             assert caught.value.basis == basis
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("scale", [100.0, 2.0**50], ids=["100", "2**50"])
+    def test_zero_outcome_empty_at_any_total(self, direction, scale):
+        # the counts are fitted as given: a lone R count is a pole at any
+        # total, and only a pair of zeros is an empty basis
+        fitted = self.fit_with_row_d(direction, [scale] * 4 + [1.0, 0.0])
+        assert fitted.rows[2] == (0.0, 0.0, 1.0)
+        with pytest.raises(InsufficientCountsError) as caught:
+            self.fit_with_row_d(direction, [scale] * 4 + [0.0, 0.0])
+        assert caught.value.basis == "Y"
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("solver", ["newton", "bisection"])
+    def test_fitted_sets_pass_the_constructor(self, monkeypatch, solver, direction):
+        # a fitted set is built without the constructor's check, which would
+        # refuse none of them: every row passed s.s <= 1 or is a normalized
+        # sphere point, from either solver and in either direction
+        if solver == "bisection":
+            monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: None)
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=(3000, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        # pure states; half the rows near 2**53 below are slightly mixed
+        v[2750:] *= rng.uniform(0.999, 1.0, (250, 1))
+        p = (1.0 + np.repeat(v, 2, axis=1) * [1, -1, 1, -1, 1, -1]) / 6.0
+        low = rng.multinomial(rng.integers(6, 81, 2000), p[:2000]).astype(float)
+        bg = rng.choice([0.5, 2.5, 10.0], size=(500, 1))
+        clipped = np.clip(rng.multinomial(rng.choice([30, 100, 400], 500), p[2000:2500])
+                          + rng.poisson(bg, (500, 6)) - bg, 0.0, None)
+        big = np.floor(p[2500:] * 2.0**53)
+        rows = ([(counts, allow_empty) for counts, allow_empty, _ in HARD_ROWS]
+                + [(counts, True) for counts in UNCERTIFIED_ROWS + MPMATH_ROWS]
+                + [(counts, True) for counts in np.vstack([low, clipped, big]).tolist()
+                   if sum(counts) >= 6.0])
+        assert len(rows) > 2900
+        for allow_empty in (False, True):
+            group = [counts for counts, allowed in rows if allowed is allow_empty]
+            for i in range(0, len(group), 4):
+                counts = np.array((group[i:i + 4] * 4)[:4])
+                if direction is D.FORWARD:
+                    fitted = pa.reconstruct_forward(pa.CountMatrix(direction, counts, allow_empty))
+                else:
+                    fitted = pa.reconstruct_reversed(
+                        pa.CountMatrix(direction, counts.T, allow_empty))
+                assert pa.ReconstructionSet(direction, fitted.rows) == fitted
 
     def test_read_only_array(self):
         # the rows are tuples, copied from the caller's array
@@ -951,6 +981,20 @@ class TestReconstructionSet:
         # squared must not slip through as an overflow
         with pytest.raises(ValueError, match="outside the Bloch ball"):
             pa.ReconstructionSet(D.REVERSED, rows)
+
+    def test_non_finite_named_before_a_row_outside_the_ball(self):
+        # row H lies outside the ball, row A holds a NaN: the components
+        # are checked first, over the whole set
+        rows = [[2.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0, math.nan, 0.0]]
+        with pytest.raises(ValueError, match="Stokes components must be finite, got"):
+            pa.ReconstructionSet(D.FORWARD, rows)
+
+    def test_first_row_outside_the_ball_named(self):
+        rows = [[0.0] * 3, [0.0, 1.5, 0.0], [0.0] * 3, [0.0, 0.0, 3.0]]
+        with pytest.raises(ValueError) as caught:
+            pa.ReconstructionSet(D.FORWARD, rows)
+        assert str(caught.value) == (
+            "Stokes row V (0.0, 1.5, 0.0) lies outside the Bloch ball |s| <= 1")
 
     def test_unit_norm_mle_row_accepted(self):
         # every linear inversion here lies outside the ball, so every MLE

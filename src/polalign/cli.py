@@ -244,8 +244,10 @@ def _sweep_cell(path, where: str, record, from_json: bool) -> SweepCell:
 def read_sweep_file(path) -> list[SweepCell]:
     """Parse a sweep written by ``simulate`` (CSV or JSON).
 
-    Raises :class:`SchemaError` for any malformed file.
+    ``path`` is a string or any path-like object.  Raises
+    :class:`SchemaError` for any malformed file.
     """
+    path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -572,7 +574,7 @@ def cmd_timing_check(parser, args) -> int:
             f"{verdict.confidence * 100:.12g}% family-wise interval: "
             f"[{verdict.ci_low:.4f}, {verdict.ci_high:.4f}]"
             f" (timing model: 0.25, polarization bound: 0.375)",
-            f"counts used: {verdict.total_counts}",
+            f"counts used: {verdict.total_counts:g}",
         ]
         _emit("\n".join(lines), args.out)
     return 0

@@ -8,8 +8,7 @@ reversed orientation they sit before the channel, the reconstructions are
 the required *inputs*, and the prediction for prepared state |psi> is
 V|psi> compared against the reconstruction, i.e. the adjoint conjugation.
 Either way the optimum satisfies V ~ U+ up to phase.  Away from it the
-order matters: the signal states see V U forward and U V reversed, and
-:func:`residual_qber` scores the product of its direction.
+order matters: the signal states see V U forward and U V reversed.
 
 Everything here is real Stokes arithmetic.  On Stokes vectors V acts as a
 rotation R_V in SO(3), and the summed fidelity is 2 + tr(R B)/2 with
@@ -30,13 +29,15 @@ pi/2) = Q3^-1 H Q1^-1 equals Q3 H2 Q1 exactly when H = Q3^2 H2 Q1^2, and
 Q^2 is the half plate at the same angle.  Two pi rotations about
 equatorial axes compose to a turn about S3, so H(theta3) H(theta2)
 H(theta1) is the half plate at theta1 + theta3 - theta2.  The score needs
-no angles: it is read from R_V and the channel's Stokes axes, so a sweep's
-per-trial path asks :func:`optimize` for the rotation alone
-(``plates=False``) and picks no plate setting; ``align`` does.  That path
-is scalar arithmetic throughout: :func:`optimize` reads a and b straight
-from the reconstruction's rows, and builds its :class:`CompensationResult`
-as the tomography module builds its checked results, by filling the frozen
-instance's dict in one step.
+no angles and no direction: rows x and y of R estimate the two Stokes axes
+that the channel's counts read, in both directions, and
+:func:`residual_qber` is 1/2 - (x . a1 + y . a2)/4 against the channel's
+true axes a1 and a2.  So a sweep's per-trial path asks :func:`optimize` for
+R alone (``plates=False``) and picks no plate setting; ``align`` does.
+That path is scalar arithmetic throughout: :func:`optimize` reads a and b
+straight from the reconstruction's rows, and builds its
+:class:`CompensationResult` as the tomography module builds its checked
+results, by filling the frozen instance's dict in one step.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ _POLE_TOLERANCE = 1e-12
 class CompensationResult:
     """Plate angles, their Stokes rotation and the QBER they predict against the reconstructions.
 
-    ``rotation`` holds the rows of R_V, the rotation the plates apply to
-    Stokes vectors, as nested tuples.  ``angles`` is None when
-    :func:`optimize` was asked for no plates (``plates=False``).
+    ``rotation`` holds the rows of the Wahba rotation R as nested tuples, in
+    both directions; the plates apply R to Stokes vectors forward and R^T
+    reversed.  ``angles`` is None when :func:`optimize` was asked for no
+    plates (``plates=False``).
     """
 
     angles: WavePlateAngles | None
@@ -100,23 +102,23 @@ def _wahba_rotation(a, b) -> tuple[tuple, float]:
     return ((x0, x1, x2), y, (n0, n1, n2)), h
 
 
-def _plate_settings(rotation, reference) -> list[tuple[float, float, float]]:
+def _plate_settings(rotation) -> list[tuple[float, float, float]]:
     """The four plate settings whose Stokes rotation is ``rotation``, as unreduced tuples.
 
     ``rotation`` is a nested 3x3 sequence.  The first quarter plate takes
     u = (cos phi, sin phi, 0) to the S3 pole and the half plate flips it, so
-    R u must lie on the equator: that fixes phi up to pi (the reference
-    theta1 when R keeps the pole in place), then theta3, and leaves the half
-    plate fixed up to pi/2.  Each quarter plate follows from its equatorial
-    direction without further trigonometry, the half plate from the first
-    row of Q3^T R Q1^T by dot products.  The pair at phi + pi follows from
+    R u must lie on the equator: that fixes phi up to pi (theta1 = 0 when R
+    keeps the pole in place), then theta3, and leaves the half plate fixed
+    up to pi/2.  Each quarter plate follows from its equatorial direction
+    without further trigonometry, the half plate from the first row of
+    Q3^T R Q1^T by dot products.  The pair at phi + pi follows from
     the pair at phi with no trigonometry at all, as the module docstring
     says.  The settings come as two pairs of the same quarter plates, whose
     half plates differ by pi/2 within a pair.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
     if math.hypot(r20, r21) <= _POLE_TOLERANCE:
-        phi = 2.0 * reference[0] + math.pi / 2.0
+        phi = math.pi / 2.0
     else:
         phi = math.atan2(-r20, r21)
     # u = (cos phi, sin phi, 0) and the angle psi of R u on the equator
@@ -149,36 +151,27 @@ def wrapped_angle_distance(a: float, b: float) -> float:
     return min(d, math.pi - d)
 
 
-def optimize(
-    recon: ReconstructionSet, previous_angles: WavePlateAngles | None = None, *,
-    plates: bool = True,
-) -> CompensationResult:
+def optimize(recon: ReconstructionSet, *, plates: bool = True) -> CompensationResult:
     """The plate setting that maximizes the summed fidelity to the BB84 targets.
 
-    The optimum is exact: the Wahba rotation and, of its four plate
-    settings, the first with the least total travel from ``previous_angles``
-    (zeros when absent), travel being the three plates'
-    :func:`wrapped_angle_distance` summed, and the rotation R_V they apply.
-    ``predicted_qber`` is one minus a quarter of the summed fidelity at
-    that optimum, 2 + h/2 with h = tr(R B).  With ``plates=False`` no plate
-    setting is chosen, ``previous_angles`` goes unused and ``angles`` is
-    None; the rotation and the prediction are the same to the bit.  A sweep
-    scores the rotation alone.
+    The optimum is exact: the Wahba rotation R and, of the four plate
+    settings of R_V (R forward, R^T reversed), the first with the least
+    total travel from zero angles, travel being the three plates'
+    :func:`wrapped_angle_distance` summed.  ``predicted_qber`` is one minus
+    a quarter of the summed fidelity at that optimum, 2 + h/2 with
+    h = tr(R B).  With ``plates=False`` no plate setting is chosen and
+    ``angles`` is None; the rotation and the prediction are the same to the
+    bit.  A sweep scores the rotation alone.
     """
     # B = [a b 0] with a = s_H - s_V and b = s_D - s_A
     (h0, h1, h2), (v0, v1, v2), (d0, d1, d2), (a0, a1, a2) = recon.rows
     rows, h = _wahba_rotation((h0 - v0, h1 - v1, h2 - v2), (d0 - a0, d1 - a1, d2 - a2))
-    if recon.direction is Direction.REVERSED:
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-        rows = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
     angles = None
     if plates:
-        r1, r2, r3 = reference = (previous_angles.as_tuple() if previous_angles is not None
-                                  else (0.0, 0.0, 0.0))
+        plate_rows = rows if recon.direction is Direction.FORWARD else tuple(zip(*rows))
         angles = WavePlateAngles(*min(
-            _plate_settings(rows, reference),
-            key=lambda s: (wrapped_angle_distance(s[0], r1) + wrapped_angle_distance(s[1], r2)
-                           + wrapped_angle_distance(s[2], r3))))
+            _plate_settings(plate_rows),
+            key=lambda s: sum(wrapped_angle_distance(t, 0.0) for t in s)))
     predicted = 1.0 + (-2.0 - 0.5 * h) / 4.0
     if not -1e-9 <= predicted <= 1.0 + 1e-9:  # NaN fails
         raise ValueError(f"predicted QBER {predicted!r} escaped [0, 1]")
@@ -187,28 +180,20 @@ def optimize(
                      evaluations_used=1, converged=True)
 
 
-def residual_qber(axes, rotation, direction: Direction) -> float:
+def residual_qber(axes, rotation) -> float:
     """Error ratio of ideal signal states after channel plus compensation.
 
-    The Stokes rotation of the compensated channel is M = R_V R_U forward
-    (plates after the channel) and M = R_U R_V reversed (plates before
-    it).  A BB84 state of Stokes vector t keeps the fidelity (1 + t.M t)/2,
-    so the QBER over H, V, D and A is 1/2 - (M_00 + M_11)/4: zero exactly
-    when R_V undoes R_U, independent of any source depolarization.
-    ``axes`` are the channel's two Stokes axes (``montecarlo.stokes_axes``):
-    the columns R_U e1 and R_U e2 forward, the rows 0 and 1 of R_U
-    reversed.  ``rotation`` holds the rows of R_V
-    (:attr:`CompensationResult.rotation`).
+    A BB84 state of Stokes vector t keeps the fidelity (1 + t.M t)/2 under
+    the compensated channel's rotation M, so the QBER over H, V, D and A is
+    1/2 - (M_00 + M_11)/4: zero exactly when the plates undo the channel,
+    independent of any source depolarization.  M is R_V R_U forward (plates
+    after the channel) and R_U R_V reversed (plates before it), and as
+    R_V = R forward and R^T reversed, M_00 + M_11 = x . a1 + y . a2 in both
+    directions: x and y are the first two rows of ``rotation``
+    (:attr:`CompensationResult.rotation`, the Wahba R) and a1, a2 the
+    channel's two Stokes ``axes`` (``montecarlo.stokes_axes``).
     Clamped at 0, where an exact compensation can round the trace above 2.
     """
-    if type(direction) is not Direction:
-        direction = Direction(direction)
     (p0, p1, p2), (q0, q1, q2) = axes
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
-    if direction is Direction.FORWARD:
-        # rows 0 and 1 of R_V against the columns R_U e1 and R_U e2
-        trace = r00 * p0 + r01 * p1 + r02 * p2 + r10 * q0 + r11 * q1 + r12 * q2
-    else:
-        # rows 0 and 1 of R_U against the columns 0 and 1 of R_V
-        trace = p0 * r00 + p1 * r10 + p2 * r20 + q0 * r01 + q1 * r11 + q2 * r21
-    return max(0.0, 0.5 - trace / 4.0)
+    (x0, x1, x2), (y0, y1, y2), _ = rotation
+    return max(0.0, 0.5 - (x0 * p0 + x1 * p1 + x2 * p2 + y0 * q0 + y1 * q1 + y2 * q2) / 4.0)

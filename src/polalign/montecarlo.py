@@ -292,14 +292,14 @@ def run_trial(cm: CountMatrix, axes) -> float:
     """One end-to-end protocol trial: the residual QBER of the compensation found from ``cm``.
 
     ``cm`` holds counts drawn through a channel whose :func:`stokes_axes`
-    are ``axes``, a 2x3 nested sequence; the compensation's Stokes rotation
-    is scored against them, and no plate angles are chosen.  Tomography
-    errors propagate: sweeps record them as failed trials rather than
-    dropping them silently.
+    are ``axes``, a 2x3 nested sequence; the compensation's Wahba rotation
+    is scored against them, in either direction by one formula, and no
+    plate angles are chosen.  Tomography errors propagate: sweeps record
+    them as failed trials rather than dropping them silently.
     """
     reconstruct = (reconstruct_forward if cm.direction is Direction.FORWARD
                    else reconstruct_reversed)
-    return residual_qber(axes, optimize(reconstruct(cm), plates=False).rotation, cm.direction)
+    return residual_qber(axes, optimize(reconstruct(cm), plates=False).rotation)
 
 
 def cpu_count() -> int:

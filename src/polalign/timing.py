@@ -54,7 +54,7 @@ class AlignmentVerdict:
     max_conditional_frequency: float
     input_label: str
     outcome_label: str
-    total_counts: int
+    total_counts: float
     ci_low: float
     ci_high: float
     confidence: float
@@ -132,7 +132,7 @@ def classify(cm: CountMatrix, confidence: float = 0.99) -> AlignmentVerdict:
         max_conditional_frequency=float(freq[row, col]),
         input_label=BB84_LABELS[row],
         outcome_label=BB84_LABELS[col],
-        total_counts=int(round(c.sum())),
+        total_counts=float(c.sum()),
         ci_low=lo,
         ci_high=hi,
         confidence=confidence,

@@ -49,8 +49,12 @@ def drawn_count_matrix(u: np.ndarray, cfg: TrialConfig, rng) -> CountMatrix:
 
 
 def stokes_qber(u: np.ndarray, rotation, direction: Direction) -> float:
-    """The program's residual QBER of the channel ``u`` compensated by the Stokes ``rotation``."""
-    return residual_qber(stokes_axes(oracles.unitary(u), direction), rotation, direction)
+    """The program's residual QBER of the channel ``u`` in ``direction``, scored against R.
+
+    ``rotation`` is the Wahba R of :attr:`CompensationResult.rotation`: the
+    plates' Stokes rotation forward and its transpose reversed.
+    """
+    return residual_qber(stokes_axes(oracles.unitary(u), direction), rotation)
 
 
 def operator_fidelity(u: np.ndarray, v: np.ndarray) -> float:

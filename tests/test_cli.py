@@ -614,6 +614,8 @@ class TestSweepFormat:
             for c in PINNED_CELLS
         ]
         assert cli.read_sweep_file(str(out)) == expected
+        # a pathlib.Path reads as its string does
+        assert cli.read_sweep_file(out) == expected
 
 
 class TestCountFiles:
@@ -659,6 +661,13 @@ class TestCountFiles:
         assert code == 0
         verdict = json.loads(out)["verdict"] if fmt == "json" else out.split()[1]
         assert verdict == "polarization_frame_misaligned"
+        # the linear block's float sum, as align reports its total
+        total = float(cli.load_count_file(path).counts[:4, :4].sum())
+        if fmt == "json":
+            reported = json.loads(out)["total_counts"]
+            assert type(reported) is float and reported == total
+        else:
+            assert out.splitlines()[-1] == f"counts used: {total:g}"
 
     @pytest.mark.parametrize("direction", [None, "sideways", "Forward"])
     def test_bad_direction_rejected(self, tmp_path, capsys, count_file, direction):

@@ -206,18 +206,14 @@ class TestOptimize:
             c, s = math.cos(alpha / 2), math.sin(alpha / 2)
             channels.append(np.array([[c, -s], [s, c]]))
         channels += [oracles.half(t) for t in (0.0, 0.4, 1.3)]
-        prev = pa.WavePlateAngles(0.7, 0.2, 2.9)
         for channel in channels:
             u = oracles.unitary(tilted @ channel)
-            recon = exact_reconstruction(u, direction=direction)
-            for previous in (None, prev):
-                result = pa.optimize(recon, previous_angles=previous)
-                assert 4.0 * result.predicted_qber == pytest.approx(0.0, abs=1e-12)
-                assert stokes_qber(u, result.rotation, direction) < 1e-12
-                assert oracles.jones_qber(u, result.angles.as_tuple(), direction) < 1e-12
-                if tilt == 0.0:
-                    reference = 0.0 if previous is None else prev.theta1
-                    assert wrapped_angle_distance(result.angles.theta1, reference) < 1e-12
+            result = pa.optimize(exact_reconstruction(u, direction=direction))
+            assert 4.0 * result.predicted_qber == pytest.approx(0.0, abs=1e-12)
+            assert stokes_qber(u, result.rotation, direction) < 1e-12
+            assert oracles.jones_qber(u, result.angles.as_tuple(), direction) < 1e-12
+            if tilt == 0.0:
+                assert wrapped_angle_distance(result.angles.theta1, 0.0) < 1e-12
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_no_plates_same_rotation_and_prediction(self, direction):
@@ -242,14 +238,6 @@ class TestOptimize:
                             lambda a, b: (IDENTITY_ROTATION, h))
         with pytest.raises(ValueError, match="escaped"):
             pa.optimize(exact_reconstruction(np.eye(2)), plates=plates)
-
-    def test_prediction_invariant_to_previous(self, rng):
-        # the reference only picks among settings of one rotation
-        u = haar_channel(rng)
-        recon = exact_reconstruction(u)
-        res_a = pa.optimize(recon)
-        res_b = pa.optimize(recon, previous_angles=pa.WavePlateAngles(1.0, 0.5, 0.2))
-        assert abs(res_a.predicted_qber - res_b.predicted_qber) <= 1e-9
 
     def test_predicted_is_pessimistic_by_reconstruction_impurity(self):
         # the self-predicted error scores the compensation against the
@@ -374,16 +362,31 @@ class TestResidualQber:
             u = haar_channel(rng)
             x = rng.uniform(0, math.pi, 3)
             v = oracles.stack(*x)
-            rotation = oracles.stokes_rotation(v).tolist()
-            for direction, w in ((Direction.FORWARD, v @ u), (Direction.REVERSED, u @ v)):
+            plates = oracles.stokes_rotation(v)
+            # the plates apply R forward and R^T reversed
+            for direction, w, rotation in ((Direction.FORWARD, v @ u, plates),
+                                           (Direction.REVERSED, u @ v, plates.T)):
                 expected = oracles.qber([oracles.overlap(k, w @ k) for k in kets])
-                assert stokes_qber(u, rotation, direction) == pytest.approx(expected, abs=1e-12)
+                assert stokes_qber(u, rotation.tolist(), direction) == pytest.approx(
+                    expected, abs=1e-12)
                 assert oracles.jones_qber(u, x, direction) == pytest.approx(expected, abs=1e-12)
 
-    def test_direction_required(self):
-        axes = pa.stokes_axes(np.eye(2), Direction.FORWARD)
-        with pytest.raises(TypeError):
-            pa.residual_qber(axes, IDENTITY_ROTATION)
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("fs", [0.95, 1.0])
+    def test_drawn_score_equals_jones_score_of_angles(self, direction, fs):
+        # the score of optimize's rotation R, with no direction, equals the
+        # Jones score of the plate angles it chooses, which realise R
+        # forward and R^T reversed
+        rng = np.random.default_rng(409)
+        cfg = pa.TrialConfig(direction, 400, fs)
+        reconstruct = (pa.reconstruct_forward if direction is Direction.FORWARD
+                       else pa.reconstruct_reversed)
+        for _ in range(200):
+            u = haar_channel(rng)
+            result = pa.optimize(reconstruct(drawn_count_matrix(u, cfg, rng)))
+            score = pa.residual_qber(stokes_axes(u, direction), result.rotation)
+            jones = oracles.jones_qber(u, result.angles.as_tuple(), direction)
+            assert abs(score - jones) <= 1e-12
 
 
 class TestMonotoneImprovement:
@@ -412,26 +415,26 @@ class TestMonotoneImprovement:
 
 class TestPlateSettings:
     @staticmethod
-    def assert_realised(rotation, reference):
-        settings = _plate_settings(rotation, reference)
+    def assert_realised(rotation):
+        settings = _plate_settings(rotation)
         assert len(settings) == 4
         for setting in settings:
             realised = oracles.stokes_rotation(oracles.stack(*setting))
             np.testing.assert_allclose(realised, rotation, rtol=0, atol=1e-12)
+        return settings
 
     def test_every_setting_realises_haar_rotations(self):
         # the second pair is derived from the first, not solved for: all
         # four settings must still give the rotation through the Jones plates
         rng = np.random.default_rng(1976)
-        for k in range(1000):
+        for _ in range(1000):
             rotation = oracles.stokes_rotation(oracles.haar_unitary(*rng.random(4)))
-            reference = (0.0, 0.0, 0.0) if k % 4 == 0 else tuple(rng.uniform(0.0, math.pi, 3))
-            self.assert_realised(tuple(map(tuple, rotation)), reference)
+            self.assert_realised(tuple(map(tuple, rotation)))
 
     @pytest.mark.parametrize("tilt", [0.0, 1e-13, 0.9 * _POLE_TOLERANCE])
     def test_every_setting_realises_pole_rotations(self, tilt):
         # R keeps the S3 pole (or sends it to the other pole) to within the
-        # tolerance, so theta1 comes from the reference
+        # tolerance, so theta1 is 0
         rng = np.random.default_rng(1977)
         for _ in range(100):
             alpha = rng.uniform(0.0, 2.0 * math.pi)
@@ -445,8 +448,8 @@ class TestPlateSettings:
             for flip in (np.eye(3), oracles.stokes_rotation(half)):
                 rotation = tilted @ flip @ turn
                 assert math.hypot(rotation[2, 0], rotation[2, 1]) <= _POLE_TOLERANCE
-                reference = tuple(rng.uniform(0.0, math.pi, 3))
-                self.assert_realised(tuple(map(tuple, rotation)), reference)
+                settings = self.assert_realised(tuple(map(tuple, rotation)))
+                assert settings[0][0] == 0.0
 
 
 class TestWrappedDistance:
@@ -460,21 +463,23 @@ class TestWrappedDistance:
 
 class TestLeastTravel:
     def test_first_least_travel_setting(self):
-        # optimize's choice against every setting's travel summed in a plain
-        # loop, on random rotations from random previous angles
+        # optimize's choice against every setting's travel from zero summed
+        # in a plain loop, on random rotations; the plates apply R forward
+        # and R^T reversed
         rng = np.random.default_rng(8)
         for k in range(4000):
             a, b = rng.normal(size=3) / 8.0, rng.normal(size=3) / 8.0
             direction = Direction.FORWARD if k % 2 else Direction.REVERSED
             recon = ReconstructionSet(direction, np.array([a, -a, b, -b]))
-            previous = None if k % 4 == 0 else pa.WavePlateAngles(*rng.uniform(0.0, math.pi, 3))
-            result = pa.optimize(recon, previous_angles=previous)
-            r1, r2, r3 = reference = (0.0, 0.0, 0.0) if previous is None else previous.as_tuple()
+            result = pa.optimize(recon)
+            plates = np.array(result.rotation)
+            if direction is Direction.REVERSED:
+                plates = plates.T
             best, least = None, math.inf
-            for setting in _plate_settings(result.rotation, reference):
-                travel = (wrapped_angle_distance(setting[0], r1)
-                          + wrapped_angle_distance(setting[1], r2)
-                          + wrapped_angle_distance(setting[2], r3))
+            for setting in _plate_settings(plates.tolist()):
+                travel = (wrapped_angle_distance(setting[0], 0.0)
+                          + wrapped_angle_distance(setting[1], 0.0)
+                          + wrapped_angle_distance(setting[2], 0.0))
                 if travel < least:
                     best, least = setting, travel
             assert result.angles == pa.WavePlateAngles(*best)

@@ -280,7 +280,7 @@ class TestWavePlates:
 
 def _analytic_stack_fidelities(target: np.ndarray) -> list[float]:
     """Operator fidelity to a target of each of the program's closed-form plate settings."""
-    settings = _plate_settings(oracles.stokes_rotation(target).tolist(), (0.0, 0.0, 0.0))
+    settings = _plate_settings(oracles.stokes_rotation(target).tolist())
     return [operator_fidelity(target, oracles.stack(*t)) for t in settings]
 
 
@@ -313,7 +313,8 @@ class TestCompensationUnitary:
 
     def test_unitary_for_random_angles(self, rng):
         # the oracle's stack is the unitary product of its plates, and its
-        # Stokes rotation undoes its adjoint in the program's score
+        # Stokes rotation undoes its adjoint in the program's score, which
+        # reads the plates' rotation forward and its transpose reversed
         for _ in range(50):
             angles = pa.WavePlateAngles(*rng.uniform(0, math.pi, 3))
             t1, t2, t3 = angles.as_tuple()
@@ -321,9 +322,9 @@ class TestCompensationUnitary:
             product = oracles.quarter(t3) @ oracles.half(t2) @ oracles.quarter(t1)
             np.testing.assert_allclose(v, product, atol=1e-12)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-            rotation = oracles.stokes_rotation(v).tolist()
-            for direction in pa.Direction:
-                assert stokes_qber(v.conj().T, rotation, direction) < 1e-12
+            plates = oracles.stokes_rotation(v)
+            for direction, rotation in zip(pa.Direction, (plates, plates.T)):
+                assert stokes_qber(v.conj().T, rotation.tolist(), direction) < 1e-12
                 assert oracles.jones_qber(v.conj().T, angles.as_tuple(), direction) < 1e-12
 
     def test_surjective_onto_su2(self, rng):

@@ -86,10 +86,12 @@ class TestClassify:
                              ids=["0.3 of 0.3", "2.5 of 2.9"])
     def test_fractional_counts_tested_as_given(self, row_d, direction):
         # a fractional count is no rounded trial count: rounded, 0.3 of 0.3
-        # is 0 of 0, and 2.5 of 2.9 gets the interval of 2 of 3
+        # is 0 of 0, and 2.5 of 2.9 gets the interval of 2 of 3; the total
+        # is the linear block's float sum, as align's is (120.3, not 120)
         counts = np.full(COUNT_SHAPE[direction], 10.0)
         counts[2, :4] = row_d
         verdict = classify(CountMatrix(direction, counts))
+        assert verdict.total_counts == float(counts[:4, :4].sum()) != round(verdict.total_counts)
         assert (verdict.input_label, verdict.outcome_label) == ("D", "H")
         assert verdict.max_conditional_frequency == row_d[0] / sum(row_d)
         expected = wilson_interval(row_d[0], sum(row_d), 1 - 0.01 / 16)

@@ -23,12 +23,12 @@ file at fault.  This module checks the types and shapes of files, and of a
 simulate configuration only its keys, its lists and the values the library
 never sees (``bg_subtract``, ``format``, ``out``).  Every value the library
 uses is checked once, type and range, by the library code that uses it:
-``TrialConfig`` (direction, N, F_S, background), ``run_sweep`` (a non-empty
-grid, samples, master seed, jobs), ``classify`` (confidence) and
-``expected_detection_rate`` (rate inputs); counts are checked by
-``CountMatrix``.  Such an error is a ``ConfigError`` whose ``field`` ``main``
-maps to its flag, or under ``simulate --from-manifest`` to its manifest key
-when the manifest holds it, through ``_FIELD_KEYS``.
+``Direction`` (every direction), ``TrialConfig`` (N, F_S, background),
+``run_sweep`` (a non-empty grid, samples, master seed, jobs), ``classify``
+(confidence) and ``expected_detection_rate`` (rate inputs); counts are
+checked by ``CountMatrix``.  Such an error is a ``ConfigError`` whose
+``field`` ``main`` maps to its flag, or under ``simulate --from-manifest``
+to its manifest key when the manifest holds it, through ``_FIELD_KEYS``.
 ``_SWEEP_FIELDS`` is the one description of a sweep row.
 """
 
@@ -94,11 +94,8 @@ def load_count_file(path) -> CountMatrix:
     _require_schema_version(path, payload, COUNT_FILE_SCHEMA_VERSION)
     try:
         direction = Direction(payload.get("direction"))
-    except ValueError:
-        raise SchemaError(
-            f"{path}: direction must be 'forward' or 'reversed', "
-            f"got {payload.get('direction')!r}"
-        ) from None
+    except ConfigError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
     rows = payload.get("row_labels")
     cols = payload.get("column_labels")
@@ -538,7 +535,7 @@ def cmd_align(parser, args) -> int:
         }
         _emit(json.dumps(payload, indent=1), args.out)
     else:
-        lines = [f"direction: {cm.direction.value}", f"total counts: {cm.total:g}"]
+        lines = [f"direction: {cm.direction.value}", f"total counts: {cm.total:.17g}"]
         lines.append("reconstructed states (Stokes S1, S2, S3):")
         for label in BB84_LABELS:
             s = stokes[label]
@@ -574,7 +571,7 @@ def cmd_timing_check(parser, args) -> int:
             f"{verdict.confidence * 100:.12g}% family-wise interval: "
             f"[{verdict.ci_low:.4f}, {verdict.ci_high:.4f}]"
             f" (timing model: 0.25, polarization bound: 0.375)",
-            f"counts used: {verdict.total_counts:g}",
+            f"counts used: {verdict.total_counts:.17g}",
         ]
         _emit("\n".join(lines), args.out)
     return 0
@@ -621,7 +618,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args)
+        code = args.handler(parser, args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ConfigError as exc:
         # raised before any output is written; a value no manifest holds, such
         # as --jobs, is named by its flag beside a manifest too
@@ -632,6 +631,12 @@ def main(argv=None) -> int:
         # a fit or a reconstruction fails only on what its input file holds: bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left, as after ``| head``: no message.  The program's own stdout goes
+        # to devnull, so the flush at exit cannot fail again (Python's SIGPIPE recipe)
+        if argv is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         if exc.filename is None:
             print(f"error: {exc}", file=sys.stderr)

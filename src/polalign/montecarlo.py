@@ -89,14 +89,6 @@ def _real(value, field: str) -> float:
     raise ConfigError(f"{field} must be a real number in float range, got {value!r}", field=field)
 
 
-def _direction(value, field: str) -> Direction:
-    try:
-        return Direction(value)
-    except ValueError:
-        raise ConfigError(f"{field} must be 'forward' or 'reversed', got {value!r}",
-                          field=field) from None
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte Carlo trial: direction, detection budget, noise model.
@@ -113,8 +105,9 @@ class TrialConfig:
     background_mean: float = 0.0
 
     def __post_init__(self):
-        for name, check in (("direction", _direction), ("n_detected", _integer),
-                            ("signal_fidelity", _real), ("background_mean", _real)):
+        object.__setattr__(self, "direction", Direction(self.direction))
+        for name, check in (("n_detected", _integer), ("signal_fidelity", _real),
+                            ("background_mean", _real)):
             object.__setattr__(self, name, check(getattr(self, name), name))
         minimum = 4 if self.direction is Direction.FORWARD else 6
         if self.n_detected < minimum:
@@ -214,6 +207,7 @@ def stokes_axes(entries: np.ndarray, direction: Direction) -> np.ndarray:
         R e2 = (Re(a b* - c d*), Re(a d* + b c*), -Im(a d* + b c*))
         R_02 = Im(a b* - c d*),  R_12 = Im(a d* - b c*)
     """
+    forward = Direction(direction) is Direction.FORWARD
     entries = np.asarray(entries, dtype=complex)
     batch = entries.shape[:-2]
     a, b = entries[..., 0, 0], entries[..., 0, 1]
@@ -222,7 +216,7 @@ def stokes_axes(entries: np.ndarray, direction: Direction) -> np.ndarray:
     ab = a * b.conj() - c * d.conj()
     ad = a * d.conj() + b * c.conj()
     r00 = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
-    if direction is Direction.FORWARD:
+    if forward:
         axes = (r00, ac.real, -ac.imag, ab.real, ad.real, -ad.imag)
     else:
         r12 = (a * d.conj() - b * c.conj()).imag
@@ -249,6 +243,7 @@ def expected_probabilities(
     input axis j.  Forward reads the columns R e1 and R e2 (inputs H/V and
     D/A), reversed the rows 0 and 1 (outcomes H/V and D/A).
     """
+    forward = Direction(direction) is Direction.FORWARD
     axes = np.asarray(axes, dtype=float)
     batch = axes.shape[:-2]
     x = (2.0 * signal_fidelity - 1.0) * axes
@@ -256,7 +251,7 @@ def expected_probabilities(
     # the opposite input (outcome) of the axis swaps each pair
     plus = np.stack(((1.0 + x) / 24.0, (1.0 - x) / 24.0), axis=-1)
     p = np.stack((plus, plus[..., ::-1]), axis=-3).reshape(*batch, 4, 6)
-    return p if direction is Direction.FORWARD else np.swapaxes(p, -1, -2)
+    return p if forward else np.swapaxes(p, -1, -2)
 
 
 def expected_background_per_cell(cfg: TrialConfig) -> float:

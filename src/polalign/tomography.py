@@ -28,15 +28,16 @@ inversion, its ball test and the sphere solver when it lies outside the
 ball.  The counts are fitted as given, so an outcome is empty only when it
 is 0, at any total.  A row with no empty outcome, 94 % of a reference
 sweep's rows, skips the pair test.  Each error names the row it refuses.
-Counts are checked once, where they enter: a :class:`CountMatrix` checks
-one matrix, such as a count file's, and :meth:`CountMatrix.block` a whole
-stack of a sweep block's draws in one pass.  A :class:`ReconstructionSet`
-is checked only by its constructor: finite components, then |s|^2 <= 1 +
-1e-12 per row.  What the module builds from values it has checked itself,
-a block's matrices and each reconstruction's set, skips the dataclass
-constructor and fills the frozen instance's dict in one step
-(:func:`_assemble`): a fitted row has passed s.s <= 1 or is the sphere
-solver's normalized point.
+Only ``Direction(value)`` checks a direction.  Counts are checked once,
+where they enter, by one check (:func:`_checked_counts`): of one matrix in
+:class:`CountMatrix`, such as a count file's, and of a whole stack of a
+sweep block's draws in :meth:`CountMatrix.block`.  A
+:class:`ReconstructionSet` is checked only by its constructor: direction,
+finite components, then |s|^2 <= 1 + 1e-12 per row.  What the module
+builds from values it has checked itself, a block's matrices and each
+reconstruction's set, skips the dataclass constructor and fills the frozen
+instance's dict in one step (:func:`_assemble`): a fitted row has passed
+s.s <= 1 or is the sphere solver's normalized point.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCountsError
+from .errors import ConfigError, InsufficientCountsError
 from .polarization import ALL_LABELS, BASIS_NAMES, BB84_LABELS
 
 #: minimum total counts for a meaningful six-outcome fit
@@ -67,10 +68,15 @@ _HALVINGS = 64
 
 
 class Direction(str, enum.Enum):
-    """Orientation of the alignment protocol."""
+    """Orientation of the alignment protocol: ``Direction(value)`` takes a member or its value."""
 
     FORWARD = "forward"
     REVERSED = "reversed"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"direction must be 'forward' or 'reversed', got {value!r}",
+                          field="direction")
 
 
 #: (rows, columns) label sets per direction
@@ -81,11 +87,27 @@ COLUMN_LABELS = {Direction.FORWARD: ALL_LABELS, Direction.REVERSED: BB84_LABELS}
 _ROW_NAME = {Direction.FORWARD: "input row", Direction.REVERSED: "outcome column"}
 
 
-def _check_counts(c: np.ndarray) -> None:
-    """Refuse a float count array with an entry that is negative or not finite."""
+def _checked_counts(direction: Direction, counts, stack: bool) -> np.ndarray:
+    """``counts`` as a checked, read-only float copy: one matrix, or a (B, rows, columns) stack.
+
+    The one count check, in turn: a ``stack``, the shape, finite nonnegative entries.
+    """
+    c = np.array(counts, dtype=float)
+    expected = COUNT_SHAPE[direction]
+    if stack and c.ndim != 3:
+        raise ValueError(
+            f"{direction.value} counts must be a (B, {expected[0]}, {expected[1]}) stack "
+            f"of count matrices, got shape {c.shape}"
+        )
+    shape = c.shape[1:] if stack else c.shape
+    if shape != expected:
+        raise ValueError(f"{direction.value} counts must have shape {expected}, got {shape}")
     # NaN propagates through both reductions and fails both comparisons
-    if not (0.0 <= np.minimum.reduce(c, None) and np.maximum.reduce(c, None) < math.inf):
+    if c.size and not (0.0 <= np.minimum.reduce(c, None)
+                       and np.maximum.reduce(c, None) < math.inf):
         raise ValueError("counts must be finite and nonnegative")
+    c.setflags(write=False)
+    return c
 
 
 def _assemble(cls, **fields):
@@ -120,17 +142,9 @@ class CountMatrix:
     background_subtracted: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.direction, Direction):
-            object.__setattr__(self, "direction", Direction(self.direction))
-        c = np.array(self.counts, dtype=float)
-        expected = COUNT_SHAPE[self.direction]
-        if c.shape != expected:
-            raise ValueError(
-                f"{self.direction.value} counts must have shape {expected}, got {c.shape}"
-            )
-        _check_counts(c)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        direction = Direction(self.direction)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "counts", _checked_counts(direction, self.counts, stack=False))
 
     def __eq__(self, other):
         if type(other) is not CountMatrix:
@@ -147,28 +161,13 @@ class CountMatrix:
     def block(cls, direction, counts, background_subtracted: bool = False) -> list[CountMatrix]:
         """One matrix per row of ``counts``, a (B, rows, columns) stack, checked once for all.
 
-        The stack is converted to float and checked as the constructor
-        checks one matrix, with its messages: the trailing shape, then
-        finite, nonnegative entries.  Each matrix holds a read-only view of
-        its row, so a sweep block pays the check once, not per trial.  An
-        empty stack gives no matrices.
+        The stack goes through the constructor's one count check, with its
+        messages: a stack, the trailing shape, then finite, nonnegative
+        entries.  Each matrix holds a read-only view of its row, so a sweep
+        block pays the check once, not per trial.  An empty stack gives none.
         """
         direction = Direction(direction)
-        c = np.array(counts, dtype=float)
-        expected = COUNT_SHAPE[direction]
-        if c.ndim != 3:
-            raise ValueError(
-                f"{direction.value} counts must be a (B, {expected[0]}, {expected[1]}) stack "
-                f"of count matrices, got shape {c.shape}"
-            )
-        if c.shape[1:] != expected:
-            raise ValueError(
-                f"{direction.value} counts must have shape {expected}, got {c.shape[1:]}"
-            )
-        if not len(c):
-            return []
-        _check_counts(c)
-        c.setflags(write=False)
+        c = _checked_counts(direction, counts, stack=True)
         # checked above, so the constructor is skipped
         return [_assemble(cls, direction=direction, counts=row,
                           background_subtracted=background_subtracted) for row in c]
@@ -185,14 +184,15 @@ class ReconstructionSet:
     ``rows`` holds them as four (S1, S2, S3) tuples of finite floats, given
     as any (4, 3) nested sequence or array.  Each row is a state, so it lies
     in the Bloch ball: |s|^2 <= 1 up to 1e-12 of rounding.  The constructor
-    is the one check of a set: every component finite, then each row in the
-    ball; a reconstruction builds its set from fitted rows without it.
+    is the one check of a set: its direction, every component finite, then
+    each row in the ball; a reconstruction builds its set without it.
     """
 
     direction: Direction
     rows: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "direction", Direction(self.direction))
         try:
             rows = tuple((float(s1), float(s2), float(s3)) for s1, s2, s3 in self.rows)
             if len(rows) != 4:
@@ -217,12 +217,12 @@ class ReconstructionSet:
 def _axis_root(n_plus: float, n_minus: float, lam: float) -> float:
     """One axis of the sphere maximum at multiplier ``lam`` > 0.
 
-    The pair (n+, n-) is not empty, and ``lam``, a midpoint of the bisection
-    on [0, total], is at least total * 2**-64.  The component maximizes the
-    concave n+ log(1+s) + n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1
-    while one outcome is empty and lam <= n+/2 (n-/2).  Otherwise it is the
-    root in (-1, 1) of the stationarity condition n+/(1+s) - n-/(1-s) = lam s,
-    which cleared of denominators is the depressed cubic
+    ``lam``, a midpoint of the bisection on [0, total], is at least
+    total * 2**-64.  The component maximizes the concave n+ log(1+s) +
+    n- log(1-s) - lam s^2/2 over [-1, 1].  It is +-1 while one outcome is
+    empty and lam <= n+/2 (n-/2).  Otherwise it is the root in (-1, 1) of
+    the stationarity condition n+/(1+s) - n-/(1-s) = lam s, which cleared
+    of denominators is the depressed cubic
     lam s^3 - (lam + n) s + d = 0 with n = n+ + n- and d = n+ - n-.  The
     cubic is positive at -1 and negative at +1, so that root is its middle
     one.  With r = sqrt(3 lam/(lam + n)) and x = 3 d r/(2 (lam + n)), where
@@ -231,7 +231,8 @@ def _axis_root(n_plus: float, n_minus: float, lam: float) -> float:
     With an empty outcome the cubic also has the spurious root +-1, which the
     middle root meets at lam = n+/2 (n-/2), where the formula loses half its
     digits.  One Newton step on the rational condition, which lacks the
-    spurious root, restores them.
+    spurious root, restores them.  An empty pair (0, 0) gives exactly +0.0
+    at any ``lam`` > 0: the formula's 0 less the step 0/-lam = -0.0.
     """
     if n_minus == 0.0 and lam <= n_plus / 2.0:
         return 1.0
@@ -332,8 +333,8 @@ def _sphere_stokes(n, s0) -> list[float]:
 
     On |s| = 1 the stationarity condition per axis is
     n+/(1 + s_k) - n-/(1 - s_k) = lam s_k with lam > 0.  For fixed lam,
-    :func:`_axis_root` gives each component s_k(lam) in closed form; an
-    empty pair keeps its component at 0.  |s(lam)| falls from |s| > 1 at
+    :func:`_axis_root` gives each component s_k(lam) in closed form; for an
+    empty pair that is exactly +0.0.  |s(lam)| falls from |s| > 1 at
     lam = 0 to below 1 at lam = total, so lam is the root of the decreasing
     |s(lam)|^2 - 1 there.  The bisection halves [0, total] ``_HALVINGS``
     times on every row and returns the last midpoint's point scaled onto
@@ -342,14 +343,11 @@ def _sphere_stokes(n, s0) -> list[float]:
     point = _newton_sphere(n, s0)
     if point is not None:
         return point
-    axes = [axis for axis in ((0, n[0], n[1]), (1, n[2], n[3]), (2, n[4], n[5]))
-            if axis[1] + axis[2] > 0.0]
+    pairs = (n[0], n[1]), (n[2], n[3]), (n[4], n[5])
     lo, hi = 0.0, sum(n)
-    s = [0.0, 0.0, 0.0]
     for _ in range(_HALVINGS):
         lam = 0.5 * (lo + hi)
-        for k, n_plus, n_minus in axes:
-            s[k] = _axis_root(n_plus, n_minus, lam)
+        s = [_axis_root(n_plus, n_minus, lam) for n_plus, n_minus in pairs]
         # |s|^2 - 1 with 1 - s^2 of the largest component taken as a product:
         # summed directly, 1 absorbs components below 1e-8, and beside an
         # axis pinned at +-1 their squares alone decide the sign

@@ -91,6 +91,15 @@ def count_payload(direction: Direction) -> dict:
             "column_labels": list(COLUMN_LABELS[direction]), "counts": counts.tolist()}
 
 
+#: a forward count file whose row A holds counts of 2**50, one R count and no L
+SCALE_PAYLOAD = {
+    "schema_version": 1, "direction": "forward",
+    "row_labels": ["H", "V", "D", "A"], "column_labels": ["H", "V", "D", "A", "R", "L"],
+    "counts": [[31, 2, 20, 14, 9, 24], [1, 30, 14, 18, 24, 10], [13, 20, 31, 1, 19, 15],
+               [2**50, 2**50, 2**50, 2**50, 1, 0]],
+}
+
+
 @pytest.fixture
 def count_file(tmp_path):
     write_json(tmp_path / "counts.json", count_payload(Direction.FORWARD))
@@ -669,6 +678,16 @@ class TestCountFiles:
         else:
             assert out.splitlines()[-1] == f"counts used: {total:g}"
 
+    def test_totals_printed_with_every_digit(self, tmp_path, capsys):
+        # totals past 10**6 lost digits at six significant figures
+        path = write_json(tmp_path / "scale.json", SCALE_PAYLOAD)
+        for command, line, total in (("align", "total counts", 4503599627370793),
+                                     ("timing-check", "counts used", 4503599627370691)):
+            code, out, _err = run([command, "--counts", path, "--format", "json"], capsys)
+            assert code == 0 and json.loads(out)["total_counts"] == total
+            code, out, _err = run([command, "--counts", path], capsys)
+            assert code == 0 and f"{line}: {total}" in out.splitlines()
+
     @pytest.mark.parametrize("direction", [None, "sideways", "Forward"])
     def test_bad_direction_rejected(self, tmp_path, capsys, count_file, direction):
         payload = json.loads(count_file.read_text())
@@ -819,6 +838,40 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("expected detection rate:")
+
+    @pytest.mark.parametrize("command", ["align", "timing-check"])
+    def test_closed_standard_output_exits_quietly(self, tmp_path, command):
+        # the reader is gone before the child writes, as after ``| head``; the
+        # child's standard output is block-buffered, as a shell's pipe is
+        path = write_json(tmp_path / "scale.json", SCALE_PAYLOAD)
+        env = {key: value for key, value in CHILD_ENV.items() if key != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "polalign", command, "--counts", path],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
+
+    def test_closed_standard_output_in_process_keeps_streams(self, monkeypatch, capsys,
+                                                             count_file):
+        # only the program's own run points its standard output at devnull
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):  # asked for only to redirect the descriptor
+                pytest.fail("standard output redirected")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["align", "--counts", str(count_file)]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_runtime_never_imports_scipy(self, tmp_path, count_file):
         # scipy is a test dependency only: no subcommand may load it

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from itertools import product
 
 import mpmath
@@ -12,6 +13,7 @@ from polalign import tomography
 from polalign.errors import InsufficientCountsError
 from polalign.montecarlo import (
     TrialConfig,
+    expected_probabilities,
     generate_counts,
     stokes_axes,
 )
@@ -50,6 +52,39 @@ def mle_reconstruct(counts, allow_empty_basis: bool = False) -> np.ndarray:
     rows[1:] = 1.0
     cm = pa.CountMatrix(D.FORWARD, rows, background_subtracted=allow_empty_basis)
     return np.array(pa.reconstruct_forward(cm).rows[0])
+
+
+class TestDirection:
+    """``Direction(value)`` is the one check of a direction, for every entry that takes one."""
+
+    MESSAGE = "direction must be 'forward' or 'reversed', got 'sideways'"
+    ENTRIES = {
+        "ReconstructionSet": lambda d: pa.ReconstructionSet(d, np.zeros((4, 3))),
+        "stokes_axes": lambda d: stokes_axes(np.eye(2), d),
+        "expected_probabilities": lambda d: expected_probabilities(np.eye(2, 3), d, 0.95),
+        "CountMatrix": lambda d: pa.CountMatrix(d, np.ones((4, 6))),
+        "CountMatrix.block": lambda d: pa.CountMatrix.block(d, np.ones((2, 4, 6))),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_bad_direction_refused_with_one_message(self, entry):
+        with pytest.raises(pa.ConfigError) as refused:
+            self.ENTRIES[entry]("sideways")
+        assert str(refused.value) == self.MESSAGE
+        assert refused.value.field == "direction"
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_value_gives_the_members_result(self, direction):
+        # a value read by identity would take the reversed branch
+        u = haar_channel(np.random.default_rng(11))
+        axes = stokes_axes(u, direction)
+        assert np.array_equal(stokes_axes(u, direction.value), axes)
+        assert np.array_equal(expected_probabilities(axes, direction.value, 0.95),
+                              expected_probabilities(axes, direction, 0.95))
+        rows = np.array(pa.reconstruct_forward(exact_count_matrix(u, D.FORWARD)).rows)
+        by_value = pa.ReconstructionSet(direction.value, rows)
+        assert by_value.direction is direction
+        assert pa.optimize(by_value) == pa.optimize(pa.ReconstructionSet(direction, rows))
 
 
 class TestCountMatrix:
@@ -127,7 +162,8 @@ class TestCountMatrix:
         assert by_value.direction is direction
         reconstruct = pa.reconstruct_forward if direction is D.FORWARD else pa.reconstruct_reversed
         assert reconstruct(by_value) == reconstruct(pa.CountMatrix(direction, counts))
-        with pytest.raises(ValueError, match="'sideways' is not a valid Direction"):
+        with pytest.raises(pa.ConfigError, match="direction must be 'forward' or 'reversed', "
+                                                 "got 'sideways'"):
             pa.CountMatrix("sideways", counts)
 
 
@@ -457,14 +493,15 @@ class TestAxisRoot:
 
     def test_empty_pair_held_at_zero(self, monkeypatch):
         # an empty pair's component is exactly 0, from the Newton and from the
-        # bisection, which never evaluates the empty pair
+        # bisection, which evaluates the empty pair as every other
         rows = ([3.0, 1.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 7.5, 0.25, 6.0, 0.0],
                 [300.0, 0.0, 0.0, 0.0, 50.5, 49.5])
         evaluated = []
 
         def recorded(n_plus, n_minus, lam):
-            evaluated.append((n_plus, n_minus))
-            return _axis_root(n_plus, n_minus, lam)
+            s = _axis_root(n_plus, n_minus, lam)
+            evaluated.append((n_plus, n_minus, s))
+            return s
 
         monkeypatch.setattr(tomography, "_axis_root", recorded)
         for newton in (tomography._newton_sphere, lambda n, s0: None):
@@ -473,7 +510,15 @@ class TestAxisRoot:
                 s = mle_reconstruct(counts, allow_empty_basis=True)
                 empty = [k for k in range(3) if counts[2 * k] + counts[2 * k + 1] == 0.0]
                 assert [s[k] for k in empty] == [0.0]
-        assert evaluated and (0.0, 0.0) not in evaluated
+        empty_roots = [s for n_plus, n_minus, s in evaluated if n_plus == n_minus == 0.0]
+        assert empty_roots and all(s == 0.0 for s in empty_roots)
+
+    def test_empty_pair_root_is_positive_zero(self):
+        # the bisection evaluates an empty pair as any other: the formula's 0
+        # less a Newton step of 0/-lam = -0.0 is +0.0 at every lam > 0
+        for lam in [10.0**k for k in range(-300, 301)] + [5e-324, sys.float_info.max]:
+            s = _axis_root(0.0, 0.0, lam)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0, lam
 
 
 def _reference_grid_rows(seed: int) -> list[list[float]]:
@@ -632,7 +677,7 @@ class TestSphereSolver:
 
     def test_few_multiplier_evaluations_per_boundary_row(self, axis_root_calls,
                                                          reference_boundary_rows):
-        # one evaluation is one _axis_root call per non-empty axis; a row the
+        # one evaluation is one _axis_root call per axis; a row the
         # Newton certifies needs none, and the bisection takes 64 on any row
         for counts in reference_boundary_rows:
             mle_reconstruct(counts)
@@ -667,7 +712,7 @@ class TestSphereSolver:
                              + UNCERTIFIED_ROWS + MPMATH_ROWS)
     def test_fallback_rows_bisect_to_fifty_digits(self, monkeypatch, axis_root_calls, counts):
         # every row the Newton leaves costs the same 64 halvings of
-        # [0, total], one _axis_root call per non-empty axis each; the
+        # [0, total], one _axis_root call per axis each, empty or not; the
         # MPMATH_ROWS, which the Newton certifies, are forced through them.
         # The first row's root sits at the X axis's kink lam = 100, where the
         # other axes add under 1e-28 to |s|^2, so it has no stationary point.
@@ -679,8 +724,7 @@ class TestSphereSolver:
         assert certified == (counts in MPMATH_ROWS)
         monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: None)
         s = mle_reconstruct(counts, allow_empty_basis=True)
-        axes = sum(counts[k] + counts[k + 1] > 0.0 for k in (0, 2, 4))
-        assert axis_root_calls[0] == 64 * axes
+        assert axis_root_calls[0] == 64 * 3
         expected = [float(x) for x in _fifty_digit_sphere_point(counts)]
         np.testing.assert_allclose(s, expected, rtol=0, atol=2e-16)
 

@@ -22,11 +22,9 @@ Bad input exits with code 2 and a message naming the flag, manifest key or
 file at fault.  This module checks the types and shapes of files, and of a
 simulate configuration only its keys, its lists and the values the library
 never sees (``bg_subtract``, ``format``, ``out``).  Every value the library
-uses is checked once, type and range, by the library code that uses it:
-``Direction`` (every direction), ``TrialConfig`` (N, F_S, background),
-``run_sweep`` (a non-empty grid, samples, master seed, jobs), ``classify``
-(confidence) and ``expected_detection_rate`` (rate inputs); counts are
-checked by ``CountMatrix``.  Such an error is a ``ConfigError`` whose
+uses is checked once, type and range, by the library code that uses it,
+and a number by the one integer and one real rule of ``errors``, which the
+sweep and ``schema_version`` readers here use too.  Such an error is a ``ConfigError`` whose
 ``field`` ``main`` maps to its flag, or under ``simulate --from-manifest``
 to its manifest key when the manifest holds it, through ``_FIELD_KEYS``.
 ``_SWEEP_FIELDS`` is the one description of a sweep row.
@@ -44,7 +42,8 @@ import time
 
 from . import __version__
 from .compensation import optimize
-from .errors import ConfigError, FitError, InsufficientCountsError, PolalignError, SchemaError
+from .errors import (ConfigError, FitError, InsufficientCountsError, PolalignError, SchemaError,
+                     _integer, _real)
 from .montecarlo import SweepCell, cpu_count, expected_detection_rate, fit_power_law, run_sweep
 from .polarization import BB84_LABELS
 from .tomography import (
@@ -76,7 +75,11 @@ def _require(condition: bool, message: str):
 
 def _require_schema_version(path, payload: dict, version: int):
     found = payload.get("schema_version")
-    _require(_is_int(found) and found == version, f"{path}: unsupported schema_version {found!r}")
+    try:
+        supported = _integer(found, "schema_version") == version
+    except ConfigError:
+        supported = False
+    _require(supported, f"{path}: unsupported schema_version {found!r}")
 
 
 def load_count_file(path) -> CountMatrix:
@@ -147,10 +150,6 @@ def _fmt(x) -> str:
     return f"{x:.9g}" if isinstance(x, float) else str(x)
 
 
-def _json_float(x):
-    return None if x is None else float(f"{x:.9g}")
-
-
 def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -163,53 +162,43 @@ def _emit(text: str, out_path):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _finite(value) -> float:
-    x = float(value)
+def _finite(value, key) -> float:
+    x = _real(value, key)
     if not math.isfinite(x):
-        raise ValueError("not finite")
+        raise ValueError(key)
     return x
 
 
-def _optional_finite(value):
-    return None if value in (None, "") else _finite(value)
+def _flag(value, key) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(key)
+    return value
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    # a JSON integer can be past float range
-    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
-
-
-#: accepted spellings of bg_subtract: CSV text or a JSON boolean
-_FLAGS = {"true": True, "false": False, True: True, False: False}
-
-
-#: the one description of a sweep row, in column order: key -> (SweepCell field, parser,
-#: JSON type check); a JSON value must pass the check before the parser sees it, a CSV
-#: value is text; the fields parsed as floats are written at nine significant digits
+#: the one description of a sweep row, in column order: key -> (SweepCell field, CSV text
+#: parser, rule); a JSON value, or a CSV value once parsed, must pass the rule, called with
+#: it and its key, and a number's rule is the library's one integer or real rule
 _SWEEP_FIELDS = {
-    "direction": ("direction", Direction, lambda x: isinstance(x, str)),
-    "n": ("n_detected", int, _is_int),
-    "fs": ("signal_fidelity", _finite, _is_number),
-    "bg_mean": ("background_mean", _finite, _is_number),
-    "bg_subtract": ("subtract_background", _FLAGS.__getitem__, lambda x: isinstance(x, bool)),
-    "samples": ("samples", int, _is_int),
-    "failures": ("failures", int, _is_int),
-    "mean_qber": ("mean_qber", _finite, _is_number),
-    "std_qber": ("std_qber", _optional_finite, lambda x: x is None or _is_number(x)),
+    "direction": ("direction", str, lambda x, key: Direction(x)),
+    "n": ("n_detected", int, _integer),
+    "fs": ("signal_fidelity", float, _finite),
+    "bg_mean": ("background_mean", float, _finite),
+    "bg_subtract": ("subtract_background", {"true": True, "false": False}.__getitem__, _flag),
+    "samples": ("samples", int, _integer),
+    "failures": ("failures", int, _integer),
+    "mean_qber": ("mean_qber", float, _finite),
+    "std_qber": ("std_qber", lambda text: float(text) if text else None,
+                 lambda x, key: None if x is None else _finite(x, key)),
 }
 SWEEP_CSV_HEADER = ",".join(_SWEEP_FIELDS)
 
 
 def _cell_record(cell: SweepCell) -> dict:
     record = {}
-    for key, (name, parse, _) in _SWEEP_FIELDS.items():
+    for key, (name, _, _) in _SWEEP_FIELDS.items():
         value = getattr(cell, name)
-        if parse in (_finite, _optional_finite):
-            value = _json_float(value)
+        if isinstance(value, float):  # at nine significant digits, as CSV writes it
+            value = float(f"{value:.9g}")
         record[key] = value.value if isinstance(value, Direction) else value
     return record
 
@@ -227,12 +216,10 @@ def _write_sweep(path, cells, fmt: str):
 def _sweep_cell(path, where: str, record, from_json: bool) -> SweepCell:
     _require(isinstance(record, dict), f"{path}: {where} must be an object")
     fields = {}
-    for key, (name, convert, json_type) in _SWEEP_FIELDS.items():
+    for key, (name, parse, rule) in _SWEEP_FIELDS.items():
         _require(key in record, f"{path}: {where} has no {key!r}")
         try:
-            if from_json and not json_type(record[key]):
-                raise TypeError(key)
-            fields[name] = convert(record[key])
+            fields[name] = rule(record[key] if from_json else parse(record[key]), key)
         except (KeyError, TypeError, ValueError):
             raise SchemaError(f"{path}: {where}: bad {key} {record[key]!r}") from None
     return SweepCell(**fields)

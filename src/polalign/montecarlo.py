@@ -39,18 +39,17 @@ of the draw or the seed, so each of its pairs scores one draw twice.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 import struct
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from itertools import chain, product
 
 import numpy as np
 
 from .compensation import optimize, residual_qber
-from .errors import ConfigError, FitError, InsufficientCountsError, SweepError
+from .errors import ConfigError, FitError, InsufficientCountsError, SweepError, _integer, _real
 from .polarization import haar_random_unitary
 from .tomography import (
     ROW_LABELS,
@@ -69,34 +68,13 @@ MAX_BACKGROUND_MEAN = float(MAX_DETECTIONS - 10.0 * math.sqrt(MAX_DETECTIONS))
 _BLOCK_SIZE = 250
 
 
-def _integer(value, field: str) -> int:
-    """``value`` as an int if it is an integer but no bool, else a :class:`ConfigError`."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
-
-
-def _real(value, field: str) -> float:
-    """``value`` as a float if it is a real number but no bool, else a :class:`ConfigError`."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer past float range
-            pass
-    raise ConfigError(f"{field} must be a real number in float range, got {value!r}", field=field)
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte Carlo trial: direction, detection budget, noise model.
 
-    Each field is checked and stored as its type: a :class:`Direction` from
-    its value, an int from any integer, floats from any real number in float
-    range; a bool is no number, and a bad value is a :class:`ConfigError`
-    on its field.
+    Each field is checked and stored as its type, a :class:`Direction` or a
+    number by the package's one rule of its type; a bad value is a
+    :class:`ConfigError` on its field.
     """
 
     direction: Direction
@@ -316,10 +294,14 @@ def _cell_seed_coordinates(master_seed, direction, n_detected, signal_fidelity,
 
 def _cell_configs(directions, n_values, fs_values, background_means) -> list[TrialConfig]:
     """Every grid cell's checked :class:`TrialConfig`, in (direction, N, F_S, background) order."""
-    grid = [tuple(values) for values in (directions, n_values, fs_values, background_means)]
+    grid = []
     for field, values in zip(("direction", "n_detected", "signal_fidelity", "background_mean"),
-                             grid):
-        if not values:
+                             (directions, n_values, fs_values, background_means)):
+        if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+            raise ConfigError(f"sweep grid {field} must be a list of values, got {values!r}",
+                              field=field)
+        grid.append(tuple(values))
+        if not grid[-1]:
             raise ConfigError(f"empty sweep grid: no {field} values", field=field)
     return [TrialConfig(*cell) for cell in product(*grid)]
 
@@ -554,9 +536,13 @@ def expected_detection_rate(
     """Expected weak-coherent-pulse detection rate in Hz.
 
     rate = R * (1 - (1 - Y0) * exp(-eta * mu)); with zero vacuum yield and
-    a lossy channel this is approximately R * eta * mu.  An argument out of
-    range raises :class:`ConfigError` naming it.
+    a lossy channel this is approximately R * eta * mu.  An argument that is
+    no real number, or is out of range, raises :class:`ConfigError` naming it.
     """
+    pulse_rate_hz = _real(pulse_rate_hz, "pulse_rate_hz")
+    mean_photon_number = _real(mean_photon_number, "mean_photon_number")
+    channel_transmission = _real(channel_transmission, "channel_transmission")
+    vacuum_yield = _real(vacuum_yield, "vacuum_yield")
     if not 0.0 <= pulse_rate_hz < math.inf:
         raise ConfigError(f"pulse rate must be finite and >= 0 Hz, got {pulse_rate_hz!r}",
                           field="pulse_rate_hz")

@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientCountsError
+from .errors import ConfigError, InsufficientCountsError, _real
 from .polarization import BB84_LABELS
 from .tomography import CountMatrix
 
@@ -97,6 +97,7 @@ def classify(cm: CountMatrix, confidence: float = 0.99) -> AlignmentVerdict:
     A confidence so close to 1 that this level leaves no finite normal
     quantile is refused like one outside (0, 1).
     """
+    confidence = _real(confidence, "confidence")
     if not 0.0 < confidence < 1.0:  # NaN fails both
         raise ConfigError(f"confidence must be in (0, 1), got {confidence!r}",
                           field="confidence")

@@ -33,7 +33,7 @@ where they enter, by one check (:func:`_checked_counts`): of one matrix in
 :class:`CountMatrix`, such as a count file's, and of a whole stack of a
 sweep block's draws in :meth:`CountMatrix.block`.  A
 :class:`ReconstructionSet` is checked only by its constructor: direction,
-finite components, then |s|^2 <= 1 + 1e-12 per row.  What the module
+real finite components, then |s|^2 <= 1 + 1e-12 per row.  What the module
 builds from values it has checked itself, a block's matrices and each
 reconstruction's set, skips the dataclass constructor and fills the frozen
 instance's dict in one step (:func:`_assemble`): a fitted row has passed
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientCountsError
+from .errors import ConfigError, InsufficientCountsError, _real
 from .polarization import ALL_LABELS, BASIS_NAMES, BB84_LABELS
 
 #: minimum total counts for a meaningful six-outcome fit
@@ -90,9 +90,13 @@ _ROW_NAME = {Direction.FORWARD: "input row", Direction.REVERSED: "outcome column
 def _checked_counts(direction: Direction, counts, stack: bool) -> np.ndarray:
     """``counts`` as a checked, read-only float copy: one matrix, or a (B, rows, columns) stack.
 
-    The one count check, in turn: a ``stack``, the shape, finite nonnegative entries.
+    The one count check, in turn: numbers, a ``stack``, the shape, finite nonnegative entries.
     """
-    c = np.array(counts, dtype=float)
+    c = np.asarray(counts)
+    kind = {"b": "bools", "S": "bytes", "U": "strings"}.get(c.dtype.kind)
+    if kind:  # which the float copy would read as numbers
+        raise ConfigError(f"counts must be numbers, got {kind}", field="counts")
+    c = np.array(c, dtype=float)
     expected = COUNT_SHAPE[direction]
     if stack and c.ndim != 3:
         raise ValueError(
@@ -184,7 +188,7 @@ class ReconstructionSet:
     ``rows`` holds them as four (S1, S2, S3) tuples of finite floats, given
     as any (4, 3) nested sequence or array.  Each row is a state, so it lies
     in the Bloch ball: |s|^2 <= 1 up to 1e-12 of rounding.  The constructor
-    is the one check of a set: its direction, every component finite, then
+    is the one check of a set: its direction, real finite components, then
     each row in the ball; a reconstruction builds its set without it.
     """
 
@@ -194,15 +198,15 @@ class ReconstructionSet:
     def __post_init__(self):
         object.__setattr__(self, "direction", Direction(self.direction))
         try:
-            rows = tuple((float(s1), float(s2), float(s3)) for s1, s2, s3 in self.rows)
+            rows = tuple(tuple(_real(x, "rows") for x in (s1, s2, s3)) for s1, s2, s3 in self.rows)
             if len(rows) != 4:
                 raise ValueError
-        except OverflowError:
-            raise ValueError("Stokes components must be finite, not past float range") from None
-        except (TypeError, ValueError):
-            raise ValueError(
-                "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers"
-            ) from None
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc.__cause__, OverflowError):  # an integer past float range
+                raise ValueError("Stokes components must be finite, not past float range") from None
+            raise ConfigError(
+                "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers",
+                field="rows") from None
         if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError(f"Stokes components must be finite, got {rows}")
         for label, (s1, s2, s3) in zip(BB84_LABELS, rows):
@@ -351,13 +355,8 @@ def _sphere_stokes(n, s0) -> list[float]:
         # |s|^2 - 1 with 1 - s^2 of the largest component taken as a product:
         # summed directly, 1 absorbs components below 1e-8, and beside an
         # axis pinned at +-1 their squares alone decide the sign
-        a0, a1, a2 = abs(s[0]), abs(s[1]), abs(s[2])
-        if a0 >= a1 and a0 >= a2:
-            value = a1 * a1 + a2 * a2 - (1.0 - a0) * (1.0 + a0)
-        elif a1 >= a2:
-            value = a0 * a0 + a2 * a2 - (1.0 - a1) * (1.0 + a1)
-        else:
-            value = a0 * a0 + a1 * a1 - (1.0 - a2) * (1.0 + a2)
+        a, b, c = sorted(map(abs, s))
+        value = a * a + b * b - (1.0 - c) * (1.0 + c)
         if value > 0.0:
             lo = lam
         else:

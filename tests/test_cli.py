@@ -162,6 +162,41 @@ class TestFit:
         path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
         assert_rejected(["fit", "--in", path], capsys, f"cell 1: bad {key} {text!r}")
 
+    #: what a JSON sweep reads for each key of ten values: a str is no number, a bool no
+    #: integer, and a real number is in float range; NaN reads, and the fit's check refuses it
+    VALUES = [400, 400.0, True, "400", None, [400], 10**400, -0.0, math.nan, 0.95]
+    ACCEPTED = {
+        "direction": [], "n": [400, 10**400], "fs": [400, 400.0, -0.0, 0.95],
+        "bg_mean": [400, 400.0, -0.0, 0.95], "bg_subtract": [True],
+        "samples": [400, 10**400], "failures": [400, 10**400],
+        "mean_qber": [400, 400.0, -0.0, 0.95], "std_qber": [400, 400.0, None, -0.0, 0.95],
+    }
+
+    @pytest.mark.parametrize("key", ACCEPTED)
+    def test_json_value_read_by_the_one_number_rule(self, tmp_path, key):
+        for value in self.VALUES:
+            cells = [json_cell(SWEEP_ROWS[0])]
+            cells[0][key] = value
+            path = write_json(tmp_path / "s.json", {"schema_version": 1, "cells": cells})
+            accepted = any(type(value) is type(x) and value == x for x in self.ACCEPTED[key])
+            if accepted:
+                [cell] = cli.read_sweep_file(path)
+                assert getattr(cell, cli._SWEEP_FIELDS[key][0]) == value
+            else:
+                with pytest.raises(pa.SchemaError) as caught:
+                    cli.read_sweep_file(path)
+                assert str(caught.value) == f"{path}: cell 0: bad {key} {value!r}"
+
+    def test_json_schema_version_read_by_the_one_integer_rule(self, tmp_path):
+        cells = [json_cell(row) for row in SWEEP_ROWS]
+        for version in self.VALUES + [1.0, 1]:
+            path = write_json(tmp_path / "s.json", {"schema_version": version, "cells": cells})
+            if version == 1 and type(version) is int:
+                assert len(cli.read_sweep_file(path)) == 4
+            else:
+                with pytest.raises(pa.SchemaError, match="unsupported schema_version"):
+                    cli.read_sweep_file(path)
+
     def test_json_missing_key(self, tmp_path, capsys):
         cells = [json_cell(row) for row in SWEEP_ROWS]
         del cells[1]["mean_qber"]

@@ -430,6 +430,25 @@ class TestGridChecks:
         assert caught.value.field == field
 
     @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
+    @pytest.mark.parametrize("field,value", [
+        ("direction", dict(directions="forward")),
+        ("n_detected", dict(n_values=400)),
+        ("n_detected", dict(n_values=b"400")),
+        ("signal_fidelity", dict(fs_values=0.95)),
+        ("background_mean", dict(background_means=20.0)),
+        ("background_mean", dict(background_means="20")),
+    ])
+    def test_grid_entry_that_is_no_list_named(self, monkeypatch, entry, field, value):
+        # a string is one value, not a list of its characters, and a number no list at all
+        monkeypatch.setattr(montecarlo, "_block", None)  # a block that ran would raise TypeError
+        grid = dict(directions=["forward"], n_values=[400], fs_values=[0.95],
+                    background_means=[20.0], samples=3, master_seed=1, jobs=1)
+        with pytest.raises(pa.ConfigError, match=f"sweep grid {field} must be a list of "
+                                                 "values, got ") as caught:
+            getattr(pa, entry)(**{**grid, **value})
+        assert caught.value.field == field
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "background_study"])
     def test_cells_store_checked_types(self, entry):
         grid = dict(directions=["forward"], n_values=[np.int64(400)], fs_values=[np.float32(1.0)],
                     background_means=[20], samples=np.int64(3), master_seed=np.uint8(1))
@@ -507,6 +526,23 @@ class TestConfigLimits:
         with pytest.raises(pa.ConfigError) as caught:
             pa.expected_detection_rate(**params)
         assert caught.value.field == field
+
+    @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number",
+                                       "channel_transmission", "vacuum_yield"])
+    @pytest.mark.parametrize("value", ["0.5", True, None, 10**400],
+                             ids=["'0.5'", "True", "None", "10**400"])
+    def test_detection_rate_input_that_is_no_real_number_named(self, field, value):
+        # a bool mu would run as 1 photon per pulse, a string would fail inside a comparison
+        params = dict(pulse_rate_hz=1e6, mean_photon_number=0.1, channel_transmission=0.5)
+        params[field] = value
+        with pytest.raises(pa.ConfigError, match=f"{field} must be a real number") as caught:
+            pa.expected_detection_rate(**params)
+        assert caught.value.field == field
+
+    def test_detection_rate_takes_any_real_number(self):
+        # integers and NumPy scalars give the bits of the same floats
+        assert (pa.expected_detection_rate(10**8, np.float32(0.5), 1, np.int64(0))
+                == pa.expected_detection_rate(1e8, 0.5, 1.0, 0.0))
 
     @pytest.mark.parametrize("field", ["pulse_rate_hz", "mean_photon_number"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])

@@ -109,7 +109,10 @@ class TestClassify:
         (math.nan, "confidence must be in"),
         # below 1, but 1 - (1 - c)/16 leaves the Wilson quantile's argument at 1.0
         (0.999999999999999, "confidence is too close to 1"),
-    ], ids=["0.0", "1.0", "nan", "0.999999999999999"])
+        # the package's one real rule: a string is no number, and a bool none either
+        ("0.99", "confidence must be a real number"), (True, "confidence must be a real number"),
+        (None, "confidence must be a real number"),
+    ], ids=["0.0", "1.0", "nan", "0.999999999999999", "'0.99'", "True", "None"])
     def test_invalid_input_rejected(self, confidence, message):
         with pytest.raises(ConfigError, match=message) as caught:
             classify(linear_count_matrix(np.ones((4, 4))), confidence=confidence)

@@ -117,6 +117,20 @@ class TestCountMatrix:
             with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
                 pa.CountMatrix(direction, counts)
 
+    @pytest.mark.parametrize("counts,kind", [
+        pytest.param([[str(x) for x in row] for row in [[31, 2, 20, 14, 9, 24]] * 4], "strings",
+                     id="str"),
+        pytest.param(np.ones((4, 6), dtype=bool), "bools", id="bool"),
+        pytest.param([[True] * 6] * 4, "bools", id="bool list"),
+        pytest.param(np.full((4, 6), b"1"), "bytes", id="bytes"),
+    ])
+    def test_counts_that_are_no_numbers_rejected(self, counts, kind):
+        # the float copy would read "31" as 31.0 and True as 1.0
+        with pytest.raises(pa.ConfigError) as caught:
+            pa.CountMatrix("forward", counts)
+        assert str(caught.value) == f"counts must be numbers, got {kind}"
+        assert caught.value.field == "counts"
+
     def test_large_finite_counts_accepted(self):
         # the check is elementwise: counts whose sum overflows are still finite
         counts = np.full((4, 6), 1e308)
@@ -215,6 +229,16 @@ class TestCountMatrixBlock:
         with pytest.raises(ValueError) as block:
             pa.CountMatrix.block(direction, counts)
         assert str(block.value) == str(one.value)
+
+    @pytest.mark.parametrize("dtype", [str, bool])
+    def test_stack_that_is_no_numbers_rejected_as_the_constructor_does(self, dtype):
+        counts = self.stack(D.FORWARD, False).astype(dtype)
+        with pytest.raises(pa.ConfigError) as one:
+            pa.CountMatrix(D.FORWARD, counts[0])
+        with pytest.raises(pa.ConfigError) as block:
+            pa.CountMatrix.block(D.FORWARD, counts)
+        assert str(block.value) == str(one.value)
+        assert block.value.field == "counts"
 
     @pytest.mark.parametrize("direction", list(D))
     def test_empty_stack_gives_no_matrices(self, direction):
@@ -747,6 +771,15 @@ class TestSphereSolver:
                 bisected.append(row)
         assert bisected == []
 
+    @pytest.mark.parametrize("counts", [[399, 1, 1, 0, 0, 1], [2**53, 1, 3, 0, 0, 2],
+                                        [2**53, 0, 1, 1, 5, 0]])
+    def test_integer_rows_bisect_as_their_floats(self, monkeypatch, counts):
+        # the sphere solvers also take a row of ints, as a direct caller gives one
+        monkeypatch.setattr(tomography, "_newton_sphere", lambda n, s0: None)
+        floats = [float(x) for x in counts]
+        assert (tomography._sphere_stokes(counts, linear_inversion(counts))
+                == tomography._sphere_stokes(floats, linear_inversion(floats)))
+
     @pytest.mark.parametrize("counts", [[0.0, 100.0, 50.0, 50.0 + 1e-7, 50.0, 50.0],
                                         [100.0, 0.0, 50.0, 50.0 - 1e-7, 50.0, 50.0]])
     def test_start_on_a_pinned_pole_goes_to_the_search(self, counts):
@@ -1000,6 +1033,19 @@ class TestReconstructionSet:
     def test_shape_enforced(self):
         with pytest.raises(ValueError, match=r"\(4, 3\)"):
             pa.ReconstructionSet(D.FORWARD, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([["0.5", "0", "0"]] * 4, id="str"),
+        pytest.param([[True, False, False]] * 4, id="bool"),
+        pytest.param([[0.5, 0.0, 0.0]] * 3 + [[0.0, b"0", 0.0]], id="bytes"),
+    ])
+    def test_components_that_are_no_numbers_rejected(self, rows):
+        # float() would read "0.5" as 0.5 and True as 1.0
+        with pytest.raises(pa.ConfigError) as caught:
+            pa.ReconstructionSet(D.FORWARD, rows)
+        assert str(caught.value) == (
+            "a reconstruction set holds a (4, 3) Stokes array: four rows of three numbers")
+        assert caught.value.field == "rows"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      pytest.param(10**400, id="10**400")])

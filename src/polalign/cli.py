@@ -19,15 +19,16 @@ reported in degrees here (hardware convention) and stored in radians
 everywhere inside the library.
 
 Bad input exits with code 2 and a message naming the flag, manifest key or
-file at fault.  This module checks the types and shapes of files, and of a
-simulate configuration only its keys, its lists and the values the library
-never sees (``bg_subtract``, ``format``, ``out``).  Every value the library
-uses is checked once, type and range, by the library code that uses it,
-and a number by the one integer and one real rule of ``errors``, which the
-sweep and ``schema_version`` readers here use too.  Such an error is a ``ConfigError`` whose
-``field`` ``main`` maps to its flag, or under ``simulate --from-manifest``
-to its manifest key when the manifest holds it, through ``_FIELD_KEYS``.
-``_SWEEP_FIELDS`` is the one description of a sweep row.
+file at fault.  One loader, ``_load_json``, reads every JSON input file, so
+a file fault reads alike in each.  This module checks the shapes of files,
+and of a simulate configuration only its keys and the values the library
+never sees (``bg_subtract``, ``format``, ``out``).  The grid lists and every
+value the library uses are checked once, type and range, by the library
+code that uses them, and a number by the one integer and one real rule of
+``errors``, as the file readers here check theirs.  ``main`` maps the
+``field`` of such a ``ConfigError`` to its flag, or under ``simulate
+--from-manifest`` to its manifest key when the manifest holds it, through
+``_FIELD_KEYS``.  ``_SWEEP_FIELDS`` is the one description of a sweep row.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ SWEEP_SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# count files
+# input files
 
 
 def _require(condition: bool, message: str):
@@ -73,13 +74,29 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
-def _require_schema_version(path, payload: dict, version: int):
+def _read_text(path) -> str:
+    """The text of the file at ``path``; an ``OSError`` is left to ``main``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
+
+
+def _load_json(path, version: int, text: str | None = None) -> dict:
+    """The JSON object at schema ``version`` in ``path``, or in ``text`` already read from it."""
+    try:
+        payload = json.loads(_read_text(path) if text is None else text)
+    except ValueError as exc:  # bad syntax or an int past 4300 digits
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    _require(isinstance(payload, dict), f"{path}: top level must be an object")
     found = payload.get("schema_version")
     try:
         supported = _integer(found, "schema_version") == version
     except ConfigError:
         supported = False
     _require(supported, f"{path}: unsupported schema_version {found!r}")
+    return payload
 
 
 def load_count_file(path) -> CountMatrix:
@@ -88,13 +105,7 @@ def load_count_file(path) -> CountMatrix:
     Labels may appear in any order in the file; rows and columns are
     reindexed to the canonical (H, V, D, A[, R, L]) order.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # undecodable bytes, bad syntax, an int past 4300 digits
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    _require(isinstance(payload, dict), f"{path}: top level must be an object")
-    _require_schema_version(path, payload, COUNT_FILE_SCHEMA_VERSION)
+    payload = _load_json(path, COUNT_FILE_SCHEMA_VERSION)
     try:
         direction = Direction(payload.get("direction"))
     except ConfigError as exc:
@@ -232,19 +243,11 @@ def read_sweep_file(path) -> list[SweepCell]:
     :class:`SchemaError` for any malformed file.
     """
     path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise SchemaError(f"{path}: not UTF-8 text") from None
+    text = _read_text(path)
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:  # bad syntax or an int past 4300 digits
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-        _require(isinstance(payload, dict) and isinstance(payload.get("cells"), list),
+        payload = _load_json(path, SWEEP_SCHEMA_VERSION, text)
+        _require(isinstance(payload.get("cells"), list),
                  f"{path}: expected an object with a 'cells' list")
-        _require_schema_version(path, payload, SWEEP_SCHEMA_VERSION)
         return [_sweep_cell(path, f"cell {i}", r, True) for i, r in enumerate(payload["cells"])]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SWEEP_CSV_HEADER:
@@ -357,9 +360,8 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
     """Check the shape of a simulate configuration from flags or from ``manifest``.
 
     Any problem exits through ``parser.error``, naming the flag or the
-    manifest key at fault.  The direction, samples, seed and what the grid
-    lists hold, empty lists and every value's type and range, are the
-    library's to check.
+    manifest key at fault.  The direction, samples, seed, the grid lists
+    and every value's type and range are the library's to check.
     """
     fail = functools.partial(_config_error, parser, manifest)
     unknown = sorted(set(config) - set(_SIMULATE_KEYS))
@@ -368,9 +370,6 @@ def _check_simulate_config(parser, config: dict, manifest: str | None = None) ->
     for key in _SIMULATE_KEYS:
         if key not in config:
             fail(key, "missing")
-    for key in ("n", "fs", "bg"):
-        if not isinstance(config[key], list):
-            fail(key, f"expected a non-empty list, got {config[key]!r}")
     if not isinstance(config["bg_subtract"], bool):
         fail("bg_subtract", f"{config['bg_subtract']!r} must be true or false")
     if config["bg_subtract"]:
@@ -389,15 +388,8 @@ def _simulate_config_from_args(parser, args) -> dict:
         if given:
             parser.error(f"--from-manifest: cannot be given with {', '.join(given)}; "
                          "only --out and --jobs combine with it")
-        try:
-            with open(args.from_manifest, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--from-manifest: cannot read {args.from_manifest}: {exc}")
-        config = manifest.get("config") if isinstance(manifest, dict) else None
-        if not isinstance(config, dict):
-            parser.error(f"--from-manifest: {args.from_manifest} has no config block")
-        _require_schema_version(args.from_manifest, manifest, MANIFEST_SCHEMA_VERSION)
+        config = _load_json(args.from_manifest, MANIFEST_SCHEMA_VERSION).get("config")
+        _require(isinstance(config, dict), f"{args.from_manifest}: has no config block")
         if args.out:
             config = dict(config, out=args.out)
         return _check_simulate_config(parser, config, args.from_manifest)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _real
+
 BB84_LABELS = ("H", "V", "D", "A")
 ALL_LABELS = ("H", "V", "D", "A", "R", "L")
 #: basis of each outcome pair (H/V, D/A, R/L)
@@ -54,7 +56,7 @@ def reduce_angle(theta: float) -> float:
 class WavePlateAngles:
     """Physical rotation angles (radians) of the quarter-half-quarter stack.
 
-    Angles are reduced to [0, pi) on construction.
+    Each angle is a real number by ``errors._real``, reduced to [0, pi) on construction.
     """
 
     theta1: float
@@ -62,9 +64,9 @@ class WavePlateAngles:
     theta3: float
 
     def __init__(self, theta1: float, theta2: float, theta3: float):
-        object.__setattr__(self, "theta1", reduce_angle(float(theta1)))
-        object.__setattr__(self, "theta2", reduce_angle(float(theta2)))
-        object.__setattr__(self, "theta3", reduce_angle(float(theta3)))
+        object.__setattr__(self, "theta1", reduce_angle(_real(theta1, "theta1")))
+        object.__setattr__(self, "theta2", reduce_angle(_real(theta2, "theta2")))
+        object.__setattr__(self, "theta3", reduce_angle(_real(theta3, "theta3")))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)

@@ -93,8 +93,13 @@ def _checked_counts(direction: Direction, counts, stack: bool) -> np.ndarray:
     The one count check, in turn: numbers, a ``stack``, the shape, finite nonnegative entries.
     """
     c = np.asarray(counts)
-    kind = {"b": "bools", "S": "bytes", "U": "strings"}.get(c.dtype.kind)
-    if kind:  # which the float copy would read as numbers
+    kind = c.dtype.kind
+    # a sequence that mixes a bool with numbers is promoted to numbers: its entries are looked at
+    if kind in "iuf" and not isinstance(counts, np.ndarray) and (
+            {bool, np.bool_} & set(map(type, np.asarray(counts, dtype=object).flat))):
+        kind = "b"
+    if kind not in "iuf":  # a float copy would read True and "31" as numbers, and drop 1j
+        kind = {"b": "bools", "S": "bytes", "U": "strings"}.get(kind, c.dtype)
         raise ConfigError(f"counts must be numbers, got {kind}", field="counts")
     c = np.array(c, dtype=float)
     expected = COUNT_SHAPE[direction]

@@ -410,7 +410,7 @@ class TestSimulate:
              "direction: direction must be 'forward' or 'reversed', got 'sideways'"),
             (dict(sample=3), "unknown keys ['sample']"),
             (dict(seed=-1), "seed: master seed must be >= 0, got -1"),
-            (dict(n=400), "n: expected a non-empty list, got 400"),
+            (dict(n=400), "n: sweep grid n_detected must be a list of values, got 400"),
             (dict(fs=[]), "fs: empty sweep grid: no signal_fidelity values"),
             (dict(bg_subtract="yes"), "bg_subtract: 'yes' must be true or false"),
             (dict(samples=2.5), "samples: samples must be an integer, got 2.5"),
@@ -492,8 +492,10 @@ class TestSimulate:
                   "out": str(tmp_path / "s.csv")}
         path = write_json_with_long_int(tmp_path / "m.json",
                                         {"schema_version": 1, "config": config}, 987654321)
-        assert_rejected(["simulate", "--from-manifest", path, "--jobs", "1"], capsys,
-                        "--from-manifest: cannot read")
+        code, _out, err = run(["simulate", "--from-manifest", path, "--jobs", "1"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: not valid JSON")
+        assert "usage:" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [["--direction", "reversed"], ["--n", "6400"],
                                        ["--fs", "0.9"], ["--bg", "0"], ["--bg-subtract"],
@@ -517,7 +519,25 @@ class TestSimulate:
 
     def test_manifest_without_config(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [1, 2])
-        assert_rejected(["simulate", "--from-manifest", path], capsys, "no config block")
+        code, _out, err = run(["simulate", "--from-manifest", path], capsys)
+        assert (code, err) == (2, f"error: {path}: top level must be an object\n")
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"schema_version": 1, "config": "\xff"}', "not UTF-8 text"),
+        (b'{"schema_version": 1,', "not valid JSON"),
+        (b'{"schema_version": 1}', "has no config block"),
+    ], ids=["not UTF-8", "not JSON", "no config"])
+    def test_manifest_file_fault_reads_like_any_file(self, tmp_path, capsys, content, message):
+        # a file fault is no flag's fault: no usage line
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        out = tmp_path / "s.csv"
+        code, _out, err = run(["simulate", "--from-manifest", str(path), "--jobs", "1",
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: {message}")
+        assert "usage:" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bg_subtract_flag_removed(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -783,6 +803,12 @@ class TestCountFiles:
         assert_rejected([command, "--counts", path], capsys, "counts[1][2] is above 2**53")
 
     @pytest.mark.parametrize("command", ["align", "timing-check"])
+    def test_not_utf8_rejected(self, tmp_path, capsys, count_file, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(count_file.read_bytes().replace(b'"forward"', b'"forw\xe4rd"'))
+        assert_rejected([command, "--counts", str(path)], capsys, f"{path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["align", "timing-check"])
     def test_integer_past_digit_limit_rejected(self, tmp_path, capsys, count_file, command):
         payload = json.loads(count_file.read_text())
         payload["counts"][1][2] = 987654321
@@ -850,7 +876,7 @@ class TestCountFiles:
 
 class TestMissingFiles:
     @pytest.mark.parametrize("argv", [["align", "--counts"], ["timing-check", "--counts"],
-                                      ["fit", "--in"]])
+                                      ["fit", "--in"], ["simulate", "--from-manifest"]])
     def test_missing_input_file(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "absent.json")
         assert_rejected(argv + [missing], capsys, f"cannot open {missing}")

@@ -115,6 +115,16 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="finite"):
             pa.WavePlateAngles(math.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize("index,bad", [(0, "0.5"), (1, True), (2, b"1")],
+                             ids=["str", "bool", "bytes"])
+    def test_angles_must_be_real_numbers(self, index, bad):
+        # float() reads a numeric string, a bool and bytes as numbers
+        angles = [0.5, 1.0, 1.0]
+        angles[index] = bad
+        with pytest.raises(pa.ConfigError) as caught:
+            pa.WavePlateAngles(*angles)
+        assert caught.value.field == f"theta{index + 1}"
+
     def test_immutable_arrays(self):
         # the oracle's kets are shared by every test: none may change them
         with pytest.raises(ValueError):

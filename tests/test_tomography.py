@@ -123,9 +123,14 @@ class TestCountMatrix:
         pytest.param(np.ones((4, 6), dtype=bool), "bools", id="bool"),
         pytest.param([[True] * 6] * 4, "bools", id="bool list"),
         pytest.param(np.full((4, 6), b"1"), "bytes", id="bytes"),
+        # a list promotes a bool among numbers to a number
+        pytest.param([[True, 2, 3, 4, 5, 6]] * 4, "bools", id="bool among ints"),
+        pytest.param([[1.5, np.True_, 3, 4, 5, 6]] * 4, "bools", id="bool among floats"),
+        pytest.param(np.array([["31"] * 6] * 4, dtype=object), "object", id="object"),
+        pytest.param(np.ones((4, 6), dtype=complex), "complex128", id="complex"),
     ])
     def test_counts_that_are_no_numbers_rejected(self, counts, kind):
-        # the float copy would read "31" as 31.0 and True as 1.0
+        # the float copy would read "31" as 31.0 and True as 1.0, and drop an imaginary part
         with pytest.raises(pa.ConfigError) as caught:
             pa.CountMatrix("forward", counts)
         assert str(caught.value) == f"counts must be numbers, got {kind}"

@@ -41,6 +41,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .compensation import optimize
 from .errors import (ConfigError, FitError, InsufficientCountsError, PolalignError, SchemaError,
@@ -142,10 +144,11 @@ def load_count_file(path) -> CountMatrix:
             if x > _MAX_COUNT:
                 raise SchemaError(f"{path}: counts[{i}][{j}] is above 2**53, the largest count")
     _require(isinstance(payload.get("metadata", {}), dict), f"{path}: metadata must be an object")
-    # in canonical label order; every count is exact as a float
+    # in canonical label order; every count is exact as a float.  An array of
+    # the counts checked above is not walked again for a bool
     col_order = [cols.index(lab) for lab in COLUMN_LABELS[direction]]
-    return CountMatrix(direction, [[counts[rows.index(lab)][j] for j in col_order]
-                                   for lab in ROW_LABELS[direction]])
+    return CountMatrix(direction, np.array([[counts[rows.index(lab)][j] for j in col_order]
+                                            for lab in ROW_LABELS[direction]], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +170,13 @@ def _write_text(path, text: str):
 
 
 def _emit(text: str, out_path):
+    text = text if text.endswith("\n") else text + "\n"
     if out_path:
-        _write_text(out_path, text if text.endswith("\n") else text + "\n")
+        _write_text(out_path, text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        # one write: unbuffered, a newline written apart meets a pipe whose
+        # reader (``| head -1``) has left, and the run exits 1
+        sys.stdout.write(text)
 
 
 def _finite(value, key) -> float:

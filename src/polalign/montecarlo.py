@@ -21,14 +21,16 @@ draws a full block of trials in one pass, each draw one array call: the
 Haar channels from one ``random((_BLOCK_SIZE, 4))``, then, from their
 Stokes axes computed once for the block, the signal counts from one
 multinomial over the block's cell probabilities, and with background one
-Poisson count per cell.  Only then are its trials scored, one by one, so
-a trial's draws depend on its cell, its block and its place in the block,
-never on how many of the block's trials the cell runs or on the worker
-that runs it.  A cell's first k trials are the
-same for any sample count of at least k, and results are bit-identical
-for any worker count.  The counts of the scored trials are checked once
-for the block (:meth:`CountMatrix.block`), and a trial scores the
-compensation's Stokes rotation without choosing plate angles.
+Poisson count per cell.  Only then are its trials run, so a trial's
+draws depend on its cell, its block and its place in the block, never on
+how many of the block's trials the cell runs or on the worker that runs
+it.  A cell's first k trials are the same for any sample count of at
+least k, and results are bit-identical for any worker count.  The counts
+of the trials run are checked once for the block, and their tomography is
+fitted once for the block, at the first trial's reconstruction
+(:meth:`CountMatrix.block`).  Then each trial is compensated and scored,
+one by one: it scores the compensation's Stokes rotation without choosing
+plate angles.
 
 A sweep scores the drawn counts as the detectors record them, background
 and all.  Only :func:`background_study` subtracts the mean background:
@@ -311,8 +313,8 @@ def _block(args):
 
     Draws the channels and counts of a full block whatever ``stop`` is, so
     a trial's draws do not depend on the cell's sample count, and scores
-    the first ``stop - start`` of them.  Their counts alone are checked,
-    once for the block (:meth:`CountMatrix.block`).  With ``subtract`` a
+    the first ``stop - start`` of them.  Their counts alone are checked and
+    fitted, once for the block (:meth:`CountMatrix.block`).  With ``subtract`` a
     trial is a pair from its one draw: the drawn counts, then those less
     the mean background per cell.  A pair that fails in either arm is None,
     so at background 0 the arms agree: the subtracted arm's tolerance of an

@@ -934,6 +934,26 @@ class TestModuleEntryPoint:
         assert cli.main(["align", "--counts", str(count_file)]) == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_written_in_one_write(self, monkeypatch, count_file, fmt):
+        # unbuffered, as under PYTHONUNBUFFERED, each write reaches the pipe:
+        # a newline written apart from its text would meet a reader that has
+        # left after the text, as ``| head -1`` does
+        class Recorded:
+            writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorded())
+        assert cli.main(["align", "--counts", str(count_file), "--format", fmt]) == 0
+        assert len(Recorded.writes) == 1
+        assert Recorded.writes[0].endswith("\n") and not Recorded.writes[0].endswith("\n\n")
+
     def test_runtime_never_imports_scipy(self, tmp_path, count_file):
         # scipy is a test dependency only: no subcommand may load it
         sweep = write_csv(tmp_path / "fit.csv", SWEEP_ROWS)

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import pickle
 import sys
 from itertools import product
 
@@ -550,17 +552,25 @@ class TestAxisRoot:
             assert s == 0.0 and math.copysign(1.0, s) == 1.0, lam
 
 
-def _reference_grid_rows(seed: int) -> list[list[float]]:
-    """The count rows a reconstruction sees in one drawn block of each reference cell.
+def _reference_grid_stacks(seed: int):
+    """One drawn block of each reference cell, as (direction, count stack).
 
-    The cells are both directions, N in {400, 6400} and F_S in {1, 0.95};
-    a reversed matrix contributes its outcome columns.
+    The cells are both directions, N in {400, 6400} and F_S in {1, 0.95}.
     """
     rng = np.random.default_rng(seed)
-    rows = []
     for direction, n, fs in product(D, (400, 6400), (1.0, 0.95)):
         axes = stokes_axes(pa.haar_random_unitary(rng, 250), direction)
-        counts = generate_counts(axes, TrialConfig(direction, n, fs), rng).astype(float)
+        yield direction, generate_counts(axes, TrialConfig(direction, n, fs), rng)
+
+
+def _reference_grid_rows(seed: int) -> list[list[float]]:
+    """The count rows a reconstruction sees in :func:`_reference_grid_stacks`.
+
+    A reversed matrix contributes its outcome columns.
+    """
+    rows = []
+    for direction, counts in _reference_grid_stacks(seed):
+        counts = counts.astype(float)
         if direction is D.REVERSED:
             counts = counts.transpose(0, 2, 1)
         rows.extend(counts.reshape(-1, 6).tolist())
@@ -798,6 +808,149 @@ class TestSphereSolver:
     def test_hard_rows_keep_their_sphere_point(self, counts, allow_empty, expected):
         s = mle_reconstruct(counts, allow_empty_basis=allow_empty)
         np.testing.assert_allclose(s, expected, rtol=0, atol=1e-14)
+
+
+def _fit_or_refusal(cm):
+    """The bits of the set ``cm`` reconstructs, or the type, message and basis of its refusal."""
+    reconstruct = pa.reconstruct_forward if cm.direction is D.FORWARD else pa.reconstruct_reversed
+    try:
+        return np.array(reconstruct(cm).rows).tobytes()
+    except (InsufficientCountsError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "basis", None)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(name)`` wraps a tomography function and gives the list of its calls' args."""
+
+    def wrap(name):
+        calls = []
+        original = getattr(tomography, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tomography, name, wrapper)
+        return calls
+
+    return wrap
+
+
+class TestBlockFit:
+    """A block stack's one batched fit against each matrix's own fit, the reference."""
+
+    @staticmethod
+    def assert_fits_as_one(direction, counts, subtracted=False):
+        """Each block row's set, or refusal, is to the bit that of the same counts' own matrix."""
+        block = pa.CountMatrix.block(direction, counts, background_subtracted=subtracted)
+        for cm, c in zip(block, counts):
+            one = pa.CountMatrix(direction, c, background_subtracted=subtracted)
+            assert _fit_or_refusal(cm) == _fit_or_refusal(one), c.tolist()
+
+    @staticmethod
+    def planted(direction, rows, at, others=20.0):
+        """A stack of one matrix per row of ``rows``, each at row ``at``, ``others`` elsewhere."""
+        stack = np.full((len(rows), 4, 6), others)
+        stack[:, at] = rows
+        return stack if direction is D.FORWARD else stack.transpose(0, 2, 1)
+
+    def test_reference_grid(self, counted):
+        newton = counted("_newton_block")
+        for seed in (2019, 5, 6):
+            for direction, counts in _reference_grid_stacks(seed):
+                self.assert_fits_as_one(direction, counts)
+        # the batched Newton fitted the boundary rows, about half of the F_S = 1 cells' rows
+        assert sum(s0.shape[1] for _plus, _minus, s0 in newton) > 6000
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("n,bg,empty", [(100, 50.0, 30), (400, 110.0, 0)])
+    def test_background_subtracted(self, direction, n, bg, empty):
+        # fractional rows and, at N = 100, clipped basis pairs whose matrices
+        # the batch leaves whole to the allow-empty fit
+        rng = np.random.default_rng(n)
+        cfg = TrialConfig(direction, n, 0.95, background_mean=bg)
+        axes = stokes_axes(pa.haar_random_unitary(rng, 250), direction)
+        drawn = generate_counts(axes, cfg, rng)
+        counts = np.maximum(drawn - bg / len(pa.tomography.ROW_LABELS[direction]), 0.0)
+        rows = counts if direction is D.FORWARD else counts.transpose(0, 2, 1)
+        assert (rows[..., 0::2] + rows[..., 1::2] == 0.0).any(axis=(1, 2)).sum() >= empty
+        assert (rows % 1.0 != 0.0).any()
+        self.assert_fits_as_one(direction, counts, subtracted=True)
+        self.assert_fits_as_one(direction, drawn)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_kink_and_hard_rows(self, direction, counted):
+        # the boundary rows the batched Newton leaves uncertified, and only
+        # those, go to the scalar sphere solver: kinks where a zero outcome
+        # pins a component.  Beside them, rows on a pinned pole and rows
+        # whose counts reach 2**53
+        kinks = UNCERTIFIED_ROWS + [[5e-13, 0.0, 200.0, 0.0, 100.0, 100.0]]
+        rows = kinks + [[0.0, 100.0, 50.0, 50.0 + 1e-7, 50.0, 50.0],
+                        [100.0, 0.0, 50.0, 50.0 - 1e-7, 50.0, 50.0]]
+        rows += [counts for counts, allow_empty, _ in HARD_ROWS if not allow_empty]
+        uncertified = [row for row in rows if _outside_ball(row)
+                       and tomography._newton_sphere(row, linear_inversion(row)) is None]
+        assert all(row in uncertified for row in kinks)
+        sphere = counted("_sphere_stokes")
+        for at in range(4):
+            counts = self.planted(direction, rows, at)
+            sphere.clear()
+            _fit_or_refusal(pa.CountMatrix.block(direction, counts)[0])  # fits the stack
+            assert sorted(n for n, _s0 in sphere) == sorted(uncertified)
+            self.assert_fits_as_one(direction, counts)
+
+    @pytest.mark.parametrize("direction", list(D))
+    @pytest.mark.parametrize("row,subtracted", [
+        pytest.param([20.0, 20.0, 20.0, 20.0, 0.0, 0.0], False, id="empty Y pair"),
+        pytest.param([0.0, 0.0, 20.0, 20.0, 30.0, 0.0], True, id="held H/V pair"),
+        pytest.param([1.0, 1.0, 1.0, 1.0, 1.0, 0.5], True, id="total 5.5"),
+        pytest.param([3.0, 2.0, 0.5, 0.0, 0.0, 0.0], False, id="total 5.5, empty pairs"),
+        pytest.param([1e308] * 6, False, id="total overflows"),
+    ])
+    def test_matrix_out_of_the_batch_fitted_whole(self, direction, row, subtracted):
+        # matrix 2's row D is out of the batch; read first, it raises, or
+        # holds its empty pair, as its own matrix does, and its neighbours fit
+        counts = np.random.default_rng(4).integers(0, 60, (5, 4, 6)).astype(float)
+        counts[:, :, 0] += 400.0  # boundary rows
+        counts[2, 2] = row
+        if direction is D.REVERSED:
+            counts = counts.transpose(0, 2, 1)
+        block = pa.CountMatrix.block(direction, counts, background_subtracted=subtracted)
+        one = pa.CountMatrix(direction, counts[2], background_subtracted=subtracted)
+        assert _fit_or_refusal(block[2]) == _fit_or_refusal(one)
+        if not subtracted or sum(row) < 6.0:
+            assert isinstance(_fit_or_refusal(one), tuple)
+        self.assert_fits_as_one(direction, counts, subtracted)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_fitted_once_per_block(self, direction, counted):
+        # the first read of any matrix fits the stack; a single matrix never
+        fits = counted("_fit_block_rows")
+        counts = np.random.default_rng(9).integers(0, 40, (7, *tomography.COUNT_SHAPE[direction]))
+        block = pa.CountMatrix.block(direction, counts)
+        for cm in block[::-1] + block:
+            _fit_or_refusal(cm)
+        _fit_or_refusal(pa.CountMatrix(direction, counts[0]))
+        assert len(fits) == 1
+        assert fits[0][0].shape == (4 * len(counts), 6)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_rows_are_matrices_as_constructed(self, direction):
+        # the link to the block's fit is private: no field, no constructor
+        # parameter, and no part of equality, hashing or repr
+        names = ["direction", "counts", "background_subtracted"]
+        assert [f.name for f in dataclasses.fields(pa.CountMatrix)] == names
+        assert list(inspect.signature(pa.CountMatrix).parameters) == names
+        counts = np.random.default_rng(3).integers(0, 40, (4, *tomography.COUNT_SHAPE[direction]))
+        for subtracted in (False, True):
+            block = pa.CountMatrix.block(direction, counts, background_subtracted=subtracted)
+            for cm, c in zip(block, counts):
+                one = pa.CountMatrix(direction, c, background_subtracted=subtracted)
+                assert cm == one and hash(cm) == hash(one) and repr(cm) == repr(one)
+                assert len({cm, one}) == 1
+                copy = pickle.loads(pickle.dumps(cm))
+                assert copy == cm and _fit_or_refusal(copy) == _fit_or_refusal(one)
 
 
 class TestReconstructForward:

@@ -27,10 +27,10 @@ how many of the block's trials the cell runs or on the worker that runs
 it.  A cell's first k trials are the same for any sample count of at
 least k, and results are bit-identical for any worker count.  The counts
 of the trials run are checked once for the block, and their tomography is
-fitted once for the block, at the first trial's reconstruction
-(:meth:`CountMatrix.block`).  Then each trial is compensated and scored,
-one by one: it scores the compensation's Stokes rotation without choosing
-plate angles.
+fitted once for the block, at the first trial's reconstruction, or trial
+by trial when the block runs only a few (:meth:`CountMatrix.block`).  Then
+each trial is compensated and scored, one by one: it scores the
+compensation's Stokes rotation without choosing plate angles.
 
 A sweep scores the drawn counts as the detectors record them, background
 and all.  Only :func:`background_study` subtracts the mean background:
@@ -313,8 +313,8 @@ def _block(args):
 
     Draws the channels and counts of a full block whatever ``stop`` is, so
     a trial's draws do not depend on the cell's sample count, and scores
-    the first ``stop - start`` of them.  Their counts alone are checked and
-    fitted, once for the block (:meth:`CountMatrix.block`).  With ``subtract`` a
+    the first ``stop - start`` of them.  Their counts alone are checked, once
+    for the block, and fitted as :meth:`CountMatrix.block` chooses.  With ``subtract`` a
     trial is a pair from its one draw: the drawn counts, then those less
     the mean background per cell.  A pair that fails in either arm is None,
     so at background 0 the arms agree: the subtracted arm's tolerance of an

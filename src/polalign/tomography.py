@@ -38,11 +38,16 @@ with its exits as masks (:func:`_newton_block`), and
 set is, to the bit, the one the matrix's own fit gives.  A matrix with a
 row the pass does not take (a total below 6 or past float range, or an
 empty basis pair) is fitted whole by :func:`_reconstruct_rows` when it is
-read, with its errors and its hold.  The fit is chosen by input kind, not
-size: a single matrix, such as ``align``'s count file, keeps the
-per-matrix fit, since a one-matrix batched pass took about 250 us against
-16-28 us for the matrix built and fitted alone (N = 400, 2 vCPUs, Python
-3.11, numpy 2.4).
+read, with its errors and its hold.  The batch pays a fixed cost of array
+calls, so it is chosen by size, at crossovers measured on the reference
+cells (2 vCPUs, Python 3.11, numpy 2.4).  A stack of fewer than
+``_BATCH_MIN`` matrices, such as a sweep's last block at a few samples, and
+a single matrix, such as ``align``'s count file, keep the per-matrix fit:
+a one-matrix batched pass took 36-88 us against 10-38 us, and 32 matrices
+cost about the same either way.  A batch with fewer than
+``_NEWTON_BATCH_MIN`` boundary rows fits them with the scalar sphere
+solver: the batched Newton took 210-380 us for 1 to 128 rows, as long as
+48 to 64 scalar fits.
 Only ``Direction(value)`` checks a direction.  Counts are checked once,
 where they enter, by one check (:func:`_checked_counts`): of one matrix in
 :class:`CountMatrix`, such as a count file's, and of a whole stack of a
@@ -80,6 +85,10 @@ _STEP_ULPS = 8.0 * sys.float_info.epsilon
 #: eps * total (52 halvings) leaves the point up to 8e-14 off.  Halving on to adjacent
 #: floats would drive a root near 0 into underflow
 _HALVINGS = 64
+#: the shortest block stack fitted in one batched pass, and the fewest boundary rows the
+#: batched Newton takes: below each, the per-matrix and per-row fits are as fast or faster
+_BATCH_MIN = 32
+_NEWTON_BATCH_MIN = 64
 
 
 class Direction(str, enum.Enum):
@@ -142,8 +151,9 @@ def _assemble(cls, **fields):
     the instance dict filled in one step, in field order, so the instance
     equals the one the constructor builds.  It also pickles as that one,
     but for a :meth:`CountMatrix.block` row: its dict also holds ``_fit``,
-    the link to its block's shared fit, which is no field, and a pickled
-    row carries the whole stack and, once fitted, its Stokes rows.
+    the link to its block's shared fit (None in a stack too short to
+    share one), which is no field, and a pickled row of a shared fit
+    carries the whole stack and, once fitted, its Stokes rows.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -191,17 +201,20 @@ class CountMatrix:
         The stack goes through the constructor's one count check, with its
         messages: a stack, the trailing shape, then finite, nonnegative
         entries.  Each matrix holds a read-only view of its row, so a sweep
-        block pays the check once, not per trial, and a link to the stack's
-        one fit, made at the first reconstruction of any of them
-        (:class:`_BlockFit`).  An empty stack gives none.
+        block pays the check once, not per trial.  A stack of at least
+        ``_BATCH_MIN`` matrices also gives each a link to the stack's one
+        fit, made at the first reconstruction of any of them
+        (:class:`_BlockFit`); a shorter one is fitted matrix by matrix.  An
+        empty stack gives none.
         """
         direction = Direction(direction)
         c = _checked_counts(direction, counts, stack=True)
-        fit = _BlockFit(c, direction)
+        fit = _BlockFit(c, direction) if len(c) >= _BATCH_MIN else None
         # checked above, so the constructor is skipped; the link to the shared
         # fit is no field, so it takes no part in equality, hashing or repr
         return [_assemble(cls, direction=direction, counts=row,
-                          background_subtracted=background_subtracted, _fit=(fit, i))
+                          background_subtracted=background_subtracted,
+                          _fit=None if fit is None else (fit, i))
                 for i, row in enumerate(c)]
 
     @property
@@ -499,8 +512,9 @@ def _fit_block_rows(n):
     float range, or with an empty basis pair.  Their rows are left unset:
     :func:`_reconstruct_rows` fits each of them whole, with its errors,
     when it is read.  The rest get the linear inversion and its ball test,
-    then :func:`_newton_block` on the rows outside the ball, and
-    :func:`_sphere_stokes` on each row that it leaves uncertified.
+    then :func:`_newton_block` on the rows outside the ball when there are
+    at least ``_NEWTON_BATCH_MIN`` of them, and :func:`_sphere_stokes` on
+    each row that it leaves uncertified or does not take.
     """
     # an empty pair's 0/0, and the arithmetic of stopped Newton columns, are never read
     with np.errstate(all="ignore"):
@@ -513,7 +527,10 @@ def _fit_block_rows(n):
         outside = np.flatnonzero((s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0)
                                  & ~np.repeat(whole, 4))
         s0 = s[:, outside]
-        point, certified = _newton_block(n_plus[:, outside], n_minus[:, outside], s0)
+        if len(outside) >= _NEWTON_BATCH_MIN:
+            point, certified = _newton_block(n_plus[:, outside], n_minus[:, outside], s0)
+        else:
+            point, certified = np.empty_like(s0), np.zeros(len(outside), dtype=bool)
     for k in np.flatnonzero(~certified):
         point[:, k] = _sphere_stokes(n[outside[k]].tolist(), s0[:, k].tolist())
     s[:, outside] = point
@@ -528,18 +545,20 @@ class _BlockFit:
     matrix the batch does not take (:func:`_fit_block_rows`).
     """
 
-    __slots__ = ("counts", "direction", "stokes", "whole")
+    __slots__ = ("counts", "direction", "fit")
 
     def __init__(self, counts, direction):
-        self.counts, self.direction, self.stokes = counts, direction, None
+        self.counts, self.direction, self.fit = counts, direction, None
 
     def rows(self, i):
-        if self.stokes is None:
+        if self.fit is None:
             # a reversed matrix's rows are its outcome columns
             stack = (self.counts if self.direction is Direction.FORWARD
                      else self.counts.transpose(0, 2, 1))
-            self.stokes, self.whole = _fit_block_rows(stack.reshape(-1, 6))
-        return None if self.whole[i] else tuple(map(tuple, self.stokes[i].tolist()))
+            # one slot, so a reader sees no fit or all of it
+            self.fit = _fit_block_rows(stack.reshape(-1, 6))
+        stokes, whole = self.fit
+        return None if whole[i] else tuple(map(tuple, stokes[i].tolist()))
 
 
 def _reconstruct(cm: CountMatrix, rows) -> ReconstructionSet:

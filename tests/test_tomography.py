@@ -837,6 +837,14 @@ def counted(monkeypatch):
     return wrap
 
 
+@pytest.fixture
+def batch_all(monkeypatch):
+    """Every block stack, however short, goes to the batch, and all its boundary rows to
+    the batched Newton: the small stacks below test the batch itself."""
+    monkeypatch.setattr(tomography, "_BATCH_MIN", 1)
+    monkeypatch.setattr(tomography, "_NEWTON_BATCH_MIN", 1)
+
+
 class TestBlockFit:
     """A block stack's one batched fit against each matrix's own fit, the reference."""
 
@@ -863,6 +871,18 @@ class TestBlockFit:
         # the batched Newton fitted the boundary rows, about half of the F_S = 1 cells' rows
         assert sum(s0.shape[1] for _plus, _minus, s0 in newton) > 6000
 
+    def test_reference_grid_all_batched(self, counted, batch_all):
+        # the F_S = 0.95 cells at N = 6400 have a boundary row or none per
+        # block, which the batched Newton takes here too
+        newton = counted("_newton_block")
+        boundary = 0
+        for direction, counts in _reference_grid_stacks(7):
+            rows = counts if direction is D.FORWARD else counts.transpose(0, 2, 1)
+            boundary += sum(map(_outside_ball, rows.reshape(-1, 6).tolist()))
+            for start in range(0, 250, 50):
+                self.assert_fits_as_one(direction, counts[start:start + 50])
+        assert sum(s0.shape[1] for _plus, _minus, s0 in newton) == boundary
+
     @pytest.mark.parametrize("direction", list(D))
     @pytest.mark.parametrize("n,bg,empty", [(100, 50.0, 30), (400, 110.0, 0)])
     def test_background_subtracted(self, direction, n, bg, empty):
@@ -880,7 +900,7 @@ class TestBlockFit:
         self.assert_fits_as_one(direction, drawn)
 
     @pytest.mark.parametrize("direction", list(D))
-    def test_kink_and_hard_rows(self, direction, counted):
+    def test_kink_and_hard_rows(self, direction, counted, batch_all):
         # the boundary rows the batched Newton leaves uncertified, and only
         # those, go to the scalar sphere solver: kinks where a zero outcome
         # pins a component.  Beside them, rows on a pinned pole and rows
@@ -908,7 +928,7 @@ class TestBlockFit:
         pytest.param([3.0, 2.0, 0.5, 0.0, 0.0, 0.0], False, id="total 5.5, empty pairs"),
         pytest.param([1e308] * 6, False, id="total overflows"),
     ])
-    def test_matrix_out_of_the_batch_fitted_whole(self, direction, row, subtracted):
+    def test_matrix_out_of_the_batch_fitted_whole(self, direction, row, subtracted, batch_all):
         # matrix 2's row D is out of the batch; read first, it raises, or
         # holds its empty pair, as its own matrix does, and its neighbours fit
         counts = np.random.default_rng(4).integers(0, 60, (5, 4, 6)).astype(float)
@@ -924,7 +944,7 @@ class TestBlockFit:
         self.assert_fits_as_one(direction, counts, subtracted)
 
     @pytest.mark.parametrize("direction", list(D))
-    def test_fitted_once_per_block(self, direction, counted):
+    def test_fitted_once_per_block(self, direction, counted, batch_all):
         # the first read of any matrix fits the stack; a single matrix never
         fits = counted("_fit_block_rows")
         counts = np.random.default_rng(9).integers(0, 40, (7, *tomography.COUNT_SHAPE[direction]))
@@ -936,7 +956,7 @@ class TestBlockFit:
         assert fits[0][0].shape == (4 * len(counts), 6)
 
     @pytest.mark.parametrize("direction", list(D))
-    def test_rows_are_matrices_as_constructed(self, direction):
+    def test_rows_are_matrices_as_constructed(self, direction, batch_all):
         # the link to the block's fit is private: no field, no constructor
         # parameter, and no part of equality, hashing or repr
         names = ["direction", "counts", "background_subtracted"]
@@ -951,6 +971,48 @@ class TestBlockFit:
                 assert len({cm, one}) == 1
                 copy = pickle.loads(pickle.dumps(cm))
                 assert copy == cm and _fit_or_refusal(copy) == _fit_or_refusal(one)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_short_stack_fitted_per_matrix(self, direction, counted):
+        # a stack shorter than _BATCH_MIN, such as a sweep's last block at a
+        # few samples, is fitted matrix by matrix; one of _BATCH_MIN in a batch
+        fits = counted("_fit_block_rows")
+        shape = tomography.COUNT_SHAPE[direction]
+        counts = np.random.default_rng(8).integers(0, 40, (tomography._BATCH_MIN, *shape))
+        counts[..., 0] += 400  # boundary rows
+        self.assert_fits_as_one(direction, counts[:-1])
+        assert not fits
+        self.assert_fits_as_one(direction, counts)
+        assert len(fits) == 1
+
+    def test_few_boundary_rows_skip_the_batched_newton(self, counted):
+        # below _NEWTON_BATCH_MIN boundary rows in a stack, each goes to the
+        # scalar sphere solver; at _NEWTON_BATCH_MIN they go to the batched Newton
+        newton, sphere = counted("_newton_block"), counted("_sphere_stokes")
+        k = tomography._NEWTON_BATCH_MIN
+        counts = np.full((k, 4, 6), 50.0)
+        counts[:, 0, 0::2] += np.random.default_rng(2).integers(300, 400, (k, 3))  # boundary
+        self.assert_fits_as_one(D.FORWARD, counts[:k - 1])
+        assert not newton and len(sphere) == 2 * (k - 1)  # block fit, then one fit per matrix
+        sphere.clear()
+        self.assert_fits_as_one(D.FORWARD, counts)
+        assert len(newton) == 1 and newton[0][2].shape == (3, k) and len(sphere) == k
+
+    def test_newton_stop_needs_a_positive_multiplier(self):
+        # started from the antipode of its inversion, this row's first point
+        # is stationary on the sphere with every J_k and the Schur complement
+        # negative, but with mu < 0: the likelihood's minimum on the sphere.
+        # Only the mu > 0 stop refuses it, in the scalar and the batch alike;
+        # from the inversion itself both certify the maximum
+        n = [90.0, 10.0, 90.0, 10.0, 500.0, 500.0]
+        s0 = np.array(linear_inversion(n))
+        assert tomography._newton_sphere(n, (-s0).tolist()) is None
+        maximum = tomography._newton_sphere(n, s0.tolist())
+        np.testing.assert_allclose(maximum, [math.sqrt(0.5), math.sqrt(0.5), 0.0], atol=1e-15)
+        plus, minus = np.array([n[0::2]] * 2).T, np.array([n[1::2]] * 2).T
+        point, certified = tomography._newton_block(plus, minus, np.stack([-s0, s0], axis=1))
+        assert certified.tolist() == [False, True]
+        assert point[:, 1].tolist() == maximum
 
 
 class TestReconstructForward:

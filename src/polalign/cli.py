@@ -170,6 +170,7 @@ def _write_text(path, text: str):
 
 
 def _emit(text: str, out_path):
+    """``text`` and a newline to ``out_path``, or else to stdout: every command's one write."""
     text = text if text.endswith("\n") else text + "\n"
     if out_path:
         _write_text(out_path, text)
@@ -449,7 +450,7 @@ def cmd_simulate(parser, args) -> int:
         "wall_seconds": round(time.monotonic() - started, 3),
     }
     _write_text(out + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
-    print(f"wrote {len(sweep.cells)} cells to {out}")
+    _emit(f"wrote {len(sweep.cells)} cells to {out}", None)
     return 0
 
 
@@ -579,13 +580,10 @@ def cmd_rate(parser, args) -> int:
             "eta": eta,
             "seconds_to_400_detections": None if math.isinf(seconds_400) else seconds_400,
         }
-        print(json.dumps(payload, indent=1))
+        _emit(json.dumps(payload, indent=1), None)
     else:
-        print(f"expected detection rate: {rate:.6g} Hz")
-        if rate == 0.0:
-            print("time to 400 detections: never (zero rate)")
-        else:
-            print(f"time to 400 detections: {seconds_400:.6g} s")
+        time_400 = "never (zero rate)" if rate == 0.0 else f"{seconds_400:.6g} s"
+        _emit(f"expected detection rate: {rate:.6g} Hz\ntime to 400 detections: {time_400}", None)
     return 0
 
 

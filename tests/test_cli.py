@@ -12,6 +12,7 @@ from polalign import cli
 from polalign.tomography import COLUMN_LABELS, ROW_LABELS, Direction
 
 from conftest import exact_count_matrix, haar_channel
+from golden.run import check, run_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 #: a child interpreter tests the tree on PYTHONPATH, as this one does; this checkout if unset
@@ -91,13 +92,9 @@ def count_payload(direction: Direction) -> dict:
             "column_labels": list(COLUMN_LABELS[direction]), "counts": counts.tolist()}
 
 
-#: a forward count file whose row A holds counts of 2**50, one R count and no L
-SCALE_PAYLOAD = {
-    "schema_version": 1, "direction": "forward",
-    "row_labels": ["H", "V", "D", "A"], "column_labels": ["H", "V", "D", "A", "R", "L"],
-    "counts": [[31, 2, 20, 14, 9, 24], [1, 30, 14, 18, 24, 10], [13, 20, 31, 1, 19, 15],
-               [2**50, 2**50, 2**50, 2**50, 1, 0]],
-}
+#: the golden table's forward count file whose row A holds counts of 2**50, one R count and no L
+SCALE_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs",
+                          "scale.json")
 
 
 @pytest.fixture
@@ -733,16 +730,6 @@ class TestCountFiles:
         else:
             assert out.splitlines()[-1] == f"counts used: {total:g}"
 
-    def test_totals_printed_with_every_digit(self, tmp_path, capsys):
-        # totals past 10**6 lost digits at six significant figures
-        path = write_json(tmp_path / "scale.json", SCALE_PAYLOAD)
-        for command, line, total in (("align", "total counts", 4503599627370793),
-                                     ("timing-check", "counts used", 4503599627370691)):
-            code, out, _err = run([command, "--counts", path, "--format", "json"], capsys)
-            assert code == 0 and json.loads(out)["total_counts"] == total
-            code, out, _err = run([command, "--counts", path], capsys)
-            assert code == 0 and f"{line}: {total}" in out.splitlines()
-
     @pytest.mark.parametrize("direction", [None, "sideways", "Forward"])
     def test_bad_direction_rejected(self, tmp_path, capsys, count_file, direction):
         payload = json.loads(count_file.read_text())
@@ -901,15 +888,15 @@ class TestModuleEntryPoint:
         assert done.stdout.startswith("expected detection rate:")
 
     @pytest.mark.parametrize("command", ["align", "timing-check"])
-    def test_closed_standard_output_exits_quietly(self, tmp_path, command):
+    def test_closed_standard_output_exits_quietly(self, command):
         # the reader is gone before the child writes, as after ``| head``; the
         # child's standard output is block-buffered, as a shell's pipe is
-        path = write_json(tmp_path / "scale.json", SCALE_PAYLOAD)
         env = {key: value for key, value in CHILD_ENV.items() if key != "PYTHONUNBUFFERED"}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run([sys.executable, "-m", "polalign", command, "--counts", path],
+            done = subprocess.run([sys.executable, "-m", "polalign", command, "--counts",
+                                   SCALE_FILE],
                                   env=env, stdout=write_end, stderr=subprocess.PIPE,
                                   text=True, timeout=60)
         finally:
@@ -934,8 +921,12 @@ class TestModuleEntryPoint:
         assert cli.main(["align", "--counts", str(count_file)]) == 1
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_output_written_in_one_write(self, monkeypatch, count_file, fmt):
+    @pytest.mark.parametrize("argv", [
+        ["align", "--format", "text"],
+        ["align", "--format", "json"],
+        ["rate", "--pulse-rate", "1e8", "--mu", "0.5", "--loss-db", "20"],
+    ], ids=["text", "json", "rate"])
+    def test_output_written_in_one_write(self, monkeypatch, count_file, argv):
         # unbuffered, as under PYTHONUNBUFFERED, each write reaches the pipe:
         # a newline written apart from its text would meet a reader that has
         # left after the text, as ``| head -1`` does
@@ -950,7 +941,9 @@ class TestModuleEntryPoint:
                 pass
 
         monkeypatch.setattr(sys, "stdout", Recorded())
-        assert cli.main(["align", "--counts", str(count_file), "--format", fmt]) == 0
+        if argv[0] == "align":
+            argv = argv + ["--counts", str(count_file)]
+        assert cli.main(argv) == 0
         assert len(Recorded.writes) == 1
         assert Recorded.writes[0].endswith("\n") and not Recorded.writes[0].endswith("\n\n")
 
@@ -1057,3 +1050,34 @@ class TestRate:
         payload = json.loads(out)
         assert payload["eta"] == pytest.approx(0.01, rel=1e-15)
         assert payload["rate_hz"] == pytest.approx(1e6 * (1 - math.exp(-1e-3)))
+
+
+class TestGolden:
+    def test_table(self):
+        # every case through cli.main in this process, but for the pipe cases;
+        # ``python tests/golden/run.py`` runs each case as a process
+        assert run_table(in_process=True) == []
+
+    TEXT = {"argv": "align", "exit": 2, "stdout": ["total counts: 397"], "message": "error: bad",
+            "absent": ["bad.csv"], "same": ["a.csv", "b.csv"]}
+    JSON = {"argv": "timing-check", "json": {"input": "D", "total_counts": 265.0}}
+    OUT, ERR = "total counts: 397\n", "usage: polalign\nerror: bad\n"
+
+    @pytest.mark.parametrize("case,result,files,fault", [
+        (TEXT, (2, "total counts: 398\n", ERR), {}, "stdout 'total counts: 398\\n'"),
+        (JSON, (0, '{"input": "D", "total_counts": 265}', ""), {},
+         """stdout '{"input": "D", "total_counts": 265}'"""),
+        (TEXT, (1, OUT, ERR), {}, "exit 1, expected 2"),
+        (TEXT, (2, OUT, "Traceback (most recent call last):\n" + ERR), {}, "a traceback on stderr"),
+        (TEXT, (2, OUT, ERR), {"bad.csv": ""}, "bad.csv exists"),
+        (TEXT, (2, OUT, "usage: polalign\n"), {}, "no stderr line 'error: bad'"),
+        (TEXT, (2, OUT, ERR), {"b.csv": "2\n"}, "a.csv and b.csv differ"),
+        (JSON, (0, '{"input": "D", "total_counts": 265.0}', "note\n"), {}, "stderr written"),
+    ], ids=["digit", "int-for-float", "exit", "traceback", "leftover", "message", "differ",
+            "stderr"])
+    def test_check_reports_each_fault(self, tmp_path, monkeypatch, case, result, files, fault):
+        # each result meets its case but for the one fault, which alone is reported
+        monkeypatch.chdir(tmp_path)
+        for name, text in {"a.csv": "1\n", "b.csv": "1\n", **files}.items():
+            (tmp_path / name).write_text(text)
+        assert check(case, result) == [fault]

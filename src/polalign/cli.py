@@ -171,12 +171,12 @@ def _write_text(path, text: str):
 
 def _emit(text: str, out_path):
     """``text`` and a newline to ``out_path``, or else to stdout: every command's one write."""
-    text = text if text.endswith("\n") else text + "\n"
+    text += "\n"
     if out_path:
         _write_text(out_path, text)
     else:
-        # one write: unbuffered, a newline written apart meets a pipe whose
-        # reader (``| head -1``) has left, and the run exits 1
+        # one write (tests/golden/run.py counts them in process): unbuffered, a newline
+        # written apart meets a pipe whose reader (``| head -1``) has left, and the run exits 1
         sys.stdout.write(text)
 
 

@@ -537,9 +537,9 @@ def expected_detection_rate(
 ) -> float:
     """Expected weak-coherent-pulse detection rate in Hz.
 
-    rate = R * (1 - (1 - Y0) * exp(-eta * mu)); with zero vacuum yield and
-    a lossy channel this is approximately R * eta * mu.  An argument that is
-    no real number, or is out of range, raises :class:`ConfigError` naming it.
+    rate = R * (1 - (1 - Y0) * exp(-eta * mu)), about R * eta * mu on a lossy link
+    at zero vacuum yield; ``expm1`` keeps that small rate's digits.  An argument that
+    is no real number, or is out of range, raises :class:`ConfigError` naming it.
     """
     pulse_rate_hz = _real(pulse_rate_hz, "pulse_rate_hz")
     mean_photon_number = _real(mean_photon_number, "mean_photon_number")
@@ -562,5 +562,5 @@ def expected_detection_rate(
         raise ConfigError(f"vacuum yield must be in [0, 1], got {vacuum_yield!r}",
                           field="vacuum_yield")
     return pulse_rate_hz * (
-        1.0 - (1.0 - vacuum_yield) * math.exp(-channel_transmission * mean_photon_number)
+        vacuum_yield - (1.0 - vacuum_yield) * math.expm1(-channel_transmission * mean_photon_number)
     )

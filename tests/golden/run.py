@@ -9,8 +9,11 @@ Each case runs as ``python -m polalign`` in one fresh temporary directory
 that holds a copy of ``inputs/``; the cases run in table order, so a case
 may read what an earlier one wrote.  The exit status is 1 if any case
 fails, and each failure is printed with the case's command line.
-``run_table(in_process=True)`` runs the same cases through ``cli.main``
-in this process instead, all but the pipe cases, which need a process.
+``run_table(in_process=True)`` runs the same cases through ``run_in_process``,
+all but the pipe cases, which need a process.  ``run_in_process`` is the test
+suite's one in-process caller of ``cli.main`` that captures a run's output:
+``tests/test_cli.py`` runs its commands through it too, each checked as a case
+that pins only its exit code.
 
 ``cases.json`` is a list of cases.  Each is an object with:
 
@@ -27,7 +30,9 @@ in this process instead, all but the pipe cases, which need a process.
 * ``why``: a note for the reader, not checked.
 
 Every case also checks that standard error holds no ``Traceback``, and
-that it is empty for a case that exits 0.
+that it is empty for a case that exits 0.  A run in process, which counts its
+stdout writes, keeps the one-write rule: a case that exits 0 writes its stdout
+in exactly one write, ending in one newline, and one that fails writes none.
 """
 
 import contextlib
@@ -55,9 +60,19 @@ def same(got, want) -> bool:
     return got == want
 
 
+def write_faults(code, out, writes) -> list:
+    """What breaks the one-write rule in a run's exit code, stdout and count of stdout writes."""
+    if code != 0:
+        return [f"stdout written on exit {code}"] if writes else []
+    if writes != 1:
+        return [f"stdout in {writes} writes"]
+    ends = out.endswith("\n") and not out.endswith("\n\n")
+    return [] if ends else ["stdout not ending in one newline"]
+
+
 def check(case, result) -> list:
-    """What in ``result`` (code, stdout, stderr) breaks ``case``; files are read from the cwd."""
-    code, out, err = result
+    """Faults of ``result`` (code, stdout, stderr, writes or None) against ``case``, in the cwd."""
+    code, out, err, writes = result
     exit_code = case.get("exit", 0)
     faults = []
     if code != exit_code:
@@ -77,6 +92,8 @@ def check(case, result) -> list:
         ok = "stdout" not in case or out == "".join(line + "\n" for line in case["stdout"])
     if not ok:
         faults.append(f"stdout {out!r}")
+    if writes is not None:
+        faults += write_faults(code, out, writes)
     faults += [f"{name} exists" for name in case.get("absent", []) if os.path.exists(name)]
     if "same" in case:
         first, second = (pathlib.Path(name).read_bytes() if os.path.exists(name) else None
@@ -86,32 +103,46 @@ def check(case, result) -> list:
     return faults
 
 
+class _Counted(io.StringIO):
+    """A standard output that counts its writes."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr, stdout writes) of ``cli.main(argv)`` in this process."""
+    from polalign import cli
+    out, err = _Counted(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:  # reported as the process would report it
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue(), out.writes
+
+
 def run_case(case, env, in_process):
-    """(exit code, stdout, stderr) of ``case`` run in the cwd."""
+    """(exit code, stdout, stderr, stdout writes or None) of ``case`` run in the cwd."""
     argv = case["argv"].split()
     if in_process and not case.get("pipe"):
-        from polalign import cli
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            except Exception:  # reported as the process would report it
-                traceback.print_exc()
-                code = 1
-        return code, out.getvalue(), err.getvalue()
+        return run_in_process(argv)
     command = [sys.executable, "-m", "polalign", *argv]
     if not case.get("pipe"):
         done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
-        return done.returncode, done.stdout, done.stderr
+        return done.returncode, done.stdout, done.stderr, None
     env = dict(env, PYTHONUNBUFFERED="1")
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True) as child:
         out = child.stdout.readline()
         child.stdout.close()  # the reader leaves
         err = child.stderr.read()
-        return child.wait(timeout=120), out, err
+        return child.wait(timeout=120), out, err, None
 
 
 def run_table(in_process=False) -> list:

@@ -29,6 +29,8 @@ code that uses them, and a number by the one integer and one real rule of
 ``field`` of such a ``ConfigError`` to its flag, or under ``simulate
 --from-manifest`` to its manifest key when the manifest holds it, through
 ``_FIELD_KEYS``.  ``_SWEEP_FIELDS`` is the one description of a sweep row.
+Each file check raises its ``SchemaError`` itself, so a message is built only
+when its check fails.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ SWEEP_SCHEMA_VERSION = 1
 # input files
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise SchemaError(message)
-
-
 def _read_text(path) -> str:
     """The text of the file at ``path``; an ``OSError`` is left to ``main``."""
     try:
@@ -91,13 +88,15 @@ def _load_json(path, version: int, text: str | None = None) -> dict:
         payload = json.loads(_read_text(path) if text is None else text)
     except ValueError as exc:  # bad syntax or an int past 4300 digits
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    _require(isinstance(payload, dict), f"{path}: top level must be an object")
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: top level must be an object")
     found = payload.get("schema_version")
     try:
         supported = _integer(found, "schema_version") == version
     except ConfigError:
         supported = False
-    _require(supported, f"{path}: unsupported schema_version {found!r}")
+    if not supported:
+        raise SchemaError(f"{path}: unsupported schema_version {found!r}")
     return payload
 
 
@@ -118,32 +117,28 @@ def load_count_file(path) -> CountMatrix:
     n_rows, n_cols = COUNT_SHAPE[direction]
     for name, labels, expected in (("row", rows, ROW_LABELS[direction]),
                                    ("column", cols, COLUMN_LABELS[direction])):
-        _require(isinstance(labels, list) and all(isinstance(x, str) for x in labels),
-                 f"{path}: {name}_labels must be a list of strings")
-        _require(
-            len(labels) == len(set(labels)),
-            f"{path}: repeated {name} label in {labels}",
-        )
-        _require(
-            set(labels) == set(expected),
-            f"{path}: {direction.value} {name}_labels must be {sorted(expected)}, "
-            f"got {labels}",
-        )
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise SchemaError(f"{path}: {name}_labels must be a list of strings")
+        if len(labels) != len(set(labels)):
+            raise SchemaError(f"{path}: repeated {name} label in {labels}")
+        if set(labels) != set(expected):
+            raise SchemaError(f"{path}: {direction.value} {name}_labels must be "
+                              f"{sorted(expected)}, got {labels}")
 
     counts = payload.get("counts")
-    _require(isinstance(counts, list) and len(counts) == n_rows,
-             f"{path}: counts must have {n_rows} rows for direction {direction.value}")
+    if not (isinstance(counts, list) and len(counts) == n_rows):
+        raise SchemaError(f"{path}: counts must have {n_rows} rows for direction {direction.value}")
     for i, row in enumerate(counts):
-        _require(isinstance(row, list) and len(row) == n_cols,
-                 f"{path}: counts row {i} must have {n_cols} entries")
+        if not (isinstance(row, list) and len(row) == n_cols):
+            raise SchemaError(f"{path}: counts row {i} must have {n_cols} entries")
         for j, x in enumerate(row):
-            # raised directly: the messages are built only on failure
             ok = isinstance(x, int) or (isinstance(x, float) and float(x).is_integer())
             if not ok or isinstance(x, bool) or x < 0:
                 raise SchemaError(f"{path}: counts[{i}][{j}] = {x!r} is not a nonnegative integer")
             if x > _MAX_COUNT:
                 raise SchemaError(f"{path}: counts[{i}][{j}] is above 2**53, the largest count")
-    _require(isinstance(payload.get("metadata", {}), dict), f"{path}: metadata must be an object")
+    if not isinstance(payload.get("metadata", {}), dict):
+        raise SchemaError(f"{path}: metadata must be an object")
     # in canonical label order; every count is exact as a float.  An array of
     # the counts checked above is not walked again for a bool
     col_order = [cols.index(lab) for lab in COLUMN_LABELS[direction]]
@@ -232,10 +227,12 @@ def _write_sweep(path, cells, fmt: str):
 
 
 def _sweep_cell(path, where: str, record, from_json: bool) -> SweepCell:
-    _require(isinstance(record, dict), f"{path}: {where} must be an object")
+    if not isinstance(record, dict):
+        raise SchemaError(f"{path}: {where} must be an object")
     fields = {}
     for key, (name, parse, rule) in _SWEEP_FIELDS.items():
-        _require(key in record, f"{path}: {where} has no {key!r}")
+        if key not in record:
+            raise SchemaError(f"{path}: {where} has no {key!r}")
         try:
             fields[name] = rule(record[key] if from_json else parse(record[key]), key)
         except (KeyError, TypeError, ValueError):
@@ -253,8 +250,8 @@ def read_sweep_file(path) -> list[SweepCell]:
     text = _read_text(path)
     if path.endswith(".json") or text.lstrip().startswith("{"):
         payload = _load_json(path, SWEEP_SCHEMA_VERSION, text)
-        _require(isinstance(payload.get("cells"), list),
-                 f"{path}: expected an object with a 'cells' list")
+        if not isinstance(payload.get("cells"), list):
+            raise SchemaError(f"{path}: expected an object with a 'cells' list")
         return [_sweep_cell(path, f"cell {i}", r, True) for i, r in enumerate(payload["cells"])]
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SWEEP_CSV_HEADER:
@@ -396,7 +393,8 @@ def _simulate_config_from_args(parser, args) -> dict:
             parser.error(f"--from-manifest: cannot be given with {', '.join(given)}; "
                          "only --out and --jobs combine with it")
         config = _load_json(args.from_manifest, MANIFEST_SCHEMA_VERSION).get("config")
-        _require(isinstance(config, dict), f"{args.from_manifest}: has no config block")
+        if not isinstance(config, dict):
+            raise SchemaError(f"{args.from_manifest}: has no config block")
         if args.out:
             config = dict(config, out=args.out)
         return _check_simulate_config(parser, config, args.from_manifest)

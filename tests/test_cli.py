@@ -647,6 +647,35 @@ class TestCountFiles:
         again = cli.load_count_file(reordered)
         np.testing.assert_array_equal(again.counts, cm.counts)
 
+    def test_messages_built_only_on_failure(self, monkeypatch):
+        # every refusal's message formats the path, and the label refusals the labels:
+        # a valid file formats neither, and a file with a repeated label formats both
+        formatted = []
+
+        class Path(str):
+            def __format__(self, spec):
+                formatted.append("path")
+                return super().__format__(spec)
+
+        class Listed(list):
+            def __repr__(self):
+                formatted.append("list")
+                return super().__repr__()
+
+        payload = count_payload(Direction.FORWARD)
+        expected = np.array(payload["counts"], dtype=float)
+        payload["row_labels"] = Listed(payload["row_labels"])
+        payload["column_labels"] = Listed(payload["column_labels"])
+        payload["counts"] = [Listed(row) for row in payload["counts"]]
+        monkeypatch.setattr(cli, "_load_json", lambda path, version: payload)
+        cm = cli.load_count_file(Path("counts.json"))
+        assert formatted == []
+        np.testing.assert_array_equal(cm.counts, expected)
+        payload["row_labels"] = Listed(["H", "V", "D", "H"])
+        with pytest.raises(pa.SchemaError, match=r"^counts.json: repeated row label in \['H', "):
+            cli.load_count_file(Path("counts.json"))
+        assert formatted == ["path", "list"]
+
     @pytest.mark.parametrize("direction", list(Direction))
     def test_shuffled_labels_and_float_counts_load_canonically(self, tmp_path, direction):
         payload = count_payload(direction)

@@ -165,8 +165,8 @@ class TestBackgroundStudy:
         subtracted = arm(lambda counts: subtracted_matrix(cfg, counts))
         assert study.samples == samples
         assert study.failures == 1
-        assert study.mean_with_background == pytest.approx(np.mean(with_bg), rel=1e-12)
-        assert study.mean_subtracted == pytest.approx(np.mean(subtracted), rel=1e-12)
+        assert study.mean_with_background == pytest.approx(np.mean(with_bg), rel=1e-12, abs=0.0)
+        assert study.mean_subtracted == pytest.approx(np.mean(subtracted), rel=1e-12, abs=0.0)
 
     def test_one_draw_per_pair(self, monkeypatch):
         # blocks of 4: each block draws its channels and counts in one call

@@ -392,6 +392,8 @@ def _simulate_config_from_args(parser, args) -> dict:
         if given:
             parser.error(f"--from-manifest: cannot be given with {', '.join(given)}; "
                          "only --out and --jobs combine with it")
+        if args.out == "":  # refused as a flag, not left to the manifest's own out
+            _config_error(parser, None, "out", "'' must be a file path")
         config = _load_json(args.from_manifest, MANIFEST_SCHEMA_VERSION).get("config")
         if not isinstance(config, dict):
             raise SchemaError(f"{args.from_manifest}: has no config block")

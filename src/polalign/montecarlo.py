@@ -27,8 +27,8 @@ how many of the block's trials the cell runs or on the worker that runs
 it.  A cell's first k trials are the same for any sample count of at
 least k, and results are bit-identical for any worker count.  The counts
 of the trials run are checked once for the block, and their tomography is
-fitted once for the block, at the first trial's reconstruction, or trial
-by trial when the block runs only a few (:meth:`CountMatrix.block`).  Then
+fitted once for the block, where its matrices are built, or trial by
+trial when the block runs only a few (:meth:`CountMatrix.block`).  Then
 each trial is compensated and scored, one by one: it scores the
 compensation's Stokes rotation without choosing plate angles.
 

@@ -28,10 +28,9 @@ inversion, its ball test and the sphere solver when it lies outside the
 ball.  The counts are fitted as given, so an outcome is empty only when it
 is 0, at any total.  A row with no empty outcome, 94 % of a reference
 sweep's rows, skips the pair test.  Each error names the row it refuses.
-A sweep block's stack (:meth:`CountMatrix.block`) is fitted once: the
-first reconstruction of any of its matrices fits the whole stack in one
-batched pass, and each later one reads its own matrix's rows
-(:class:`_BlockFit`).  The pass takes the per-matrix fit's steps in their
+A sweep block's stack is fitted once, in one batched pass where
+:meth:`CountMatrix.block` builds it, and each matrix keeps its own four
+fitted rows.  The pass takes the per-matrix fit's steps in their
 order on columns of arrays: the inversion and its ball test, the Newton
 with its exits as masks (:func:`_newton_block`), and
 :func:`_sphere_stokes` on each row the Newton leaves uncertified.  So each
@@ -149,11 +148,7 @@ def _assemble(cls, **fields):
     For results the program builds from its own checked values: the
     generated constructor's per-field ``object.__setattr__`` is skipped and
     the instance dict filled in one step, in field order, so the instance
-    equals the one the constructor builds.  It also pickles as that one,
-    but for a :meth:`CountMatrix.block` row: its dict also holds ``_fit``,
-    the link to its block's shared fit (None in a stack too short to
-    share one), which is no field, and a pickled row of a shared fit
-    carries the whole stack and, once fitted, its Stokes rows.
+    equals the one the constructor builds.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -202,20 +197,26 @@ class CountMatrix:
         messages: a stack, the trailing shape, then finite, nonnegative
         entries.  Each matrix holds a read-only view of its row, so a sweep
         block pays the check once, not per trial.  A stack of at least
-        ``_BATCH_MIN`` matrices also gives each a link to the stack's one
-        fit, made at the first reconstruction of any of them
-        (:class:`_BlockFit`); a shorter one is fitted matrix by matrix.  An
-        empty stack gives none.
+        ``_BATCH_MIN`` matrices is also fitted here, in one batched pass
+        (:func:`_fit_block_rows`), and each matrix keeps a read-only view of
+        its own four Stokes rows, or None when the pass leaves it to be
+        fitted whole; a shorter stack is fitted matrix by matrix.  An empty
+        stack gives none.
         """
         direction = Direction(direction)
         c = _checked_counts(direction, counts, stack=True)
-        fit = _BlockFit(c, direction) if len(c) >= _BATCH_MIN else None
-        # checked above, so the constructor is skipped; the link to the shared
-        # fit is no field, so it takes no part in equality, hashing or repr
+        stokes = [None] * len(c)
+        if len(c) >= _BATCH_MIN:
+            # a reversed matrix's rows are its outcome columns
+            fit, whole = _fit_block_rows(
+                (c if direction is Direction.FORWARD else c.transpose(0, 2, 1)).reshape(-1, 6))
+            fit.setflags(write=False)
+            stokes = [None if w else s for s, w in zip(fit, whole.tolist())]
+        # checked above, so the constructor is skipped; the fitted rows are no
+        # field, so they take no part in equality, hashing or repr
         return [_assemble(cls, direction=direction, counts=row,
-                          background_subtracted=background_subtracted,
-                          _fit=None if fit is None else (fit, i))
-                for i, row in enumerate(c)]
+                          background_subtracted=background_subtracted, _stokes=s)
+                for row, s in zip(c, stokes)]
 
     @property
     def total(self) -> float:
@@ -537,37 +538,13 @@ def _fit_block_rows(n):
     return s.T.reshape(-1, 4, 3), whole
 
 
-class _BlockFit:
-    """The one fit of a :meth:`CountMatrix.block` stack, made at the first read of any matrix.
-
-    ``counts`` is the checked stack and ``direction`` its direction.
-    :meth:`rows` gives matrix i's four Stokes rows as tuples, or None for a
-    matrix the batch does not take (:func:`_fit_block_rows`).
-    """
-
-    __slots__ = ("counts", "direction", "fit")
-
-    def __init__(self, counts, direction):
-        self.counts, self.direction, self.fit = counts, direction, None
-
-    def rows(self, i):
-        if self.fit is None:
-            # a reversed matrix's rows are its outcome columns
-            stack = (self.counts if self.direction is Direction.FORWARD
-                     else self.counts.transpose(0, 2, 1))
-            # one slot, so a reader sees no fit or all of it
-            self.fit = _fit_block_rows(stack.reshape(-1, 6))
-        stokes, whole = self.fit
-        return None if whole[i] else tuple(map(tuple, stokes[i].tolist()))
-
-
 def _reconstruct(cm: CountMatrix, rows) -> ReconstructionSet:
     """The set of ``cm``, whose (4, 6) count rows are ``rows``: its block's fit, or its own."""
-    link = getattr(cm, "_fit", None)
-    stokes = None if link is None else link[0].rows(link[1])
+    stokes = getattr(cm, "_stokes", None)
     if stokes is None:
         return _reconstruct_rows(rows, cm.direction, cm.background_subtracted)
-    return _assemble(ReconstructionSet, direction=cm.direction, rows=stokes)
+    return _assemble(ReconstructionSet, direction=cm.direction,
+                     rows=tuple(map(tuple, stokes.tolist())))
 
 
 def reconstruct_forward(cm: CountMatrix) -> ReconstructionSet:

@@ -916,7 +916,7 @@ class TestBlockFit:
         for at in range(4):
             counts = self.planted(direction, rows, at)
             sphere.clear()
-            _fit_or_refusal(pa.CountMatrix.block(direction, counts)[0])  # fits the stack
+            pa.CountMatrix.block(direction, counts)  # fits the stack
             assert sorted(n for n, _s0 in sphere) == sorted(uncertified)
             self.assert_fits_as_one(direction, counts)
 
@@ -945,19 +945,35 @@ class TestBlockFit:
 
     @pytest.mark.parametrize("direction", list(D))
     def test_fitted_once_per_block(self, direction, counted, batch_all):
-        # the first read of any matrix fits the stack; a single matrix never
+        # building the block fits the stack, before any read; reading its
+        # matrices, or a single matrix, fits no stack
         fits = counted("_fit_block_rows")
         counts = np.random.default_rng(9).integers(0, 40, (7, *tomography.COUNT_SHAPE[direction]))
         block = pa.CountMatrix.block(direction, counts)
+        assert len(fits) == 1
+        assert fits[0][0].shape == (4 * len(counts), 6)
         for cm in block[::-1] + block:
             _fit_or_refusal(cm)
         _fit_or_refusal(pa.CountMatrix(direction, counts[0]))
         assert len(fits) == 1
-        assert fits[0][0].shape == (4 * len(counts), 6)
+
+    @pytest.mark.parametrize("direction", list(D))
+    def test_pickled_row_holds_only_its_own_fit(self, direction):
+        # a row of a batched stack pickles as its own counts and four Stokes
+        # rows, at any stack length, before and after it is read
+        shape = tomography.COUNT_SHAPE[direction]
+        counts = np.random.default_rng(10).integers(1, 40, (250, *shape))
+        sizes = set()
+        for length in (tomography._BATCH_MIN, 250):
+            row = pa.CountMatrix.block(direction, counts[:length])[0]
+            sizes.add(len(pickle.dumps(row)))
+            _fit_or_refusal(row)
+            sizes.add(len(pickle.dumps(row)))
+        assert len(sizes) == 1
 
     @pytest.mark.parametrize("direction", list(D))
     def test_rows_are_matrices_as_constructed(self, direction, batch_all):
-        # the link to the block's fit is private: no field, no constructor
+        # a row's fitted Stokes rows are private: no field, no constructor
         # parameter, and no part of equality, hashing or repr
         names = ["direction", "counts", "background_subtracted"]
         assert [f.name for f in dataclasses.fields(pa.CountMatrix)] == names
